@@ -30,8 +30,6 @@ from .errors import (
     StencilCrossesSolenoid,
 )
 
-TWO_PI = 2.0 * math.pi
-
 #: Relative half-width of the band around rho = R inside which evaluation
 #: raises FieldUndefinedOnSolenoid.  A finite band makes the pointwise
 #: undefinedness of the surface testable in floating point.
@@ -92,7 +90,7 @@ class Point:
         if self.x == 0.0 and self.y == 0.0:
             raise AxisSingularity("azimuth is undefined at rho = 0")
         angle = math.atan2(self.y, self.x)
-        return angle + TWO_PI if angle < 0.0 else angle
+        return angle + math.tau if angle < 0.0 else angle
 
 
 @dataclass(frozen=True)
@@ -110,9 +108,9 @@ class SolenoidField:
     gamma: float
 
     def __post_init__(self):
-        _require_finite("field parameter", self.B, self.gamma)
         if not (math.isfinite(self.R) and self.R > 0.0):
             raise InvalidRadius(f"solenoid radius must be positive, got {self.R!r}")
+        _require_finite("field parameter", self.B, self.gamma)
 
     @property
     def kappa(self) -> float:
@@ -138,28 +136,35 @@ def _require_off_surface(f: SolenoidField, rho: float) -> None:
         )
 
 
+def _field_z(f: SolenoidField, x: float, y: float) -> float:
+    """B_z at (x, y) as a float, without the surface check."""
+    return f.B if math.hypot(x, y) < f.R else 0.0
+
+
+def _potential(f: SolenoidField, x: float, y: float) -> tuple[float, float]:
+    """(A_x, A_y) at (x, y) as floats, without the surface check.
+
+    Inside, B*rho/2 along phi_hat is the linear field (-B*y/2, B*x/2),
+    which vanishes on the axis.  Outside, gamma/rho along phi_hat is
+    gamma * (-y, x) / rho**2.
+    """
+    rho = math.hypot(x, y)
+    if rho < f.R:
+        return -0.5 * f.B * y, 0.5 * f.B * x
+    scale = f.gamma / (rho * rho)
+    return -scale * y, scale * x
+
+
 def eval_B(f: SolenoidField, p: Point) -> Vec3:
     """Magnetic field at p: (0, 0, B) inside the solenoid, zero outside."""
-    rho = p.rho
-    _require_off_surface(f, rho)
-    if rho < f.R:
-        return Vec3(0.0, 0.0, f.B)
-    return Vec3(0.0, 0.0, 0.0)
+    _require_off_surface(f, p.rho)
+    return Vec3(0.0, 0.0, _field_z(f, p.x, p.y))
 
 
 def eval_A(f: SolenoidField, p: Point) -> Vec3:
-    """Vector potential at p, returned in Cartesian components.
-
-    Inside, B*rho/2 along phi_hat is the linear field (-B*y/2, B*x/2, 0),
-    which vanishes on the axis.  Outside, gamma/rho along phi_hat is
-    gamma * (-y, x, 0) / rho**2.
-    """
-    rho = p.rho
-    _require_off_surface(f, rho)
-    if rho < f.R:
-        return Vec3(-0.5 * f.B * p.y, 0.5 * f.B * p.x, 0.0)
-    scale = f.gamma / (rho * rho)
-    return Vec3(-scale * p.y, scale * p.x, 0.0)
+    """Vector potential at p, returned in Cartesian components (A_z = 0)."""
+    _require_off_surface(f, p.rho)
+    return Vec3(*_potential(f, p.x, p.y), 0.0)
 
 
 def curl_fd(f: SolenoidField, p: Point, h: float) -> Vec3:
@@ -212,9 +217,6 @@ def ab_standard(B: float, R: float) -> SolenoidField:
     circulation equals the enclosed flux pi*B*R**2, and the potential is
     continuous (though not continuously differentiable) across rho = R.
     """
-    if not (math.isfinite(R) and R > 0.0):
-        raise InvalidRadius(f"solenoid radius must be positive, got {R!r}")
-    _require_finite("field strength", B)
     return SolenoidField(B=B, R=R, gamma=0.5 * B * R * R)
 
 

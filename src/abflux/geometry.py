@@ -9,6 +9,14 @@ fixed order, so repeated runs are bit-identical.  The 1/rho falloff of
 the exterior potential near the solenoid needs no special casing: the
 adaptive loop concentrates nodes there on its own.
 
+Every curve is built from two kinds of piece, a circular arc and a
+straight edge, whose integrands return A.dr/dt as a plain float.  Inputs
+are validated once, when the path is built and cleared of the solenoid
+surface, not on every quadrature node.  The integrand is periodic, so an
+n-turn circle is integrated over one revolution and the result scaled by
+n: rel_tol carries over exactly, while abs_tol applies per revolution.
+An integral that overflows floating point raises ValueError.
+
 Disc fluxes use the same radial scheme tensored with a fixed-order
 Gauss-Legendre rule in azimuth (the integrand is azimuthally symmetric,
 but the tensor form keeps the computation an honest 2-D quadrature and
@@ -35,12 +43,13 @@ from .errors import (
     QuadratureNotConverged,
     WindingUnresolvable,
 )
-from .fields import Point, SolenoidField, Vec3, eval_A, eval_B
-
-TWO_PI = 2.0 * math.pi
+from .fields import Point, SolenoidField, _field_z, _potential, _require_finite
 
 #: Relative clearance every integration path must keep from rho = R.
 PATH_CLEARANCE = 1e-6
+
+#: (integrand, a, b, seed): integrate fn over [a, b], pre-split into seed panels
+_Piece = tuple[Callable[[float], float], float, float, int]
 
 
 @dataclass(frozen=True)
@@ -52,8 +61,9 @@ class QuadratureSpec:
     max_subdivisions: int = 2**20
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("quadrature tolerances must be positive")
+        for tol in (self.rel_tol, self.abs_tol):
+            if not (math.isfinite(tol) and tol > 0.0):
+                raise ValueError(f"quadrature tolerances must be finite and positive, got {tol!r}")
         if self.max_subdivisions < 0:
             raise ValueError("max_subdivisions must be nonnegative")
 
@@ -130,10 +140,7 @@ def _gk15(fn: Callable[[float], float], a: float, b: float) -> tuple[float, floa
     return kronrod, abs(kronrod - gauss)
 
 
-def _integrate_pieces(
-    pieces: Iterable[tuple[Callable[[float], float], float, float, int]],
-    spec: QuadratureSpec,
-) -> float:
+def _integrate_pieces(pieces: Iterable[_Piece], spec: QuadratureSpec) -> float:
     """Adaptively integrate a list of (fn, a, b, seed) pieces as one sum.
 
     Each piece is pre-split into ``seed`` equal intervals so the error
@@ -175,8 +182,45 @@ def _integrate_pieces(
         heapq.heappush(heap, (-e2, next(tie), idx, mid, hi, v2))
         splits += 1
 
+    # checked on the running sum: fsum raises OverflowError, not
+    # ValueError, on finite terms whose sum overflows
+    _require_finite_integral(total)
     final = sorted(heap, key=lambda item: (item[2], item[3]))
     return math.fsum(item[5] for item in final)
+
+
+def _require_finite_integral(value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"line integral is not finite ({value!r}): the inputs overflow")
+    return value
+
+
+def _arc_piece(f: SolenoidField, cx: float, cy: float, radius: float,
+               phi0: float, sweep: float) -> _Piece:
+    """Piece for the arc about (cx, cy) from azimuth phi0 through sweep,
+    t in [0, 1], seeded with one panel per quarter turn."""
+    k = radius * sweep
+
+    def fn(t: float) -> float:
+        th = phi0 + sweep * t
+        c, s = math.cos(th), math.sin(th)
+        ax, ay = _potential(f, cx + radius * c, cy + radius * s)
+        return ax * (-k * s) + ay * (k * c)
+
+    return fn, 0.0, 1.0, max(1, math.ceil(abs(sweep) / (0.5 * math.pi)))
+
+
+def _edge_piece(f: SolenoidField, p: Point, q: Point) -> _Piece:
+    """Piece for the straight edge from p to q, t in [0, 1], one seed panel.
+    The potential has no z-component, so only the xy-projection enters."""
+    px, py = p.x, p.y
+    dx, dy = q.x - px, q.y - py
+
+    def fn(t: float) -> float:
+        ax, ay = _potential(f, px + t * dx, py + t * dy)
+        return ax * dx + ay * dy
+
+    return fn, 0.0, 1.0, 1
 
 
 @dataclass(frozen=True)
@@ -184,7 +228,8 @@ class Circle:
     """Circle of given radius in the plane z = center.z.
 
     Traversed counterclockwise for turns > 0 and clockwise for turns < 0,
-    completing |turns| full revolutions.
+    completing |turns| full revolutions, starting at azimuth 0 about the
+    center.
     """
 
     center: Point
@@ -194,27 +239,12 @@ class Circle:
     def __post_init__(self):
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise ValueError(f"circle radius must be positive, got {self.radius!r}")
-        if not isinstance(self.turns, int) or self.turns == 0:
+        if isinstance(self.turns, bool) or not isinstance(self.turns, int) or self.turns == 0:
             raise ValueError(f"turns must be a nonzero integer, got {self.turns!r}")
 
     def _rho_intervals(self) -> list[tuple[float, float]]:
         d = math.hypot(self.center.x, self.center.y)
         return [(abs(d - self.radius), d + self.radius)]
-
-    def _parametric_pieces(self):
-        cx, cy, cz = self.center.x, self.center.y, self.center.z
-        r = self.radius
-        omega = TWO_PI * self.turns
-
-        def pos(t: float) -> Point:
-            th = omega * t
-            return Point(cx + r * math.cos(th), cy + r * math.sin(th), cz)
-
-        def vel(t: float) -> Vec3:
-            th = omega * t
-            return Vec3(-r * omega * math.sin(th), r * omega * math.cos(th), 0.0)
-
-        return [(pos, vel, max(4, 4 * abs(self.turns)))]
 
 
 @dataclass(frozen=True)
@@ -239,21 +269,6 @@ class Polyline:
 
     def _rho_intervals(self) -> list[tuple[float, float]]:
         return [_segment_rho_range(p, q) for p, q in self._edges()]
-
-    def _parametric_pieces(self):
-        pieces = []
-        for p, q in self._edges():
-            dx, dy, dz = q.x - p.x, q.y - p.y, q.z - p.z
-            velocity = Vec3(dx, dy, dz)
-
-            def pos(t: float, p=p, dx=dx, dy=dy, dz=dz) -> Point:
-                return Point(p.x + t * dx, p.y + t * dy, p.z + t * dz)
-
-            def vel(t: float, velocity=velocity) -> Vec3:
-                return velocity
-
-            pieces.append((pos, vel, 1))
-        return pieces
 
 
 ClosedPath = Union[Circle, Polyline]
@@ -306,14 +321,14 @@ def winding_number(path: ClosedPath) -> int:
     n = len(azimuths)
     increments = []
     for i in range(n):
-        step = math.remainder(azimuths[(i + 1) % n] - azimuths[i], TWO_PI)
+        step = math.remainder(azimuths[(i + 1) % n] - azimuths[i], math.tau)
         if abs(step) >= math.pi:
             raise WindingUnresolvable(
                 "consecutive vertices are azimuthally antipodal; insert an "
                 "intermediate vertex to resolve the winding"
             )
         increments.append(step)
-    turns = math.fsum(increments) / TWO_PI
+    turns = math.fsum(increments) / math.tau
     nearest = round(turns)
     if abs(turns - nearest) > 1e-9:
         raise WindingUnresolvable(
@@ -330,17 +345,15 @@ def circulation(
     For a path in the exterior region with winding number w the analytic
     value is 2*pi*gamma*w, independent of the path's shape or size; for a
     path inside the solenoid it is B/2 times twice the enclosed area.
+    A circle is integrated over one revolution and scaled by |turns|.
     """
     spec = spec if spec is not None else QuadratureSpec()
     _require_clearance(path._rho_intervals(), f)
-    pieces = []
-    for pos, vel, seed in path._parametric_pieces():
-
-        def integrand(t: float, pos=pos, vel=vel) -> float:
-            return eval_A(f, pos(t)).dot(vel(t))
-
-        pieces.append((integrand, 0.0, 1.0, seed))
-    return _integrate_pieces(pieces, spec)
+    if isinstance(path, Circle):
+        c = path.center
+        arc = _arc_piece(f, c.x, c.y, path.radius, 0.0, math.copysign(math.tau, path.turns))
+        return _require_finite_integral(_integrate_pieces([arc], spec) * abs(path.turns))
+    return _integrate_pieces([_edge_piece(f, p, q) for p, q in path._edges()], spec)
 
 
 def segment_integral(
@@ -349,14 +362,7 @@ def segment_integral(
     """Line integral of the vector potential along one straight segment."""
     spec = spec if spec is not None else QuadratureSpec()
     _require_clearance([_segment_rho_range(start, end)], f)
-    dx, dy, dz = end.x - start.x, end.y - start.y, end.z - start.z
-    velocity = Vec3(dx, dy, dz)
-
-    def integrand(t: float) -> float:
-        p = Point(start.x + t * dx, start.y + t * dy, start.z + t * dz)
-        return eval_A(f, p).dot(velocity)
-
-    return _integrate_pieces([(integrand, 0.0, 1.0, 1)], spec)
+    return _integrate_pieces([_edge_piece(f, start, end)], spec)
 
 
 def arc_integral(
@@ -371,24 +377,11 @@ def arc_integral(
     spec = spec if spec is not None else QuadratureSpec()
     if not (math.isfinite(rho) and rho > 0.0):
         raise InvalidRadius(f"arc radius must be positive, got {rho!r}")
-    _require_finite_angles(phi_start, phi_end)
+    _require_finite("angle", phi_start, phi_end)
+    _require_finite("arc plane z", z)
     _require_clearance([(rho, rho)], f)
-    sweep = phi_end - phi_start
-
-    def integrand(t: float) -> float:
-        phi = phi_start + t * sweep
-        p = Point(rho * math.cos(phi), rho * math.sin(phi), z)
-        v = Vec3(-rho * sweep * math.sin(phi), rho * sweep * math.cos(phi), 0.0)
-        return eval_A(f, p).dot(v)
-
-    seed = max(1, math.ceil(abs(sweep) / (0.5 * math.pi)))
-    return _integrate_pieces([(integrand, 0.0, 1.0, seed)], spec)
-
-
-def _require_finite_angles(*angles: float) -> None:
-    for a in angles:
-        if not math.isfinite(a):
-            raise ValueError(f"angle must be finite, got {a!r}")
+    arc = _arc_piece(f, 0.0, 0.0, rho, phi_start, phi_end - phi_start)
+    return _integrate_pieces([arc], spec)
 
 
 def sector_flux(
@@ -404,14 +397,22 @@ def sector_flux(
     The sector is rho in [rho_min, rho_max], phi in [phi_min, phi_max].
     Radial integration is adaptive; the azimuthal factor uses a fixed
     8-point Gauss-Legendre rule.  The radial range must stay clear of the
-    undefined band at rho = R (callers split there; see flux_direct).
+    undefined band at rho = R (callers split there; see flux_direct); it
+    may end on the band's edge, since no quadrature node lies on an
+    endpoint.
     """
     spec = spec if spec is not None else QuadratureSpec()
     if not (0.0 <= rho_min < rho_max and math.isfinite(rho_max)):
         raise ValueError(f"bad radial range [{rho_min!r}, {rho_max!r}]")
-    _require_finite_angles(phi_min, phi_max)
+    _require_finite("angle", phi_min, phi_max)
     if not phi_min < phi_max:
         raise ValueError(f"bad azimuthal range [{phi_min!r}, {phi_max!r}]")
+    band = f.boundary_band
+    if rho_min < f.R + band and rho_max > f.R - band:
+        raise FieldUndefinedOnSolenoid(
+            f"radial range [{rho_min!r}, {rho_max!r}] meets the undefined band "
+            f"at rho = R = {f.R!r}"
+        )
 
     mid = 0.5 * (phi_min + phi_max)
     half = 0.5 * (phi_max - phi_min)
@@ -421,7 +422,7 @@ def sector_flux(
     def radial(rho: float) -> float:
         acc = 0.0
         for c, s, w in nodes:
-            acc += w * eval_B(f, Point(rho * c, rho * s, 0.0)).z
+            acc += w * _field_z(f, rho * c, rho * s)
         return rho * acc
 
     return _integrate_pieces([(radial, rho_min, rho_max, 1)], spec)
@@ -442,9 +443,9 @@ def flux_direct(f: SolenoidField, L: float, spec: QuadratureSpec | None = None) 
     if abs(L - f.R) <= band:
         raise FieldUndefinedOnSolenoid("disc rim lies in the undefined band at rho = R")
     if L < f.R:
-        return sector_flux(f, 0.0, L, 0.0, TWO_PI, spec)
-    inner = sector_flux(f, 0.0, f.R - band, 0.0, TWO_PI, spec)
-    outer = sector_flux(f, f.R + band, L, 0.0, TWO_PI, spec)
+        return sector_flux(f, 0.0, L, 0.0, math.tau, spec)
+    inner = sector_flux(f, 0.0, f.R - band, 0.0, math.tau, spec)
+    outer = sector_flux(f, f.R + band, L, 0.0, math.tau, spec)
     return inner + outer
 
 

@@ -17,8 +17,6 @@ from .errors import ZeroCharge
 from .fields import SolenoidField
 from .geometry import ClosedPath, QuadratureSpec, circulation
 
-TWO_PI = 2.0 * math.pi
-
 
 @dataclass(frozen=True)
 class PhaseFactor:
@@ -33,9 +31,9 @@ class PhaseFactor:
     def __post_init__(self):
         if not math.isfinite(self.angle):
             raise ValueError(f"phase angle must be finite, got {self.angle!r}")
-        reduced = self.angle % TWO_PI
-        if reduced >= TWO_PI:  # float % can round up to the modulus
-            reduced -= TWO_PI
+        reduced = self.angle % math.tau
+        if reduced >= math.tau:  # float % can round up to the modulus
+            reduced -= math.tau
         object.__setattr__(self, "angle", reduced)
 
     @classmethod
@@ -50,12 +48,12 @@ class PhaseFactor:
         frac = turns % 1.0
         if frac >= 1.0:
             frac -= 1.0
-        return cls(TWO_PI * frac)
+        return cls(math.tau * frac)
 
     def distance(self, other: "PhaseFactor") -> float:
         """Shortest angular distance on the circle."""
         d = abs(self.angle - other.angle)
-        return min(d, TWO_PI - d)
+        return min(d, math.tau - d)
 
     def isclose(self, other: "PhaseFactor", tol: float = 1e-9) -> bool:
         return self.distance(other) <= tol
@@ -132,7 +130,7 @@ def interference(
     shift = (q * f.gamma) % 1.0
     if shift >= 1.0:
         shift -= 1.0
-    dphi = TWO_PI * shift
+    dphi = math.tau * shift
     k_eff = geom.wavenumber * geom.slit_separation / geom.screen_distance
     n = geom.samples
     extent = geom.half_extent

@@ -38,8 +38,6 @@ from .geometry import (
     segment_integral,
 )
 
-TWO_PI = 2.0 * math.pi
-
 #: Relative offsets used for the one-sided boundary limits; the second is
 #: half the first, so two evaluations support linear Richardson
 #: extrapolation to the surface.
@@ -112,7 +110,7 @@ def verify_stokes(
     _require_outer_radius(f, L)
 
     phi_1 = _limit_circulation(f, -1, spec)
-    phi_1_area = sector_flux(f, 0.0, f.R - f.boundary_band, 0.0, TWO_PI, spec)
+    phi_1_area = sector_flux(f, 0.0, f.R - f.boundary_band, 0.0, math.tau, spec)
     scale = max(1.0, abs(phi_1), abs(phi_1_area))
     if abs(phi_1 - phi_1_area) > 1e-7 * scale:
         raise QuadratureNotConverged(
@@ -159,7 +157,7 @@ def chart_audit(f: SolenoidField, L: float, spec: QuadratureSpec | None = None) 
 
     surface = (
         sector_flux(f, rim, L, 0.0, math.pi, spec)
-        + sector_flux(f, rim, L, math.pi, TWO_PI, spec)
+        + sector_flux(f, rim, L, math.pi, math.tau, spec)
     )
 
     inner_0 = Point(rim, 0.0, 0.0)

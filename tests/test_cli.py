@@ -69,6 +69,16 @@ class TestCirculationCommand:
         assert code == 2
         assert "ValueError" in err
 
+    def test_overflow_is_value_error(self, capsys, tmp_path):
+        csv_path = tmp_path / "square.csv"
+        csv_path.write_text("2,-2,0\n2,2,0\n-2,2,0\n-2,-2,0\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "circulation", "--B", "0", "--R", "1", "--gamma", "1e308",
+            "--polyline", str(csv_path),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("ValueError")
+
     def test_crossing_path_error_named(self, capsys):
         code, _, err = run_cli(
             capsys, "circulation", "--B", "2", "--R", "1", "--gamma", "1", "--circle", "r=1"

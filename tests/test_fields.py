@@ -152,6 +152,10 @@ class TestAbStandard:
             ab_standard(1.0, 0.0)
         with pytest.raises(InvalidRadius):
             ab_standard(1.0, -1.0)
+        with pytest.raises(InvalidRadius):
+            ab_standard(1.0, math.nan)
+        with pytest.raises(InvalidRadius):
+            ab_standard(1.0, math.inf)
 
 
 class TestGaugeShift:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import offset_loop, random_exterior_loop, random_field, star_loop
+from abflux import fields, geometry
 from abflux.errors import (
     FieldUndefinedOnSolenoid,
     InvalidRadius,
@@ -92,6 +93,11 @@ class TestQuadratureEngine:
             QuadratureSpec(abs_tol=-1.0)
         with pytest.raises(ValueError):
             QuadratureSpec(max_subdivisions=-1)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                QuadratureSpec(rel_tol=bad)
+            with pytest.raises(ValueError):
+                QuadratureSpec(abs_tol=bad)
 
 
 class TestPathTypes:
@@ -100,6 +106,8 @@ class TestPathTypes:
             Circle(ORIGIN, 0.0, 1)
         with pytest.raises(ValueError):
             Circle(ORIGIN, 1.0, 0)
+        with pytest.raises(ValueError):
+            Circle(ORIGIN, 1.0, True)
 
     def test_polyline_needs_three_vertices(self):
         with pytest.raises(ValueError):
@@ -234,6 +242,54 @@ class TestCirculation:
         with pytest.raises(QuadratureNotConverged):
             circulation(f, square, QuadratureSpec(max_subdivisions=0))
 
+    def test_overflowing_integral_raises(self):
+        # the integrand overflows to inf on the square's nodes
+        square = Polyline((Point(2, -2), Point(2, 2), Point(-2, 2), Point(-2, -2)))
+        with pytest.raises(ValueError):
+            circulation(SolenoidField(B=0.0, R=1.0, gamma=1e308), square)
+        with pytest.raises(ValueError):
+            circulation(SolenoidField(B=1e308, R=10.0, gamma=0.0), Circle(ORIGIN, 5.0, 1))
+        # finite one-turn value, overflowing once scaled by the turn count
+        with pytest.raises(ValueError):
+            circulation(SolenoidField(B=0.0, R=1.0, gamma=1e306), Circle(ORIGIN, 3.0, 1000))
+
+    @pytest.mark.parametrize("center", [ORIGIN, Point(4.0, 1.0, 0.5)])
+    def test_turns_cost_one_revolution(self, center, monkeypatch):
+        # n turns are integrated once and scaled: same panels, exact n-fold value
+        f = SolenoidField(B=2.0, R=1.0, gamma=1.3)
+        panels = []
+        gk15 = geometry._gk15
+
+        def counting(fn, a, b):
+            panels[-1] += 1
+            return gk15(fn, a, b)
+
+        monkeypatch.setattr(geometry, "_gk15", counting)
+        values = {}
+        for turns in (1, 1000, -1, -1000):
+            panels.append(0)
+            values[turns] = circulation(f, Circle(center, 2.5, turns), QuadratureSpec(rel_tol=1e-12))
+        assert len(set(panels)) == 1
+        assert values[1000] == 1000 * values[1]
+        assert values[-1000] == 1000 * values[-1]
+
+    def test_integrands_build_no_points_or_vectors(self, monkeypatch):
+        f = SolenoidField(B=2.0, R=1.0, gamma=1.3)
+        loops = (Circle(ORIGIN, 3.0, 2), Circle(ORIGIN, 0.5, 1),
+                 Polyline((Point(2, -2), Point(2, 2), Point(-2, 2), Point(-2, -2))))
+        start, end = Point(1.5, 0.0), Point(4.0, 1.0)
+
+        def forbidden(self):
+            raise AssertionError(f"{type(self).__name__} built during quadrature")
+
+        monkeypatch.setattr(fields.Point, "__post_init__", forbidden)
+        monkeypatch.setattr(fields.Vec3, "__post_init__", forbidden)
+        for loop in loops:
+            circulation(f, loop)
+        segment_integral(f, start, end)
+        arc_integral(f, 2.0, 0.0, math.pi)
+        flux_direct(f, 2.0)
+
 
 class TestOpenIntegrals:
     def test_radial_segment_vanishes(self):
@@ -249,6 +305,11 @@ class TestOpenIntegrals:
     def test_half_arc_is_half_circulation(self):
         f = SolenoidField(B=2.0, R=1.0, gamma=1.3)
         assert arc_integral(f, 3.0, 0.0, math.pi) == pytest.approx(math.pi * f.gamma, rel=1e-12)
+
+    def test_arc_rejects_nonfinite_plane(self):
+        f = SolenoidField(B=2.0, R=1.0, gamma=1.3)
+        with pytest.raises(ValueError):
+            arc_integral(f, 2.0, 0.0, math.pi, z=math.nan)
 
     def test_polygon_assembles_from_segments(self):
         f = SolenoidField(B=2.0, R=1.0, gamma=0.8)
@@ -296,6 +357,14 @@ class TestFluxDirect:
             sector_flux(f, 2.0, 1.0, 0.0, math.pi)
         with pytest.raises(ValueError):
             sector_flux(f, 1.5, 2.0, math.pi, 0.0)
+
+    def test_sector_across_band_rejected_at_entry(self, monkeypatch):
+        def no_quadrature(fn, a, b):
+            raise AssertionError("quadrature ran before the band check")
+
+        monkeypatch.setattr(geometry, "_gk15", no_quadrature)
+        with pytest.raises(FieldUndefinedOnSolenoid):
+            sector_flux(SolenoidField(B=1.0, R=1.0, gamma=0.0), 0.5, 1.7, 0.0, math.pi)
 
 
 class TestLoaders:
