@@ -21,7 +21,7 @@ which is represented by a thin exclusion band around rho = R.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import (
     AxisSingularity,
@@ -127,6 +127,18 @@ class SolenoidField:
     @classmethod
     def from_dict(cls, data: dict) -> "SolenoidField":
         return cls(B=float(data["B"]), R=float(data["R"]), gamma=float(data["gamma"]))
+
+
+def _side_field(f: SolenoidField, inside: bool) -> SolenoidField:
+    """One side's formula of f, continued across rho = R: the interior
+    B*rho/2 is the whole potential of a solenoid of radius 2R with the
+    same B, the exterior gamma/rho that of one of radius R/2 with the same
+    gamma and no field.  Either is smooth on the circle rho = R, the disc
+    [0, R] and the annulus [R, L], so one-sided limits are plain integrals.
+    """
+    if inside:
+        return replace(f, R=2.0 * f.R)
+    return replace(f, B=0.0, R=0.5 * f.R)
 
 
 def _require_off_surface(f: SolenoidField, rho: float) -> None:

@@ -43,7 +43,7 @@ from .errors import (
     QuadratureNotConverged,
     WindingUnresolvable,
 )
-from .fields import Point, SolenoidField, _field_z, _potential, _require_finite
+from .fields import Point, SolenoidField, _field_z, _potential, _require_finite, _side_field
 
 #: Relative clearance every integration path must keep from rho = R.
 PATH_CLEARANCE = 1e-6
@@ -241,6 +241,10 @@ class Circle:
             raise ValueError(f"circle radius must be positive, got {self.radius!r}")
         if isinstance(self.turns, bool) or not isinstance(self.turns, int) or self.turns == 0:
             raise ValueError(f"turns must be a nonzero integer, got {self.turns!r}")
+        try:
+            float(self.turns)
+        except OverflowError:
+            raise ValueError("turns is beyond floating-point range") from None
 
     def _rho_intervals(self) -> list[tuple[float, float]]:
         d = math.hypot(self.center.x, self.center.y)
@@ -373,15 +377,28 @@ def arc_integral(
     z: float = 0.0,
     spec: QuadratureSpec | None = None,
 ) -> float:
-    """Line integral of the potential along a circular arc at fixed rho."""
+    """Line integral of the potential along a circular arc at fixed rho.
+
+    Whole turns of the sweep are integrated once and scaled by their
+    count, like the turns of a circle, and the remainder arc is added.
+    """
     spec = spec if spec is not None else QuadratureSpec()
     if not (math.isfinite(rho) and rho > 0.0):
         raise InvalidRadius(f"arc radius must be positive, got {rho!r}")
     _require_finite("angle", phi_start, phi_end)
     _require_finite("arc plane z", z)
     _require_clearance([(rho, rho)], f)
-    arc = _arc_piece(f, 0.0, 0.0, rho, phi_start, phi_end - phi_start)
-    return _integrate_pieces([arc], spec)
+    sweep = phi_end - phi_start
+    _require_finite("arc sweep", sweep)
+    rest = math.fmod(sweep, math.tau)
+    turns = round(abs(sweep - rest) / math.tau)
+    if turns == 0:
+        return _integrate_pieces([_arc_piece(f, 0.0, 0.0, rho, phi_start, sweep)], spec)
+    turn = _arc_piece(f, 0.0, 0.0, rho, phi_start, math.copysign(math.tau, sweep))
+    total = _integrate_pieces([turn], spec) * turns
+    if rest:
+        total += _integrate_pieces([_arc_piece(f, 0.0, 0.0, rho, phi_start, rest)], spec)
+    return _require_finite_integral(total)
 
 
 def sector_flux(
@@ -432,20 +449,19 @@ def flux_direct(f: SolenoidField, L: float, spec: QuadratureSpec | None = None) 
     """Magnetic flux through the disc of radius L centered on the axis.
 
     Integrated in polar form, split at the solenoid surface so each part
-    is smooth; the undefined band at rho = R is excluded (relative width
-    BOUNDARY_BAND, far below the quadrature tolerances).  Analytic value:
-    pi * B * min(L, R)**2, independent of L for all L > R.
+    is smooth: the disc [0, R] from the interior formula and the annulus
+    [R, L] from the exterior one, both continued up to rho = R.  Analytic
+    value: pi * B * min(L, R)**2, independent of L for all L > R.
     """
     spec = spec if spec is not None else QuadratureSpec()
     if not (math.isfinite(L) and L > 0.0):
         raise InvalidRadius(f"disc radius must be positive, got {L!r}")
-    band = f.boundary_band
-    if abs(L - f.R) <= band:
+    if abs(L - f.R) <= f.boundary_band:
         raise FieldUndefinedOnSolenoid("disc rim lies in the undefined band at rho = R")
     if L < f.R:
         return sector_flux(f, 0.0, L, 0.0, math.tau, spec)
-    inner = sector_flux(f, 0.0, f.R - band, 0.0, math.tau, spec)
-    outer = sector_flux(f, f.R + band, L, 0.0, math.tau, spec)
+    inner = sector_flux(_side_field(f, True), 0.0, f.R, 0.0, math.tau, spec)
+    outer = sector_flux(_side_field(f, False), f.R, L, 0.0, math.tau, spec)
     return inner + outer
 
 

@@ -17,9 +17,10 @@ that is the whole point of reporting the discrepancy rather than
 asserting it away.
 
 Both boundary circles of D2 and the boundary of D1 sit at rho = R where
-the field carries no value, so they are evaluated as one-sided limits:
-circulations at rho = R*(1 -+ delta) for two delta values, linearly
-extrapolated to delta -> 0.
+the field carries no value, so they are evaluated as one-sided limits.
+Each side's formula is smooth up to the surface, so each limit is that
+formula integrated on rho = R itself, and D1 and D2 are integrated on
+[0, R] and [R, L] the same way.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidRadius, QuadratureNotConverged
-from .fields import Point, SolenoidField
+from .fields import Point, SolenoidField, _side_field
 from .geometry import (
     Circle,
     QuadratureSpec,
@@ -37,12 +38,6 @@ from .geometry import (
     sector_flux,
     segment_integral,
 )
-
-#: Relative offsets used for the one-sided boundary limits; the second is
-#: half the first, so two evaluations support linear Richardson
-#: extrapolation to the surface.
-LIMIT_DELTAS = (1e-4, 5e-5)
-
 
 @dataclass(frozen=True)
 class StokesReport:
@@ -83,16 +78,10 @@ def _require_outer_radius(f: SolenoidField, L: float) -> None:
         )
 
 
-def _limit_circulation(f: SolenoidField, side: int, spec: QuadratureSpec) -> float:
-    """One-turn circulation on the circle rho -> R from inside (side=-1)
-    or outside (side=+1), via two-point Richardson extrapolation."""
-    origin = Point(0.0, 0.0, 0.0)
-    values = [
-        circulation(f, Circle(origin, f.R * (1.0 + side * d), 1), spec)
-        for d in LIMIT_DELTAS
-    ]
-    # deltas halve, so 2*v(d/2) - v(d) cancels the first-order term
-    return 2.0 * values[1] - values[0]
+def _limit_circulation(f: SolenoidField, inside: bool, spec: QuadratureSpec) -> float:
+    """One-turn circulation on the circle rho -> R from inside or outside:
+    that side's formula integrated on rho = R itself."""
+    return circulation(_side_field(f, inside), Circle(Point(0.0, 0.0, 0.0), f.R, 1), spec)
 
 
 def verify_stokes(
@@ -109,8 +98,8 @@ def verify_stokes(
     spec = spec if spec is not None else QuadratureSpec()
     _require_outer_radius(f, L)
 
-    phi_1 = _limit_circulation(f, -1, spec)
-    phi_1_area = sector_flux(f, 0.0, f.R - f.boundary_band, 0.0, math.tau, spec)
+    phi_1 = _limit_circulation(f, True, spec)
+    phi_1_area = sector_flux(_side_field(f, True), 0.0, f.R, 0.0, math.tau, spec)
     scale = max(1.0, abs(phi_1), abs(phi_1_area))
     if abs(phi_1 - phi_1_area) > 1e-7 * scale:
         raise QuadratureNotConverged(
@@ -118,7 +107,7 @@ def verify_stokes(
             f"{phi_1!r} vs area quadrature {phi_1_area!r}"
         )
 
-    circ_inner = _limit_circulation(f, +1, spec)
+    circ_inner = _limit_circulation(f, False, spec)
     circ_outer = circulation(f, Circle(Point(0.0, 0.0, 0.0), L, 1), spec)
     phi_2 = circ_outer - circ_inner
     phi_total = phi_1 + phi_2
@@ -134,11 +123,6 @@ def verify_stokes(
     )
 
 
-#: Relative inset of the audit's inner rim from the solenoid surface,
-#: chosen to respect the path clearance required of line integrals.
-CUT_OFFSET = LIMIT_DELTAS[0]
-
-
 def chart_audit(f: SolenoidField, L: float, spec: QuadratureSpec | None = None) -> float:
     """Recompute the annulus flux with the exterior split into half-sectors.
 
@@ -146,34 +130,35 @@ def chart_audit(f: SolenoidField, L: float, spec: QuadratureSpec | None = None) 
     [pi, 2*pi), so the annulus flux may be assembled per sector: two
     half-annulus surface integrals plus the four radial cut integrals
     along phi = 0 and phi = pi (which cancel in pairs; the potential is
-    purely azimuthal, so each is individually zero as well).  Returns the
+    purely azimuthal, so each is individually zero as well), all starting
+    on rho = R and taken from the exterior formula.  Returns the
     absolute difference between that assembly and phi_2 from the
     two-boundary route.  A value at roundoff scale demonstrates the chart
     seam contributes nothing.
     """
     spec = spec if spec is not None else QuadratureSpec()
     _require_outer_radius(f, L)
-    rim = f.R * (1.0 + CUT_OFFSET)
+    outside = _side_field(f, False)
 
     surface = (
-        sector_flux(f, rim, L, 0.0, math.pi, spec)
-        + sector_flux(f, rim, L, math.pi, math.tau, spec)
+        sector_flux(outside, f.R, L, 0.0, math.pi, spec)
+        + sector_flux(outside, f.R, L, math.pi, math.tau, spec)
     )
 
-    inner_0 = Point(rim, 0.0, 0.0)
+    inner_0 = Point(f.R, 0.0, 0.0)
     outer_0 = Point(L, 0.0, 0.0)
-    inner_pi = Point(-rim, 0.0, 0.0)
+    inner_pi = Point(-f.R, 0.0, 0.0)
     outer_pi = Point(-L, 0.0, 0.0)
     cuts = math.fsum(
         (
-            segment_integral(f, inner_0, outer_0, spec),    # sector 1, seam phi = 0
-            segment_integral(f, outer_pi, inner_pi, spec),  # sector 1, seam phi = pi
-            segment_integral(f, inner_pi, outer_pi, spec),  # sector 2, seam phi = pi
-            segment_integral(f, outer_0, inner_0, spec),    # sector 2, seam phi = 2*pi
+            segment_integral(outside, inner_0, outer_0, spec),    # sector 1, seam phi = 0
+            segment_integral(outside, outer_pi, inner_pi, spec),  # sector 1, seam phi = pi
+            segment_integral(outside, inner_pi, outer_pi, spec),  # sector 2, seam phi = pi
+            segment_integral(outside, outer_0, inner_0, spec),    # sector 2, seam phi = 2*pi
         )
     )
 
-    circ_inner = _limit_circulation(f, +1, spec)
+    circ_inner = _limit_circulation(f, False, spec)
     circ_outer = circulation(f, Circle(Point(0.0, 0.0, 0.0), L, 1), spec)
     phi_2 = circ_outer - circ_inner
     return abs((surface + cuts) - phi_2)

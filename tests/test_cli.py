@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import abflux
 from abflux.cli import main
 
 
@@ -15,9 +18,12 @@ def run_cli(capsys, *argv):
 
 
 def test_module_entry_point():
+    # the child imports the package from where this process found it
+    paths = (str(Path(abflux.__file__).parent.parent), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     result = subprocess.run(
         [sys.executable, "-m", "abflux", "phase", "--q", "1", "--gamma", "0.5", "--w", "1"],
-        capture_output=True, text=True, check=True,
+        capture_output=True, text=True, check=True, env=env,
     )
     assert result.stdout.strip() == f"{math.pi:.12g}"
 
@@ -68,6 +74,13 @@ class TestCirculationCommand:
         code, _, err = run_cli(capsys, "circulation", "--B", "2", "--R", "1", "--gamma", "1")
         assert code == 2
         assert "ValueError" in err
+
+    def test_turns_beyond_float_range_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "circulation", "--gamma", "1", "--circle", "r=3", "--turns", "1" + "0" * 400,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("ValueError")
 
     def test_overflow_is_value_error(self, capsys, tmp_path):
         csv_path = tmp_path / "square.csv"

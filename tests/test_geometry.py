@@ -108,6 +108,9 @@ class TestPathTypes:
             Circle(ORIGIN, 1.0, 0)
         with pytest.raises(ValueError):
             Circle(ORIGIN, 1.0, True)
+        # no float value to scale a circulation by
+        with pytest.raises(ValueError):
+            Circle(ORIGIN, 3.0, 10**400)
 
     def test_polyline_needs_three_vertices(self):
         with pytest.raises(ValueError):
@@ -305,6 +308,27 @@ class TestOpenIntegrals:
     def test_half_arc_is_half_circulation(self):
         f = SolenoidField(B=2.0, R=1.0, gamma=1.3)
         assert arc_integral(f, 3.0, 0.0, math.pi) == pytest.approx(math.pi * f.gamma, rel=1e-12)
+
+    def test_arc_turns_cost_one_revolution(self, monkeypatch):
+        # whole turns are integrated once and scaled; only the remainder is added
+        f = SolenoidField(B=2.0, R=1.0, gamma=1.3)
+        panels = []
+        gk15 = geometry._gk15
+
+        def counting(fn, a, b):
+            panels[-1] += 1
+            return gk15(fn, a, b)
+
+        monkeypatch.setattr(geometry, "_gk15", counting)
+        sweep = 1e5
+        for rho, expected in ((3.0, f.gamma * sweep), (0.5, 0.5 * f.B * 0.5**2 * sweep)):
+            panels.append(0)
+            value = arc_integral(f, rho, 0.0, sweep)
+            assert value == pytest.approx(expected, rel=1e-12)
+            panels.append(0)
+            arc_integral(f, rho, 0.0, TWO_PI)
+            arc_integral(f, rho, 0.0, math.fmod(sweep, TWO_PI))
+            assert panels[-2] == panels[-1]
 
     def test_arc_rejects_nonfinite_plane(self):
         f = SolenoidField(B=2.0, R=1.0, gamma=1.3)

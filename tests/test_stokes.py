@@ -7,14 +7,13 @@ import pytest
 from _helpers import random_field
 from abflux.errors import InvalidRadius
 from abflux.fields import SolenoidField, ab_standard, gauge_shift
-from abflux.geometry import QuadratureSpec
+from abflux.geometry import QuadratureSpec, flux_direct
 from abflux.stokes import StokesReport, chart_audit, verify_stokes
 
 TWO_PI = 2.0 * math.pi
 
-# the boundary limits are two-point Richardson extrapolations with the
-# offsets (1e-4, 5e-5), leaving a relative bias of (1e-4)**2 / 2 = 5e-9
-# on the interior circulation; comparisons below use 1e-8 headroom
+# fixed headroom for the comparisons below; the boundary limits are exact
+# up to roundoff, and TestRequestedTolerance bounds them by the spec
 LIMIT_TOL = 1e-8
 
 
@@ -142,3 +141,22 @@ class TestChartAudit:
     def test_outer_radius_too_small(self):
         with pytest.raises(InvalidRadius):
             chart_audit(ab_standard(2.0, 1.0), 0.9)
+
+
+class TestRequestedTolerance:
+    """The split disc meets the tolerance its QuadratureSpec asks for."""
+
+    @pytest.mark.parametrize("spec", [QuadratureSpec(), QuadratureSpec(rel_tol=1e-12)])
+    def test_within_spec(self, spec):
+        rng = random.Random(71)
+        for _ in range(12):
+            f = random_field(rng)
+            L = f.R * rng.uniform(1.2, 8.0)
+            report = verify_stokes(f, L, spec)
+            bound = max(spec.abs_tol, spec.rel_tol * scaled(f))
+            flux = math.pi * f.B * f.R * f.R
+            assert abs(report.phi_1 - flux) <= bound
+            assert abs(report.phi_total - flux) <= bound
+            assert abs(flux_direct(f, L, spec) - flux) <= bound
+            assert abs(report.discrepancy - TWO_PI * f.kappa) <= bound
+            assert abs(report.circ_inner - TWO_PI * f.gamma) <= bound
