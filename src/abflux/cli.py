@@ -31,6 +31,9 @@ from .fields import Point, SolenoidField
 from .geometry import (
     Circle,
     QuadratureSpec,
+    _json_float,
+    _json_int,
+    _parse_json,
     circulation,
     flux_direct,
     load_circle_json,
@@ -111,30 +114,40 @@ def _add_path_args(parser: argparse.ArgumentParser) -> None:
 def _load_config(args: argparse.Namespace) -> dict:
     if getattr(args, "config", None) is None:
         return {}
-    return json.loads(args.config.read_text(encoding="utf-8"))
+    config = _parse_json(args.config.read_text(encoding="utf-8"))
+    if not isinstance(config, dict):
+        raise ValueError(f"config must be a JSON object, got {type(config).__name__}")
+    return config
+
+
+def _config_section(config: dict, key: str) -> dict:
+    data = config.get(key, {})
+    if not isinstance(data, dict):
+        raise ValueError(f"config {key!r} must be a JSON object, got {type(data).__name__}")
+    return dict(data)
 
 
 def _resolve_field(args: argparse.Namespace, config: dict) -> SolenoidField:
-    data = dict(config.get("field", {}))
+    data = _config_section(config, "field")
     if args.B is not None:
         data["B"] = args.B
     if args.R is not None:
         data["R"] = args.R
     if args.gamma is not None:
         data["gamma"] = args.gamma
-    B = float(data.get("B", 0.0))
-    R = float(data.get("R", 1.0))
+    B = _json_float(data.get("B", 0.0), "field B")
+    R = _json_float(data.get("R", 1.0), "field R")
     if args.kappa is not None:
         gamma = 0.5 * B * R * R + args.kappa
     elif "gamma" in data:
-        gamma = float(data["gamma"])
+        gamma = _json_float(data["gamma"], "field gamma")
     else:
         gamma = 0.5 * B * R * R
     return SolenoidField(B=B, R=R, gamma=gamma)
 
 
 def _resolve_quadrature(args: argparse.Namespace, config: dict) -> QuadratureSpec:
-    data = dict(config.get("quadrature", {}))
+    data = _config_section(config, "quadrature")
     if getattr(args, "rel_tol", None) is not None:
         data["rel_tol"] = args.rel_tol
     if getattr(args, "abs_tol", None) is not None:
@@ -143,9 +156,10 @@ def _resolve_quadrature(args: argparse.Namespace, config: dict) -> QuadratureSpe
         data["max_subdivisions"] = args.max_subdivisions
     base = QuadratureSpec()
     return QuadratureSpec(
-        rel_tol=float(data.get("rel_tol", base.rel_tol)),
-        abs_tol=float(data.get("abs_tol", base.abs_tol)),
-        max_subdivisions=int(data.get("max_subdivisions", base.max_subdivisions)),
+        rel_tol=_json_float(data.get("rel_tol", base.rel_tol), "rel_tol"),
+        abs_tol=_json_float(data.get("abs_tol", base.abs_tol), "abs_tol"),
+        max_subdivisions=_json_int(data.get("max_subdivisions", base.max_subdivisions),
+                                   "max_subdivisions"),
     )
 
 

@@ -21,7 +21,7 @@ which is represented by a thin exclusion band around rho = R.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import (
     AxisSingularity,
@@ -137,8 +137,8 @@ def _side_field(f: SolenoidField, inside: bool) -> SolenoidField:
     [0, R] and the annulus [R, L], so one-sided limits are plain integrals.
     """
     if inside:
-        return replace(f, R=2.0 * f.R)
-    return replace(f, B=0.0, R=0.5 * f.R)
+        return SolenoidField(B=f.B, R=2.0 * f.R, gamma=f.gamma)
+    return SolenoidField(B=0.0, R=0.5 * f.R, gamma=f.gamma)
 
 
 def _require_off_surface(f: SolenoidField, rho: float) -> None:
@@ -153,12 +153,26 @@ def _field_z(f: SolenoidField, x: float, y: float) -> float:
     return f.B if math.hypot(x, y) < f.R else 0.0
 
 
+#: Smallest rho*rho the exterior formula divides by.
+_RHO_SQUARED_MIN = 2.0 * math.ulp(0.0)
+
+
+def _require_no_underflow(rho: float) -> None:
+    """The exterior formula divides by rho*rho: refuse a rho whose square
+    underflows.  Two units in the last place of 0.0 leave room for a
+    quadrature node that rounds slightly closer to the axis than the
+    smallest rho computed for its piece."""
+    if rho * rho < _RHO_SQUARED_MIN:
+        raise ValueError(f"rho*rho underflows at rho = {rho!r}: the inputs underflow")
+
+
 def _potential(f: SolenoidField, x: float, y: float) -> tuple[float, float]:
     """(A_x, A_y) at (x, y) as floats, without the surface check.
 
     Inside, B*rho/2 along phi_hat is the linear field (-B*y/2, B*x/2),
     which vanishes on the axis.  Outside, gamma/rho along phi_hat is
-    gamma * (-y, x) / rho**2.
+    gamma * (-y, x) / rho**2.  Quadrature pieces inline the same two
+    formulas (geometry._arc_piece, _edge_piece).
     """
     rho = math.hypot(x, y)
     if rho < f.R:
@@ -175,7 +189,10 @@ def eval_B(f: SolenoidField, p: Point) -> Vec3:
 
 def eval_A(f: SolenoidField, p: Point) -> Vec3:
     """Vector potential at p, returned in Cartesian components (A_z = 0)."""
-    _require_off_surface(f, p.rho)
+    rho = p.rho
+    _require_off_surface(f, rho)
+    if rho >= f.R:
+        _require_no_underflow(rho)
     return Vec3(*_potential(f, p.x, p.y), 0.0)
 
 

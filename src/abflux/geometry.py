@@ -10,17 +10,23 @@ the exterior potential near the solenoid needs no special casing: the
 adaptive loop concentrates nodes there on its own.
 
 Every curve is built from two kinds of piece, a circular arc and a
-straight edge, whose integrands return A.dr/dt as a plain float.  Inputs
-are validated once, when the path is built and cleared of the solenoid
-surface, not on every quadrature node.  The integrand is periodic, so an
-n-turn circle is integrated over one revolution and the result scaled by
-n: rel_tol carries over exactly, while abs_tol applies per revolution.
-An integral that overflows floating point raises ValueError.
+straight edge, whose integrands return A.dr/dt as plain floats, one
+call per panel for all 15 nodes.  Inputs are validated once, when the
+path is built and cleared of the solenoid surface, not on every
+quadrature node.  The clearance check puts each piece wholly on one
+side of rho = R, so the side, and with it the formula, is fixed once
+per piece: B*rho/2 inside, gamma/rho outside.  The same check raises
+ValueError for an exterior piece whose smallest rho*rho underflows, so
+no node divides by zero.  The integrand is periodic, so an n-turn
+circle is integrated over one revolution and the result scaled by n:
+rel_tol carries over exactly, while abs_tol applies per revolution.  An
+integral that overflows floating point raises ValueError.
 
 Disc fluxes use the same radial scheme tensored with a fixed-order
-Gauss-Legendre rule in azimuth (the integrand is azimuthally symmetric,
-but the tensor form keeps the computation an honest 2-D quadrature and
-extends unchanged to the half-sector audits).
+Gauss-Legendre rule in azimuth, whose weights are applied as in the full
+2-D rule.  The band check puts each radial range on one side of
+rho = R, where B_z is one constant, so B_z is evaluated once per range
+and the azimuthal nodes never enter.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import count
+from math import cos, hypot, sin
 from pathlib import Path
 from typing import Callable, Iterable, TextIO, Union
 
@@ -43,13 +50,15 @@ from .errors import (
     QuadratureNotConverged,
     WindingUnresolvable,
 )
-from .fields import Point, SolenoidField, _field_z, _potential, _require_finite, _side_field
+from .fields import Point, SolenoidField, _require_finite, _require_no_underflow, _side_field
 
 #: Relative clearance every integration path must keep from rho = R.
 PATH_CLEARANCE = 1e-6
 
-#: (integrand, a, b, seed): integrate fn over [a, b], pre-split into seed panels
-_Piece = tuple[Callable[[float], float], float, float, int]
+#: (integrand, a, b, seed): integrate fn over [a, b], pre-split into seed
+#: panels; fn maps a list of nodes to the list of integrand values there
+_Integrand = Callable[[list[float]], list[float]]
+_Piece = tuple[_Integrand, float, float, int]
 
 
 @dataclass(frozen=True)
@@ -64,8 +73,9 @@ class QuadratureSpec:
         for tol in (self.rel_tol, self.abs_tol):
             if not (math.isfinite(tol) and tol > 0.0):
                 raise ValueError(f"quadrature tolerances must be finite and positive, got {tol!r}")
-        if self.max_subdivisions < 0:
-            raise ValueError("max_subdivisions must be nonnegative")
+        n = self.max_subdivisions
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise ValueError(f"max_subdivisions must be a nonnegative integer, got {n!r}")
 
 
 # Gauss-Kronrod 7/15 pair: nonnegative Kronrod abscissae with their
@@ -98,18 +108,9 @@ _WG = (
     0.4179591836734694,
 )
 
-# 8-point Gauss-Legendre rule on [-1, 1], used for the azimuthal factor
-# of the polar tensor quadrature.
-_XGL8 = (
-    -0.9602898564975363,
-    -0.7966664774136267,
-    -0.5255324099163290,
-    -0.1834346424956498,
-    0.1834346424956498,
-    0.5255324099163290,
-    0.7966664774136267,
-    0.9602898564975363,
-)
+# Weights of the 8-point Gauss-Legendre rule on [-1, 1], the azimuthal
+# factor of the polar tensor quadrature.  The field is constant in azimuth
+# on either side of rho = R, so the nodes never enter.
 _WGL8 = (
     0.1012285362903763,
     0.2223810344533745,
@@ -122,19 +123,26 @@ _WGL8 = (
 )
 
 
-def _gk15(fn: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """15-point Kronrod estimate on [a, b] and |K15 - G7| error estimate."""
+def _gk15(fn: _Integrand, a: float, b: float) -> tuple[float, float]:
+    """15-point Kronrod estimate on [a, b] and |K15 - G7| error estimate.
+
+    fn is called once, on the list [center, center - d0..d6,
+    center + d0..d6], and returns the integrand at those nodes; the rule
+    accumulates them in the fixed QUADPACK dqk15 order.
+    """
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    fc = fn(center)
-    kronrod = _WGK[7] * fc
-    gauss = _WG[3] * fc
-    for i in range(7):
-        dx = half * _XGK[i]
-        s = fn(center - dx) + fn(center + dx)
-        kronrod += _WGK[i] * s
-        if i % 2 == 1:
-            gauss += _WG[(i - 1) // 2] * s
+    d0, d1, d2, d3, d4, d5, d6 = [half * x for x in _XGK[:7]]
+    y = fn([center, center - d0, center - d1, center - d2, center - d3, center - d4,
+            center - d5, center - d6, center + d0, center + d1, center + d2, center + d3,
+            center + d4, center + d5, center + d6])
+    fc = y[0]
+    # Gauss pairs (odd Kronrod index); both sums run in dqk15's order
+    s1, s3, s5 = y[2] + y[9], y[4] + y[11], y[6] + y[13]
+    kronrod = (_WGK[7] * fc + _WGK[0] * (y[1] + y[8]) + _WGK[1] * s1
+               + _WGK[2] * (y[3] + y[10]) + _WGK[3] * s3 + _WGK[4] * (y[5] + y[12])
+               + _WGK[5] * s5 + _WGK[6] * (y[7] + y[14]))
+    gauss = _WG[3] * fc + _WG[0] * s1 + _WG[1] * s3 + _WG[2] * s5
     kronrod *= half
     gauss *= half
     return kronrod, abs(kronrod - gauss)
@@ -149,7 +157,7 @@ def _integrate_pieces(pieces: Iterable[_Piece], spec: QuadratureSpec) -> float:
     """
     heap: list[tuple[float, int, int, float, float, float]] = []
     tie = count()
-    fns: list[Callable[[float], float]] = []
+    fns: list[_Integrand] = []
     total = 0.0
     err = 0.0
     for fn, a, b, seed in pieces:
@@ -195,32 +203,80 @@ def _require_finite_integral(value: float) -> float:
     return value
 
 
-def _arc_piece(f: SolenoidField, cx: float, cy: float, radius: float,
+def _arc_piece(f: SolenoidField, inside: bool, cx: float, cy: float, radius: float,
                phi0: float, sweep: float) -> _Piece:
     """Piece for the arc about (cx, cy) from azimuth phi0 through sweep,
-    t in [0, 1], seeded with one panel per quarter turn."""
+    t in [0, 1], seeded with one panel per quarter turn.
+
+    The caller has cleared the arc's circle of rho = R and passes its
+    side (_require_clearance), so the integrand holds only that side's
+    formula of fields._potential: the linear field (-B*y/2, B*x/2)
+    inside, gamma*(-y, x)/rho**2 outside, in the same floating-point
+    operations, so every value equals eval_A's dotted with dr/dt.
+    """
     k = radius * sweep
+    nk = -k
+    seed = max(1, math.ceil(abs(sweep) / (0.5 * math.pi)))
 
-    def fn(t: float) -> float:
-        th = phi0 + sweep * t
-        c, s = math.cos(th), math.sin(th)
-        ax, ay = _potential(f, cx + radius * c, cy + radius * s)
-        return ax * (-k * s) + ay * (k * c)
+    if inside:
+        bx, by = -0.5 * f.B, 0.5 * f.B
 
-    return fn, 0.0, 1.0, max(1, math.ceil(abs(sweep) / (0.5 * math.pi)))
+        def interior(ts: list[float]) -> list[float]:
+            out = []
+            for t in ts:
+                th = phi0 + sweep * t
+                c, s = cos(th), sin(th)
+                out.append(bx * (cy + radius * s) * (nk * s) + by * (cx + radius * c) * (k * c))
+            return out
+
+        return interior, 0.0, 1.0, seed
+
+    gamma = f.gamma
+
+    def exterior(ts: list[float]) -> list[float]:
+        out = []
+        for t in ts:
+            th = phi0 + sweep * t
+            c, s = cos(th), sin(th)
+            x, y = cx + radius * c, cy + radius * s
+            rho = hypot(x, y)
+            scale = gamma / (rho * rho)
+            out.append(-scale * y * (nk * s) + scale * x * (k * c))
+        return out
+
+    return exterior, 0.0, 1.0, seed
 
 
-def _edge_piece(f: SolenoidField, p: Point, q: Point) -> _Piece:
+def _edge_piece(f: SolenoidField, inside: bool, p: Point, q: Point) -> _Piece:
     """Piece for the straight edge from p to q, t in [0, 1], one seed panel.
-    The potential has no z-component, so only the xy-projection enters."""
+    The potential has no z-component, so only the xy-projection enters.
+
+    As for arcs, the integrand holds only the formula of the edge's side
+    of rho = R.
+    """
     px, py = p.x, p.y
     dx, dy = q.x - px, q.y - py
 
-    def fn(t: float) -> float:
-        ax, ay = _potential(f, px + t * dx, py + t * dy)
-        return ax * dx + ay * dy
+    if inside:
+        bx, by = -0.5 * f.B, 0.5 * f.B
 
-    return fn, 0.0, 1.0, 1
+        def interior(ts: list[float]) -> list[float]:
+            return [bx * (py + t * dy) * dx + by * (px + t * dx) * dy for t in ts]
+
+        return interior, 0.0, 1.0, 1
+
+    gamma = f.gamma
+
+    def exterior(ts: list[float]) -> list[float]:
+        out = []
+        for t in ts:
+            x, y = px + t * dx, py + t * dy
+            rho = hypot(x, y)
+            scale = gamma / (rho * rho)
+            out.append(-scale * y * dx + scale * x * dy)
+        return out
+
+    return exterior, 0.0, 1.0, 1
 
 
 @dataclass(frozen=True)
@@ -294,14 +350,26 @@ def _segment_rho_range(p: Point, q: Point) -> tuple[float, float]:
     return min(ra, rb), hi
 
 
-def _require_clearance(intervals: Iterable[tuple[float, float]], f: SolenoidField) -> None:
+def _require_clearance(intervals: Iterable[tuple[float, float]], f: SolenoidField) -> list[bool]:
+    """Check each path piece's rho interval and return the piece's side of
+    rho = R: True inside the solenoid, False outside.
+
+    The interval must clear the band around rho = R; outside, its
+    smallest rho must not make the exterior formula's rho*rho underflow.
+    """
     margin = PATH_CLEARANCE * f.R
+    sides = []
     for lo, hi in intervals:
-        if not (hi < f.R - margin or lo > f.R + margin):
+        inside = hi < f.R - margin
+        if not (inside or lo > f.R + margin):
             raise PathCrossesSolenoid(
                 f"path sweeps rho in [{lo:.6g}, {hi:.6g}], inside the "
                 f"clearance band {margin:.3g} around R = {f.R:.6g}"
             )
+        if not inside:
+            _require_no_underflow(lo)
+        sides.append(inside)
+    return sides
 
 
 def winding_number(path: ClosedPath) -> int:
@@ -352,12 +420,15 @@ def circulation(
     A circle is integrated over one revolution and scaled by |turns|.
     """
     spec = spec if spec is not None else QuadratureSpec()
-    _require_clearance(path._rho_intervals(), f)
+    sides = _require_clearance(path._rho_intervals(), f)
     if isinstance(path, Circle):
         c = path.center
-        arc = _arc_piece(f, c.x, c.y, path.radius, 0.0, math.copysign(math.tau, path.turns))
+        [inside] = sides
+        arc = _arc_piece(f, inside, c.x, c.y, path.radius, 0.0,
+                         math.copysign(math.tau, path.turns))
         return _require_finite_integral(_integrate_pieces([arc], spec) * abs(path.turns))
-    return _integrate_pieces([_edge_piece(f, p, q) for p, q in path._edges()], spec)
+    return _integrate_pieces([_edge_piece(f, inside, p, q)
+                              for inside, (p, q) in zip(sides, path._edges())], spec)
 
 
 def segment_integral(
@@ -365,8 +436,8 @@ def segment_integral(
 ) -> float:
     """Line integral of the vector potential along one straight segment."""
     spec = spec if spec is not None else QuadratureSpec()
-    _require_clearance([_segment_rho_range(start, end)], f)
-    return _integrate_pieces([_edge_piece(f, start, end)], spec)
+    [inside] = _require_clearance([_segment_rho_range(start, end)], f)
+    return _integrate_pieces([_edge_piece(f, inside, start, end)], spec)
 
 
 def arc_integral(
@@ -387,17 +458,18 @@ def arc_integral(
         raise InvalidRadius(f"arc radius must be positive, got {rho!r}")
     _require_finite("angle", phi_start, phi_end)
     _require_finite("arc plane z", z)
-    _require_clearance([(rho, rho)], f)
+    [inside] = _require_clearance([(rho, rho)], f)
     sweep = phi_end - phi_start
     _require_finite("arc sweep", sweep)
     rest = math.fmod(sweep, math.tau)
     turns = round(abs(sweep - rest) / math.tau)
     if turns == 0:
-        return _integrate_pieces([_arc_piece(f, 0.0, 0.0, rho, phi_start, sweep)], spec)
-    turn = _arc_piece(f, 0.0, 0.0, rho, phi_start, math.copysign(math.tau, sweep))
+        return _integrate_pieces([_arc_piece(f, inside, 0.0, 0.0, rho, phi_start, sweep)], spec)
+    turn = _arc_piece(f, inside, 0.0, 0.0, rho, phi_start, math.copysign(math.tau, sweep))
     total = _integrate_pieces([turn], spec) * turns
     if rest:
-        total += _integrate_pieces([_arc_piece(f, 0.0, 0.0, rho, phi_start, rest)], spec)
+        total += _integrate_pieces([_arc_piece(f, inside, 0.0, 0.0, rho, phi_start, rest)],
+                                   spec)
     return _require_finite_integral(total)
 
 
@@ -416,7 +488,9 @@ def sector_flux(
     8-point Gauss-Legendre rule.  The radial range must stay clear of the
     undefined band at rho = R (callers split there; see flux_direct); it
     may end on the band's edge, since no quadrature node lies on an
-    endpoint.
+    endpoint.  So the range lies on one side of rho = R, B_z is taken once
+    from that side, and the radial integrand is rho times the weighted
+    azimuthal sum of that constant.
     """
     spec = spec if spec is not None else QuadratureSpec()
     if not (0.0 <= rho_min < rho_max and math.isfinite(rho_max)):
@@ -431,16 +505,16 @@ def sector_flux(
             f"at rho = R = {f.R!r}"
         )
 
-    mid = 0.5 * (phi_min + phi_max)
+    # the band check puts the whole radial range on one side of rho = R,
+    # so B_z is one constant there and the azimuthal sum is one number
+    b_z = f.B if rho_max <= f.R - band else 0.0
     half = 0.5 * (phi_max - phi_min)
-    nodes = [(math.cos(mid + half * x), math.sin(mid + half * x), half * w)
-             for x, w in zip(_XGL8, _WGL8)]
+    acc = 0.0
+    for w in _WGL8:
+        acc += half * w * b_z
 
-    def radial(rho: float) -> float:
-        acc = 0.0
-        for c, s, w in nodes:
-            acc += w * _field_z(f, rho * c, rho * s)
-        return rho * acc
+    def radial(rhos: list[float]) -> list[float]:
+        return [rho * acc for rho in rhos]
 
     return _integrate_pieces([(radial, rho_min, rho_max, 1)], spec)
 
@@ -474,14 +548,45 @@ def _read_text(source: PathSource) -> str:
     return Path(source).read_text(encoding="utf-8")
 
 
+def _parse_json(text: str):
+    """json.loads, with nesting too deep for the parser as a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
+def _json_float(value, label: str) -> float:
+    """A JSON number as a float; ValueError for anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{label} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{label} is beyond floating-point range") from None
+
+
+def _json_int(value, label: str) -> int:
+    """A JSON number with an integral value as an int; ValueError for
+    anything else, including a fraction or an infinity."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{label} must be an integer, got {value!r}")
+    return value
+
+
 def load_polyline_csv(source: PathSource) -> Polyline:
     """Read a closed polyline from CSV rows "x,y,z".
 
     A single leading header row is tolerated; every other row must hold
     exactly three numbers.
     """
-    rows = [row for row in csv.reader(io.StringIO(_read_text(source)))
-            if row and any(cell.strip() for cell in row)]
+    try:
+        rows = [row for row in csv.reader(io.StringIO(_read_text(source), newline=""))
+                if row and any(cell.strip() for cell in row)]
+    except csv.Error as exc:
+        raise ValueError(f"malformed CSV: {exc}") from None
     if rows:
         try:
             [float(cell) for cell in rows[0]]
@@ -497,12 +602,15 @@ def load_polyline_csv(source: PathSource) -> Polyline:
 
 def load_circle_json(source: PathSource) -> Circle:
     """Read a circle path from JSON {"center": [x, y, z], "radius": r, "turns": n}."""
-    data = json.loads(_read_text(source))
+    data = _parse_json(_read_text(source))
+    if not isinstance(data, dict):
+        raise ValueError(f"circle JSON must be an object, got {type(data).__name__}")
     center = data["center"]
-    if len(center) != 3:
-        raise ValueError(f"circle center must have 3 components, got {center!r}")
+    if not (isinstance(center, list) and len(center) == 3):
+        raise ValueError(f"circle center must be a list of 3 numbers, got {center!r}")
+    x, y, z = (_json_float(c, "circle center") for c in center)
     return Circle(
-        center=Point(float(center[0]), float(center[1]), float(center[2])),
-        radius=float(data["radius"]),
-        turns=int(data.get("turns", 1)),
+        center=Point(x, y, z),
+        radius=_json_float(data["radius"], "circle radius"),
+        turns=_json_int(data.get("turns", 1), "circle turns"),
     )

@@ -3,6 +3,9 @@
 import math
 import random
 
+from hypothesis import strategies as st
+
+from abflux.errors import AbfluxError
 from abflux.fields import Point, SolenoidField
 from abflux.geometry import Circle, Polyline
 
@@ -68,3 +71,26 @@ def random_exterior_loop(rng: random.Random, f: SolenoidField, winding: int):
         return exterior_circle(rng, f, winding)
     return star_loop(rng, winding, 2.0 * f.R, 5.0 * f.R,
                      z_jitter=0.5 * f.R if rng.random() < 0.3 else 0.0)
+
+
+#: JSON numbers, including the ones a loader must refuse: non-finite
+#: floats (written as NaN/Infinity), fractions where an integer belongs,
+#: and integers beyond float range
+json_numbers = st.one_of(st.integers(), st.floats(), st.sampled_from((10**400, -10**400)))
+
+#: any JSON value
+json_values = st.recursive(
+    st.none() | st.booleans() | json_numbers | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=4),
+    max_leaves=8,
+)
+
+
+def result_or_none(call, *args):
+    """call(*args), or None when it raised one of the errors the CLI maps
+    to an exit status."""
+    try:
+        return call(*args)
+    except (ValueError, KeyError, AbfluxError):
+        return None

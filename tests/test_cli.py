@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -6,9 +7,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import abflux
-from abflux.cli import main
+from _helpers import json_numbers, json_values, result_or_none
+from abflux.cli import _parse_circle_inline, _resolve_field, _resolve_quadrature, main
+from abflux.fields import SolenoidField
+from abflux.geometry import Circle, QuadratureSpec
 
 
 def run_cli(capsys, *argv):
@@ -113,6 +119,14 @@ class TestFluxCommand:
 
 
 class TestStokesCommand:
+    def test_underflow_exit_2(self, capsys):
+        # the exterior rho*rho underflows to 0 on rho = R = 1e-300
+        code, out, err = run_cli(
+            capsys, "stokes", "--B", "1", "--R", "1e-300", "--gamma", "1", "--L", "2e-300"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("ValueError") and "underflow" in err
+
     def test_flux_matching(self, capsys):
         code, out, _ = run_cli(capsys, "stokes", "--B", "2", "--R", "1", "--L", "2")
         assert code == 0
@@ -267,6 +281,16 @@ class TestConfigHandling:
         assert code == 1
         assert err.startswith("QuadratureNotConverged")
 
+    @pytest.mark.parametrize("text", ['{"quadrature": {"max_subdivisions": Infinity}}',
+                                      '{"quadrature": {"max_subdivisions": 2.5}}',
+                                      '{"field": [1, 2]}', '[]', "[" * 100_000])
+    def test_malformed_config_exit_2(self, capsys, tmp_path, text):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "circulation", "--config", str(cfg), "--circle", "r=3")
+        assert code == 2 and out == ""
+        assert err.startswith("ValueError")
+
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "circulation", "--config", str(tmp_path / "nope.json"), "--circle", "r=3"
@@ -284,3 +308,42 @@ class TestDeterminism:
             )
             outputs.add(out)
         assert len(outputs) == 1
+
+
+_flag_floats = st.none() | st.floats()
+
+
+class TestParserProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        text=st.one_of(
+            st.text(),
+            st.lists(st.tuples(st.sampled_from(("r", "radius", "turns", "cx", "cy", "cz", "x")),
+                               st.one_of(json_numbers.map(str), st.text(max_size=6))),
+                     max_size=5).map(lambda items: ",".join(f"{k}={v}" for k, v in items)),
+        ),
+        turns_flag=st.none() | st.integers(),
+    )
+    def test_inline_circle(self, text, turns_flag):
+        circle = result_or_none(_parse_circle_inline, text, turns_flag)
+        assert circle is None or isinstance(circle, Circle)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        config=st.dictionaries(
+            st.sampled_from(("field", "quadrature", "format")),
+            json_values | st.fixed_dictionaries({}, optional={
+                key: json_numbers | json_values
+                for key in ("B", "R", "gamma", "rel_tol", "abs_tol", "max_subdivisions")
+            }),
+        ),
+        B=_flag_floats, R=_flag_floats, gamma=_flag_floats, kappa=_flag_floats,
+        rel_tol=_flag_floats, abs_tol=_flag_floats,
+        max_subdivisions=st.none() | st.integers(),
+    )
+    def test_config_resolvers(self, config, **flags):
+        args = argparse.Namespace(**flags)
+        field = result_or_none(_resolve_field, args, config)
+        assert field is None or isinstance(field, SolenoidField)
+        spec = result_or_none(_resolve_quadrature, args, config)
+        assert spec is None or isinstance(spec, QuadratureSpec)

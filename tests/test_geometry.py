@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import random
 
@@ -6,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import offset_loop, random_exterior_loop, random_field, star_loop
+from _helpers import (
+    json_numbers,
+    json_values,
+    offset_loop,
+    random_exterior_loop,
+    random_field,
+    result_or_none,
+    star_loop,
+)
 from abflux import fields, geometry
 from abflux.errors import (
     FieldUndefinedOnSolenoid,
@@ -16,7 +25,7 @@ from abflux.errors import (
     QuadratureNotConverged,
     WindingUnresolvable,
 )
-from abflux.fields import Point, SolenoidField, ab_standard, gauge_shift
+from abflux.fields import Point, SolenoidField, Vec3, ab_standard, eval_A, eval_B, gauge_shift
 from abflux.geometry import (
     _WG,
     _WGK,
@@ -66,33 +75,34 @@ class TestQuadratureEngine:
         assert math.fsum(_WGL8) == pytest.approx(2.0, abs=1e-14)
 
     def test_kronrod_exact_on_high_degree_polynomial(self):
-        value, _ = _gk15(lambda x: x**20, 0.0, 1.0)
+        value, _ = _gk15(lambda ts: [t**20 for t in ts], 0.0, 1.0)
         assert value == pytest.approx(1.0 / 21.0, rel=1e-14)
 
     def test_gauss_embedded_rule_agrees_on_degree_13(self):
         # G7 integrates degree <= 13 exactly, so the error estimate
         # collapses to roundoff there
-        _, err = _gk15(lambda x: x**13, 0.0, 1.0)
+        _, err = _gk15(lambda ts: [t**13 for t in ts], 0.0, 1.0)
         assert err < 1e-15
 
     def test_adaptive_oscillatory_integral(self):
         expected = (1.0 - math.cos(40.0)) / 40.0
-        value = _integrate_pieces([(lambda x: math.sin(40.0 * x), 0.0, 1.0, 1)],
+        value = _integrate_pieces([(lambda ts: [math.sin(40.0 * t) for t in ts], 0.0, 1.0, 1)],
                                   QuadratureSpec())
         assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_subdivision_budget_enforced(self):
         tight = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12, max_subdivisions=0)
         with pytest.raises(QuadratureNotConverged):
-            _integrate_pieces([(lambda x: math.sin(40.0 * x), 0.0, 1.0, 1)], tight)
+            _integrate_pieces([(lambda ts: [math.sin(40.0 * t) for t in ts], 0.0, 1.0, 1)], tight)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(rel_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(abs_tol=-1.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=-1)
+        for bad in (-1, 2.5, 2.0, True, math.inf, "8"):
+            with pytest.raises(ValueError):
+                QuadratureSpec(max_subdivisions=bad)
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError):
                 QuadratureSpec(rel_tol=bad)
@@ -255,6 +265,24 @@ class TestCirculation:
         # finite one-turn value, overflowing once scaled by the turn count
         with pytest.raises(ValueError):
             circulation(SolenoidField(B=0.0, R=1.0, gamma=1e306), Circle(ORIGIN, 3.0, 1000))
+
+    def test_underflowing_exterior_raises_before_quadrature(self, monkeypatch):
+        # rho*rho underflows to 0 on these exterior paths: named when the
+        # path is cleared, never a ZeroDivisionError from a node
+        def no_quadrature(fn, a, b):
+            raise AssertionError("quadrature ran before the underflow check")
+
+        monkeypatch.setattr(geometry, "_gk15", no_quadrature)
+        f = SolenoidField(B=1.0, R=1e-300, gamma=1.0)
+        square = Polyline((Point(2e-300, -2e-300), Point(2e-300, 2e-300),
+                           Point(-2e-300, 2e-300), Point(-2e-300, -2e-300)))
+        for path in (Circle(ORIGIN, 2e-300, 1), Circle(Point(5e-300, 0.0), 2e-300, 1), square):
+            with pytest.raises(ValueError, match="underflow"):
+                circulation(f, path)
+        with pytest.raises(ValueError, match="underflow"):
+            arc_integral(f, 2e-300, 0.0, 1.0)
+        with pytest.raises(ValueError, match="underflow"):
+            eval_A(f, Point(2e-300, 0.0))
 
     @pytest.mark.parametrize("center", [ORIGIN, Point(4.0, 1.0, 0.5)])
     def test_turns_cost_one_revolution(self, center, monkeypatch):
@@ -420,3 +448,129 @@ class TestLoaders:
     def test_circle_json_default_turns(self):
         loop = load_circle_json(io.StringIO('{"center": [0, 0, 0], "radius": 1.0}'))
         assert loop.turns == 1
+
+    def test_circle_json_malformed(self):
+        for text in ('{"center": 5, "radius": 1}', '[0, 0, 0]',
+                     '{"center": [0, 0, 0], "radius": 1, "turns": 1e400}',
+                     '{"center": [0, 0, 0], "radius": 1, "turns": 2.5}',
+                     '{"center": [0, 0, 0], "radius": "1"}', "[" * 100_000):
+            with pytest.raises(ValueError):
+                load_circle_json(io.StringIO(text))
+
+    def test_polyline_csv_old_mac_line_ends(self):
+        assert len(load_polyline_csv(io.StringIO("1,0,0\r0,1,0\r-1,0,0\r")).vertices) == 3
+
+
+_csv_cells = st.one_of(st.floats().map(repr), st.integers().map(str), st.text(max_size=4))
+
+
+class TestLoaderProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.text(),
+        st.lists(st.lists(_csv_cells, max_size=4), max_size=6).map(
+            lambda rows: "\n".join(",".join(row) for row in rows)),
+    ))
+    def test_polyline_csv(self, text):
+        loop = result_or_none(load_polyline_csv, io.StringIO(text))
+        assert loop is None or isinstance(loop, Polyline)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.text(),
+        json_values.map(json.dumps),
+        st.fixed_dictionaries({}, optional={
+            "center": st.lists(json_numbers, max_size=4) | json_values,
+            "radius": json_numbers | json_values,
+            "turns": json_numbers | json_values,
+        }).map(json.dumps),
+    ))
+    def test_circle_json(self, text):
+        loop = result_or_none(load_circle_json, io.StringIO(text))
+        assert loop is None or isinstance(loop, Circle)
+
+
+#: 8-point Gauss-Legendre nodes on [-1, 1], the azimuthal factor of a
+#: sector flux written as the full polar tensor rule
+_GL8_NODES = (
+    -0.9602898564975363, -0.7966664774136267, -0.5255324099163290, -0.1834346424956498,
+    0.1834346424956498, 0.5255324099163290, 0.7966664774136267, 0.9602898564975363,
+)
+
+
+class TestIntegrandsMatchPointwiseFormulas:
+    """The quadrature integrands hold each side's formula on their own;
+    they must agree bit for bit with eval_A and eval_B."""
+
+    @staticmethod
+    def pieces_of(monkeypatch, call):
+        pieces = []
+        integrate = geometry._integrate_pieces
+
+        def recording(ps, spec):
+            ps = list(ps)
+            pieces.extend(ps)
+            return integrate(ps, spec)
+
+        with monkeypatch.context() as m:
+            m.setattr(geometry, "_integrate_pieces", recording)
+            call()
+        return pieces
+
+    def test_arcs_and_edges_equal_eval_a_along_the_tangent(self, monkeypatch):
+        rng = random.Random(59)
+        for _ in range(12):
+            f = random_field(rng)
+            ts = [rng.random() for _ in range(15)]
+            a = rng.uniform(0.0, TWO_PI)
+            arcs = [
+                Circle(Point(0.0, 0.0, 0.3), rng.uniform(0.1, 0.9) * f.R, rng.choice((-2, 1))),
+                Circle(Point(0.2 * f.R * math.cos(a), 0.2 * f.R * math.sin(a)), 0.5 * f.R, 1),
+                Circle(ORIGIN, rng.uniform(1.5, 4.0) * f.R, -1),
+                Circle(Point(3.0 * f.R * math.cos(a), 3.0 * f.R * math.sin(a)), f.R, 2),
+            ]
+            for circle in arcs:
+                [(fn, _, _, _)] = self.pieces_of(monkeypatch, lambda: circulation(f, circle))
+                c0, r = circle.center, circle.radius
+                sweep = math.copysign(TWO_PI, circle.turns)
+                k = r * sweep
+                expected = []
+                for t in ts:
+                    c, s = math.cos(sweep * t), math.sin(sweep * t)
+                    point = Point(c0.x + r * c, c0.y + r * s)
+                    expected.append(eval_A(f, point).dot(Vec3(-k * s, k * c, 0.0)))
+                assert fn(ts) == expected
+
+            inner = star_loop(rng, 1, 0.3 * f.R, 0.6 * f.R, z_jitter=0.2)
+            outer = star_loop(rng, -2, 1.5 * f.R, 4.0 * f.R, z_jitter=0.2)
+            for loop in (inner, outer):
+                pieces = self.pieces_of(monkeypatch, lambda: circulation(f, loop))
+                assert len(pieces) == len(loop.vertices)
+                for (fn, _, _, _), (p, q) in zip(pieces, loop._edges()):
+                    d = Vec3(q.x - p.x, q.y - p.y, q.z - p.z)
+                    expected = [eval_A(f, Point(p.x + t * d.x, p.y + t * d.y)).dot(d)
+                                for t in ts]
+                    assert fn(ts) == expected
+
+    def test_sector_radial_values_equal_the_tensor_sum_of_eval_b(self, monkeypatch):
+        rng = random.Random(61)
+        for _ in range(12):
+            f = random_field(rng)
+            band = f.boundary_band
+            phi_min = rng.uniform(-1.0, 1.0)
+            phi_max = phi_min + rng.uniform(0.1, TWO_PI)
+            mid, half = 0.5 * (phi_min + phi_max), 0.5 * (phi_max - phi_min)
+            for lo, hi in ((0.0, f.R - band), (0.2 * f.R, 0.7 * f.R),
+                           (f.R + band, 3.0 * f.R), (1.5 * f.R, 2.5 * f.R)):
+                [(fn, a, b, _)] = self.pieces_of(
+                    monkeypatch, lambda: sector_flux(f, lo, hi, phi_min, phi_max))
+                rhos = [a + (b - a) * rng.uniform(0.01, 0.99) for _ in range(15)]
+                expected = []
+                for rho in rhos:
+                    acc = 0.0
+                    for x, w in zip(_GL8_NODES, _WGL8):
+                        th = mid + half * x
+                        point = Point(rho * math.cos(th), rho * math.sin(th))
+                        acc += half * w * eval_B(f, point).z
+                    expected.append(rho * acc)
+                assert fn(rhos) == expected
