@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--screen-distance", type=float, default=1.0)
     p.add_argument("--wavenumber", type=float, default=math.tau)
     p.add_argument("--half-extent", type=float, default=2.5)
-    p.add_argument("--samples", type=int, default=201)
+    p.add_argument("--samples", type=int, default=201, help="screen samples, 2 to 1000000")
     p.add_argument("--format", choices=("json", "csv"), default=None,
                    help="output format (default csv)")
     p.set_defaults(func=_cmd_interfere)
@@ -378,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     qp._negative_number_matcher = _NEGATIVE_TOKEN
     qp.set_defaults(func=_cmd_quantize_check)
 
-    qp = qsub.add_parser("spectrum", help="list charges n/N for n in [n-min, n-max]")
+    qp = qsub.add_parser("spectrum",
+                         help="list charges n/N for n in [n-min, n-max], at most 1000000")
     qp.add_argument("--N", type=int, required=True)
     qp.add_argument("--n-min", type=int, required=True)
     qp.add_argument("--n-max", type=int, required=True)

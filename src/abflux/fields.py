@@ -129,18 +129,6 @@ class SolenoidField:
         return cls(B=float(data["B"]), R=float(data["R"]), gamma=float(data["gamma"]))
 
 
-def _side_field(f: SolenoidField, inside: bool) -> SolenoidField:
-    """One side's formula of f, continued across rho = R: the interior
-    B*rho/2 is the whole potential of a solenoid of radius 2R with the
-    same B, the exterior gamma/rho that of one of radius R/2 with the same
-    gamma and no field.  Either is smooth on the circle rho = R, the disc
-    [0, R] and the annulus [R, L], so one-sided limits are plain integrals.
-    """
-    if inside:
-        return SolenoidField(B=f.B, R=2.0 * f.R, gamma=f.gamma)
-    return SolenoidField(B=0.0, R=0.5 * f.R, gamma=f.gamma)
-
-
 def _require_off_surface(f: SolenoidField, rho: float) -> None:
     if abs(rho - f.R) <= f.boundary_band:
         raise FieldUndefinedOnSolenoid(
@@ -188,12 +176,20 @@ def eval_B(f: SolenoidField, p: Point) -> Vec3:
 
 
 def eval_A(f: SolenoidField, p: Point) -> Vec3:
-    """Vector potential at p, returned in Cartesian components (A_z = 0)."""
+    """Vector potential at p, returned in Cartesian components (A_z = 0).
+
+    Raises ValueError where rho*rho underflows or the potential overflows.
+    """
     rho = p.rho
     _require_off_surface(f, rho)
     if rho >= f.R:
         _require_no_underflow(rho)
-    return Vec3(*_potential(f, p.x, p.y), 0.0)
+    a_x, a_y = _potential(f, p.x, p.y)
+    if not (math.isfinite(a_x) and math.isfinite(a_y)):
+        raise ValueError(
+            f"potential at rho = {rho!r} is not finite ({a_x!r}, {a_y!r}): the inputs overflow"
+        )
+    return Vec3(a_x, a_y, 0.0)
 
 
 def curl_fd(f: SolenoidField, p: Point, h: float) -> Vec3:

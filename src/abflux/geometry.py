@@ -50,7 +50,7 @@ from .errors import (
     QuadratureNotConverged,
     WindingUnresolvable,
 )
-from .fields import Point, SolenoidField, _require_finite, _require_no_underflow, _side_field
+from .fields import Point, SolenoidField, _require_finite, _require_no_underflow
 
 #: Relative clearance every integration path must keep from rho = R.
 PATH_CLEARANCE = 1e-6
@@ -63,7 +63,13 @@ _Piece = tuple[_Integrand, float, float, int]
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and budget for the adaptive integrator."""
+    """Tolerances and budget for the adaptive integrator.
+
+    ``max_subdivisions`` counts bisections only.  The seed panels every
+    integration starts from are not counted against it: one per polyline
+    edge, one per quarter turn of an arc and one per sector.  That work
+    grows linearly with the size of the path.
+    """
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
@@ -208,11 +214,12 @@ def _arc_piece(f: SolenoidField, inside: bool, cx: float, cy: float, radius: flo
     """Piece for the arc about (cx, cy) from azimuth phi0 through sweep,
     t in [0, 1], seeded with one panel per quarter turn.
 
-    The caller has cleared the arc's circle of rho = R and passes its
-    side (_require_clearance), so the integrand holds only that side's
-    formula of fields._potential: the linear field (-B*y/2, B*x/2)
-    inside, gamma*(-y, x)/rho**2 outside, in the same floating-point
-    operations, so every value equals eval_A's dotted with dr/dt.
+    The caller passes the arc's side of rho = R: from _require_clearance,
+    or for a circle on rho = R itself the side whose limit it takes
+    (_ring).  The integrand holds only that side's formula of
+    fields._potential: the linear field (-B*y/2, B*x/2) inside,
+    gamma*(-y, x)/rho**2 outside, in the same floating-point operations,
+    so every value equals eval_A's dotted with dr/dt.
     """
     k = radius * sweep
     nk = -k
@@ -277,6 +284,13 @@ def _edge_piece(f: SolenoidField, inside: bool, p: Point, q: Point) -> _Piece:
         return out
 
     return exterior, 0.0, 1.0, 1
+
+
+def _ring(f: SolenoidField, inside: bool, rho: float, spec: QuadratureSpec) -> float:
+    """One counterclockwise turn about the axis at radius rho, from the
+    formula of the given side of rho = R; on rho = R itself this is that
+    side's one-sided limit.  The caller validates rho."""
+    return _integrate_pieces([_arc_piece(f, inside, 0.0, 0.0, rho, 0.0, math.tau)], spec)
 
 
 @dataclass(frozen=True)
@@ -505,9 +519,16 @@ def sector_flux(
             f"at rho = R = {f.R!r}"
         )
 
-    # the band check puts the whole radial range on one side of rho = R,
-    # so B_z is one constant there and the azimuthal sum is one number
+    # the band check puts the whole radial range on one side of rho = R
     b_z = f.B if rho_max <= f.R - band else 0.0
+    return _disc_flux(b_z, rho_min, rho_max, phi_min, phi_max, spec)
+
+
+def _disc_flux(b_z: float, rho_min: float, rho_max: float, phi_min: float, phi_max: float,
+               spec: QuadratureSpec) -> float:
+    """Flux of the constant B_z = b_z through the polar sector; the caller
+    validates the ranges.  B_z is one constant, so the azimuthal sum is
+    one number and the radial integrand is rho times it."""
     half = 0.5 * (phi_max - phi_min)
     acc = 0.0
     for w in _WGL8:
@@ -523,20 +544,20 @@ def flux_direct(f: SolenoidField, L: float, spec: QuadratureSpec | None = None) 
     """Magnetic flux through the disc of radius L centered on the axis.
 
     Integrated in polar form, split at the solenoid surface so each part
-    is smooth: the disc [0, R] from the interior formula and the annulus
-    [R, L] from the exterior one, both continued up to rho = R.  Analytic
-    value: pi * B * min(L, R)**2, independent of L for all L > R.
+    is smooth: the disc [0, min(L, R)] with the interior B_z = B and, for
+    L > R, the annulus [R, L] with the exterior B_z = 0, each up to
+    rho = R itself.  Analytic value: pi * B * min(L, R)**2, independent
+    of L for all L > R.
     """
     spec = spec if spec is not None else QuadratureSpec()
     if not (math.isfinite(L) and L > 0.0):
         raise InvalidRadius(f"disc radius must be positive, got {L!r}")
     if abs(L - f.R) <= f.boundary_band:
         raise FieldUndefinedOnSolenoid("disc rim lies in the undefined band at rho = R")
+    inner = _disc_flux(f.B, 0.0, min(L, f.R), 0.0, math.tau, spec)
     if L < f.R:
-        return sector_flux(f, 0.0, L, 0.0, math.tau, spec)
-    inner = sector_flux(_side_field(f, True), 0.0, f.R, 0.0, math.tau, spec)
-    outer = sector_flux(_side_field(f, False), f.R, L, 0.0, math.tau, spec)
-    return inner + outer
+        return inner
+    return inner + _disc_flux(0.0, f.R, L, 0.0, math.tau, spec)
 
 
 PathSource = Union[str, Path, TextIO]

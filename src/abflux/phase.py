@@ -17,6 +17,10 @@ from .errors import ZeroCharge
 from .fields import SolenoidField
 from .geometry import ClosedPath, QuadratureSpec, circulation
 
+#: Most screen samples one pattern may have; every sample is a row held
+#: in memory, so the bound caps the memory an interference call uses.
+_MAX_SAMPLES = 10**6
+
 
 @dataclass(frozen=True)
 class PhaseFactor:
@@ -112,8 +116,10 @@ class InterferometerGeometry:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
-        if self.samples < 2:
-            raise ValueError(f"samples must be at least 2, got {self.samples!r}")
+        if not 2 <= self.samples <= _MAX_SAMPLES:
+            raise ValueError(
+                f"samples must be between 2 and {_MAX_SAMPLES}, got {self.samples!r}"
+            )
 
 
 def interference(

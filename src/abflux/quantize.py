@@ -25,6 +25,10 @@ from .errors import EmptyChargeSet
 
 RationalLike = Union["RationalCharge", Fraction, int, str]
 
+#: Most charges one spectrum may list; the list is held in memory, so the
+#: bound caps the memory a spectrum call uses.
+_MAX_CHARGES = 10**6
+
 
 @total_ordering
 @dataclass(frozen=True, eq=True)
@@ -113,9 +117,13 @@ def charge_allowed(q: RationalLike, lattice: ChargeSpectrum) -> bool:
 
 
 def spectrum(lattice: ChargeSpectrum, n_min: int, n_max: int) -> list[RationalCharge]:
-    """Charges n/N for n in [n_min, n_max], ascending."""
+    """Charges n/N for n in [n_min, n_max], ascending; at most 10**6 of them."""
     if n_min > n_max:
         raise ValueError(f"empty index range [{n_min}, {n_max}]")
+    if n_max - n_min >= _MAX_CHARGES:
+        raise ValueError(
+            f"index range [{n_min}, {n_max}] holds more than {_MAX_CHARGES} charges"
+        )
     return [RationalCharge(n, lattice.N) for n in range(n_min, n_max + 1)]
 
 

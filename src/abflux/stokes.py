@@ -16,11 +16,13 @@ free constant otherwise.  Nothing in the decomposition forces kappa = 0;
 that is the whole point of reporting the discrepancy rather than
 asserting it away.
 
-Both boundary circles of D2 and the boundary of D1 sit at rho = R where
-the field carries no value, so they are evaluated as one-sided limits.
-Each side's formula is smooth up to the surface, so each limit is that
-formula integrated on rho = R itself, and D1 and D2 are integrated on
-[0, R] and [R, L] the same way.
+The inner boundary circle of D2 and the boundary of D1 sit at rho = R
+where the field carries no value, so they are evaluated as one-sided
+limits.  Each side's formula is smooth up to the surface, so each limit
+is that formula integrated on rho = R itself, and D1 and D2 are
+integrated on [0, R] and [R, L] the same way.  Every circle, disc and
+cut is built from a quadrature piece whose side is known, so the inputs
+are validated once, by the outer-radius check.
 """
 
 from __future__ import annotations
@@ -30,14 +32,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidRadius, QuadratureNotConverged
-from .fields import Point, SolenoidField, _side_field
-from .geometry import (
-    Circle,
-    QuadratureSpec,
-    circulation,
-    sector_flux,
-    segment_integral,
-)
+from .fields import Point, SolenoidField, _require_no_underflow
+from .geometry import QuadratureSpec, _disc_flux, _edge_piece, _integrate_pieces, _ring
 
 @dataclass(frozen=True)
 class StokesReport:
@@ -72,16 +68,12 @@ class StokesReport:
 
 
 def _require_outer_radius(f: SolenoidField, L: float) -> None:
+    """The split disc's one input check: L clears rho = R, R*R does not underflow."""
     if not (math.isfinite(L) and L > f.R + 10.0 * f.boundary_band):
         raise InvalidRadius(
             f"outer radius must exceed R = {f.R!r} with clearance, got {L!r}"
         )
-
-
-def _limit_circulation(f: SolenoidField, inside: bool, spec: QuadratureSpec) -> float:
-    """One-turn circulation on the circle rho -> R from inside or outside:
-    that side's formula integrated on rho = R itself."""
-    return circulation(_side_field(f, inside), Circle(Point(0.0, 0.0, 0.0), f.R, 1), spec)
+    _require_no_underflow(f.R)
 
 
 def verify_stokes(
@@ -98,8 +90,8 @@ def verify_stokes(
     spec = spec if spec is not None else QuadratureSpec()
     _require_outer_radius(f, L)
 
-    phi_1 = _limit_circulation(f, True, spec)
-    phi_1_area = sector_flux(_side_field(f, True), 0.0, f.R, 0.0, math.tau, spec)
+    phi_1 = _ring(f, True, f.R, spec)
+    phi_1_area = _disc_flux(f.B, 0.0, f.R, 0.0, math.tau, spec)
     scale = max(1.0, abs(phi_1), abs(phi_1_area))
     if abs(phi_1 - phi_1_area) > 1e-7 * scale:
         raise QuadratureNotConverged(
@@ -107,8 +99,8 @@ def verify_stokes(
             f"{phi_1!r} vs area quadrature {phi_1_area!r}"
         )
 
-    circ_inner = _limit_circulation(f, False, spec)
-    circ_outer = circulation(f, Circle(Point(0.0, 0.0, 0.0), L, 1), spec)
+    circ_inner = _ring(f, False, f.R, spec)
+    circ_outer = _ring(f, False, L, spec)
     phi_2 = circ_outer - circ_inner
     phi_total = phi_1 + phi_2
     return StokesReport(
@@ -131,18 +123,17 @@ def chart_audit(f: SolenoidField, L: float, spec: QuadratureSpec | None = None) 
     half-annulus surface integrals plus the four radial cut integrals
     along phi = 0 and phi = pi (which cancel in pairs; the potential is
     purely azimuthal, so each is individually zero as well), all starting
-    on rho = R and taken from the exterior formula.  Returns the
-    absolute difference between that assembly and phi_2 from the
-    two-boundary route.  A value at roundoff scale demonstrates the chart
-    seam contributes nothing.
+    on rho = R itself and taken from the exterior formula, where B_z = 0.
+    Returns the absolute difference between that assembly and phi_2 from
+    the two-boundary route.  A value at roundoff scale demonstrates the
+    chart seam contributes nothing.
     """
     spec = spec if spec is not None else QuadratureSpec()
     _require_outer_radius(f, L)
-    outside = _side_field(f, False)
 
     surface = (
-        sector_flux(outside, f.R, L, 0.0, math.pi, spec)
-        + sector_flux(outside, f.R, L, math.pi, math.tau, spec)
+        _disc_flux(0.0, f.R, L, 0.0, math.pi, spec)
+        + _disc_flux(0.0, f.R, L, math.pi, math.tau, spec)
     )
 
     inner_0 = Point(f.R, 0.0, 0.0)
@@ -150,15 +141,16 @@ def chart_audit(f: SolenoidField, L: float, spec: QuadratureSpec | None = None) 
     inner_pi = Point(-f.R, 0.0, 0.0)
     outer_pi = Point(-L, 0.0, 0.0)
     cuts = math.fsum(
-        (
-            segment_integral(outside, inner_0, outer_0, spec),    # sector 1, seam phi = 0
-            segment_integral(outside, outer_pi, inner_pi, spec),  # sector 1, seam phi = pi
-            segment_integral(outside, inner_pi, outer_pi, spec),  # sector 2, seam phi = pi
-            segment_integral(outside, outer_0, inner_0, spec),    # sector 2, seam phi = 2*pi
+        _integrate_pieces([_edge_piece(f, False, p, q)], spec)
+        for p, q in (
+            (inner_0, outer_0),    # sector 1, seam phi = 0
+            (outer_pi, inner_pi),  # sector 1, seam phi = pi
+            (inner_pi, outer_pi),  # sector 2, seam phi = pi
+            (outer_0, inner_0),    # sector 2, seam phi = 2*pi
         )
     )
 
-    circ_inner = _limit_circulation(f, False, spec)
-    circ_outer = circulation(f, Circle(Point(0.0, 0.0, 0.0), L, 1), spec)
+    circ_inner = _ring(f, False, f.R, spec)
+    circ_outer = _ring(f, False, L, spec)
     phi_2 = circ_outer - circ_inner
     return abs((surface + cuts) - phi_2)

@@ -127,6 +127,14 @@ class TestStokesCommand:
         assert code == 2 and out == ""
         assert err.startswith("ValueError") and "underflow" in err
 
+    def test_subnormal_radius_exit_2(self, capsys):
+        # named for the caller's R, not for a radius derived from it
+        code, out, err = run_cli(
+            capsys, "stokes", "--B", "1", "--R", "5e-324", "--gamma", "0", "--L", "1e-300"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("ValueError") and "5e-324" in err
+
     def test_flux_matching(self, capsys):
         code, out, _ = run_cli(capsys, "stokes", "--B", "2", "--R", "1", "--L", "2")
         assert code == 0
@@ -193,6 +201,13 @@ class TestInterfereCommand:
         _, shifted, _ = run_cli(capsys, "interfere", "--q", "1", "--gamma", "0.5")
         assert base != shifted
 
+    def test_too_many_samples_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "interfere", "--q", "1", "--gamma", "0", "--samples", "1000001"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("ValueError")
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "interfere", "--q", "1", "--gamma", "0.5", "--samples", "3",
@@ -222,6 +237,13 @@ class TestQuantizeCommand:
         )
         assert code == 0
         assert json.loads(out) == ["-2/3", "-1/3", "0", "1/3", "2/3", "1"]
+
+    def test_spectrum_too_long_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "quantize", "spectrum", "--N", "1", "--n-min", "0", "--n-max", "1000000"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("ValueError")
 
     def test_kappa_alone(self, capsys):
         code, out, _ = run_cli(capsys, "quantize", "kappa", "3")

@@ -116,6 +116,14 @@ class TestEvalA:
         with pytest.raises(FieldUndefinedOnSolenoid):
             eval_A(f, Point(0.0, 1.0, 0.0))
 
+    @pytest.mark.parametrize("f, p", [
+        (SolenoidField(B=1.0, R=1e-300, gamma=1.0), Point(2e-160, 0.0)),  # rho*rho subnormal
+        (SolenoidField(B=1.0, R=0.1, gamma=1e308), Point(0.5, 0.0)),
+    ])
+    def test_overflow_named(self, f, p):
+        with pytest.raises(ValueError, match="overflow"):
+            eval_A(f, p)
+
     def test_exterior_magnitude_times_rho_is_gamma(self):
         rng = random.Random(11)
         for _ in range(100):

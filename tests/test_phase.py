@@ -222,3 +222,8 @@ class TestInterference:
             InterferometerGeometry(0.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             InterferometerGeometry(1.0, 1.0, 1.0, 1.0, samples=1)
+
+    def test_sample_count_bounded(self):
+        with pytest.raises(ValueError):
+            InterferometerGeometry(1.0, 1.0, 1.0, 1.0, samples=10**6 + 1)
+        InterferometerGeometry(1.0, 1.0, 1.0, 1.0, samples=10**6)

@@ -120,6 +120,12 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             spectrum(ChargeSpectrum(3), 2, 1)
 
+    def test_too_many_charges_rejected(self):
+        with pytest.raises(ValueError):
+            spectrum(ChargeSpectrum(3), 0, 10**6)
+        with pytest.raises(ValueError):
+            spectrum(ChargeSpectrum(3), -10**30, 10**30)
+
     @given(st.integers(min_value=1, max_value=60), st.integers(min_value=-30, max_value=0),
            st.integers(min_value=0, max_value=30))
     def test_sorted_and_on_lattice(self, N, lo, hi):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from _helpers import random_field
+from abflux import geometry
 from abflux.errors import InvalidRadius
 from abflux.fields import SolenoidField, ab_standard, gauge_shift
 from abflux.geometry import QuadratureSpec, flux_direct
@@ -160,3 +161,60 @@ class TestRequestedTolerance:
             assert abs(flux_direct(f, L, spec) - flux) <= bound
             assert abs(report.discrepancy - TWO_PI * f.kappa) <= bound
             assert abs(report.circ_inner - TWO_PI * f.gamma) <= bound
+
+
+class TestSplitDiscPieces:
+    """The split disc is integrated from pieces whose side is known, with
+    its inputs checked once."""
+
+    F = SolenoidField(B=2.0, R=1.0, gamma=1.5)
+
+    def test_builds_no_field(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(SolenoidField, "__post_init__", lambda self: built.append(self))
+        verify_stokes(self.F, 2.0)
+        flux_direct(self.F, 2.0)
+        chart_audit(self.F, 2.0)
+        assert built == []
+
+    def test_panel_counts(self, monkeypatch):
+        # seed panels only: three one-turn circles of 4 and one disc in
+        # verify_stokes, two half-annuli, four cuts and two circles in
+        # chart_audit, a disc and an annulus in flux_direct
+        panels = [0]
+        gk15 = geometry._gk15
+
+        def counting(fn, a, b):
+            panels[0] += 1
+            return gk15(fn, a, b)
+
+        monkeypatch.setattr(geometry, "_gk15", counting)
+        counts = []
+        for call in (verify_stokes, chart_audit, flux_direct):
+            panels[0] = 0
+            call(self.F, 2.0)
+            counts.append(panels[0])
+        assert counts == [13, 14, 2]
+
+    def test_outer_radius_just_clear_of_the_band(self):
+        # inside the path clearance margin of 1e-6*R, outside 10 bands
+        L = self.F.R * (1.0 + 5e-7)
+        report = verify_stokes(self.F, L)
+        assert abs(report.discrepancy - TWO_PI * self.F.kappa) <= LIMIT_TOL * scaled(self.F)
+        assert chart_audit(self.F, L) <= 1e-8
+        assert flux_direct(self.F, L) == pytest.approx(TWO_PI, rel=LIMIT_TOL)
+
+    @pytest.mark.parametrize("R, L, word", [(5e-324, 1e-300, "underflow"),
+                                            (1e308, 1.5e308, "overflow")])
+    def test_extreme_radius_names_the_inputs(self, R, L, word):
+        f = SolenoidField(B=1.0, R=R, gamma=0.0)
+        for call in (verify_stokes, chart_audit):
+            with pytest.raises(ValueError, match=word):
+                call(f, L)
+
+    def test_extreme_radius_flux(self):
+        # the disc flux needs no rho*rho below the solenoid radius: at a
+        # subnormal R it underflows to within abs_tol of its true value
+        assert abs(flux_direct(SolenoidField(B=1.0, R=5e-324, gamma=0.0), 1e-300)) <= 1e-12
+        with pytest.raises(ValueError, match="overflow"):
+            flux_direct(SolenoidField(B=1.0, R=1e308, gamma=0.0), 1.5e308)
