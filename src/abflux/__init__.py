@@ -1,120 +1,96 @@
 """Solenoid gauge potentials, flux/circulation verification, loop phases,
-and exact charge-lattice arithmetic."""
+and exact charge-lattice arithmetic.
 
-from .errors import (
-    AbfluxError,
-    AxisSingularity,
-    EmptyChargeSet,
-    FieldUndefinedOnSolenoid,
-    InvalidRadius,
-    PathCrossesSolenoid,
-    PathTouchesAxis,
-    QuadratureNotConverged,
-    StencilCrossesSolenoid,
-    WindingUnresolvable,
-    ZeroCharge,
-)
-from .fields import (
-    BOUNDARY_BAND,
-    Point,
-    SolenoidField,
-    Vec3,
-    ab_standard,
-    curl_fd,
-    eval_A,
-    eval_B,
-    gauge_shift,
-)
-from .geometry import (
-    PATH_CLEARANCE,
-    Circle,
-    ClosedPath,
-    Polyline,
-    QuadratureSpec,
-    arc_integral,
-    circulation,
-    flux_direct,
-    load_circle_json,
-    load_polyline_csv,
-    sector_flux,
-    segment_integral,
-    winding_number,
-)
-from .phase import (
-    InterferometerGeometry,
-    PhaseFactor,
-    holonomy,
-    interference,
-    interference_csv,
-    periodicity_check,
-    phase_closed_form,
-    phases_equivalent,
-)
-from .quantize import (
-    ChargeSpectrum,
-    RationalCharge,
-    antiparticle_closure,
-    charge_allowed,
-    infer_minimal_N,
-    kappa_allowed,
-    kappa_constraints,
-    spectrum,
-)
-from .stokes import StokesReport, chart_audit, verify_stokes
+``import abflux`` loads no layer module.  Each exported name, and each
+layer submodule (``abflux.geometry`` and so on), resolves on first
+access: the module that owns it is imported then, and the name is kept
+in the package namespace from there on.  ``from abflux import X`` and
+``from abflux import *`` work as with eager imports.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbfluxError",
-    "AxisSingularity",
-    "BOUNDARY_BAND",
-    "ChargeSpectrum",
-    "Circle",
-    "ClosedPath",
-    "EmptyChargeSet",
-    "FieldUndefinedOnSolenoid",
-    "InterferometerGeometry",
-    "InvalidRadius",
-    "PATH_CLEARANCE",
-    "PathCrossesSolenoid",
-    "PathTouchesAxis",
-    "PhaseFactor",
-    "Point",
-    "Polyline",
-    "QuadratureNotConverged",
-    "QuadratureSpec",
-    "RationalCharge",
-    "SolenoidField",
-    "StencilCrossesSolenoid",
-    "StokesReport",
-    "Vec3",
-    "WindingUnresolvable",
-    "ZeroCharge",
-    "ab_standard",
-    "antiparticle_closure",
-    "arc_integral",
-    "chart_audit",
-    "charge_allowed",
-    "circulation",
-    "curl_fd",
-    "eval_A",
-    "eval_B",
-    "flux_direct",
-    "gauge_shift",
-    "holonomy",
-    "infer_minimal_N",
-    "interference",
-    "interference_csv",
-    "kappa_allowed",
-    "kappa_constraints",
-    "load_circle_json",
-    "load_polyline_csv",
-    "periodicity_check",
-    "phase_closed_form",
-    "phases_equivalent",
-    "sector_flux",
-    "segment_integral",
-    "spectrum",
-    "verify_stokes",
-    "winding_number",
-]
+#: module -> names it exports through the package
+_EXPORTS = {
+    "errors": (
+        "AbfluxError",
+        "AxisSingularity",
+        "EmptyChargeSet",
+        "FieldUndefinedOnSolenoid",
+        "InvalidRadius",
+        "PathCrossesSolenoid",
+        "PathTouchesAxis",
+        "QuadratureNotConverged",
+        "StencilCrossesSolenoid",
+        "WindingUnresolvable",
+        "ZeroCharge",
+    ),
+    "fields": (
+        "BOUNDARY_BAND",
+        "Point",
+        "SolenoidField",
+        "Vec3",
+        "ab_standard",
+        "curl_fd",
+        "eval_A",
+        "eval_B",
+        "gauge_shift",
+    ),
+    "geometry": (
+        "PATH_CLEARANCE",
+        "Circle",
+        "ClosedPath",
+        "Polyline",
+        "QuadratureSpec",
+        "arc_integral",
+        "circulation",
+        "flux_direct",
+        "load_circle_json",
+        "load_polyline_csv",
+        "sector_flux",
+        "segment_integral",
+        "winding_number",
+    ),
+    "phase": (
+        "InterferometerGeometry",
+        "PhaseFactor",
+        "holonomy",
+        "interference",
+        "interference_csv",
+        "periodicity_check",
+        "phase_closed_form",
+        "phases_equivalent",
+    ),
+    "quantize": (
+        "ChargeSpectrum",
+        "RationalCharge",
+        "antiparticle_closure",
+        "charge_allowed",
+        "infer_minimal_N",
+        "kappa_allowed",
+        "kappa_constraints",
+        "spectrum",
+    ),
+    "stokes": ("StokesReport", "chart_audit", "verify_stokes"),
+}
+
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *__all__})

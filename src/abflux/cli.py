@@ -15,6 +15,12 @@ win.  The config envelope is
 Scalars print with 12 significant digits.  Domain errors exit nonzero
 with the error-class name on stderr; identical inputs always produce
 byte-identical output.
+
+Only the standard library and ``errors`` are imported at module level.
+Each command function and parsing helper imports the library layers it
+uses, so a process loads only what its subcommand needs: ``quantize``
+never loads the quadrature engine, and ``circulation`` never loads
+``fractions``.
 """
 
 from __future__ import annotations
@@ -25,37 +31,13 @@ import math
 import re
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import AbfluxError
-from .fields import Point, SolenoidField
-from .geometry import (
-    Circle,
-    QuadratureSpec,
-    _json_float,
-    _json_int,
-    _parse_json,
-    circulation,
-    flux_direct,
-    load_circle_json,
-    load_polyline_csv,
-)
-from .phase import (
-    InterferometerGeometry,
-    holonomy,
-    interference,
-    interference_csv,
-    phase_closed_form,
-)
-from .quantize import (
-    ChargeSpectrum,
-    RationalCharge,
-    charge_allowed,
-    infer_minimal_N,
-    kappa_allowed,
-    kappa_constraints,
-    spectrum,
-)
-from .stokes import chart_audit, verify_stokes
+
+if TYPE_CHECKING:
+    from .fields import SolenoidField
+    from .geometry import Circle, QuadratureSpec
 
 # accept "-1/3" and friends as positional values, not option strings
 _NEGATIVE_TOKEN = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
@@ -112,6 +94,8 @@ def _add_path_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_config(args: argparse.Namespace) -> dict:
+    from .geometry import _parse_json
+
     if getattr(args, "config", None) is None:
         return {}
     config = _parse_json(args.config.read_text(encoding="utf-8"))
@@ -128,6 +112,9 @@ def _config_section(config: dict, key: str) -> dict:
 
 
 def _resolve_field(args: argparse.Namespace, config: dict) -> SolenoidField:
+    from .fields import SolenoidField
+    from .geometry import _json_float
+
     data = _config_section(config, "field")
     if args.B is not None:
         data["B"] = args.B
@@ -147,6 +134,8 @@ def _resolve_field(args: argparse.Namespace, config: dict) -> SolenoidField:
 
 
 def _resolve_quadrature(args: argparse.Namespace, config: dict) -> QuadratureSpec:
+    from .geometry import QuadratureSpec, _json_float, _json_int
+
     data = _config_section(config, "quadrature")
     if getattr(args, "rel_tol", None) is not None:
         data["rel_tol"] = args.rel_tol
@@ -167,6 +156,9 @@ _CIRCLE_KEYS = {"r", "radius", "turns", "cx", "cy", "cz"}
 
 
 def _parse_circle_inline(text: str, turns_flag: int | None) -> Circle:
+    from .fields import Point
+    from .geometry import Circle
+
     fields: dict[str, str] = {}
     for item in text.split(","):
         item = item.strip()
@@ -190,6 +182,8 @@ def _parse_circle_inline(text: str, turns_flag: int | None) -> Circle:
 
 
 def _resolve_path(args: argparse.Namespace):
+    from .geometry import Circle, load_circle_json, load_polyline_csv
+
     chosen = [name for name, value in (
         ("--circle", args.circle),
         ("--circle-json", args.circle_json),
@@ -215,6 +209,8 @@ def _output_format(args: argparse.Namespace, config: dict, default: str) -> str:
 
 
 def _cmd_circulation(args: argparse.Namespace) -> int:
+    from .geometry import circulation
+
     config = _load_config(args)
     field = _resolve_field(args, config)
     quad = _resolve_quadrature(args, config)
@@ -224,6 +220,8 @@ def _cmd_circulation(args: argparse.Namespace) -> int:
 
 
 def _cmd_flux(args: argparse.Namespace) -> int:
+    from .geometry import flux_direct
+
     config = _load_config(args)
     field = _resolve_field(args, config)
     quad = _resolve_quadrature(args, config)
@@ -232,6 +230,8 @@ def _cmd_flux(args: argparse.Namespace) -> int:
 
 
 def _cmd_stokes(args: argparse.Namespace) -> int:
+    from .stokes import verify_stokes
+
     config = _load_config(args)
     field = _resolve_field(args, config)
     quad = _resolve_quadrature(args, config)
@@ -244,6 +244,8 @@ def _cmd_stokes(args: argparse.Namespace) -> int:
 
 
 def _cmd_chart_audit(args: argparse.Namespace) -> int:
+    from .stokes import chart_audit
+
     config = _load_config(args)
     field = _resolve_field(args, config)
     quad = _resolve_quadrature(args, config)
@@ -252,6 +254,8 @@ def _cmd_chart_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_phase(args: argparse.Namespace) -> int:
+    from .phase import holonomy, phase_closed_form
+
     config = _load_config(args)
     field = _resolve_field(args, config)
     quad = _resolve_quadrature(args, config)
@@ -265,6 +269,8 @@ def _cmd_phase(args: argparse.Namespace) -> int:
 
 
 def _cmd_interfere(args: argparse.Namespace) -> int:
+    from .phase import InterferometerGeometry, interference, interference_csv
+
     config = _load_config(args)
     field = _resolve_field(args, config)
     geom = InterferometerGeometry(
@@ -283,24 +289,32 @@ def _cmd_interfere(args: argparse.Namespace) -> int:
 
 
 def _cmd_quantize_check(args: argparse.Namespace) -> int:
+    from .quantize import ChargeSpectrum, RationalCharge, charge_allowed
+
     ok = charge_allowed(RationalCharge.parse(args.charge), ChargeSpectrum(args.N))
     print(json.dumps(ok))
     return 0
 
 
 def _cmd_quantize_spectrum(args: argparse.Namespace) -> int:
+    from .quantize import ChargeSpectrum, spectrum
+
     charges = spectrum(ChargeSpectrum(args.N), args.n_min, args.n_max)
     print(json.dumps([str(c) for c in charges]))
     return 0
 
 
 def _cmd_quantize_infer(args: argparse.Namespace) -> int:
+    from .quantize import RationalCharge, infer_minimal_N
+
     lattice = infer_minimal_N([RationalCharge.parse(c) for c in args.charges])
     print(lattice.N)
     return 0
 
 
 def _cmd_quantize_kappa(args: argparse.Namespace) -> int:
+    from .quantize import RationalCharge, kappa_allowed, kappa_constraints
+
     kappa_e = RationalCharge.parse(args.kappa_e)
     if args.charges:
         ok = kappa_constraints([RationalCharge.parse(c) for c in args.charges], kappa_e)

@@ -116,10 +116,11 @@ class InterferometerGeometry:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
-        if not 2 <= self.samples <= _MAX_SAMPLES:
-            raise ValueError(
-                f"samples must be between 2 and {_MAX_SAMPLES}, got {self.samples!r}"
-            )
+        n = self.samples
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"samples must be an integer, got {n!r}")
+        if not 2 <= n <= _MAX_SAMPLES:
+            raise ValueError(f"samples must be between 2 and {_MAX_SAMPLES}, got {n!r}")
 
 
 def interference(
@@ -132,8 +133,12 @@ def interference(
     fringes.  Integer q*gamma shifts by whole fringes: indistinguishable
     from no solenoid at all.  A pure-gauge exterior (B = 0, gamma != 0)
     still shifts the pattern; that is the observable the phase carries.
+    A non-finite q or q*gamma raises ValueError.
     """
-    shift = (q * f.gamma) % 1.0
+    turns = q * f.gamma
+    if not math.isfinite(turns):  # gamma is finite: this also catches q = +-inf or nan
+        raise ValueError(f"q*gamma must be finite, got q={q!r}, gamma={f.gamma!r}")
+    shift = turns % 1.0
     if shift >= 1.0:
         shift -= 1.0
     dphi = math.tau * shift

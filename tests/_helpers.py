@@ -1,10 +1,15 @@
 """Shared generators for randomized sweeps (seeded, reproducible)."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import strategies as st
 
+import abflux
 from abflux.errors import AbfluxError
 from abflux.fields import Point, SolenoidField
 from abflux.geometry import Circle, Polyline
@@ -94,3 +99,13 @@ def result_or_none(call, *args):
         return call(*args)
     except (ValueError, KeyError, AbfluxError):
         return None
+
+
+def run_python(*args):
+    """Stdout of a fresh interpreter, run with args, that imports the
+    abflux package this process imported."""
+    paths = (str(Path(abflux.__file__).parent.parent), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    result = subprocess.run([sys.executable, *args],
+                            capture_output=True, text=True, check=True, env=env)
+    return result.stdout

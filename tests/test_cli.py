@@ -1,17 +1,12 @@
 import argparse
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import abflux
-from _helpers import json_numbers, json_values, result_or_none
+from _helpers import json_numbers, json_values, result_or_none, run_python
 from abflux.cli import _parse_circle_inline, _resolve_field, _resolve_quadrature, main
 from abflux.fields import SolenoidField
 from abflux.geometry import Circle, QuadratureSpec
@@ -24,14 +19,8 @@ def run_cli(capsys, *argv):
 
 
 def test_module_entry_point():
-    # the child imports the package from where this process found it
-    paths = (str(Path(abflux.__file__).parent.parent), os.environ.get("PYTHONPATH"))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    result = subprocess.run(
-        [sys.executable, "-m", "abflux", "phase", "--q", "1", "--gamma", "0.5", "--w", "1"],
-        capture_output=True, text=True, check=True, env=env,
-    )
-    assert result.stdout.strip() == f"{math.pi:.12g}"
+    out = run_python("-m", "abflux", "phase", "--q", "1", "--gamma", "0.5", "--w", "1")
+    assert out.strip() == f"{math.pi:.12g}"
 
 
 class TestCirculationCommand:
@@ -205,6 +194,12 @@ class TestInterfereCommand:
         code, out, err = run_cli(
             capsys, "interfere", "--q", "1", "--gamma", "0", "--samples", "1000001"
         )
+        assert code == 2 and out == ""
+        assert err.startswith("ValueError")
+
+    @pytest.mark.parametrize("q", ["nan", "inf"])
+    def test_nonfinite_charge_exit_2(self, capsys, q):
+        code, out, err = run_cli(capsys, "interfere", "--q", q, "--gamma", "1")
         assert code == 2 and out == ""
         assert err.startswith("ValueError")
 

@@ -224,6 +224,13 @@ class TestInterference:
             InterferometerGeometry(1.0, 1.0, 1.0, 1.0, samples=1)
 
     def test_sample_count_bounded(self):
-        with pytest.raises(ValueError):
-            InterferometerGeometry(1.0, 1.0, 1.0, 1.0, samples=10**6 + 1)
+        for samples in (10**6 + 1, 2.5, 2.0, True, "201"):
+            with pytest.raises(ValueError):
+                InterferometerGeometry(1.0, 1.0, 1.0, 1.0, samples=samples)
         InterferometerGeometry(1.0, 1.0, 1.0, 1.0, samples=10**6)
+
+    def test_nonfinite_charge_rejected(self):
+        for q, gamma in ((math.nan, 1.0), (math.inf, 1.0), (-math.inf, 0.0),
+                         (1e300, 1e300)):
+            with pytest.raises(ValueError, match="must be finite"):
+                interference(SolenoidField(B=0.0, R=1.0, gamma=gamma), q, GEOM)
