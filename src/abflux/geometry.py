@@ -4,23 +4,29 @@ Line integrals use a globally adaptive Gauss-Kronrod 7/15 scheme.  Every
 path piece seeds a worklist with its embedded error estimate; the worst
 interval is bisected until the summed estimate meets the requested
 tolerance (absolute or relative, whichever is slacker) or the
-subdivision budget runs out.  Interval results are accumulated in a
-fixed order, so repeated runs are bit-identical.  The 1/rho falloff of
-the exterior potential near the solenoid needs no special casing: the
-adaptive loop concentrates nodes there on its own.
+subdivision budget runs out.  The running sums of values and estimates
+drift by rounding, so once the estimate could be within that drift of
+the tolerance, both are summed again exactly and convergence is judged
+on the exact sums.  The result is the exactly rounded sum (math.fsum)
+of the panel values, so repeated runs are bit-identical.  The 1/rho
+falloff of the exterior potential near the solenoid needs no special
+casing: the adaptive loop concentrates nodes there on its own.
 
-Every curve is built from two kinds of piece, a circular arc and a
-straight edge, whose integrands return A.dr/dt as plain floats, one
-call per panel for all 15 nodes.  Inputs are validated once, when the
-path is built and cleared of the solenoid surface, not on every
-quadrature node.  The clearance check puts each piece wholly on one
-side of rho = R, so the side, and with it the formula, is fixed once
-per piece: B*rho/2 inside, gamma/rho outside.  The same check raises
-ValueError for an exterior piece whose smallest rho*rho underflows, so
-no node divides by zero.  The integrand is periodic, so an n-turn
-circle is integrated over one revolution and the result scaled by n:
-rel_tol carries over exactly, while abs_tol applies per revolution.  An
-integral that overflows floating point raises ValueError.
+Every curve is built from two kinds of piece, a circular arc and a run
+of straight edges, whose integrands return A.dr/dt as plain floats.
+Each pass calls a piece's integrand once: the seed pass on the nodes of
+all its seed panels (every edge of a polyline at the same 15 nodes of
+[0, 1]), a split on both halves of the panel it bisects.  Inputs are
+validated once, when the path is built and cleared of the solenoid
+surface, not on every quadrature node.  The clearance check puts a
+connected path wholly on one side of rho = R, so the side, and with it
+the formula, is fixed once per piece: B*rho/2 inside, gamma/rho
+outside.  The same check raises ValueError for an exterior path whose
+smallest rho*rho underflows, so no node divides by zero.  The integrand
+is periodic, so an n-turn circle is integrated over one revolution and
+the result scaled by n: rel_tol carries over exactly, while abs_tol
+applies per revolution.  An integral that overflows floating point
+raises ValueError.
 
 Disc fluxes use the same radial scheme tensored with a fixed-order
 Gauss-Legendre rule in azimuth, whose weights are applied as in the full
@@ -36,11 +42,12 @@ import heapq
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass
 from itertools import count
 from math import cos, hypot, sin
 from pathlib import Path
-from typing import Callable, Iterable, TextIO, Union
+from typing import Callable, Iterable, Sequence, TextIO, Union
 
 from .errors import (
     FieldUndefinedOnSolenoid,
@@ -55,10 +62,12 @@ from .fields import Point, SolenoidField, _require_finite, _require_no_underflow
 #: Relative clearance every integration path must keep from rho = R.
 PATH_CLEARANCE = 1e-6
 
-#: (integrand, a, b, seed): integrate fn over [a, b], pre-split into seed
-#: panels; fn maps a list of nodes to the list of integrand values there
-_Integrand = Callable[[list[float]], list[float]]
-_Piece = tuple[_Integrand, float, float, int]
+#: (integrand, a, b, seed, curves): integrate each of `curves` curves
+#: over [a, b], pre-split into seed // curves equal panels, and sum them
+#: all; fn(cs, ts) maps curve indices and nodes to the list of integrand
+#: values at every node on every listed curve, curve after curve
+_Integrand = Callable[[Sequence[int], list[float]], list[float]]
+_Piece = tuple[_Integrand, float, float, int, int]
 
 
 @dataclass(frozen=True)
@@ -129,78 +138,123 @@ _WGL8 = (
 )
 
 
-def _gk15(fn: _Integrand, a: float, b: float) -> tuple[float, float]:
-    """15-point Kronrod estimate on [a, b] and |K15 - G7| error estimate.
-
-    fn is called once, on the list [center, center - d0..d6,
-    center + d0..d6], and returns the integrand at those nodes; the rule
-    accumulates them in the fixed QUADPACK dqk15 order.
-    """
+def _nodes(a: float, b: float) -> list[float]:
+    """The 15 Kronrod nodes of [a, b]: [center, center - d0..d6,
+    center + d0..d6]."""
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    d0, d1, d2, d3, d4, d5, d6 = [half * x for x in _XGK[:7]]
-    y = fn([center, center - d0, center - d1, center - d2, center - d3, center - d4,
+    x0, x1, x2, x3, x4, x5, x6, _ = _XGK
+    d0, d1, d2, d3 = half * x0, half * x1, half * x2, half * x3
+    d4, d5, d6 = half * x4, half * x5, half * x6
+    return [center, center - d0, center - d1, center - d2, center - d3, center - d4,
             center - d5, center - d6, center + d0, center + d1, center + d2, center + d3,
-            center + d4, center + d5, center + d6])
-    fc = y[0]
+            center + d4, center + d5, center + d6]
+
+
+def _gk15(y: list[float], i: int, a: float, b: float) -> tuple[float, float]:
+    """15-point Kronrod estimate on [a, b] and |K15 - G7| error estimate.
+
+    y[i:i + 15] holds the integrand at _nodes(a, b), in that order; the
+    rule accumulates them in the fixed QUADPACK dqk15 order.
+    """
+    fc, y1, y2, y3, y4, y5, y6, y7, y8, y9, y10, y11, y12, y13, y14 = y[i:i + 15]
     # Gauss pairs (odd Kronrod index); both sums run in dqk15's order
-    s1, s3, s5 = y[2] + y[9], y[4] + y[11], y[6] + y[13]
-    kronrod = (_WGK[7] * fc + _WGK[0] * (y[1] + y[8]) + _WGK[1] * s1
-               + _WGK[2] * (y[3] + y[10]) + _WGK[3] * s3 + _WGK[4] * (y[5] + y[12])
-               + _WGK[5] * s5 + _WGK[6] * (y[7] + y[14]))
+    s1, s3, s5 = y2 + y9, y4 + y11, y6 + y13
+    kronrod = (_WGK[7] * fc + _WGK[0] * (y1 + y8) + _WGK[1] * s1
+               + _WGK[2] * (y3 + y10) + _WGK[3] * s3 + _WGK[4] * (y5 + y12)
+               + _WGK[5] * s5 + _WGK[6] * (y7 + y14))
     gauss = _WG[3] * fc + _WG[0] * s1 + _WG[1] * s3 + _WG[2] * s5
+    half = 0.5 * (b - a)
     kronrod *= half
     gauss *= half
     return kronrod, abs(kronrod - gauss)
 
 
 def _integrate_pieces(pieces: Iterable[_Piece], spec: QuadratureSpec) -> float:
-    """Adaptively integrate a list of (fn, a, b, seed) pieces as one sum.
+    """Adaptively integrate a list of (fn, a, b, seed, curves) pieces as
+    one sum.
 
-    Each piece is pre-split into ``seed`` equal intervals so the error
-    estimator starts below one oscillation per interval.  Convergence is
-    judged on the total: sum of estimates <= max(abs_tol, rel_tol*|sum|).
+    Each curve of a piece is pre-split into equal panels so the error
+    estimator starts below one oscillation per panel.  Every pass calls
+    a piece's integrand once: the seed pass on all its panels, each
+    split on both halves of the panel it bisects.  Convergence is judged
+    on the total: sum of estimates <= max(abs_tol, rel_tol*|sum|).  The
+    running sums drift by rounding, so once they could be within their
+    drift of that test they are summed again exactly.
     """
-    heap: list[tuple[float, int, int, float, float, float]] = []
-    tie = count()
-    fns: list[_Integrand] = []
+    # (-err, seed order, integrand, curve, a, b, value): the heap keys
+    # (-err, seed order) are unique, so no comparison reaches the rest
+    panels: list[tuple[float, int, _Integrand, int, float, float, float]] = []
     total = 0.0
     err = 0.0
-    for fn, a, b, seed in pieces:
-        idx = len(fns)
-        fns.append(fn)
-        width = (b - a) / seed
-        for k in range(seed):
+    for fn, a, b, seed, curves in pieces:
+        tiles = seed // curves
+        width = (b - a) / tiles
+        bounds = []
+        nodes = []
+        for k in range(tiles):
             lo = a + k * width
-            hi = b if k == seed - 1 else a + (k + 1) * width
-            v, e = _gk15(fn, lo, hi)
-            heapq.heappush(heap, (-e, next(tie), idx, lo, hi, v))
-            total += v
-            err += e
+            hi = b if k == tiles - 1 else a + (k + 1) * width
+            bounds.append((lo, hi))
+            nodes += _nodes(lo, hi)
+        y = fn(range(curves), nodes)
+        i = 0
+        for c in range(curves):
+            for lo, hi in bounds:
+                v, e = _gk15(y, i, lo, hi)
+                panels.append((-e, len(panels), fn, c, lo, hi, v))
+                total += v
+                err += e
+                i += 15
 
+    if err > max(spec.abs_tol, spec.rel_tol * abs(total)):
+        heapq.heapify(panels)
+        total = _bisect(panels, total, err, spec)
+    # checked on the running sum: fsum raises OverflowError, not
+    # ValueError, on finite terms whose sum overflows.  fsum is exactly
+    # rounded, so the order of the panels does not change the result.
+    _require_finite_integral(total)
+    return math.fsum([item[6] for item in panels])
+
+
+def _bisect(heap: list, total: float, err: float, spec: QuadratureSpec) -> float:
+    """Bisect the heap's worst panel until the estimates meet the
+    tolerance; return the running total.
+
+    eps2 * drift bounds the rounding the running total and err have
+    gathered since they were last exact: each add rounds by at most eps/2
+    of its result, and the tolerance moves by rel_tol times the total's
+    error.  After a huge first estimate that rounding can stay far above
+    a tight tolerance, which the running err then never meets; so once
+    err is within it of the tolerance, both are summed again exactly.
+    """
+    eps2 = 2.0 * sys.float_info.epsilon
+    drift = len(heap) * (err + spec.rel_tol * sum(abs(item[6]) for item in heap))
+    tie = count(len(heap))
     splits = 0
-    while err > max(spec.abs_tol, spec.rel_tol * abs(total)):
+    while err > (tol := max(spec.abs_tol, spec.rel_tol * abs(total))):
+        if err - eps2 * drift <= tol:
+            total = math.fsum(item[6] for item in heap)
+            err = math.fsum(-item[0] for item in heap)
+            drift = 0.0
+            continue
         if splits >= spec.max_subdivisions:
             raise QuadratureNotConverged(
                 f"error estimate {err:.3e} still above tolerance after "
                 f"{splits} subdivisions"
             )
-        neg_e, _, idx, lo, hi, v = heapq.heappop(heap)
-        fn = fns[idx]
+        neg_e, _, fn, c, lo, hi, v = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        v1, e1 = _gk15(fn, lo, mid)
-        v2, e2 = _gk15(fn, mid, hi)
+        y = fn((c,), _nodes(lo, mid) + _nodes(mid, hi))
+        v1, e1 = _gk15(y, 0, lo, mid)
+        v2, e2 = _gk15(y, 15, mid, hi)
+        drift += err + e1 + e2 + spec.rel_tol * (abs(total) + abs(v1) + abs(v2) + abs(v))
         total += (v1 + v2) - v
         err = max(err + (e1 + e2) - (-neg_e), 0.0)
-        heapq.heappush(heap, (-e1, next(tie), idx, lo, mid, v1))
-        heapq.heappush(heap, (-e2, next(tie), idx, mid, hi, v2))
+        heapq.heappush(heap, (-e1, next(tie), fn, c, lo, mid, v1))
+        heapq.heappush(heap, (-e2, next(tie), fn, c, mid, hi, v2))
         splits += 1
-
-    # checked on the running sum: fsum raises OverflowError, not
-    # ValueError, on finite terms whose sum overflows
-    _require_finite_integral(total)
-    final = sorted(heap, key=lambda item: (item[2], item[3]))
-    return math.fsum(item[5] for item in final)
+    return total
 
 
 def _require_finite_integral(value: float) -> float:
@@ -228,62 +282,72 @@ def _arc_piece(f: SolenoidField, inside: bool, cx: float, cy: float, radius: flo
     if inside:
         bx, by = -0.5 * f.B, 0.5 * f.B
 
-        def interior(ts: list[float]) -> list[float]:
+        def interior(cs: Sequence[int], ts: list[float]) -> list[float]:
             out = []
-            for t in ts:
-                th = phi0 + sweep * t
-                c, s = cos(th), sin(th)
-                out.append(bx * (cy + radius * s) * (nk * s) + by * (cx + radius * c) * (k * c))
+            for _ in cs:
+                for t in ts:
+                    th = phi0 + sweep * t
+                    c, s = cos(th), sin(th)
+                    out.append(bx * (cy + radius * s) * (nk * s)
+                               + by * (cx + radius * c) * (k * c))
             return out
 
-        return interior, 0.0, 1.0, seed
+        return interior, 0.0, 1.0, seed, 1
 
     gamma = f.gamma
 
-    def exterior(ts: list[float]) -> list[float]:
+    def exterior(cs: Sequence[int], ts: list[float]) -> list[float]:
         out = []
-        for t in ts:
-            th = phi0 + sweep * t
-            c, s = cos(th), sin(th)
-            x, y = cx + radius * c, cy + radius * s
-            rho = hypot(x, y)
-            scale = gamma / (rho * rho)
-            out.append(-scale * y * (nk * s) + scale * x * (k * c))
+        for _ in cs:
+            for t in ts:
+                th = phi0 + sweep * t
+                c, s = cos(th), sin(th)
+                x, y = cx + radius * c, cy + radius * s
+                rho = hypot(x, y)
+                scale = gamma / (rho * rho)
+                out.append(-scale * y * (nk * s) + scale * x * (k * c))
         return out
 
-    return exterior, 0.0, 1.0, seed
+    return exterior, 0.0, 1.0, seed, 1
 
 
-def _edge_piece(f: SolenoidField, inside: bool, p: Point, q: Point) -> _Piece:
-    """Piece for the straight edge from p to q, t in [0, 1], one seed panel.
-    The potential has no z-component, so only the xy-projection enters.
+def _edge_piece(f: SolenoidField, inside: bool, edges: list[tuple[Point, Point]]) -> _Piece:
+    """Piece for the straight edges p -> q, each a curve over t in [0, 1]
+    with one seed panel, so the seed pass evaluates every edge at the
+    same 15 nodes in one call.  The potential has no z-component, so
+    only the xy-projection enters.
 
-    As for arcs, the integrand holds only the formula of the edge's side
+    As for arcs, the integrand holds only the formula of the edges' side
     of rho = R.
     """
-    px, py = p.x, p.y
-    dx, dy = q.x - px, q.y - py
+    coords = [(p.x, p.y, q.x - p.x, q.y - p.y) for p, q in edges]
 
     if inside:
         bx, by = -0.5 * f.B, 0.5 * f.B
 
-        def interior(ts: list[float]) -> list[float]:
-            return [bx * (py + t * dy) * dx + by * (px + t * dx) * dy for t in ts]
+        def interior(cs: Sequence[int], ts: list[float]) -> list[float]:
+            out = []
+            for c in cs:
+                px, py, dx, dy = coords[c]
+                out += [bx * (py + t * dy) * dx + by * (px + t * dx) * dy for t in ts]
+            return out
 
-        return interior, 0.0, 1.0, 1
+        return interior, 0.0, 1.0, len(coords), len(coords)
 
     gamma = f.gamma
 
-    def exterior(ts: list[float]) -> list[float]:
+    def exterior(cs: Sequence[int], ts: list[float]) -> list[float]:
         out = []
-        for t in ts:
-            x, y = px + t * dx, py + t * dy
-            rho = hypot(x, y)
-            scale = gamma / (rho * rho)
-            out.append(-scale * y * dx + scale * x * dy)
+        for c in cs:
+            px, py, dx, dy = coords[c]
+            for t in ts:
+                x, y = px + t * dx, py + t * dy
+                rho = hypot(x, y)
+                scale = gamma / (rho * rho)
+                out.append(-scale * y * dx + scale * x * dy)
         return out
 
-    return exterior, 0.0, 1.0, 1
+    return exterior, 0.0, 1.0, len(coords), len(coords)
 
 
 def _ring(f: SolenoidField, inside: bool, rho: float, spec: QuadratureSpec) -> float:
@@ -364,15 +428,15 @@ def _segment_rho_range(p: Point, q: Point) -> tuple[float, float]:
     return min(ra, rb), hi
 
 
-def _require_clearance(intervals: Iterable[tuple[float, float]], f: SolenoidField) -> list[bool]:
-    """Check each path piece's rho interval and return the piece's side of
-    rho = R: True inside the solenoid, False outside.
+def _require_clearance(intervals: Iterable[tuple[float, float]], f: SolenoidField) -> bool:
+    """Check the rho intervals of one connected path's pieces and return
+    the path's side of rho = R: True inside the solenoid, False outside.
 
-    The interval must clear the band around rho = R; outside, its
+    Each interval must clear the band around rho = R, so consecutive
+    pieces, which share an endpoint, lie on the same side.  Outside, the
     smallest rho must not make the exterior formula's rho*rho underflow.
     """
     margin = PATH_CLEARANCE * f.R
-    sides = []
     for lo, hi in intervals:
         inside = hi < f.R - margin
         if not (inside or lo > f.R + margin):
@@ -382,8 +446,7 @@ def _require_clearance(intervals: Iterable[tuple[float, float]], f: SolenoidFiel
             )
         if not inside:
             _require_no_underflow(lo)
-        sides.append(inside)
-    return sides
+    return inside
 
 
 def winding_number(path: ClosedPath) -> int:
@@ -434,15 +497,13 @@ def circulation(
     A circle is integrated over one revolution and scaled by |turns|.
     """
     spec = spec if spec is not None else QuadratureSpec()
-    sides = _require_clearance(path._rho_intervals(), f)
+    inside = _require_clearance(path._rho_intervals(), f)
     if isinstance(path, Circle):
         c = path.center
-        [inside] = sides
         arc = _arc_piece(f, inside, c.x, c.y, path.radius, 0.0,
                          math.copysign(math.tau, path.turns))
         return _require_finite_integral(_integrate_pieces([arc], spec) * abs(path.turns))
-    return _integrate_pieces([_edge_piece(f, inside, p, q)
-                              for inside, (p, q) in zip(sides, path._edges())], spec)
+    return _integrate_pieces([_edge_piece(f, inside, path._edges())], spec)
 
 
 def segment_integral(
@@ -450,8 +511,8 @@ def segment_integral(
 ) -> float:
     """Line integral of the vector potential along one straight segment."""
     spec = spec if spec is not None else QuadratureSpec()
-    [inside] = _require_clearance([_segment_rho_range(start, end)], f)
-    return _integrate_pieces([_edge_piece(f, inside, start, end)], spec)
+    inside = _require_clearance([_segment_rho_range(start, end)], f)
+    return _integrate_pieces([_edge_piece(f, inside, [(start, end)])], spec)
 
 
 def arc_integral(
@@ -472,7 +533,7 @@ def arc_integral(
         raise InvalidRadius(f"arc radius must be positive, got {rho!r}")
     _require_finite("angle", phi_start, phi_end)
     _require_finite("arc plane z", z)
-    [inside] = _require_clearance([(rho, rho)], f)
+    inside = _require_clearance([(rho, rho)], f)
     sweep = phi_end - phi_start
     _require_finite("arc sweep", sweep)
     rest = math.fmod(sweep, math.tau)
@@ -534,10 +595,10 @@ def _disc_flux(b_z: float, rho_min: float, rho_max: float, phi_min: float, phi_m
     for w in _WGL8:
         acc += half * w * b_z
 
-    def radial(rhos: list[float]) -> list[float]:
-        return [rho * acc for rho in rhos]
+    def radial(cs: Sequence[int], rhos: list[float]) -> list[float]:
+        return [rho * acc for _ in cs for rho in rhos]
 
-    return _integrate_pieces([(radial, rho_min, rho_max, 1)], spec)
+    return _integrate_pieces([(radial, rho_min, rho_max, 1, 1)], spec)
 
 
 def flux_direct(f: SolenoidField, L: float, spec: QuadratureSpec | None = None) -> float:

@@ -141,7 +141,7 @@ def chart_audit(f: SolenoidField, L: float, spec: QuadratureSpec | None = None) 
     inner_pi = Point(-f.R, 0.0, 0.0)
     outer_pi = Point(-L, 0.0, 0.0)
     cuts = math.fsum(
-        _integrate_pieces([_edge_piece(f, False, p, q)], spec)
+        _integrate_pieces([_edge_piece(f, False, [(p, q)])], spec)
         for p, q in (
             (inner_0, outer_0),    # sector 1, seam phi = 0
             (outer_pi, inner_pi),  # sector 1, seam phi = pi

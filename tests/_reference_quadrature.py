@@ -1,0 +1,140 @@
+"""Per-panel reference of the line-integral kernel.
+
+This is the kernel as it was before each pass went through one integrand
+call: every panel builds its own 15 nodes and calls its piece's
+integrand once, every polyline edge is its own piece, and every panel
+is pushed onto the heap on its own.  The batched kernel in
+abflux.geometry must give repr-identical values from the same number of
+panels.
+"""
+
+from __future__ import annotations
+
+import heapq
+import math
+from itertools import count
+from math import cos, hypot, sin
+
+from abflux.errors import QuadratureNotConverged
+from abflux.fields import Point, SolenoidField
+from abflux.geometry import _WG, _WGK, _XGK, QuadratureSpec
+
+
+def gk15(fn, a: float, b: float) -> tuple[float, float]:
+    """15-point Kronrod estimate on [a, b] and |K15 - G7|, one call of fn."""
+    center = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    d0, d1, d2, d3, d4, d5, d6 = [half * x for x in _XGK[:7]]
+    y = fn([center, center - d0, center - d1, center - d2, center - d3, center - d4,
+            center - d5, center - d6, center + d0, center + d1, center + d2, center + d3,
+            center + d4, center + d5, center + d6])
+    fc = y[0]
+    s1, s3, s5 = y[2] + y[9], y[4] + y[11], y[6] + y[13]
+    kronrod = (_WGK[7] * fc + _WGK[0] * (y[1] + y[8]) + _WGK[1] * s1
+               + _WGK[2] * (y[3] + y[10]) + _WGK[3] * s3 + _WGK[4] * (y[5] + y[12])
+               + _WGK[5] * s5 + _WGK[6] * (y[7] + y[14]))
+    gauss = _WG[3] * fc + _WG[0] * s1 + _WG[1] * s3 + _WG[2] * s5
+    kronrod *= half
+    gauss *= half
+    return kronrod, abs(kronrod - gauss)
+
+
+def integrate(pieces, spec: QuadratureSpec) -> tuple[float, int]:
+    """Integrate (fn, a, b, seed) pieces panel by panel; return the value
+    and the number of panels evaluated."""
+    heap = []
+    tie = count()
+    fns = []
+    total = 0.0
+    err = 0.0
+    panels = 0
+    for fn, a, b, seed in pieces:
+        idx = len(fns)
+        fns.append(fn)
+        width = (b - a) / seed
+        for k in range(seed):
+            lo = a + k * width
+            hi = b if k == seed - 1 else a + (k + 1) * width
+            v, e = gk15(fn, lo, hi)
+            panels += 1
+            heapq.heappush(heap, (-e, next(tie), idx, lo, hi, v))
+            total += v
+            err += e
+
+    splits = 0
+    while err > max(spec.abs_tol, spec.rel_tol * abs(total)):
+        if splits >= spec.max_subdivisions:
+            raise QuadratureNotConverged(f"{splits} subdivisions")
+        neg_e, _, idx, lo, hi, v = heapq.heappop(heap)
+        fn = fns[idx]
+        mid = 0.5 * (lo + hi)
+        v1, e1 = gk15(fn, lo, mid)
+        v2, e2 = gk15(fn, mid, hi)
+        panels += 2
+        total += (v1 + v2) - v
+        err = max(err + (e1 + e2) - (-neg_e), 0.0)
+        heapq.heappush(heap, (-e1, next(tie), idx, lo, mid, v1))
+        heapq.heappush(heap, (-e2, next(tie), idx, mid, hi, v2))
+        splits += 1
+
+    final = sorted(heap, key=lambda item: (item[2], item[3]))
+    return math.fsum(item[5] for item in final), panels
+
+
+def arc_piece(f: SolenoidField, inside: bool, cx: float, cy: float, radius: float,
+              phi0: float, sweep: float):
+    """The arc about (cx, cy) from phi0 through sweep, one seed panel per
+    quarter turn, with the formula of the given side of rho = R."""
+    k = radius * sweep
+    nk = -k
+    seed = max(1, math.ceil(abs(sweep) / (0.5 * math.pi)))
+    if inside:
+        bx, by = -0.5 * f.B, 0.5 * f.B
+
+        def interior(ts):
+            out = []
+            for t in ts:
+                th = phi0 + sweep * t
+                c, s = cos(th), sin(th)
+                out.append(bx * (cy + radius * s) * (nk * s) + by * (cx + radius * c) * (k * c))
+            return out
+
+        return interior, 0.0, 1.0, seed
+
+    gamma = f.gamma
+
+    def exterior(ts):
+        out = []
+        for t in ts:
+            th = phi0 + sweep * t
+            c, s = cos(th), sin(th)
+            x, y = cx + radius * c, cy + radius * s
+            rho = hypot(x, y)
+            scale = gamma / (rho * rho)
+            out.append(-scale * y * (nk * s) + scale * x * (k * c))
+        return out
+
+    return exterior, 0.0, 1.0, seed
+
+
+def edge_piece(f: SolenoidField, inside: bool, p: Point, q: Point):
+    """The edge p -> q as its own piece with one seed panel."""
+    px, py = p.x, p.y
+    dx, dy = q.x - px, q.y - py
+    if inside:
+        bx, by = -0.5 * f.B, 0.5 * f.B
+        return (lambda ts: [bx * (py + t * dy) * dx + by * (px + t * dx) * dy for t in ts],
+                0.0, 1.0, 1)
+
+    gamma = f.gamma
+
+    def exterior(ts):
+        out = []
+        for t in ts:
+            x, y = px + t * dx, py + t * dy
+            rho = hypot(x, y)
+            scale = gamma / (rho * rho)
+            out.append(-scale * y * dx + scale * x * dy)
+        return out
+
+    return exterior, 0.0, 1.0, 1

@@ -49,6 +49,17 @@ class TestCirculationCommand:
         assert code == 0
         assert abs(float(out)) < 1e-9
 
+    def test_thin_solenoid_at_tight_tolerance(self, capsys, tmp_path):
+        # converges although the running error sum drifts above rel_tol
+        csv_path = tmp_path / "tri.csv"
+        csv_path.write_text("x,y,z\n1.00001e-6,-1,0\n1.00001e-6,1,0\n-2,0,0\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "circulation", "--B", "2", "--R", "1e-6", "--gamma", "1",
+            "--polyline", str(csv_path), "--rel-tol", "1e-12",
+        )
+        assert code == 0 and err == ""
+        assert out.strip() == f"{2.0 * math.pi:.12g}"
+
     def test_circle_json_file(self, capsys, tmp_path):
         circle_path = tmp_path / "circle.json"
         circle_path.write_text('{"center": [0, 0, 0], "radius": 4.0, "turns": -1}', encoding="utf-8")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _reference_quadrature as reference
 from _helpers import (
     json_numbers,
     json_values,
@@ -35,6 +36,7 @@ from abflux.geometry import (
     QuadratureSpec,
     _gk15,
     _integrate_pieces,
+    _nodes,
     arc_integral,
     circulation,
     flux_direct,
@@ -75,25 +77,26 @@ class TestQuadratureEngine:
         assert math.fsum(_WGL8) == pytest.approx(2.0, abs=1e-14)
 
     def test_kronrod_exact_on_high_degree_polynomial(self):
-        value, _ = _gk15(lambda ts: [t**20 for t in ts], 0.0, 1.0)
+        value, _ = _gk15([t**20 for t in _nodes(0.0, 1.0)], 0, 0.0, 1.0)
         assert value == pytest.approx(1.0 / 21.0, rel=1e-14)
 
     def test_gauss_embedded_rule_agrees_on_degree_13(self):
         # G7 integrates degree <= 13 exactly, so the error estimate
         # collapses to roundoff there
-        _, err = _gk15(lambda ts: [t**13 for t in ts], 0.0, 1.0)
+        _, err = _gk15([t**13 for t in _nodes(0.0, 1.0)], 0, 0.0, 1.0)
         assert err < 1e-15
 
     def test_adaptive_oscillatory_integral(self):
         expected = (1.0 - math.cos(40.0)) / 40.0
-        value = _integrate_pieces([(lambda ts: [math.sin(40.0 * t) for t in ts], 0.0, 1.0, 1)],
-                                  QuadratureSpec())
+        value = _integrate_pieces(
+            [(lambda cs, ts: [math.sin(40.0 * t) for t in ts], 0.0, 1.0, 1, 1)], QuadratureSpec())
         assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_subdivision_budget_enforced(self):
         tight = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12, max_subdivisions=0)
         with pytest.raises(QuadratureNotConverged):
-            _integrate_pieces([(lambda ts: [math.sin(40.0 * t) for t in ts], 0.0, 1.0, 1)], tight)
+            _integrate_pieces([(lambda cs, ts: [math.sin(40.0 * t) for t in ts], 0.0, 1.0, 1, 1)],
+                              tight)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -269,7 +272,7 @@ class TestCirculation:
     def test_underflowing_exterior_raises_before_quadrature(self, monkeypatch):
         # rho*rho underflows to 0 on these exterior paths: named when the
         # path is cleared, never a ZeroDivisionError from a node
-        def no_quadrature(fn, a, b):
+        def no_quadrature(*args):
             raise AssertionError("quadrature ran before the underflow check")
 
         monkeypatch.setattr(geometry, "_gk15", no_quadrature)
@@ -291,9 +294,9 @@ class TestCirculation:
         panels = []
         gk15 = geometry._gk15
 
-        def counting(fn, a, b):
+        def counting(*args):
             panels[-1] += 1
-            return gk15(fn, a, b)
+            return gk15(*args)
 
         monkeypatch.setattr(geometry, "_gk15", counting)
         values = {}
@@ -303,6 +306,25 @@ class TestCirculation:
         assert len(set(panels)) == 1
         assert values[1000] == 1000 * values[1]
         assert values[-1000] == 1000 * values[-1]
+
+    def test_drifted_error_sum_still_converges(self, monkeypatch):
+        # the first estimate near the thin solenoid is huge, and the running
+        # error sum keeps its rounding far above rel_tol=1e-12 long after the
+        # panels' own estimates meet it; judged on their exact sum it converges
+        f = SolenoidField(B=2.0, R=1e-6, gamma=1.0)
+        tri = Polyline((Point(1.00001e-6, -1.0), Point(1.00001e-6, 1.0), Point(-2.0, 0.0)))
+        spec = QuadratureSpec(rel_tol=1e-12)
+        panels = [0]
+        gk15 = geometry._gk15
+
+        def counting(*args):
+            panels[0] += 1
+            return gk15(*args)
+
+        monkeypatch.setattr(geometry, "_gk15", counting)
+        value = circulation(f, tri, spec)
+        assert abs(value - TWO_PI) <= max(spec.abs_tol, spec.rel_tol * TWO_PI)
+        assert panels[0] <= 500
 
     def test_integrands_build_no_points_or_vectors(self, monkeypatch):
         f = SolenoidField(B=2.0, R=1.0, gamma=1.3)
@@ -343,9 +365,9 @@ class TestOpenIntegrals:
         panels = []
         gk15 = geometry._gk15
 
-        def counting(fn, a, b):
+        def counting(*args):
             panels[-1] += 1
-            return gk15(fn, a, b)
+            return gk15(*args)
 
         monkeypatch.setattr(geometry, "_gk15", counting)
         sweep = 1e5
@@ -411,7 +433,7 @@ class TestFluxDirect:
             sector_flux(f, 1.5, 2.0, math.pi, 0.0)
 
     def test_sector_across_band_rejected_at_entry(self, monkeypatch):
-        def no_quadrature(fn, a, b):
+        def no_quadrature(*args):
             raise AssertionError("quadrature ran before the band check")
 
         monkeypatch.setattr(geometry, "_gk15", no_quadrature)
@@ -530,7 +552,7 @@ class TestIntegrandsMatchPointwiseFormulas:
                 Circle(Point(3.0 * f.R * math.cos(a), 3.0 * f.R * math.sin(a)), f.R, 2),
             ]
             for circle in arcs:
-                [(fn, _, _, _)] = self.pieces_of(monkeypatch, lambda: circulation(f, circle))
+                [(fn, _, _, _, _)] = self.pieces_of(monkeypatch, lambda: circulation(f, circle))
                 c0, r = circle.center, circle.radius
                 sweep = math.copysign(TWO_PI, circle.turns)
                 k = r * sweep
@@ -539,18 +561,22 @@ class TestIntegrandsMatchPointwiseFormulas:
                     c, s = math.cos(sweep * t), math.sin(sweep * t)
                     point = Point(c0.x + r * c, c0.y + r * s)
                     expected.append(eval_A(f, point).dot(Vec3(-k * s, k * c, 0.0)))
-                assert fn(ts) == expected
+                assert fn([0], ts) == expected
 
             inner = star_loop(rng, 1, 0.3 * f.R, 0.6 * f.R, z_jitter=0.2)
             outer = star_loop(rng, -2, 1.5 * f.R, 4.0 * f.R, z_jitter=0.2)
             for loop in (inner, outer):
-                pieces = self.pieces_of(monkeypatch, lambda: circulation(f, loop))
-                assert len(pieces) == len(loop.vertices)
-                for (fn, _, _, _), (p, q) in zip(pieces, loop._edges()):
+                [(fn, _, _, seed, curves)] = self.pieces_of(
+                    monkeypatch, lambda: circulation(f, loop))
+                assert seed == curves == len(loop.vertices)
+                batch = []
+                for c, (p, q) in enumerate(loop._edges()):
                     d = Vec3(q.x - p.x, q.y - p.y, q.z - p.z)
                     expected = [eval_A(f, Point(p.x + t * d.x, p.y + t * d.y)).dot(d)
                                 for t in ts]
-                    assert fn(ts) == expected
+                    assert fn([c], ts) == expected
+                    batch += expected
+                assert fn(range(curves), ts) == batch
 
     def test_sector_radial_values_equal_the_tensor_sum_of_eval_b(self, monkeypatch):
         rng = random.Random(61)
@@ -562,7 +588,7 @@ class TestIntegrandsMatchPointwiseFormulas:
             mid, half = 0.5 * (phi_min + phi_max), 0.5 * (phi_max - phi_min)
             for lo, hi in ((0.0, f.R - band), (0.2 * f.R, 0.7 * f.R),
                            (f.R + band, 3.0 * f.R), (1.5 * f.R, 2.5 * f.R)):
-                [(fn, a, b, _)] = self.pieces_of(
+                [(fn, a, b, _, _)] = self.pieces_of(
                     monkeypatch, lambda: sector_flux(f, lo, hi, phi_min, phi_max))
                 rhos = [a + (b - a) * rng.uniform(0.01, 0.99) for _ in range(15)]
                 expected = []
@@ -573,4 +599,127 @@ class TestIntegrandsMatchPointwiseFormulas:
                         point = Point(rho * math.cos(th), rho * math.sin(th))
                         acc += half * w * eval_B(f, point).z
                     expected.append(rho * acc)
-                assert fn(rhos) == expected
+                assert fn([0], rhos) == expected
+
+
+class TestBatchedKernelMatchesReference:
+    """Each pass calls a piece's integrand once, and a polyline is one
+    piece; values must be repr-equal to the per-panel, per-edge reference
+    kernel's, from as many _gk15 panels."""
+
+    @staticmethod
+    def counted(monkeypatch, call):
+        panels = [0]
+        gk15 = geometry._gk15
+
+        def counting(*args):
+            panels[0] += 1
+            return gk15(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(geometry, "_gk15", counting)
+            value = call()
+        return repr(value), panels[0]
+
+    @staticmethod
+    def expected(pieces, spec, scale=1):
+        value, panels = reference.integrate(pieces, spec)
+        return repr(value * scale), panels
+
+    @pytest.mark.parametrize("spec", [QuadratureSpec(), QuadratureSpec(rel_tol=1e-12)])
+    def test_polylines(self, spec, monkeypatch):
+        rng = random.Random(67)
+        splits = 0
+        for _ in range(8):
+            f = random_field(rng)
+            loops = ((star_loop(rng, 1, 0.3 * f.R, 0.6 * f.R, z_jitter=0.2), True),
+                     (star_loop(rng, rng.choice((-2, 1, 3)), 1.5 * f.R, 4.0 * f.R), False),
+                     (offset_loop(rng, f.R), False))
+            for loop, inside in loops:
+                edges = [reference.edge_piece(f, inside, p, q) for p, q in loop._edges()]
+                want = self.expected(edges, spec)
+                assert self.counted(monkeypatch, lambda: circulation(f, loop, spec)) == want
+                splits += want[1] - len(edges)
+        assert splits > 0
+
+    @pytest.mark.parametrize("spec", [QuadratureSpec(), QuadratureSpec(rel_tol=1e-12)])
+    def test_arcs(self, spec, monkeypatch):
+        rng = random.Random(71)
+        for _ in range(8):
+            f = random_field(rng)
+            a = rng.uniform(0.0, TWO_PI)
+            circles = ((Circle(ORIGIN, rng.uniform(1.5, 4.0) * f.R, -2), False),
+                       (Circle(ORIGIN, rng.uniform(0.1, 0.9) * f.R, 1), True),
+                       (Circle(Point(3.0 * f.R * math.cos(a), 3.0 * f.R * math.sin(a)),
+                               f.R, 3), False),
+                       (Circle(Point(0.2 * f.R * math.cos(a), 0.2 * f.R * math.sin(a)),
+                               0.5 * f.R, -1), True))
+            for circle, inside in circles:
+                c = circle.center
+                arc = reference.arc_piece(f, inside, c.x, c.y, circle.radius, 0.0,
+                                          math.copysign(TWO_PI, circle.turns))
+                want = self.expected([arc], spec, abs(circle.turns))
+                assert self.counted(monkeypatch, lambda: circulation(f, circle, spec)) == want
+            rho, start = rng.uniform(1.5, 4.0) * f.R, rng.uniform(-1.0, 1.0)
+            sweep = rng.uniform(-5.0, 5.0)
+            arc = reference.arc_piece(f, False, 0.0, 0.0, rho, start, sweep)
+            want = self.expected([arc], spec)
+            assert self.counted(
+                monkeypatch, lambda: arc_integral(f, rho, start, start + sweep, spec=spec)) == want
+
+    def test_segments(self, monkeypatch):
+        rng = random.Random(73)
+        for _ in range(12):
+            f = random_field(rng)
+            a = rng.uniform(0.0, TWO_PI)
+            b = a + rng.uniform(-1.0, 1.0)
+            for lo, hi, inside in ((1.5, 4.0, False), (0.1, 0.9, True)):
+                r1, r2 = rng.uniform(lo, hi) * f.R, rng.uniform(lo, hi) * f.R
+                p = Point(r1 * math.cos(a), r1 * math.sin(a), rng.uniform(-1.0, 1.0))
+                q = Point(r2 * math.cos(b), r2 * math.sin(b))
+                want = self.expected([reference.edge_piece(f, inside, p, q)], QuadratureSpec())
+                assert self.counted(monkeypatch, lambda: segment_integral(f, p, q)) == want
+
+
+class TestTracerContract:
+    """What perfbench/tracing.py counts work from, outside the package:
+    it wraps geometry._integrate_pieces(pieces, spec) and geometry._gk15
+    by name, takes each piece's seed count from piece[3], and counts
+    every two panels past the seeds as one split."""
+
+    def test_panels_are_seeds_plus_two_per_split(self, monkeypatch):
+        tally = {"seeds": 0, "panels": 0, "passes": 0, "pieces": 0}
+        integrate, gk15 = geometry._integrate_pieces, geometry._gk15
+
+        def counted(fn):
+            def integrand(*args):
+                tally["passes"] += 1
+                return fn(*args)
+            return integrand
+
+        def tracing(pieces, spec):
+            pieces = list(pieces)
+            tally["pieces"] += len(pieces)
+            tally["seeds"] += sum(piece[3] for piece in pieces)
+            return integrate([(counted(piece[0]), *piece[1:]) for piece in pieces], spec)
+
+        def panel(*args):
+            tally["panels"] += 1
+            return gk15(*args)
+
+        monkeypatch.setattr(geometry, "_integrate_pieces", tracing)
+        monkeypatch.setattr(geometry, "_gk15", panel)
+        rng = random.Random(79)
+        fine = QuadratureSpec(rel_tol=1e-12)
+        for _ in range(4):
+            f = random_field(rng)
+            circulation(f, star_loop(rng, 2, 1.5 * f.R, 4.0 * f.R), fine)
+            circulation(f, Circle(Point(3.0 * f.R, 0.0), f.R, 2), fine)
+            segment_integral(f, Point(2.0 * f.R, 0.0), Point(0.0, 3.0 * f.R), fine)
+            arc_integral(f, 0.5 * f.R, 0.0, 1e3, spec=fine)
+            flux_direct(f, 3.0 * f.R)
+        # every pass is one integrand call: the seed pass of each piece, then
+        # one per split, which evaluates both halves of one panel
+        splits = tally["passes"] - tally["pieces"]
+        assert splits > 0
+        assert tally["panels"] == tally["seeds"] + 2 * splits

@@ -184,9 +184,9 @@ class TestSplitDiscPieces:
         panels = [0]
         gk15 = geometry._gk15
 
-        def counting(fn, a, b):
+        def counting(*args):
             panels[0] += 1
-            return gk15(fn, a, b)
+            return gk15(*args)
 
         monkeypatch.setattr(geometry, "_gk15", counting)
         counts = []
