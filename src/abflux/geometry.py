@@ -561,11 +561,10 @@ def sector_flux(
     The sector is rho in [rho_min, rho_max], phi in [phi_min, phi_max].
     Radial integration is adaptive; the azimuthal factor uses a fixed
     8-point Gauss-Legendre rule.  The radial range must stay clear of the
-    undefined band at rho = R (callers split there; see flux_direct); it
-    may end on the band's edge, since no quadrature node lies on an
-    endpoint.  So the range lies on one side of rho = R, B_z is taken once
-    from that side, and the radial integrand is rho times the weighted
-    azimuthal sum of that constant.
+    undefined band at rho = R; it may end on the band's edge, since no
+    quadrature node lies on an endpoint.  So the range lies on one side
+    of rho = R, B_z is taken once from that side, and the radial
+    integrand is rho times the weighted azimuthal sum of that constant.
     """
     spec = spec if spec is not None else QuadratureSpec()
     if not (0.0 <= rho_min < rho_max and math.isfinite(rho_max)):
@@ -604,21 +603,17 @@ def _disc_flux(b_z: float, rho_min: float, rho_max: float, phi_min: float, phi_m
 def flux_direct(f: SolenoidField, L: float, spec: QuadratureSpec | None = None) -> float:
     """Magnetic flux through the disc of radius L centered on the axis.
 
-    Integrated in polar form, split at the solenoid surface so each part
-    is smooth: the disc [0, min(L, R)] with the interior B_z = B and, for
-    L > R, the annulus [R, L] with the exterior B_z = 0, each up to
-    rho = R itself.  Analytic value: pi * B * min(L, R)**2, independent
-    of L for all L > R.
+    Only the disc [0, min(L, R)] is integrated in polar form, with the
+    interior B_z = B up to rho = R itself: for L > R the annulus [R, L]
+    carries the exterior B_z = 0 and adds nothing.  Analytic value:
+    pi * B * min(L, R)**2, independent of L for all L > R.
     """
     spec = spec if spec is not None else QuadratureSpec()
     if not (math.isfinite(L) and L > 0.0):
         raise InvalidRadius(f"disc radius must be positive, got {L!r}")
     if abs(L - f.R) <= f.boundary_band:
         raise FieldUndefinedOnSolenoid("disc rim lies in the undefined band at rho = R")
-    inner = _disc_flux(f.B, 0.0, min(L, f.R), 0.0, math.tau, spec)
-    if L < f.R:
-        return inner
-    return inner + _disc_flux(0.0, f.R, L, 0.0, math.tau, spec)
+    return _disc_flux(f.B, 0.0, min(L, f.R), 0.0, math.tau, spec)
 
 
 PathSource = Union[str, Path, TextIO]

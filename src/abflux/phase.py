@@ -86,10 +86,13 @@ def phases_equivalent(q: float, gamma1: float, gamma2: float, tol: float = 1e-9)
 
     Equivalent to q*(gamma1 - gamma2) being an integer (within tol):
     the exterior parameter is observable only through its class mod 1/q.
+    A non-finite q*(gamma1 - gamma2) raises ValueError.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
     x = q * (gamma1 - gamma2)
+    if not math.isfinite(x):
+        raise ValueError(f"q*dgamma must be finite, got q={q!r}, dgamma={gamma1 - gamma2!r}")
     return abs(x - round(x)) <= tol
 
 

@@ -15,6 +15,7 @@ charge is an integer multiple of e/N.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -28,6 +29,12 @@ RationalLike = Union["RationalCharge", Fraction, int, str]
 #: Most charges one spectrum may list; the list is held in memory, so the
 #: bound caps the memory a spectrum call uses.
 _MAX_CHARGES = 10**6
+
+#: Largest decimal exponent magnitude parse accepts: Fraction builds
+#: 10**exponent; the int-string limit already bounds the mantissa.
+_MAX_EXPONENT = 4300
+
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 @total_ordering
@@ -47,7 +54,11 @@ class RationalCharge:
 
     @classmethod
     def parse(cls, text: str) -> "RationalCharge":
-        """Parse "p/d" or "p"."""
+        """Parse "p/d", "p" or a decimal such as "-1.5e3"; a decimal
+        exponent beyond 4300 in magnitude is a ValueError."""
+        exponent = _EXPONENT.search(text)
+        if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
+            raise ValueError(f"exponent of {text!r} exceeds {_MAX_EXPONENT} in magnitude")
         try:
             frac = Fraction(text.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -85,7 +96,7 @@ class ChargeSpectrum:
     N: int
 
     def __post_init__(self):
-        if not isinstance(self.N, int) or self.N < 1:
+        if isinstance(self.N, bool) or not isinstance(self.N, int) or self.N < 1:
             raise ValueError(f"N must be a positive integer, got {self.N!r}")
 
 

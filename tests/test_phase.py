@@ -132,6 +132,16 @@ class TestEquivalence:
         with pytest.raises(ValueError):
             phases_equivalent(1.0, 0.0, 0.0, tol=0.0)
 
+    @pytest.mark.parametrize("q, gamma1, gamma2", [
+        (math.inf, 1.0, 0.5),          # q*dgamma = inf
+        (1e308, 1e308, -1e308),        # dgamma overflows
+        (math.nan, 1.0, 0.5),
+        (0.0, math.inf, 1.0),          # 0*inf = nan
+    ])
+    def test_nonfinite_q_dgamma_named(self, q, gamma1, gamma2):
+        with pytest.raises(ValueError, match=r"q\*dgamma"):
+            phases_equivalent(q, gamma1, gamma2)
+
 
 class TestPeriodicity:
     def test_unit_charge(self):

@@ -61,6 +61,15 @@ class TestRationalCharge:
         with pytest.raises(ValueError):
             RationalCharge.parse("1/0")
 
+    def test_parse_bounds_the_exponent(self):
+        # Fraction builds 10**exponent, so an unbounded exponent is an
+        # unbounded cost
+        for text in ("1e5000", "1e-5000", "2.5E+4301"):
+            with pytest.raises(ValueError, match="exponent"):
+                RationalCharge.parse(text)
+        assert RationalCharge.parse("1e4300") == RationalCharge(10**4300)
+        assert RationalCharge.parse("-1.5e-3") == RationalCharge(-3, 2000)
+
     def test_zero_denominator(self):
         with pytest.raises(ValueError):
             RationalCharge(1, 0)
@@ -103,6 +112,9 @@ class TestChargeAllowed:
             ChargeSpectrum(0)
         with pytest.raises(ValueError):
             ChargeSpectrum(-3)
+        for bad in (True, False, 3.0):
+            with pytest.raises(ValueError):
+                ChargeSpectrum(bad)
 
 
 class TestSpectrum:

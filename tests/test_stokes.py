@@ -143,6 +143,16 @@ class TestChartAudit:
         with pytest.raises(InvalidRadius):
             chart_audit(ab_standard(2.0, 1.0), 0.9)
 
+    @pytest.mark.parametrize("spec", [QuadratureSpec(), QuadratureSpec(rel_tol=1e-12)])
+    def test_is_the_annulus_flux_magnitude(self, spec):
+        # the two-sector assembly is zero by construction, so the audit is
+        # exactly |phi_2| from the two-boundary route
+        rng = random.Random(89)
+        for _ in range(12):
+            f = random_field(rng)
+            L = f.R * rng.uniform(1.2, 8.0)
+            assert chart_audit(f, L, spec) == abs(verify_stokes(f, L, spec).phi_2)
+
 
 class TestRequestedTolerance:
     """The split disc meets the tolerance its QuadratureSpec asks for."""
@@ -179,8 +189,8 @@ class TestSplitDiscPieces:
 
     def test_panel_counts(self, monkeypatch):
         # seed panels only: three one-turn circles of 4 and one disc in
-        # verify_stokes, two half-annuli, four cuts and two circles in
-        # chart_audit, a disc and an annulus in flux_direct
+        # verify_stokes, two exterior circles in chart_audit, the interior
+        # disc in flux_direct
         panels = [0]
         gk15 = geometry._gk15
 
@@ -194,7 +204,15 @@ class TestSplitDiscPieces:
             panels[0] = 0
             call(self.F, 2.0)
             counts.append(panels[0])
-        assert counts == [13, 14, 2]
+        assert counts == [13, 8, 1]
+
+    def test_flux_direct_exactly_independent_of_outer_radius(self):
+        # beyond rho = R the disc adds only the exterior B_z = 0
+        rng = random.Random(97)
+        for _ in range(8):
+            f = random_field(rng)
+            values = {flux_direct(f, f.R * s) for s in (1.0 + 1e-6, 1.5, 4.0, 1e6)}
+            assert len(values) == 1
 
     def test_outer_radius_just_clear_of_the_band(self):
         # inside the path clearance margin of 1e-6*R, outside 10 bands
