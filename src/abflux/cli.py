@@ -20,7 +20,10 @@ Only the standard library and ``errors`` are imported at module level.
 Each command function and parsing helper imports the library layers it
 uses, so a process loads only what its subcommand needs: ``quantize``
 never loads the quadrature engine, and ``circulation`` never loads
-``fractions``.
+``fractions``.  The value types are immutable slotted records
+(``abflux._record``), not dataclasses, so only ``stokes`` and
+``chart-audit``, whose report is a dataclass, load ``dataclasses`` and
+the ``inspect`` module it imports.
 """
 
 from __future__ import annotations
@@ -134,7 +137,7 @@ def _resolve_field(args: argparse.Namespace, config: dict) -> SolenoidField:
 
 
 def _resolve_quadrature(args: argparse.Namespace, config: dict) -> QuadratureSpec:
-    from .geometry import QuadratureSpec, _json_float, _json_int
+    from .geometry import _DEFAULT_SPEC, QuadratureSpec, _json_float, _json_int
 
     data = _config_section(config, "quadrature")
     if getattr(args, "rel_tol", None) is not None:
@@ -143,7 +146,7 @@ def _resolve_quadrature(args: argparse.Namespace, config: dict) -> QuadratureSpe
         data["abs_tol"] = args.abs_tol
     if getattr(args, "max_subdivisions", None) is not None:
         data["max_subdivisions"] = args.max_subdivisions
-    base = QuadratureSpec()
+    base = _DEFAULT_SPEC
     return QuadratureSpec(
         rel_tol=_json_float(data.get("rel_tol", base.rel_tol), "rel_tol"),
         abs_tol=_json_float(data.get("abs_tol", base.abs_tol), "abs_tol"),
@@ -305,9 +308,10 @@ def _cmd_quantize_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_quantize_infer(args: argparse.Namespace) -> int:
-    from .quantize import RationalCharge, infer_minimal_N
+    from .quantize import RationalCharge, _require_printable, infer_minimal_N
 
     lattice = infer_minimal_N([RationalCharge.parse(c) for c in args.charges])
+    _require_printable(lattice.N, f"N inferred from {' '.join(args.charges)}")
     print(lattice.N)
     return 0
 

@@ -21,8 +21,8 @@ which is represented by a thin exclusion band around rho = R.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import (
     AxisSingularity,
     FieldUndefinedOnSolenoid,
@@ -42,16 +42,16 @@ def _require_finite(label: str, *values: float) -> None:
             raise ValueError(f"{label} must be finite, got {v!r}")
 
 
-@dataclass(frozen=True)
-class Vec3:
+class Vec3(Record):
     """Cartesian 3-vector with finite components."""
 
-    x: float
-    y: float
-    z: float
+    __slots__ = _fields = ("x", "y", "z")
 
-    def __post_init__(self):
-        _require_finite("Vec3 component", self.x, self.y, self.z)
+    def __init__(self, x: float, y: float, z: float):
+        _require_finite("Vec3 component", x, y, z)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
 
     def dot(self, other: "Vec3") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
@@ -65,16 +65,16 @@ class Vec3:
         yield self.z
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Record):
     """Point stored Cartesian; cylindrical coordinates are derived."""
 
-    x: float
-    y: float
-    z: float = 0.0
+    __slots__ = _fields = ("x", "y", "z")
 
-    def __post_init__(self):
-        _require_finite("Point coordinate", self.x, self.y, self.z)
+    def __init__(self, x: float, y: float, z: float = 0.0):
+        _require_finite("Point coordinate", x, y, z)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
 
     @classmethod
     def from_cylindrical(cls, rho: float, phi: float, z: float = 0.0) -> "Point":
@@ -93,8 +93,7 @@ class Point:
         return angle + math.tau if angle < 0.0 else angle
 
 
-@dataclass(frozen=True)
-class SolenoidField:
+class SolenoidField(Record):
     """Solenoid of radius R with interior field strength B and exterior
     circulation parameter gamma (circulation / 2*pi).
 
@@ -103,14 +102,15 @@ class SolenoidField:
     B may carry either sign (field along -z for B < 0).
     """
 
-    B: float
-    R: float
-    gamma: float
+    __slots__ = _fields = ("B", "R", "gamma")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.R) and self.R > 0.0):
-            raise InvalidRadius(f"solenoid radius must be positive, got {self.R!r}")
-        _require_finite("field parameter", self.B, self.gamma)
+    def __init__(self, B: float, R: float, gamma: float):
+        if not (math.isfinite(R) and R > 0.0):
+            raise InvalidRadius(f"solenoid radius must be positive, got {R!r}")
+        _require_finite("field parameter", B, gamma)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "gamma", gamma)
 
     @property
     def kappa(self) -> float:

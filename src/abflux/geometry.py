@@ -43,12 +43,12 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from itertools import count
 from math import cos, hypot, sin
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TextIO, Union
 
+from ._record import Record
 from .errors import (
     FieldUndefinedOnSolenoid,
     InvalidRadius,
@@ -70,8 +70,7 @@ _Integrand = Callable[[Sequence[int], list[float]], list[float]]
 _Piece = tuple[_Integrand, float, float, int, int]
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(Record):
     """Tolerances and budget for the adaptive integrator.
 
     ``max_subdivisions`` counts bisections only.  The seed panels every
@@ -80,17 +79,23 @@ class QuadratureSpec:
     grows linearly with the size of the path.
     """
 
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 2**20
+    __slots__ = _fields = ("rel_tol", "abs_tol", "max_subdivisions")
 
-    def __post_init__(self):
-        for tol in (self.rel_tol, self.abs_tol):
+    def __init__(self, rel_tol: float = 1e-9, abs_tol: float = 1e-12,
+                 max_subdivisions: int = 2**20):
+        for tol in (rel_tol, abs_tol):
             if not (math.isfinite(tol) and tol > 0.0):
                 raise ValueError(f"quadrature tolerances must be finite and positive, got {tol!r}")
-        n = self.max_subdivisions
+        n = max_subdivisions
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise ValueError(f"max_subdivisions must be a nonnegative integer, got {n!r}")
+        object.__setattr__(self, "rel_tol", rel_tol)
+        object.__setattr__(self, "abs_tol", abs_tol)
+        object.__setattr__(self, "max_subdivisions", max_subdivisions)
+
+
+#: The spec of every call that passes none
+_DEFAULT_SPEC = QuadratureSpec()
 
 
 # Gauss-Kronrod 7/15 pair: nonnegative Kronrod abscissae with their
@@ -357,8 +362,7 @@ def _ring(f: SolenoidField, inside: bool, rho: float, spec: QuadratureSpec) -> f
     return _integrate_pieces([_arc_piece(f, inside, 0.0, 0.0, rho, 0.0, math.tau)], spec)
 
 
-@dataclass(frozen=True)
-class Circle:
+class Circle(Record):
     """Circle of given radius in the plane z = center.z.
 
     Traversed counterclockwise for turns > 0 and clockwise for turns < 0,
@@ -366,47 +370,40 @@ class Circle:
     center.
     """
 
-    center: Point
-    radius: float
-    turns: int = 1
+    __slots__ = _fields = ("center", "radius", "turns")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise ValueError(f"circle radius must be positive, got {self.radius!r}")
-        if isinstance(self.turns, bool) or not isinstance(self.turns, int) or self.turns == 0:
-            raise ValueError(f"turns must be a nonzero integer, got {self.turns!r}")
+    def __init__(self, center: Point, radius: float, turns: int = 1):
+        if not (math.isfinite(radius) and radius > 0.0):
+            raise ValueError(f"circle radius must be positive, got {radius!r}")
+        if isinstance(turns, bool) or not isinstance(turns, int) or turns == 0:
+            raise ValueError(f"turns must be a nonzero integer, got {turns!r}")
         try:
-            float(self.turns)
+            float(turns)
         except OverflowError:
             raise ValueError("turns is beyond floating-point range") from None
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "turns", turns)
 
-    def _rho_intervals(self) -> list[tuple[float, float]]:
-        d = math.hypot(self.center.x, self.center.y)
-        return [(abs(d - self.radius), d + self.radius)]
 
-
-@dataclass(frozen=True)
-class Polyline:
+class Polyline(Record):
     """Closed polygonal path: vertices joined in order, last back to first.
 
     Vertices may vary in z; only the xy-projection interacts with the
     solenoid geometry (the potential has no z-component).
     """
 
-    vertices: tuple[Point, ...]
+    __slots__ = _fields = ("vertices",)
 
-    def __post_init__(self):
-        verts = tuple(self.vertices)
-        object.__setattr__(self, "vertices", verts)
+    def __init__(self, vertices: Iterable[Point]):
+        verts = tuple(vertices)
         if len(verts) < 3:
             raise ValueError("a closed polyline needs at least 3 vertices")
+        object.__setattr__(self, "vertices", verts)
 
     def _edges(self) -> list[tuple[Point, Point]]:
         v = self.vertices
         return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
-
-    def _rho_intervals(self) -> list[tuple[float, float]]:
-        return [_segment_rho_range(p, q) for p, q in self._edges()]
 
 
 ClosedPath = Union[Circle, Polyline]
@@ -496,21 +493,24 @@ def circulation(
     path inside the solenoid it is B/2 times twice the enclosed area.
     A circle is integrated over one revolution and scaled by |turns|.
     """
-    spec = spec if spec is not None else QuadratureSpec()
-    inside = _require_clearance(path._rho_intervals(), f)
+    spec = spec if spec is not None else _DEFAULT_SPEC
     if isinstance(path, Circle):
         c = path.center
+        d = math.hypot(c.x, c.y)
+        inside = _require_clearance([(abs(d - path.radius), d + path.radius)], f)
         arc = _arc_piece(f, inside, c.x, c.y, path.radius, 0.0,
                          math.copysign(math.tau, path.turns))
         return _require_finite_integral(_integrate_pieces([arc], spec) * abs(path.turns))
-    return _integrate_pieces([_edge_piece(f, inside, path._edges())], spec)
+    edges = path._edges()
+    inside = _require_clearance([_segment_rho_range(p, q) for p, q in edges], f)
+    return _integrate_pieces([_edge_piece(f, inside, edges)], spec)
 
 
 def segment_integral(
     f: SolenoidField, start: Point, end: Point, spec: QuadratureSpec | None = None
 ) -> float:
     """Line integral of the vector potential along one straight segment."""
-    spec = spec if spec is not None else QuadratureSpec()
+    spec = spec if spec is not None else _DEFAULT_SPEC
     inside = _require_clearance([_segment_rho_range(start, end)], f)
     return _integrate_pieces([_edge_piece(f, inside, [(start, end)])], spec)
 
@@ -528,7 +528,7 @@ def arc_integral(
     Whole turns of the sweep are integrated once and scaled by their
     count, like the turns of a circle, and the remainder arc is added.
     """
-    spec = spec if spec is not None else QuadratureSpec()
+    spec = spec if spec is not None else _DEFAULT_SPEC
     if not (math.isfinite(rho) and rho > 0.0):
         raise InvalidRadius(f"arc radius must be positive, got {rho!r}")
     _require_finite("angle", phi_start, phi_end)
@@ -566,7 +566,7 @@ def sector_flux(
     of rho = R, B_z is taken once from that side, and the radial
     integrand is rho times the weighted azimuthal sum of that constant.
     """
-    spec = spec if spec is not None else QuadratureSpec()
+    spec = spec if spec is not None else _DEFAULT_SPEC
     if not (0.0 <= rho_min < rho_max and math.isfinite(rho_max)):
         raise ValueError(f"bad radial range [{rho_min!r}, {rho_max!r}]")
     _require_finite("angle", phi_min, phi_max)
@@ -608,7 +608,7 @@ def flux_direct(f: SolenoidField, L: float, spec: QuadratureSpec | None = None) 
     carries the exterior B_z = 0 and adds nothing.  Analytic value:
     pi * B * min(L, R)**2, independent of L for all L > R.
     """
-    spec = spec if spec is not None else QuadratureSpec()
+    spec = spec if spec is not None else _DEFAULT_SPEC
     if not (math.isfinite(L) and L > 0.0):
         raise InvalidRadius(f"disc radius must be positive, got {L!r}")
     if abs(L - f.R) <= f.boundary_band:

@@ -11,8 +11,8 @@ physical content, and it is periodic in gamma with period 1/q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import ZeroCharge
 from .fields import SolenoidField
 from .geometry import ClosedPath, QuadratureSpec, circulation
@@ -22,20 +22,19 @@ from .geometry import ClosedPath, QuadratureSpec, circulation
 _MAX_SAMPLES = 10**6
 
 
-@dataclass(frozen=True)
-class PhaseFactor:
+class PhaseFactor(Record):
     """Angle theta of a unit phase factor exp(-i*theta), kept in [0, 2*pi).
 
     Equality on the circle is tolerance-based and wrap-aware: angles just
     above 0 and just below 2*pi compare close.
     """
 
-    angle: float
+    __slots__ = _fields = ("angle",)
 
-    def __post_init__(self):
-        if not math.isfinite(self.angle):
-            raise ValueError(f"phase angle must be finite, got {self.angle!r}")
-        reduced = self.angle % math.tau
+    def __init__(self, angle: float):
+        if not math.isfinite(angle):
+            raise ValueError(f"phase angle must be finite, got {angle!r}")
+        reduced = angle % math.tau
         if reduced >= math.tau:  # float % can round up to the modulus
             reduced -= math.tau
         object.__setattr__(self, "angle", reduced)
@@ -104,26 +103,25 @@ def periodicity_check(q: float, gamma: float) -> bool:
     return shifted.isclose(phase_closed_form(q, gamma, 1), tol=1e-12)
 
 
-@dataclass(frozen=True)
-class InterferometerGeometry:
+class InterferometerGeometry(Record):
     """Two-beam far-field fringe geometry."""
 
-    slit_separation: float
-    screen_distance: float
-    wavenumber: float
-    half_extent: float
-    samples: int = 201
+    __slots__ = _fields = (
+        "slit_separation", "screen_distance", "wavenumber", "half_extent", "samples",
+    )
 
-    def __post_init__(self):
-        for name in ("slit_separation", "screen_distance", "wavenumber", "half_extent"):
-            v = getattr(self, name)
+    def __init__(self, slit_separation: float, screen_distance: float, wavenumber: float,
+                 half_extent: float, samples: int = 201):
+        values = (slit_separation, screen_distance, wavenumber, half_extent, samples)
+        for name, v in zip(self._fields[:4], values):
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
-        n = self.samples
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise ValueError(f"samples must be an integer, got {n!r}")
-        if not 2 <= n <= _MAX_SAMPLES:
-            raise ValueError(f"samples must be between 2 and {_MAX_SAMPLES}, got {n!r}")
+        if isinstance(samples, bool) or not isinstance(samples, int):
+            raise ValueError(f"samples must be an integer, got {samples!r}")
+        if not 2 <= samples <= _MAX_SAMPLES:
+            raise ValueError(f"samples must be between 2 and {_MAX_SAMPLES}, got {samples!r}")
+        for name, v in zip(self._fields, values):
+            object.__setattr__(self, name, v)
 
 
 def interference(

@@ -3,7 +3,8 @@
 Charges are measured in units of the reference charge e (the electron's)
 and kappa in units of 1/e, so every condition below is a statement about
 exact rationals.  No floating point enters this module; denominators may
-be arbitrarily large.
+be arbitrarily large, except that RationalCharge.parse bounds the ones it
+reads from text.
 
 The chain of conditions: a loop phase is unobservable iff q*kappa is an
 integer for every realizable charge q.  Applying that to the reference
@@ -16,12 +17,12 @@ charge is an integer multiple of e/N.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import lcm
 from typing import Iterable, Union
 
+from ._record import Record
 from .errors import EmptyChargeSet
 
 RationalLike = Union["RationalCharge", Fraction, int, str]
@@ -31,31 +32,42 @@ RationalLike = Union["RationalCharge", Fraction, int, str]
 _MAX_CHARGES = 10**6
 
 #: Largest decimal exponent magnitude parse accepts: Fraction builds
-#: 10**exponent; the int-string limit already bounds the mantissa.
+#: 10**exponent.  In lowest terms a parsed numerator or denominator may
+#: have one digit more, as 10**_MAX_EXPONENT does.
 _MAX_EXPONENT = 4300
+
+#: Most decimal digits an int may have to print under the interpreter's
+#: default int-string limit.  parse reads at most twice as many digits
+#: from one text (a numerator and a denominator), whatever that limit is
+#: set to, since reading a digit string takes time quadratic in its length.
+_MAX_DIGITS = 4300
 
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 @total_ordering
-@dataclass(frozen=True, eq=True)
-class RationalCharge:
+class RationalCharge(Record):
     """Charge q/e as an exact rational, normalized to lowest terms."""
 
-    numerator: int
-    denominator: int = 1
+    __slots__ = _fields = ("numerator", "denominator")
 
-    def __post_init__(self):
-        if self.denominator == 0:
+    def __init__(self, numerator: int, denominator: int = 1):
+        if denominator == 0:
             raise ValueError("denominator must be nonzero")
-        frac = Fraction(self.numerator, self.denominator)
+        frac = Fraction(numerator, denominator)
         object.__setattr__(self, "numerator", frac.numerator)
         object.__setattr__(self, "denominator", frac.denominator)
 
     @classmethod
     def parse(cls, text: str) -> "RationalCharge":
-        """Parse "p/d", "p" or a decimal such as "-1.5e3"; a decimal
-        exponent beyond 4300 in magnitude is a ValueError."""
+        """Parse "p/d", "p" or a decimal such as "-1.5e3".
+
+        A text of more than 8600 digits, a decimal exponent beyond 4300
+        in magnitude, or a numerator or denominator of more than 4301
+        digits in lowest terms is a ValueError.
+        """
+        if sum(map(str.isdecimal, text)) > 2 * _MAX_DIGITS:
+            raise ValueError(f"charge text holds more than {2 * _MAX_DIGITS} digits")
         exponent = _EXPONENT.search(text)
         if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
             raise ValueError(f"exponent of {text!r} exceeds {_MAX_EXPONENT} in magnitude")
@@ -63,6 +75,12 @@ class RationalCharge:
             frac = Fraction(text.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational charge: {text!r}") from exc
+        most = _MAX_EXPONENT + 1
+        if _too_long(frac.numerator, most) or _too_long(frac.denominator, most):
+            raise ValueError(
+                f"{text!r} in lowest terms has a numerator or denominator of more than "
+                f"{most} digits"
+            )
         return cls(frac.numerator, frac.denominator)
 
     @classmethod
@@ -89,15 +107,28 @@ class RationalCharge:
         return f"{self.numerator}/{self.denominator}"
 
 
-@dataclass(frozen=True)
-class ChargeSpectrum:
+def _too_long(value: int, digits: int) -> bool:
+    """True when |value| has more than `digits` decimal digits.  Since
+    2**(3*digits) < 10**digits, a shorter value needs no power built."""
+    return value.bit_length() > 3 * digits and abs(value) >= 10**digits
+
+
+def _require_printable(value: int, label: str) -> None:
+    """ValueError naming label when value has more digits than the
+    interpreter's default int-string limit lets it print."""
+    if _too_long(value, _MAX_DIGITS):
+        raise ValueError(f"{label} has more than {_MAX_DIGITS} digits, too many to print")
+
+
+class ChargeSpectrum(Record):
     """Charge lattice {n/N * e : n integer}; N is the universal denominator."""
 
-    N: int
+    __slots__ = _fields = ("N",)
 
-    def __post_init__(self):
-        if isinstance(self.N, bool) or not isinstance(self.N, int) or self.N < 1:
-            raise ValueError(f"N must be a positive integer, got {self.N!r}")
+    def __init__(self, N: int):
+        if isinstance(N, bool) or not isinstance(N, int) or N < 1:
+            raise ValueError(f"N must be a positive integer, got {N!r}")
+        object.__setattr__(self, "N", N)
 
 
 def _as_fraction(value: RationalLike) -> Fraction:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidRadius, QuadratureNotConverged
 from .fields import SolenoidField, _require_no_underflow
-from .geometry import QuadratureSpec, _disc_flux, _ring
+from .geometry import _DEFAULT_SPEC, QuadratureSpec, _disc_flux, _ring
 
 @dataclass(frozen=True)
 class StokesReport:
@@ -90,7 +90,7 @@ def verify_stokes(
     or the computation is rejected.  The reported phi_1 is the
     circulation value.
     """
-    spec = spec if spec is not None else QuadratureSpec()
+    spec = spec if spec is not None else _DEFAULT_SPEC
     _require_outer_radius(f, L)
 
     phi_1 = _ring(f, True, f.R, spec)
@@ -132,7 +132,7 @@ def chart_audit(f: SolenoidField, L: float, spec: QuadratureSpec | None = None) 
     |circ(L) - circ(R+)|; a value at roundoff scale shows the seam
     contributes nothing.
     """
-    spec = spec if spec is not None else QuadratureSpec()
+    spec = spec if spec is not None else _DEFAULT_SPEC
     _require_outer_radius(f, L)
     circ_inner = _ring(f, False, f.R, spec)
     circ_outer = _ring(f, False, L, spec)

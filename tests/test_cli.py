@@ -311,6 +311,17 @@ class TestQuantizeCommand:
         code, out, _ = run_cli(capsys, "quantize", "check", "1e4300", "--N", "3")
         assert code == 0 and out.strip() == "true"
 
+    def test_unprintable_N_named_exit_2(self, capsys):
+        # N = 10**4300 has one digit more than the interpreter prints
+        code, out, err = run_cli(capsys, "quantize", "infer", "1e-4300", "1/3")
+        assert code == 2 and out == ""
+        assert err.startswith("ValueError: N inferred from 1e-4300 1/3 has more than 4300 digits")
+        code, out, _ = run_cli(capsys, "quantize", "infer", "1e-4299")
+        assert code == 0 and out == f"{10**4299}\n"
+        # each denominator prints, their lcm does not
+        code, out, err = run_cli(capsys, "quantize", "infer", f"1/{2**9000}", f"1/{3**6000}")
+        assert code == 2 and out == "" and "has more than 4300 digits" in err
+
 
 class TestConfigHandling:
     def test_config_file(self, capsys, tmp_path):

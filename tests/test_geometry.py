@@ -332,11 +332,11 @@ class TestCirculation:
                  Polyline((Point(2, -2), Point(2, 2), Point(-2, 2), Point(-2, -2))))
         start, end = Point(1.5, 0.0), Point(4.0, 1.0)
 
-        def forbidden(self):
+        def forbidden(self, *args, **kwargs):
             raise AssertionError(f"{type(self).__name__} built during quadrature")
 
-        monkeypatch.setattr(fields.Point, "__post_init__", forbidden)
-        monkeypatch.setattr(fields.Vec3, "__post_init__", forbidden)
+        monkeypatch.setattr(fields.Point, "__init__", forbidden)
+        monkeypatch.setattr(fields.Vec3, "__init__", forbidden)
         for loop in loops:
             circulation(f, loop)
         segment_integral(f, start, end)

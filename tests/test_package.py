@@ -54,11 +54,23 @@ print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
+#: loaded only for StokesReport, the one dataclass; the value types are
+#: records (abflux._record), so no other subcommand imports them
+DATACLASSES = {"dataclasses", "inspect"}
+
+
 @pytest.mark.parametrize("argv, absent", [
     (("quantize", "check", "1/3", "--N", "3"),
-     {"abflux.fields", "abflux.geometry", "abflux.stokes", "abflux.phase"}),
+     {"abflux.fields", "abflux.geometry", "abflux.stokes", "abflux.phase", *DATACLASSES}),
+    (("quantize", "spectrum", "--N", "3", "--n-min", "-1", "--n-max", "1"), DATACLASSES),
+    (("quantize", "infer", "2/3", "-1/3"), DATACLASSES),
+    (("quantize", "kappa", "3", "2/3"), DATACLASSES),
     (("circulation", "--gamma", "1", "--circle", "r=3"),
-     {"abflux.quantize", "abflux.stokes", "fractions"}),
+     {"abflux.quantize", "abflux.stokes", "fractions", *DATACLASSES}),
+    (("flux", "--B", "1", "--L", "2"), DATACLASSES),
+    (("phase", "--q", "1", "--gamma", "0.5"), DATACLASSES),
+    (("phase", "--q", "1", "--gamma", "0.5", "--circle", "r=2"), DATACLASSES),
+    (("interfere", "--q", "1", "--samples", "3"), DATACLASSES),
     (("stokes", "--B", "1", "--R", "1", "--L", "2"),
      {"abflux.quantize", "abflux.phase"}),
 ])

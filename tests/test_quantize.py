@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,23 @@ class TestRationalCharge:
                 RationalCharge.parse(text)
         assert RationalCharge.parse("1e4300") == RationalCharge(10**4300)
         assert RationalCharge.parse("-1.5e-3") == RationalCharge(-3, 2000)
+
+    @pytest.mark.parametrize("int_max_str_digits", [0, 4300])
+    def test_parse_bounds_digits_whatever_the_int_limit(self, int_max_str_digits):
+        # with the interpreter's limit lifted, reading a digit string takes
+        # time quadratic in its length, and only parse's own bound is left
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(int_max_str_digits)
+        try:
+            with pytest.raises(ValueError, match="more than 8600 digits"):
+                RationalCharge.parse("1" * 200_000)
+            for text in ("1" * 4302, "1/" + "3" * 4302, "9" * 4300 + "e2"):
+                with pytest.raises(ValueError):
+                    RationalCharge.parse(text)
+            assert RationalCharge.parse("1e-4300") == RationalCharge(1, 10**4300)
+            assert RationalCharge.parse("6" * 4300 + "/" + "3" * 4300) == RationalCharge(2)
+        finally:
+            sys.set_int_max_str_digits(saved)
 
     def test_zero_denominator(self):
         with pytest.raises(ValueError):

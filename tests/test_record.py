@@ -1,0 +1,131 @@
+"""The value types behave as the frozen dataclasses they replace: field
+order, equality, hashing, repr, immutability, copying and validation."""
+
+import copy
+import dataclasses
+import math
+import pickle
+
+import pytest
+
+from abflux.errors import InvalidRadius
+from abflux.fields import Point, SolenoidField, Vec3
+from abflux.geometry import Circle, Polyline, QuadratureSpec
+from abflux.phase import InterferometerGeometry, PhaseFactor
+from abflux.quantize import ChargeSpectrum, RationalCharge
+
+SQUARE = (Point(2.0, -2.0), Point(2.0, 2.0), Point(-2.0, 2.0), Point(-2.0, -2.0))
+
+#: (record, its field names in order, as the dataclass declared them)
+RECORDS = [
+    (Vec3(1.0, -2.5, 0.0), ("x", "y", "z")),
+    (Point(1.0, 2.0, -0.5), ("x", "y", "z")),
+    (SolenoidField(2.0, 1.0, 1.5), ("B", "R", "gamma")),
+    (QuadratureSpec(rel_tol=1e-12), ("rel_tol", "abs_tol", "max_subdivisions")),
+    (Circle(Point(0.5, 0.0, 1.0), 3.0, -2), ("center", "radius", "turns")),
+    (Polyline(SQUARE), ("vertices",)),
+    (PhaseFactor(1.25), ("angle",)),
+    (InterferometerGeometry(1.0, 2.0, 3.0, 4.0, 11),
+     ("slit_separation", "screen_distance", "wavenumber", "half_extent", "samples")),
+    (RationalCharge(-1, 3), ("numerator", "denominator")),
+    (ChargeSpectrum(3), ("N",)),
+]
+IDS = [type(record).__name__ for record, _ in RECORDS]
+
+
+def values(record, names):
+    return tuple(getattr(record, name) for name in names)
+
+
+def as_dataclass(record, names):
+    """The frozen dataclass the record's class used to be, holding its values."""
+    cls = dataclasses.make_dataclass(type(record).__name__, names, frozen=True)
+    return cls(*values(record, names))
+
+
+@pytest.mark.parametrize("record, names", RECORDS, ids=IDS)
+class TestAsDataclass:
+    def test_repr_text(self, record, names):
+        assert repr(record) == repr(as_dataclass(record, names))
+
+    def test_eq_and_hash(self, record, names):
+        twin = type(record)(*values(record, names))
+        assert twin == record and not twin != record
+        assert hash(twin) == hash(record) == hash(as_dataclass(record, names))
+        assert record != as_dataclass(record, names)
+        assert record.__eq__(values(record, names)) is NotImplemented
+
+    def test_keyword_construction(self, record, names):
+        assert type(record)(**dict(zip(names, values(record, names)))) == record
+
+    def test_fields_are_read_only(self, record, names):
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_copy_round_trip(self, record, names, clone):
+        twin = clone(record)
+        assert type(twin) is type(record)
+        assert twin == record and values(twin, names) == values(record, names)
+
+
+def test_records_of_equal_values_differ_by_class():
+    assert Vec3(1.0, 2.0, 3.0) != Point(1.0, 2.0, 3.0)
+    assert PhaseFactor(1.0) != PhaseFactor(2.0)
+
+
+def test_defaults_and_positional_construction():
+    assert Point(1.0, 2.0) == Point(1.0, 2.0, 0.0) == Point(x=1.0, y=2.0)
+    assert values(QuadratureSpec(), ("rel_tol", "abs_tol", "max_subdivisions")) == (
+        1e-9, 1e-12, 2**20)
+    assert QuadratureSpec(1e-6, 1e-8, 5) == QuadratureSpec(
+        rel_tol=1e-6, abs_tol=1e-8, max_subdivisions=5)
+    assert Circle(Point(0.0, 0.0), 2.0).turns == 1
+    assert InterferometerGeometry(1.0, 2.0, 3.0, 4.0).samples == 201
+    assert RationalCharge(5) == RationalCharge(5, 1)
+
+
+def test_normalizing_constructors():
+    assert values(RationalCharge(4, -6), ("numerator", "denominator")) == (-2, 3)
+    assert PhaseFactor(-1.0).angle == -1.0 % math.tau
+    assert Polyline(list(SQUARE)).vertices == SQUARE
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Vec3(0.0, math.nan, 0.0), ValueError, "Vec3 component must be finite, got nan"),
+    (lambda: Point(math.inf, 0.0), ValueError, "Point coordinate must be finite, got inf"),
+    (lambda: SolenoidField(1.0, 0.0, 1.0), InvalidRadius,
+     "solenoid radius must be positive, got 0.0"),
+    (lambda: SolenoidField(math.nan, 1.0, 1.0), ValueError,
+     "field parameter must be finite, got nan"),
+    (lambda: QuadratureSpec(abs_tol=0.0), ValueError,
+     "quadrature tolerances must be finite and positive, got 0.0"),
+    (lambda: QuadratureSpec(max_subdivisions=True), ValueError,
+     "max_subdivisions must be a nonnegative integer, got True"),
+    (lambda: Circle(Point(0.0, 0.0), -1.0), ValueError, "circle radius must be positive, got -1.0"),
+    (lambda: Circle(Point(0.0, 0.0), 1.0, 0), ValueError,
+     "turns must be a nonzero integer, got 0"),
+    (lambda: Circle(Point(0.0, 0.0), 1.0, 10**400), ValueError,
+     "turns is beyond floating-point range"),
+    (lambda: Polyline(SQUARE[:2]), ValueError, "a closed polyline needs at least 3 vertices"),
+    (lambda: PhaseFactor(math.inf), ValueError, "phase angle must be finite, got inf"),
+    (lambda: InterferometerGeometry(1.0, 0.0, 1.0, 1.0), ValueError,
+     "screen_distance must be positive and finite, got 0.0"),
+    (lambda: InterferometerGeometry(1.0, 1.0, 1.0, 1.0, 2.0), ValueError,
+     "samples must be an integer, got 2.0"),
+    (lambda: InterferometerGeometry(1.0, 1.0, 1.0, 1.0, 1), ValueError,
+     "samples must be between 2 and 1000000, got 1"),
+    (lambda: RationalCharge(1, 0), ValueError, "denominator must be nonzero"),
+    (lambda: ChargeSpectrum(0), ValueError, "N must be a positive integer, got 0"),
+])
+def test_validation_errors(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error and str(info.value) == message

@@ -181,7 +181,8 @@ class TestSplitDiscPieces:
 
     def test_builds_no_field(self, monkeypatch):
         built = []
-        monkeypatch.setattr(SolenoidField, "__post_init__", lambda self: built.append(self))
+        monkeypatch.setattr(SolenoidField, "__init__",
+                            lambda self, *args, **kwargs: built.append(self))
         verify_stokes(self.F, 2.0)
         flux_direct(self.F, 2.0)
         chart_audit(self.F, 2.0)
