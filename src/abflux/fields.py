@@ -141,17 +141,30 @@ def _field_z(f: SolenoidField, x: float, y: float) -> float:
     return f.B if math.hypot(x, y) < f.R else 0.0
 
 
-#: Smallest rho*rho the exterior formula divides by.
+#: Smallest rho*rho that eval_A, and the split disc's exterior ring at
+#: rho = R, divide by.
 _RHO_SQUARED_MIN = 2.0 * math.ulp(0.0)
 
+#: Largest rho the exterior formulas take: up to it, rho*rho is at most
+#: 2**1022, and a straight edge's x*dy and y*dx about 2**1023 at most,
+#: both finite.
+_RHO_MAX = 2.0**511
 
-def _require_no_underflow(rho: float) -> None:
+
+def _require_no_underflow(rho: float, rho_squared_min: float = _RHO_SQUARED_MIN) -> None:
     """The exterior formula divides by rho*rho: refuse a rho whose square
-    underflows.  Two units in the last place of 0.0 leave room for a
-    quadrature node that rounds slightly closer to the axis than the
-    smallest rho computed for its piece."""
-    if rho * rho < _RHO_SQUARED_MIN:
+    underflows, that is, falls below rho_squared_min.  The default, two
+    units in the last place of 0.0, leaves room for a node that rounds
+    slightly closer to the axis than the rho it was checked at."""
+    if rho * rho < rho_squared_min:
         raise ValueError(f"rho*rho underflows at rho = {rho!r}: the inputs underflow")
+
+
+def _require_no_overflow(rho: float) -> None:
+    """The exterior formula divides by rho*rho: refuse a rho whose square
+    overflows, where gamma/rho**2 would quietly become 0."""
+    if rho > _RHO_MAX:
+        raise ValueError(f"rho*rho overflows at rho = {rho!r}: the inputs overflow")
 
 
 def _potential(f: SolenoidField, x: float, y: float) -> tuple[float, float]:
@@ -159,8 +172,10 @@ def _potential(f: SolenoidField, x: float, y: float) -> tuple[float, float]:
 
     Inside, B*rho/2 along phi_hat is the linear field (-B*y/2, B*x/2),
     which vanishes on the axis.  Outside, gamma/rho along phi_hat is
-    gamma * (-y, x) / rho**2.  Quadrature pieces inline the same two
-    formulas (geometry._arc_piece, _edge_piece).
+    gamma * (-y, x) / rho**2.  Arc pieces and interior edge pieces inline
+    the same formulas (geometry._arc_piece, _edge_piece); exterior edge
+    pieces integrate gamma*dphi, the same potential dotted with the edge
+    in fewer operations.
     """
     rho = math.hypot(x, y)
     if rho < f.R:
@@ -178,12 +193,14 @@ def eval_B(f: SolenoidField, p: Point) -> Vec3:
 def eval_A(f: SolenoidField, p: Point) -> Vec3:
     """Vector potential at p, returned in Cartesian components (A_z = 0).
 
-    Raises ValueError where rho*rho underflows or the potential overflows.
+    Raises ValueError where rho*rho underflows or overflows, or the
+    potential overflows.
     """
     rho = p.rho
     _require_off_surface(f, rho)
     if rho >= f.R:
         _require_no_underflow(rho)
+        _require_no_overflow(rho)
     a_x, a_y = _potential(f, p.x, p.y)
     if not (math.isfinite(a_x) and math.isfinite(a_y)):
         raise ValueError(

@@ -21,12 +21,17 @@ validated once, when the path is built and cleared of the solenoid
 surface, not on every quadrature node.  The clearance check puts a
 connected path wholly on one side of rho = R, so the side, and with it
 the formula, is fixed once per piece: B*rho/2 inside, gamma/rho
-outside.  The same check raises ValueError for an exterior path whose
-smallest rho*rho underflows, so no node divides by zero.  The integrand
-is periodic, so an n-turn circle is integrated over one revolution and
-the result scaled by n: rel_tol carries over exactly, while abs_tol
-applies per revolution.  An integral that overflows floating point
-raises ValueError.
+outside.  Along a straight exterior edge the potential dotted with the
+tangent is gamma*dphi/dt = gamma*(x*dy - y*dx)/(x*x + y*y), which is
+what its integrand computes, with no square root.  The clearance check
+raises ValueError for an exterior path whose rho*rho leaves the normal
+floating-point range: below sys.float_info.min it loses precision, and
+past rho = 2**511 it, or an edge's x*dy, may overflow, and gamma/rho**2
+would read 0.  The
+integrand is periodic, so an n-turn circle is integrated over one
+revolution and the result scaled by n: rel_tol carries over exactly,
+while abs_tol applies per revolution.  An integral that overflows
+floating point raises ValueError.
 
 Disc fluxes use the same radial scheme tensored with a fixed-order
 Gauss-Legendre rule in azimuth, whose weights are applied as in the full
@@ -57,7 +62,13 @@ from .errors import (
     QuadratureNotConverged,
     WindingUnresolvable,
 )
-from .fields import Point, SolenoidField, _require_finite, _require_no_underflow
+from .fields import (
+    Point,
+    SolenoidField,
+    _require_finite,
+    _require_no_overflow,
+    _require_no_underflow,
+)
 
 #: Relative clearance every integration path must keep from rho = R.
 PATH_CLEARANCE = 1e-6
@@ -277,8 +288,8 @@ def _arc_piece(f: SolenoidField, inside: bool, cx: float, cy: float, radius: flo
     or for a circle on rho = R itself the side whose limit it takes
     (_ring).  The integrand holds only that side's formula of
     fields._potential: the linear field (-B*y/2, B*x/2) inside,
-    gamma*(-y, x)/rho**2 outside, in the same floating-point operations,
-    so every value equals eval_A's dotted with dr/dt.
+    gamma*(-y, x)/rho**2 outside, in the same floating-point operations
+    as eval_A, so every value equals eval_A's dotted with dr/dt.
     """
     k = radius * sweep
     nk = -k
@@ -323,7 +334,14 @@ def _edge_piece(f: SolenoidField, inside: bool, edges: list[tuple[Point, Point]]
     only the xy-projection enters.
 
     As for arcs, the integrand holds only the formula of the edges' side
-    of rho = R.
+    of rho = R.  Inside it is eval_A's linear field dotted with the edge
+    (dx, dy), in eval_A's floating-point operations.  Outside it is
+    gamma*(x*dy - y*dx)/(x*x + y*y), the exterior potential dotted with
+    the edge without its square root and scaling; it agrees with eval_A's
+    dot product to a few rounding errors, not bit for bit.  The cross
+    product is taken at each node, not once per edge from its start
+    point: that form rounds into every node of an edge alike, which the
+    error estimate cannot see near the axis.
     """
     coords = [(p.x, p.y, q.x - p.x, q.y - p.y) for p, q in edges]
 
@@ -347,9 +365,9 @@ def _edge_piece(f: SolenoidField, inside: bool, edges: list[tuple[Point, Point]]
             px, py, dx, dy = coords[c]
             for t in ts:
                 x, y = px + t * dx, py + t * dy
-                rho = hypot(x, y)
-                scale = gamma / (rho * rho)
-                out.append(-scale * y * dx + scale * x * dy)
+                # divided before gamma scales it, so a large gamma overflows
+                # only where the value itself does
+                out.append(gamma * ((x * dy - y * dx) / (x * x + y * y)))
         return out
 
     return exterior, 0.0, 1.0, len(coords), len(coords)
@@ -431,7 +449,9 @@ def _require_clearance(intervals: Iterable[tuple[float, float]], f: SolenoidFiel
 
     Each interval must clear the band around rho = R, so consecutive
     pieces, which share an endpoint, lie on the same side.  Outside, the
-    smallest rho must not make the exterior formula's rho*rho underflow.
+    exterior formula's rho*rho must stay in the normal range: from its
+    smallest rho, it must not fall below sys.float_info.min, where it
+    loses precision, and from its largest, it must not overflow.
     """
     margin = PATH_CLEARANCE * f.R
     for lo, hi in intervals:
@@ -442,7 +462,8 @@ def _require_clearance(intervals: Iterable[tuple[float, float]], f: SolenoidFiel
                 f"clearance band {margin:.3g} around R = {f.R:.6g}"
             )
         if not inside:
-            _require_no_underflow(lo)
+            _require_no_underflow(lo, sys.float_info.min)
+            _require_no_overflow(hi)
     return inside
 
 

@@ -118,7 +118,8 @@ def arc_piece(f: SolenoidField, inside: bool, cx: float, cy: float, radius: floa
 
 
 def edge_piece(f: SolenoidField, inside: bool, p: Point, q: Point):
-    """The edge p -> q as its own piece with one seed panel."""
+    """The edge p -> q as its own piece with one seed panel; outside,
+    its integrand is gamma*dphi/dt."""
     px, py = p.x, p.y
     dx, dy = q.x - px, q.y - py
     if inside:
@@ -132,9 +133,7 @@ def edge_piece(f: SolenoidField, inside: bool, p: Point, q: Point):
         out = []
         for t in ts:
             x, y = px + t * dx, py + t * dy
-            rho = hypot(x, y)
-            scale = gamma / (rho * rho)
-            out.append(-scale * y * dx + scale * x * dy)
+            out.append(gamma * ((x * dy - y * dx) / (x * x + y * y)))
         return out
 
     return exterior, 0.0, 1.0, 1

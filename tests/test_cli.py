@@ -130,6 +130,15 @@ class TestCirculationCommand:
         assert code == 2 and out == ""
         assert err.startswith("ValueError")
 
+    def test_rho_squared_overflow_exit_2(self, capsys):
+        # rho*rho overflows on the circle, where gamma/rho**2 would read 0
+        code, out, err = run_cli(
+            capsys, "circulation", "--B", "1", "--R", "1e-3", "--gamma", "0.5",
+            "--circle", "r=1e155",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("ValueError") and "overflow" in err
+
     def test_crossing_path_error_named(self, capsys):
         code, _, err = run_cli(
             capsys, "circulation", "--B", "2", "--R", "1", "--gamma", "1", "--circle", "r=1"
@@ -158,6 +167,14 @@ class TestStokesCommand:
         )
         assert code == 2 and out == ""
         assert err.startswith("ValueError") and "underflow" in err
+
+    def test_rho_squared_overflow_exit_2(self, capsys):
+        # L*L overflows: both boundary circulations would read 0
+        code, out, err = run_cli(
+            capsys, "stokes", "--B", "1e-300", "--R", "1e155", "--gamma", "1", "--L", "2e155"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("ValueError") and "overflow" in err
 
     def test_subnormal_radius_exit_2(self, capsys):
         # named for the caller's R, not for a radius derived from it
@@ -211,6 +228,14 @@ class TestPhaseCommand:
         )
         assert code == 0
         assert float(out) == pytest.approx(math.pi, rel=1e-9)
+
+    def test_rho_squared_overflow_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "phase", "--q", "1", "--B", "1", "--R", "1e-3", "--gamma", "0.25",
+            "--circle", "r=1e155",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("ValueError") and "overflow" in err
 
 
 class TestInterfereCommand:

@@ -119,6 +119,7 @@ class TestEvalA:
     @pytest.mark.parametrize("f, p", [
         (SolenoidField(B=1.0, R=1e-300, gamma=1.0), Point(2e-160, 0.0)),  # rho*rho subnormal
         (SolenoidField(B=1.0, R=0.1, gamma=1e308), Point(0.5, 0.0)),
+        (SolenoidField(B=1.0, R=1e-3, gamma=0.5), Point(1e155, 0.0)),  # rho*rho overflows
     ])
     def test_overflow_named(self, f, p):
         with pytest.raises(ValueError, match="overflow"):

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -48,7 +49,36 @@ from abflux.geometry import (
 )
 
 TWO_PI = 2.0 * math.pi
+EPS = sys.float_info.epsilon
 ORIGIN = Point(0.0, 0.0, 0.0)
+
+
+def centred_square(half_width: float) -> Polyline:
+    """Counterclockwise axis-centred square."""
+    h = half_width
+    return Polyline((Point(h, -h), Point(h, h), Point(-h, h), Point(-h, -h)))
+
+
+def near_axis_triangles(rng: random.Random, count: int):
+    """(field, triangle, winding) of exterior triangles about a solenoid
+    with R in [1e-4, 1]: one edge passes the axis at R*(1 + 10**u), u in
+    [-5, 1], and the apex lies across the axis.  With s that distance,
+    the edge is from max(1, 4*s) to 400 times that long: a rounding
+    error of size eps*|p| in one cross product per edge, spread over all
+    its nodes, misses rel_tol=1e-12 here."""
+    for _ in range(count):
+        R = 10.0 ** rng.uniform(-4.0, 0.0)
+        gamma = rng.choice((-1, 1)) * rng.uniform(0.2, 2.5)
+        f = SolenoidField(B=rng.uniform(-3.0, 3.0), R=R, gamma=gamma)
+        s = R * (1.0 + 10.0 ** rng.uniform(-5.0, 1.0))
+        size = max(1.0, 4.0 * s) * 10.0 ** rng.uniform(0.0, 2.0)
+        local = ((s, -size * rng.uniform(0.5, 2.0)), (s, size * rng.uniform(0.5, 2.0)),
+                 (-size * rng.uniform(0.5, 3.0), size * rng.uniform(-0.25, 0.25)))
+        a = rng.uniform(0.0, TWO_PI)
+        c, sn = math.cos(a), math.sin(a)
+        vertices = [Point(x * c - y * sn, x * sn + y * c) for x, y in local]
+        w = rng.choice((-1, 1))
+        yield f, Polyline(vertices[::w]), w
 
 
 def crossing_number_winding(polyline: Polyline) -> int:
@@ -269,6 +299,11 @@ class TestCirculation:
         with pytest.raises(ValueError):
             circulation(SolenoidField(B=0.0, R=1.0, gamma=1e306), Circle(ORIGIN, 3.0, 1000))
 
+    def test_large_gamma_with_a_finite_integral_returns_it(self):
+        # gamma*(x*dy - y*dx) alone would overflow on this square's nodes
+        f = SolenoidField(B=0.0, R=1.0, gamma=1e300)
+        assert circulation(f, centred_square(1e5)) == pytest.approx(TWO_PI * 1e300, rel=1e-9)
+
     def test_underflowing_exterior_raises_before_quadrature(self, monkeypatch):
         # rho*rho underflows to 0 on these exterior paths: named when the
         # path is cleared, never a ZeroDivisionError from a node
@@ -282,10 +317,55 @@ class TestCirculation:
         for path in (Circle(ORIGIN, 2e-300, 1), Circle(Point(5e-300, 0.0), 2e-300, 1), square):
             with pytest.raises(ValueError, match="underflow"):
                 circulation(f, path)
+        # a subnormal rho*rho loses precision: refused from sys.float_info.min
+        tiny = SolenoidField(B=1.0, R=1e-163, gamma=0.5)
+        for path in (Circle(ORIGIN, 1e-160, 1), centred_square(1e-160)):
+            with pytest.raises(ValueError, match="underflow"):
+                circulation(tiny, path)
         with pytest.raises(ValueError, match="underflow"):
             arc_integral(f, 2e-300, 0.0, 1.0)
         with pytest.raises(ValueError, match="underflow"):
             eval_A(f, Point(2e-300, 0.0))
+
+    def test_overflowing_rho_squared_raises_before_quadrature(self, monkeypatch):
+        # where rho*rho overflows, gamma/rho**2 would read 0: named when
+        # the path is cleared
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran before the overflow check")
+
+        monkeypatch.setattr(geometry, "_gk15", no_quadrature)
+        f = SolenoidField(B=1.0, R=1e-3, gamma=0.5)
+        for path in (centred_square(1e154), Circle(ORIGIN, 1e155, 1),
+                     Circle(Point(3e154, 0.0), 1e154, 1)):
+            with pytest.raises(ValueError, match="overflow"):
+                circulation(f, path)
+        with pytest.raises(ValueError, match="overflow"):
+            arc_integral(f, 1e155, 0.0, 1.0)
+        with pytest.raises(ValueError, match="overflow"):
+            segment_integral(f, Point(1.0, 0.0), Point(1.0, 1e155))
+
+    @pytest.mark.parametrize("half_width", [1e-160, 1e-150, 1e150, 1e154, 1e155])
+    def test_extreme_scales_are_right_or_named(self, half_width):
+        # every path returns its closed form to tolerance, or raises a
+        # ValueError naming the underflow or overflow: never a wrong number
+        f = SolenoidField(B=1.0, R=1e-3 * half_width, gamma=0.5)
+        paths = ((centred_square(half_width), 1), (Circle(ORIGIN, half_width, -1), -1),
+                 (Circle(Point(3.0 * half_width, 0.0), half_width, 1), 0))
+        for path, w in paths:
+            expected = TWO_PI * f.gamma * w
+            try:
+                value = circulation(f, path)
+            except ValueError as exc:
+                assert "underflow" in str(exc) or "overflow" in str(exc)
+            else:
+                assert abs(value - expected) <= max(1e-12, 1e-9 * abs(expected))
+
+    def test_edge_of_length_1e_300(self):
+        f = SolenoidField(B=1.0, R=1e-3, gamma=0.5)
+        assert abs(segment_integral(f, Point(1.0, 0.0), Point(1.0, 1e-300))) <= 1e-12
+        hexagon = Polyline((Point(1.0, -1.0), Point(1.0, 0.0), Point(1.0, 1e-300),
+                            Point(1.0, 1.0), Point(-1.0, 1.0), Point(-1.0, -1.0)))
+        assert circulation(f, hexagon) == pytest.approx(math.pi, rel=1e-9)
 
     @pytest.mark.parametrize("center", [ORIGIN, Point(4.0, 1.0, 0.5)])
     def test_turns_cost_one_revolution(self, center, monkeypatch):
@@ -522,7 +602,8 @@ _GL8_NODES = (
 
 class TestIntegrandsMatchPointwiseFormulas:
     """The quadrature integrands hold each side's formula on their own;
-    they must agree bit for bit with eval_A and eval_B."""
+    they must agree bit for bit with eval_A and eval_B, except on
+    exterior edges, which integrate gamma*dphi."""
 
     @staticmethod
     def pieces_of(monkeypatch, call):
@@ -572,9 +653,21 @@ class TestIntegrandsMatchPointwiseFormulas:
                 batch = []
                 for c, (p, q) in enumerate(loop._edges()):
                     d = Vec3(q.x - p.x, q.y - p.y, q.z - p.z)
-                    expected = [eval_A(f, Point(p.x + t * d.x, p.y + t * d.y)).dot(d)
-                                for t in ts]
+                    nodes = [(p.x + t * d.x, p.y + t * d.y) for t in ts]
+                    dotted = [eval_A(f, Point(x, y)).dot(d) for x, y in nodes]
+                    if loop is inner:
+                        assert fn([c], ts) == dotted
+                        batch += dotted
+                        continue
+                    # exterior edges integrate gamma*dphi: bit for bit that
+                    # expression at the rounded nodes, and within a few
+                    # rounding errors of eval_A's dot product
+                    expected = [f.gamma * ((x * d.y - y * d.x) / (x * x + y * y))
+                                for x, y in nodes]
                     assert fn([c], ts) == expected
+                    for value, want, (x, y) in zip(expected, dotted, nodes):
+                        bound = 8.0 * EPS * abs(f.gamma) * math.hypot(d.x, d.y) / math.hypot(x, y)
+                        assert abs(value - want) <= bound
                     batch += expected
                 assert fn(range(curves), ts) == batch
 
@@ -679,6 +772,39 @@ class TestBatchedKernelMatchesReference:
                 q = Point(r2 * math.cos(b), r2 * math.sin(b))
                 want = self.expected([reference.edge_piece(f, inside, p, q)], QuadratureSpec())
                 assert self.counted(monkeypatch, lambda: segment_integral(f, p, q)) == want
+
+
+    @pytest.mark.parametrize("spec, want", [(QuadratureSpec(), 1161),
+                                            (QuadratureSpec(rel_tol=1e-12), 1749)])
+    def test_polyline_panel_count(self, spec, want, monkeypatch):
+        # the work of a fixed set of polylines, pinned: a kernel change that
+        # moves convergence shows as a changed count
+        rng = random.Random(89)
+        cases = []
+        for _ in range(8):
+            f = random_field(rng)
+            cases += [(f, star_loop(rng, 1, 0.3 * f.R, 0.6 * f.R, z_jitter=0.2)),
+                      (f, star_loop(rng, rng.choice((-2, 1, 3)), 1.5 * f.R, 4.0 * f.R)),
+                      (f, offset_loop(rng, f.R))]
+        cases += [(f, triangle) for f, triangle, _ in near_axis_triangles(rng, 16)]
+        panels = 0
+        for f, loop in cases:
+            panels += self.counted(monkeypatch, lambda: circulation(f, loop, spec))[1]
+        assert panels == want
+
+
+class TestNearAxisAccuracy:
+    """Exterior triangles with one edge passing a thin solenoid close to
+    the axis meet the tolerance they ask for."""
+
+    @pytest.mark.parametrize("rel_tol", [1e-9, 1e-12])
+    def test_meets_the_tolerance(self, rel_tol):
+        spec = QuadratureSpec(rel_tol=rel_tol, max_subdivisions=20000)
+        for f, triangle, w in near_axis_triangles(random.Random(83), 300):
+            assert winding_number(triangle) == w
+            exact = TWO_PI * f.gamma * w
+            value = circulation(f, triangle, spec)
+            assert abs(value - exact) <= max(spec.abs_tol, spec.rel_tol * abs(exact))
 
 
 class TestTracerContract:

@@ -231,6 +231,18 @@ class TestSplitDiscPieces:
             with pytest.raises(ValueError, match=word):
                 call(f, L)
 
+    def test_outer_radius_whose_square_overflows(self, monkeypatch):
+        # L*L overflows, where both exterior rings would read 0: named
+        # before any quadrature
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran before the overflow check")
+
+        monkeypatch.setattr(geometry, "_gk15", no_quadrature)
+        f = SolenoidField(B=1e-300, R=1e155, gamma=1.0)
+        for call in (verify_stokes, chart_audit):
+            with pytest.raises(ValueError, match="overflow"):
+                call(f, 2e155)
+
     def test_extreme_radius_flux(self):
         # the disc flux needs no rho*rho below the solenoid radius: at a
         # subnormal R it underflows to within abs_tol of its true value
