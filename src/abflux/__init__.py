@@ -47,12 +47,11 @@ _EXPORTS = {
         "arc_integral",
         "circulation",
         "flux_direct",
-        "load_circle_json",
-        "load_polyline_csv",
         "sector_flux",
         "segment_integral",
         "winding_number",
     ),
+    "loaders": ("load_circle_json", "load_polyline_csv"),
     "phase": (
         "InterferometerGeometry",
         "PhaseFactor",

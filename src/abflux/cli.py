@@ -20,7 +20,9 @@ Only the standard library and ``errors`` are imported at module level.
 Each command function and parsing helper imports the library layers it
 uses, so a process loads only what its subcommand needs: ``quantize``
 never loads the quadrature engine, and ``circulation`` never loads
-``fractions``.  The value types are immutable slotted records
+``fractions``.  Path files and the config file are read by ``loaders``,
+which is imported only when one is given, so an inline circle never
+loads ``csv``.  The value types are immutable slotted records
 (``abflux._record``), not dataclasses, so only ``stokes`` and
 ``chart-audit``, whose report is a dataclass, load ``dataclasses`` and
 the ``inspect`` module it imports.
@@ -34,9 +36,10 @@ import math
 import re
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .errors import AbfluxError
+
+TYPE_CHECKING = False
 
 if TYPE_CHECKING:
     from .fields import SolenoidField
@@ -89,7 +92,8 @@ def _add_path_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--circle", default=None, metavar="SPEC",
                        help='inline circle, e.g. "r=3" or "r=3,turns=2,cx=0,cy=0,cz=0"')
     group.add_argument("--turns", type=int, default=None,
-                       help="turn count for --circle (default 1)")
+                       help="turn count for --circle (default 1), or in place of "
+                            "--circle-json's; not with an inline turns= or --polyline")
     group.add_argument("--circle-json", type=Path, default=None, metavar="FILE",
                        help='circle from JSON {"center":[x,y,z],"radius":r,"turns":n}')
     group.add_argument("--polyline", type=Path, default=None, metavar="FILE",
@@ -97,10 +101,10 @@ def _add_path_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_config(args: argparse.Namespace) -> dict:
-    from .geometry import _parse_json
-
     if getattr(args, "config", None) is None:
         return {}
+    from .loaders import _parse_json
+
     config = _parse_json(args.config.read_text(encoding="utf-8"))
     if not isinstance(config, dict):
         raise ValueError(f"config must be a JSON object, got {type(config).__name__}")
@@ -115,8 +119,7 @@ def _config_section(config: dict, key: str) -> dict:
 
 
 def _resolve_field(args: argparse.Namespace, config: dict) -> SolenoidField:
-    from .fields import SolenoidField
-    from .geometry import _json_float
+    from .fields import SolenoidField, _json_float
 
     data = _config_section(config, "field")
     if args.B is not None:
@@ -137,7 +140,8 @@ def _resolve_field(args: argparse.Namespace, config: dict) -> SolenoidField:
 
 
 def _resolve_quadrature(args: argparse.Namespace, config: dict) -> QuadratureSpec:
-    from .geometry import _DEFAULT_SPEC, QuadratureSpec, _json_float, _json_int
+    from .fields import _json_float, _json_int
+    from .geometry import _DEFAULT_SPEC, QuadratureSpec
 
     data = _config_section(config, "quadrature")
     if getattr(args, "rel_tol", None) is not None:
@@ -171,22 +175,24 @@ def _parse_circle_inline(text: str, turns_flag: int | None) -> Circle:
         key = key.strip()
         if not sep or key not in _CIRCLE_KEYS:
             raise ValueError(f"bad circle spec item {item!r}; keys are {sorted(_CIRCLE_KEYS)}")
-        fields[key] = value.strip()
-    radius_text = fields.get("r", fields.get("radius"))
-    if radius_text is None:
+        slot = "r" if key == "radius" else key
+        if slot in fields:
+            raise ValueError(f"circle spec {text!r} gives {key!r} more than once")
+        fields[slot] = value.strip()
+    if "r" not in fields:
         raise ValueError(f"circle spec {text!r} is missing r=<radius>")
+    if "turns" in fields and turns_flag is not None:
+        raise ValueError("give the turn count once: inline turns= or --turns, not both")
     turns = int(fields["turns"]) if "turns" in fields else (turns_flag if turns_flag is not None else 1)
     center = Point(
         float(fields.get("cx", 0.0)),
         float(fields.get("cy", 0.0)),
         float(fields.get("cz", 0.0)),
     )
-    return Circle(center=center, radius=float(radius_text), turns=turns)
+    return Circle(center=center, radius=float(fields["r"]), turns=turns)
 
 
 def _resolve_path(args: argparse.Namespace):
-    from .geometry import Circle, load_circle_json, load_polyline_csv
-
     chosen = [name for name, value in (
         ("--circle", args.circle),
         ("--circle-json", args.circle_json),
@@ -196,12 +202,17 @@ def _resolve_path(args: argparse.Namespace):
         raise ValueError("specify exactly one of --circle, --circle-json, --polyline")
     if args.circle is not None:
         return _parse_circle_inline(args.circle, args.turns)
-    if args.circle_json is not None:
-        path = load_circle_json(args.circle_json)
-        if args.turns is not None:
-            path = Circle(center=path.center, radius=path.radius, turns=args.turns)
-        return path
-    return load_polyline_csv(args.polyline)
+    if args.polyline is not None and args.turns is not None:
+        raise ValueError("--turns applies to a circle, not to --polyline")
+    from .geometry import Circle
+    from .loaders import load_circle_json, load_polyline_csv
+
+    if args.polyline is not None:
+        return load_polyline_csv(args.polyline)
+    path = load_circle_json(args.circle_json)
+    if args.turns is not None:
+        path = Circle(center=path.center, radius=path.radius, turns=args.turns)
+    return path
 
 
 def _output_format(args: argparse.Namespace, config: dict, default: str) -> str:

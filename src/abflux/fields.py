@@ -42,6 +42,25 @@ def _require_finite(label: str, *values: float) -> None:
             raise ValueError(f"{label} must be finite, got {v!r}")
 
 
+def _json_float(value, label: str) -> float:
+    """A JSON number as a float; ValueError for anything else, a bool too."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{label} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{label} is beyond floating-point range") from None
+
+
+def _json_int(value, label: str) -> int:
+    """A JSON number of integral value as an int; ValueError otherwise."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{label} must be an integer, got {value!r}")
+    return value
+
+
 class Vec3(Record):
     """Cartesian 3-vector with finite components."""
 
@@ -126,7 +145,8 @@ class SolenoidField(Record):
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolenoidField":
-        return cls(B=float(data["B"]), R=float(data["R"]), gamma=float(data["gamma"]))
+        """Inverse of to_dict; each value must be a JSON number (_json_float)."""
+        return cls(*(_json_float(data[key], f"field {key}") for key in cls._fields))
 
 
 def _require_off_surface(f: SolenoidField, rho: float) -> None:

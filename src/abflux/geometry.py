@@ -27,31 +27,24 @@ what its integrand computes, with no square root.  The clearance check
 raises ValueError for an exterior path whose rho*rho leaves the normal
 floating-point range: below sys.float_info.min it loses precision, and
 past rho = 2**511 it, or an edge's x*dy, may overflow, and gamma/rho**2
-would read 0.  The
-integrand is periodic, so an n-turn circle is integrated over one
-revolution and the result scaled by n: rel_tol carries over exactly,
-while abs_tol applies per revolution.  An integral that overflows
-floating point raises ValueError.
+would read 0.  The integrand is periodic, so an n-turn circle is
+integrated over one revolution and the result scaled by n: rel_tol
+carries over exactly, while abs_tol applies per revolution.  An
+integral that overflows floating point raises ValueError.
 
-Disc fluxes use the same radial scheme tensored with a fixed-order
-Gauss-Legendre rule in azimuth, whose weights are applied as in the full
-2-D rule.  The band check puts each radial range on one side of
-rho = R, where B_z is one constant, so B_z is evaluated once per range
-and the azimuthal nodes never enter.
+Disc fluxes integrate the same radial scheme in polar form.  The band
+check puts each radial range on one side of rho = R, where B_z is one
+constant, so the azimuthal integral is the sector's angle times B_z.
 """
 
 from __future__ import annotations
 
-import csv
 import heapq
-import io
-import json
 import math
 import sys
+from collections.abc import Iterable, Sequence
 from itertools import count
 from math import cos, hypot, sin
-from pathlib import Path
-from typing import Callable, Iterable, Sequence, TextIO, Union
 
 from ._record import Record
 from .errors import (
@@ -73,12 +66,10 @@ from .fields import (
 #: Relative clearance every integration path must keep from rho = R.
 PATH_CLEARANCE = 1e-6
 
-#: (integrand, a, b, seed, curves): integrate each of `curves` curves
-#: over [a, b], pre-split into seed // curves equal panels, and sum them
-#: all; fn(cs, ts) maps curve indices and nodes to the list of integrand
-#: values at every node on every listed curve, curve after curve
-_Integrand = Callable[[Sequence[int], list[float]], list[float]]
-_Piece = tuple[_Integrand, float, float, int, int]
+# A quadrature piece is a tuple (fn, a, b, seed, curves): integrate each
+# of `curves` curves over [a, b], pre-split into seed // curves equal
+# panels, and sum them all; fn(cs, ts) maps curve indices and nodes to
+# the integrand values at every node on every listed curve, in order.
 
 
 class QuadratureSpec(Record):
@@ -139,20 +130,6 @@ _WG = (
     0.4179591836734694,
 )
 
-# Weights of the 8-point Gauss-Legendre rule on [-1, 1], the azimuthal
-# factor of the polar tensor quadrature.  The field is constant in azimuth
-# on either side of rho = R, so the nodes never enter.
-_WGL8 = (
-    0.1012285362903763,
-    0.2223810344533745,
-    0.3137066458778873,
-    0.3626837833783620,
-    0.3626837833783620,
-    0.3137066458778873,
-    0.2223810344533745,
-    0.1012285362903763,
-)
-
 
 def _nodes(a: float, b: float) -> list[float]:
     """The 15 Kronrod nodes of [a, b]: [center, center - d0..d6,
@@ -186,7 +163,7 @@ def _gk15(y: list[float], i: int, a: float, b: float) -> tuple[float, float]:
     return kronrod, abs(kronrod - gauss)
 
 
-def _integrate_pieces(pieces: Iterable[_Piece], spec: QuadratureSpec) -> float:
+def _integrate_pieces(pieces: Iterable[tuple], spec: QuadratureSpec) -> float:
     """Adaptively integrate a list of (fn, a, b, seed, curves) pieces as
     one sum.
 
@@ -200,7 +177,7 @@ def _integrate_pieces(pieces: Iterable[_Piece], spec: QuadratureSpec) -> float:
     """
     # (-err, seed order, integrand, curve, a, b, value): the heap keys
     # (-err, seed order) are unique, so no comparison reaches the rest
-    panels: list[tuple[float, int, _Integrand, int, float, float, float]] = []
+    panels: list[tuple] = []
     total = 0.0
     err = 0.0
     for fn, a, b, seed, curves in pieces:
@@ -280,7 +257,7 @@ def _require_finite_integral(value: float) -> float:
 
 
 def _arc_piece(f: SolenoidField, inside: bool, cx: float, cy: float, radius: float,
-               phi0: float, sweep: float) -> _Piece:
+               phi0: float, sweep: float) -> tuple:
     """Piece for the arc about (cx, cy) from azimuth phi0 through sweep,
     t in [0, 1], seeded with one panel per quarter turn.
 
@@ -327,7 +304,7 @@ def _arc_piece(f: SolenoidField, inside: bool, cx: float, cy: float, radius: flo
     return exterior, 0.0, 1.0, seed, 1
 
 
-def _edge_piece(f: SolenoidField, inside: bool, edges: list[tuple[Point, Point]]) -> _Piece:
+def _edge_piece(f: SolenoidField, inside: bool, edges: list[tuple[Point, Point]]) -> tuple:
     """Piece for the straight edges p -> q, each a curve over t in [0, 1]
     with one seed panel, so the seed pass evaluates every edge at the
     same 15 nodes in one call.  The potential has no z-component, so
@@ -424,7 +401,7 @@ class Polyline(Record):
         return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
 
 
-ClosedPath = Union[Circle, Polyline]
+ClosedPath = Circle | Polyline
 
 
 def _segment_rho_range(p: Point, q: Point) -> tuple[float, float]:
@@ -580,12 +557,12 @@ def sector_flux(
     """Flux of the magnetic field through a polar sector at z = 0.
 
     The sector is rho in [rho_min, rho_max], phi in [phi_min, phi_max].
-    Radial integration is adaptive; the azimuthal factor uses a fixed
-    8-point Gauss-Legendre rule.  The radial range must stay clear of the
-    undefined band at rho = R; it may end on the band's edge, since no
-    quadrature node lies on an endpoint.  So the range lies on one side
-    of rho = R, B_z is taken once from that side, and the radial
-    integrand is rho times the weighted azimuthal sum of that constant.
+    Radial integration is adaptive.  The radial range must stay clear of
+    the undefined band at rho = R; it may end on the band's edge, since
+    no quadrature node lies on an endpoint.  So the range lies on one
+    side of rho = R, B_z is taken once from that side, and the radial
+    integrand is rho times (phi_max - phi_min) * B_z, the exact
+    azimuthal integral of that constant.
     """
     spec = spec if spec is not None else _DEFAULT_SPEC
     if not (0.0 <= rho_min < rho_max and math.isfinite(rho_max)):
@@ -607,16 +584,12 @@ def sector_flux(
 
 def _disc_flux(b_z: float, rho_min: float, rho_max: float, phi_min: float, phi_max: float,
                spec: QuadratureSpec) -> float:
-    """Flux of the constant B_z = b_z through the polar sector; the caller
-    validates the ranges.  B_z is one constant, so the azimuthal sum is
-    one number and the radial integrand is rho times it."""
-    half = 0.5 * (phi_max - phi_min)
-    acc = 0.0
-    for w in _WGL8:
-        acc += half * w * b_z
+    """Flux of the constant B_z = b_z through the polar sector, whose ranges
+    the caller validates; its azimuthal integral is the angle times b_z."""
+    azimuthal = (phi_max - phi_min) * b_z
 
     def radial(cs: Sequence[int], rhos: list[float]) -> list[float]:
-        return [rho * acc for _ in cs for rho in rhos]
+        return [rho * azimuthal for _ in cs for rho in rhos]
 
     return _integrate_pieces([(radial, rho_min, rho_max, 1, 1)], spec)
 
@@ -636,79 +609,3 @@ def flux_direct(f: SolenoidField, L: float, spec: QuadratureSpec | None = None) 
         raise FieldUndefinedOnSolenoid("disc rim lies in the undefined band at rho = R")
     return _disc_flux(f.B, 0.0, min(L, f.R), 0.0, math.tau, spec)
 
-
-PathSource = Union[str, Path, TextIO]
-
-
-def _read_text(source: PathSource) -> str:
-    if hasattr(source, "read"):
-        return source.read()
-    return Path(source).read_text(encoding="utf-8")
-
-
-def _parse_json(text: str):
-    """json.loads, with nesting too deep for the parser as a ValueError."""
-    try:
-        return json.loads(text)
-    except RecursionError:
-        raise ValueError("JSON nested too deeply") from None
-
-
-def _json_float(value, label: str) -> float:
-    """A JSON number as a float; ValueError for anything else."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{label} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{label} is beyond floating-point range") from None
-
-
-def _json_int(value, label: str) -> int:
-    """A JSON number with an integral value as an int; ValueError for
-    anything else, including a fraction or an infinity."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{label} must be an integer, got {value!r}")
-    return value
-
-
-def load_polyline_csv(source: PathSource) -> Polyline:
-    """Read a closed polyline from CSV rows "x,y,z".
-
-    A single leading header row is tolerated; every other row must hold
-    exactly three numbers.
-    """
-    try:
-        rows = [row for row in csv.reader(io.StringIO(_read_text(source), newline=""))
-                if row and any(cell.strip() for cell in row)]
-    except csv.Error as exc:
-        raise ValueError(f"malformed CSV: {exc}") from None
-    if rows:
-        try:
-            [float(cell) for cell in rows[0]]
-        except ValueError:
-            rows = rows[1:]
-    vertices = []
-    for row in rows:
-        if len(row) != 3:
-            raise ValueError(f"expected 3 columns x,y,z, got {row!r}")
-        vertices.append(Point(float(row[0]), float(row[1]), float(row[2])))
-    return Polyline(tuple(vertices))
-
-
-def load_circle_json(source: PathSource) -> Circle:
-    """Read a circle path from JSON {"center": [x, y, z], "radius": r, "turns": n}."""
-    data = _parse_json(_read_text(source))
-    if not isinstance(data, dict):
-        raise ValueError(f"circle JSON must be an object, got {type(data).__name__}")
-    center = data["center"]
-    if not (isinstance(center, list) and len(center) == 3):
-        raise ValueError(f"circle center must be a list of 3 numbers, got {center!r}")
-    x, y, z = (_json_float(c, "circle center") for c in center)
-    return Circle(
-        center=Point(x, y, z),
-        radius=_json_float(data["radius"], "circle radius"),
-        turns=_json_int(data.get("turns", 1), "circle turns"),
-    )

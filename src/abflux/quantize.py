@@ -17,15 +17,13 @@ charge is an integer multiple of e/N.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import total_ordering
 from math import lcm
-from typing import Iterable, Union
 
 from ._record import Record
 from .errors import EmptyChargeSet
-
-RationalLike = Union["RationalCharge", Fraction, int, str]
 
 #: Most charges one spectrum may list; the list is held in memory, so the
 #: bound caps the memory a spectrum call uses.
@@ -105,6 +103,9 @@ class RationalCharge(Record):
         if self.denominator == 1:
             return str(self.numerator)
         return f"{self.numerator}/{self.denominator}"
+
+
+RationalLike = RationalCharge | Fraction | int | str
 
 
 def _too_long(value: int, digits: int) -> bool:

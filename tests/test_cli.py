@@ -101,6 +101,39 @@ class TestCirculationCommand:
         assert code == 0
         assert float(out) == pytest.approx(-math.pi, rel=1e-9)
 
+    def test_turns_flag_overrides_circle_json(self, capsys, tmp_path):
+        circle_path = tmp_path / "circle.json"
+        circle_path.write_text('{"center": [0, 0, 0], "radius": 4.0, "turns": 2}', encoding="utf-8")
+        code, out, _ = run_cli(
+            capsys, "circulation", "--gamma", "1", "--circle-json", str(circle_path),
+            "--turns", "-1",
+        )
+        assert code == 0
+        assert out.strip() == f"{-2.0 * math.pi:.12g}"
+
+    def test_turns_flag_with_polyline_exit_2(self, capsys, tmp_path):
+        csv_path = tmp_path / "square.csv"
+        csv_path.write_text("2,-2,0\n2,2,0\n-2,2,0\n-2,-2,0\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "circulation", "--gamma", "1", "--polyline", str(csv_path), "--turns", "3",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("ValueError") and "--turns" in err
+
+    def test_turns_flag_with_inline_turns_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "circulation", "--gamma", "1", "--circle", "r=3,turns=2", "--turns", "5",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("ValueError") and "turns" in err
+
+    @pytest.mark.parametrize("spec", ["r=3,r=4", "r=3,radius=9", "r=3,r=4,radius=9",
+                                      "r=3,turns=1,turns=2", "r=3,cx=0,cx=1"])
+    def test_repeated_inline_key_exit_2(self, capsys, spec):
+        code, out, err = run_cli(capsys, "circulation", "--gamma", "1", "--circle", spec)
+        assert code == 2 and out == ""
+        assert err.startswith("ValueError") and "more than once" in err
+
     def test_kappa_flag(self, capsys):
         code, out, _ = run_cli(
             capsys, "circulation", "--B", "2", "--R", "1", "--kappa", "0.5", "--circle", "r=3"

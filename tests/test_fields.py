@@ -74,6 +74,15 @@ class TestSolenoidField:
     def test_dict_round_trip(self):
         f = SolenoidField(B=2.0, R=1.5, gamma=0.25)
         assert SolenoidField.from_dict(f.to_dict()) == f
+        assert SolenoidField.from_dict({"B": 2, "R": 1, "gamma": 0}) == SolenoidField(2.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("key, value", [
+        ("B", True), ("R", "2"), ("gamma", None), ("B", [1.0]), ("gamma", 10**400),
+    ])
+    def test_from_dict_reads_json_numbers_only(self, key, value):
+        data = {"B": 2.0, "R": 1.5, "gamma": 0.25, key: value}
+        with pytest.raises(ValueError, match=f"field {key}"):
+            SolenoidField.from_dict(data)
 
 
 class TestEvalB:

@@ -58,26 +58,52 @@ print(json.dumps([code, sorted(sys.modules)]))
 #: records (abflux._record), so no other subcommand imports them
 DATACLASSES = {"dataclasses", "inspect"}
 
+#: loaded only to read a path file or a config file, which no call below gives
+LOADERS = {"abflux.loaders", "csv"}
 
-@pytest.mark.parametrize("argv, absent", [
+#: (argv, modules its process must not load)
+FOOTPRINTS = [
     (("quantize", "check", "1/3", "--N", "3"),
-     {"abflux.fields", "abflux.geometry", "abflux.stokes", "abflux.phase", *DATACLASSES}),
-    (("quantize", "spectrum", "--N", "3", "--n-min", "-1", "--n-max", "1"), DATACLASSES),
-    (("quantize", "infer", "2/3", "-1/3"), DATACLASSES),
-    (("quantize", "kappa", "3", "2/3"), DATACLASSES),
+     {"abflux.fields", "abflux.geometry", "abflux.stokes", "abflux.phase", *DATACLASSES,
+      *LOADERS}),
+    (("quantize", "spectrum", "--N", "3", "--n-min", "-1", "--n-max", "1"),
+     DATACLASSES | LOADERS),
+    (("quantize", "infer", "2/3", "-1/3"), DATACLASSES | LOADERS),
+    (("quantize", "kappa", "3", "2/3"), DATACLASSES | LOADERS),
     (("circulation", "--gamma", "1", "--circle", "r=3"),
-     {"abflux.quantize", "abflux.stokes", "fractions", *DATACLASSES}),
-    (("flux", "--B", "1", "--L", "2"), DATACLASSES),
-    (("phase", "--q", "1", "--gamma", "0.5"), DATACLASSES),
-    (("phase", "--q", "1", "--gamma", "0.5", "--circle", "r=2"), DATACLASSES),
-    (("interfere", "--q", "1", "--samples", "3"), DATACLASSES),
+     {"abflux.quantize", "abflux.stokes", "fractions", *DATACLASSES, *LOADERS}),
+    (("flux", "--B", "1", "--L", "2"), DATACLASSES | LOADERS),
+    (("phase", "--q", "1", "--gamma", "0.5"), DATACLASSES | LOADERS),
+    (("phase", "--q", "1", "--gamma", "0.5", "--circle", "r=2"), DATACLASSES | LOADERS),
+    (("interfere", "--q", "1", "--samples", "3"), DATACLASSES | LOADERS),
     (("stokes", "--B", "1", "--R", "1", "--L", "2"),
-     {"abflux.quantize", "abflux.phase"}),
-])
+     {"abflux.quantize", "abflux.phase", *LOADERS}),
+]
+
+
+@pytest.mark.parametrize("argv, absent", FOOTPRINTS)
 def test_subcommand_import_footprint(argv, absent):
     code, loaded = json.loads(run_python("-c", FOOTPRINT, *argv))
     assert code == 0
     assert absent.isdisjoint(loaded)
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in FOOTPRINTS])
+def test_subcommand_loads_no_typing_without_site(argv):
+    # -S: a site .pth file may import typing before abflux runs
+    code, loaded = json.loads(run_python("-S", "-c", FOOTPRINT, *argv))
+    assert code == 0
+    assert "typing" not in loaded
+
+
+def test_library_layers_load_no_loader():
+    out = run_python(
+        "-c",
+        "import json, sys\n"
+        "import abflux.stokes\n"
+        "print(json.dumps(sorted({'csv', 'abflux.loaders'} & set(sys.modules))))\n"
+    )
+    assert json.loads(out) == []
 
 
 class TestHelp:
