@@ -11,7 +11,9 @@ Subcommands
 
 Field parameters come from ``--config file.json`` and/or flags; flags
 win.  The config envelope is
-``{"field": {"B":..,"R":..,"gamma":..}, "quadrature": {...}, "format": "json"|"csv"}``.
+``{"field": {"B":..,"R":..,"gamma":..}, "quadrature": {...}, "format": "json"|"csv"}``;
+any other key is a ValueError.  ``main`` resolves config, field and
+quadrature spec once and passes them to the command.
 Scalars print with 12 significant digits.  Domain errors exit nonzero
 with the error-class name on stderr; identical inputs always produce
 byte-identical output.
@@ -57,7 +59,11 @@ def _round12(value: float) -> float:
     return float(_fmt(value))
 
 
-def _add_config_arg(parser: argparse.ArgumentParser) -> None:
+def _field_command(sub, name: str, help: str, func, quad: bool = True,
+                   path: bool = False) -> argparse.ArgumentParser:
+    """Add subcommand ``name`` with --config and the field flags, then the
+    quadrature flags and the path flags when asked, in that order."""
+    parser = sub.add_parser(name, help=help)
     parser.add_argument(
         "--config",
         type=Path,
@@ -65,9 +71,6 @@ def _add_config_arg(parser: argparse.ArgumentParser) -> None:
         metavar="FILE",
         help="JSON config {field, quadrature, format}; flags override it",
     )
-
-
-def _add_field_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("field")
     group.add_argument("--B", type=float, default=None,
                        help="axial field strength inside the solenoid (default 0)")
@@ -78,56 +81,63 @@ def _add_field_args(parser: argparse.ArgumentParser) -> None:
                       help="exterior circulation / 2*pi (default B*R**2/2)")
     pick.add_argument("--kappa", type=float, default=None,
                       help="offset from the flux-matching value: gamma = B*R**2/2 + kappa")
+    if quad:
+        group = parser.add_argument_group("quadrature")
+        group.add_argument("--rel-tol", type=float, default=None)
+        group.add_argument("--abs-tol", type=float, default=None)
+        group.add_argument("--max-subdivisions", type=int, default=None)
+    if path:
+        group = parser.add_argument_group("path")
+        group.add_argument("--circle", default=None, metavar="SPEC",
+                           help='inline circle, e.g. "r=3" or "r=3,turns=2,cx=0,cy=0,cz=0"')
+        group.add_argument("--turns", type=int, default=None,
+                           help="turn count for --circle (default 1), or in place of "
+                                "--circle-json's; not with an inline turns= or --polyline")
+        group.add_argument("--circle-json", type=Path, default=None, metavar="FILE",
+                           help='circle from JSON {"center":[x,y,z],"radius":r,"turns":n}')
+        group.add_argument("--polyline", type=Path, default=None, metavar="FILE",
+                           help='closed polyline from CSV rows "x,y,z"')
+    parser.set_defaults(func=func)
+    return parser
 
 
-def _add_quad_args(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("quadrature")
-    group.add_argument("--rel-tol", type=float, default=None)
-    group.add_argument("--abs-tol", type=float, default=None)
-    group.add_argument("--max-subdivisions", type=int, default=None)
-
-
-def _add_path_args(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("path")
-    group.add_argument("--circle", default=None, metavar="SPEC",
-                       help='inline circle, e.g. "r=3" or "r=3,turns=2,cx=0,cy=0,cz=0"')
-    group.add_argument("--turns", type=int, default=None,
-                       help="turn count for --circle (default 1), or in place of "
-                            "--circle-json's; not with an inline turns= or --polyline")
-    group.add_argument("--circle-json", type=Path, default=None, metavar="FILE",
-                       help='circle from JSON {"center":[x,y,z],"radius":r,"turns":n}')
-    group.add_argument("--polyline", type=Path, default=None, metavar="FILE",
-                       help='closed polyline from CSV rows "x,y,z"')
+def _require_known(data: dict, keys: tuple[str, ...], where: str) -> None:
+    for key in data:
+        if key not in keys:
+            raise ValueError(f"unknown {where} key {key!r}; keys are {list(keys)}")
 
 
 def _load_config(args: argparse.Namespace) -> dict:
-    if getattr(args, "config", None) is None:
+    if args.config is None:
         return {}
     from .loaders import _parse_json
 
     config = _parse_json(args.config.read_text(encoding="utf-8"))
     if not isinstance(config, dict):
         raise ValueError(f"config must be a JSON object, got {type(config).__name__}")
+    _require_known(config, ("field", "quadrature", "format"), "config")
     return config
 
 
-def _config_section(config: dict, key: str) -> dict:
+def _config_section(args: argparse.Namespace, config: dict, key: str,
+                    flags: tuple[str, ...]) -> dict:
+    """Config section ``key``, whose keys are ``flags``, with every flag
+    that was given laid over it."""
     data = config.get(key, {})
     if not isinstance(data, dict):
         raise ValueError(f"config {key!r} must be a JSON object, got {type(data).__name__}")
-    return dict(data)
+    _require_known(data, flags, f"config {key!r}")
+    data = dict(data)
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            data[flag] = getattr(args, flag)
+    return data
 
 
 def _resolve_field(args: argparse.Namespace, config: dict) -> SolenoidField:
     from .fields import SolenoidField, _json_float
 
-    data = _config_section(config, "field")
-    if args.B is not None:
-        data["B"] = args.B
-    if args.R is not None:
-        data["R"] = args.R
-    if args.gamma is not None:
-        data["gamma"] = args.gamma
+    data = _config_section(args, config, "field", ("B", "R", "gamma"))
     B = _json_float(data.get("B", 0.0), "field B")
     R = _json_float(data.get("R", 1.0), "field R")
     if args.kappa is not None:
@@ -143,13 +153,8 @@ def _resolve_quadrature(args: argparse.Namespace, config: dict) -> QuadratureSpe
     from .fields import _json_float, _json_int
     from .geometry import _DEFAULT_SPEC, QuadratureSpec
 
-    data = _config_section(config, "quadrature")
-    if getattr(args, "rel_tol", None) is not None:
-        data["rel_tol"] = args.rel_tol
-    if getattr(args, "abs_tol", None) is not None:
-        data["abs_tol"] = args.abs_tol
-    if getattr(args, "max_subdivisions", None) is not None:
-        data["max_subdivisions"] = args.max_subdivisions
+    data = _config_section(args, config, "quadrature",
+                           ("rel_tol", "abs_tol", "max_subdivisions"))
     base = _DEFAULT_SPEC
     return QuadratureSpec(
         rel_tol=_json_float(data.get("rel_tol", base.rel_tol), "rel_tol"),
@@ -215,78 +220,48 @@ def _resolve_path(args: argparse.Namespace):
     return path
 
 
-def _output_format(args: argparse.Namespace, config: dict, default: str) -> str:
-    fmt = getattr(args, "format", None) or config.get("format") or default
-    if fmt not in ("json", "csv"):
-        raise ValueError(f"unknown output format {fmt!r}")
-    return fmt
-
-
-def _cmd_circulation(args: argparse.Namespace) -> int:
+def _cmd_circulation(args: argparse.Namespace, config, field, spec) -> None:
     from .geometry import circulation
 
-    config = _load_config(args)
-    field = _resolve_field(args, config)
-    quad = _resolve_quadrature(args, config)
-    value = circulation(field, _resolve_path(args), quad)
-    print(_fmt(value))
-    return 0
+    print(_fmt(circulation(field, _resolve_path(args), spec)))
 
 
-def _cmd_flux(args: argparse.Namespace) -> int:
+def _cmd_flux(args: argparse.Namespace, config, field, spec) -> None:
     from .geometry import flux_direct
 
-    config = _load_config(args)
-    field = _resolve_field(args, config)
-    quad = _resolve_quadrature(args, config)
-    print(_fmt(flux_direct(field, args.L, quad)))
-    return 0
+    print(_fmt(flux_direct(field, args.L, spec)))
 
 
-def _cmd_stokes(args: argparse.Namespace) -> int:
+def _cmd_stokes(args: argparse.Namespace, config, field, spec) -> None:
     from .stokes import verify_stokes
 
-    config = _load_config(args)
-    field = _resolve_field(args, config)
-    quad = _resolve_quadrature(args, config)
-    report = verify_stokes(field, args.L, quad)
+    report = verify_stokes(field, args.L, spec)
     data = report.to_dict()
     for key in ("phi_1", "phi_2", "phi_total", "circ_outer", "circ_inner", "discrepancy"):
         data[key] = _round12(data[key])
     print(json.dumps(data, indent=2))
-    return 0
 
 
-def _cmd_chart_audit(args: argparse.Namespace) -> int:
+def _cmd_chart_audit(args: argparse.Namespace, config, field, spec) -> None:
     from .stokes import chart_audit
 
-    config = _load_config(args)
-    field = _resolve_field(args, config)
-    quad = _resolve_quadrature(args, config)
-    print(_fmt(chart_audit(field, args.L, quad)))
-    return 0
+    print(_fmt(chart_audit(field, args.L, spec)))
 
 
-def _cmd_phase(args: argparse.Namespace) -> int:
+def _cmd_phase(args: argparse.Namespace, config, field, spec) -> None:
     from .phase import holonomy, phase_closed_form
 
-    config = _load_config(args)
-    field = _resolve_field(args, config)
-    quad = _resolve_quadrature(args, config)
     path_given = any(v is not None for v in (args.circle, args.circle_json, args.polyline))
     if path_given:
-        factor = holonomy(field, _resolve_path(args), args.q, quad)
+        factor = holonomy(field, _resolve_path(args), args.q, spec)
     else:
         factor = phase_closed_form(args.q, field.gamma, args.w)
     print(_fmt(factor.angle))
-    return 0
 
 
-def _cmd_interfere(args: argparse.Namespace) -> int:
+def _cmd_interfere(args: argparse.Namespace, config, field, spec) -> None:
     from .phase import InterferometerGeometry, interference, interference_csv
 
-    config = _load_config(args)
-    field = _resolve_field(args, config)
     geom = InterferometerGeometry(
         slit_separation=args.slit_separation,
         screen_distance=args.screen_distance,
@@ -295,39 +270,38 @@ def _cmd_interfere(args: argparse.Namespace) -> int:
         samples=args.samples,
     )
     rows = interference(field, args.q, geom)
-    if _output_format(args, config, default="csv") == "csv":
+    fmt = args.format or config.get("format") or "csv"
+    if fmt not in ("json", "csv"):
+        raise ValueError(f"unknown output format {fmt!r}")
+    if fmt == "csv":
         sys.stdout.write(interference_csv(rows))
     else:
         print(json.dumps([[_round12(x), _round12(i)] for x, i in rows]))
-    return 0
 
 
-def _cmd_quantize_check(args: argparse.Namespace) -> int:
+def _cmd_quantize_check(args: argparse.Namespace) -> None:
     from .quantize import ChargeSpectrum, RationalCharge, charge_allowed
 
     ok = charge_allowed(RationalCharge.parse(args.charge), ChargeSpectrum(args.N))
     print(json.dumps(ok))
-    return 0
 
 
-def _cmd_quantize_spectrum(args: argparse.Namespace) -> int:
+def _cmd_quantize_spectrum(args: argparse.Namespace) -> None:
     from .quantize import ChargeSpectrum, spectrum
 
     charges = spectrum(ChargeSpectrum(args.N), args.n_min, args.n_max)
     print(json.dumps([str(c) for c in charges]))
-    return 0
 
 
-def _cmd_quantize_infer(args: argparse.Namespace) -> int:
+def _cmd_quantize_infer(args: argparse.Namespace) -> None:
     from .quantize import RationalCharge, _require_printable, infer_minimal_N
 
     lattice = infer_minimal_N([RationalCharge.parse(c) for c in args.charges])
     _require_printable(lattice.N, f"N inferred from {' '.join(args.charges)}")
     print(lattice.N)
-    return 0
 
 
-def _cmd_quantize_kappa(args: argparse.Namespace) -> int:
+def _cmd_quantize_kappa(args: argparse.Namespace) -> None:
     from .quantize import RationalCharge, kappa_allowed, kappa_constraints
 
     kappa_e = RationalCharge.parse(args.kappa_e)
@@ -336,7 +310,6 @@ def _cmd_quantize_kappa(args: argparse.Namespace) -> int:
     else:
         ok = kappa_allowed(kappa_e)
     print(json.dumps(ok))
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,47 +320,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("circulation", help="circulation of the potential around a closed path")
-    _add_config_arg(p)
-    _add_field_args(p)
-    _add_quad_args(p)
-    _add_path_args(p)
-    p.set_defaults(func=_cmd_circulation)
-
-    p = sub.add_parser("flux", help="flux through a disc of radius L centered on the axis")
-    _add_config_arg(p)
-    _add_field_args(p)
-    _add_quad_args(p)
+    _field_command(sub, "circulation", "circulation of the potential around a closed path",
+                   _cmd_circulation, path=True)
+    p = _field_command(sub, "flux", "flux through a disc of radius L centered on the axis",
+                       _cmd_flux)
     p.add_argument("--L", type=float, required=True, help="disc radius")
-    p.set_defaults(func=_cmd_flux)
+    for name, help, func in (
+        ("stokes", "flux/circulation report for the disc split at rho = R", _cmd_stokes),
+        ("chart-audit", "two-sector recomputation error for the annulus flux",
+         _cmd_chart_audit),
+    ):
+        p = _field_command(sub, name, help, func)
+        p.add_argument("--L", type=float, required=True, help="outer disc radius (> R)")
 
-    p = sub.add_parser("stokes", help="flux/circulation report for the disc split at rho = R")
-    _add_config_arg(p)
-    _add_field_args(p)
-    _add_quad_args(p)
-    p.add_argument("--L", type=float, required=True, help="outer disc radius (> R)")
-    p.set_defaults(func=_cmd_stokes)
-
-    p = sub.add_parser("chart-audit", help="two-sector recomputation error for the annulus flux")
-    _add_config_arg(p)
-    _add_field_args(p)
-    _add_quad_args(p)
-    p.add_argument("--L", type=float, required=True, help="outer disc radius (> R)")
-    p.set_defaults(func=_cmd_chart_audit)
-
-    p = sub.add_parser("phase", help="loop phase angle in [0, 2*pi)")
-    _add_config_arg(p)
-    _add_field_args(p)
-    _add_quad_args(p)
-    _add_path_args(p)
+    p = _field_command(sub, "phase", "loop phase angle in [0, 2*pi)", _cmd_phase, path=True)
     p.add_argument("--q", type=float, required=True, help="charge of the transported wave function")
     p.add_argument("--w", type=int, default=1,
                    help="winding number for the closed form (ignored when a path is given)")
-    p.set_defaults(func=_cmd_phase)
 
-    p = sub.add_parser("interfere", help="two-beam fringe pattern as x,intensity rows")
-    _add_config_arg(p)
-    _add_field_args(p)
+    p = _field_command(sub, "interfere", "two-beam fringe pattern as x,intensity rows",
+                       _cmd_interfere, quad=False)
     p.add_argument("--q", type=float, required=True, help="charge of the interfering beam")
     p.add_argument("--slit-separation", type=float, default=1.0)
     p.add_argument("--screen-distance", type=float, default=1.0)
@@ -396,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=201, help="screen samples, 2 to 1000000")
     p.add_argument("--format", choices=("json", "csv"), default=None,
                    help="output format (default csv)")
-    p.set_defaults(func=_cmd_interfere)
 
     p = sub.add_parser("quantize", help="exact charge-lattice arithmetic")
     qsub = p.add_subparsers(dest="quantize_command", required=True)
@@ -432,13 +383,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except AbfluxError as exc:
+        if "config" in args:  # a field command
+            config = _load_config(args)
+            field = _resolve_field(args, config)
+            spec = _resolve_quadrature(args, config) if "rel_tol" in args else None
+            args.func(args, config, field, spec)
+        else:
+            args.func(args)
+    except (AbfluxError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, AbfluxError) else 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -28,22 +28,27 @@ def _parse_json(text: str):
         raise ValueError("JSON nested too deeply") from None
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def load_polyline_csv(source: str | Path | io.TextIOBase) -> Polyline:
     """Read a closed polyline from CSV rows "x,y,z".
 
-    A single leading header row is tolerated; every other row must hold
-    exactly three numbers.
+    A first row in which no cell is a number is a header and is skipped;
+    every other row must hold exactly three numbers.
     """
     try:
         rows = [row for row in csv.reader(io.StringIO(_read_text(source), newline=""))
                 if row and any(cell.strip() for cell in row)]
     except csv.Error as exc:
         raise ValueError(f"malformed CSV: {exc}") from None
-    if rows:
-        try:
-            [float(cell) for cell in rows[0]]
-        except ValueError:
-            rows = rows[1:]
+    if rows and not any(_is_number(cell) for cell in rows[0]):
+        rows = rows[1:]
     vertices = []
     for row in rows:
         if len(row) != 3:

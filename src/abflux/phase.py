@@ -77,6 +77,10 @@ def holonomy(
 
 def phase_closed_form(q: float, gamma: float, w: int) -> PhaseFactor:
     """Closed-form loop phase 2*pi*q*gamma*w mod 2*pi, no quadrature."""
+    try:
+        float(w)
+    except OverflowError:
+        raise ValueError("w is beyond floating-point range") from None
     return PhaseFactor.from_turns(q * gamma * w)
 
 
@@ -139,10 +143,7 @@ def interference(
     turns = q * f.gamma
     if not math.isfinite(turns):  # gamma is finite: this also catches q = +-inf or nan
         raise ValueError(f"q*gamma must be finite, got q={q!r}, gamma={f.gamma!r}")
-    shift = turns % 1.0
-    if shift >= 1.0:
-        shift -= 1.0
-    dphi = math.tau * shift
+    dphi = PhaseFactor.from_turns(turns).angle
     k_eff = geom.wavenumber * geom.slit_separation / geom.screen_distance
     n = geom.samples
     extent = geom.half_extent

@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import json_numbers, json_values, result_or_none, run_python
-from abflux.cli import _parse_circle_inline, _resolve_field, _resolve_quadrature, main
+from abflux.cli import (
+    _parse_circle_inline,
+    _resolve_field,
+    _resolve_quadrature,
+    build_parser,
+    main,
+)
 from abflux.fields import SolenoidField
 from abflux.geometry import Circle, QuadratureSpec
 
@@ -53,6 +59,67 @@ def test_readme_example(capsys, argv, value):
 def test_module_entry_point():
     out = run_python("-m", "abflux", "phase", "--q", "1", "--gamma", "0.5", "--w", "1")
     assert out.strip() == f"{math.pi:.12g}"
+
+
+def _subcommands(parser, prefix=""):
+    """(name, parser) for every subcommand, nested ones as "quantize check"."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield prefix + name, sub
+                yield from _subcommands(sub, prefix + name + " ")
+
+
+def _layout(parser):
+    """Argument groups as (title, option strings or dest of each action), then
+    the mutually exclusive sets."""
+    groups = [(group.title, [" ".join(a.option_strings) or a.dest for a in group._group_actions])
+              for group in parser._action_groups]
+    exclusive = [[" ".join(a.option_strings) for a in group._group_actions]
+                 for group in parser._mutually_exclusive_groups]
+    return groups, exclusive
+
+
+_FIELD = ("field", ["--B", "--R", "--gamma", "--kappa"])
+_QUAD = ("quadrature", ["--rel-tol", "--abs-tol", "--max-subdivisions"])
+_PATH = ("path", ["--circle", "--turns", "--circle-json", "--polyline"])
+_NO_POSITIONALS = ("positional arguments", [])
+_GAMMA_OR_KAPPA = [["--gamma", "--kappa"]]
+
+PARSER_LAYOUT = {
+    "circulation": ([_NO_POSITIONALS, ("options", ["-h --help", "--config"]),
+                     _FIELD, _QUAD, _PATH], _GAMMA_OR_KAPPA),
+    "flux": ([_NO_POSITIONALS, ("options", ["-h --help", "--config", "--L"]),
+              _FIELD, _QUAD], _GAMMA_OR_KAPPA),
+    "stokes": ([_NO_POSITIONALS, ("options", ["-h --help", "--config", "--L"]),
+                _FIELD, _QUAD], _GAMMA_OR_KAPPA),
+    "chart-audit": ([_NO_POSITIONALS, ("options", ["-h --help", "--config", "--L"]),
+                     _FIELD, _QUAD], _GAMMA_OR_KAPPA),
+    "phase": ([_NO_POSITIONALS, ("options", ["-h --help", "--config", "--q", "--w"]),
+               _FIELD, _QUAD, _PATH], _GAMMA_OR_KAPPA),
+    "interfere": ([_NO_POSITIONALS,
+                   ("options", ["-h --help", "--config", "--q", "--slit-separation",
+                                "--screen-distance", "--wavenumber", "--half-extent",
+                                "--samples", "--format"]),
+                   _FIELD], _GAMMA_OR_KAPPA),
+    "quantize": ([("positional arguments", ["quantize_command"]), ("options", ["-h --help"])],
+                 []),
+    "quantize check": ([("positional arguments", ["charge"]),
+                        ("options", ["-h --help", "--N"])], []),
+    "quantize spectrum": ([_NO_POSITIONALS,
+                           ("options", ["-h --help", "--N", "--n-min", "--n-max"])], []),
+    "quantize infer": ([("positional arguments", ["charges"]), ("options", ["-h --help"])], []),
+    "quantize kappa": ([("positional arguments", ["kappa_e", "charges"]),
+                        ("options", ["-h --help"])], []),
+}
+
+
+def test_parser_layout():
+    # every subcommand's options and argument groups, in declaration order
+    layout = {name: _layout(sub) for name, sub in _subcommands(build_parser())}
+    assert list(layout) == list(PARSER_LAYOUT)
+    for name, expected in PARSER_LAYOUT.items():
+        assert layout[name] == expected, name
 
 
 class TestCirculationCommand:
@@ -270,6 +337,13 @@ class TestPhaseCommand:
         assert code == 2 and out == ""
         assert err.startswith("ValueError") and "overflow" in err
 
+    def test_winding_beyond_float_range_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "phase", "--q", "1", "--gamma", "0.5", "--w", "1" + "0" * 400
+        )
+        assert (code, out) == (2, "")
+        assert err == "ValueError: w is beyond floating-point range\n"
+
 
 class TestInterfereCommand:
     def test_csv_shape(self, capsys):
@@ -419,13 +493,23 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("text", ['{"quadrature": {"max_subdivisions": Infinity}}',
                                       '{"quadrature": {"max_subdivisions": 2.5}}',
-                                      '{"field": [1, 2]}', '[]', "[" * 100_000])
+                                      '{"field": [1, 2]}', '[]', "[" * 100_000,
+                                      '{"field": {"B": 2, "R": 1, "gama": 3}}',
+                                      '{"quadrature": {"max_subdivison": 10}}',
+                                      '{"fromat": "json"}'])
     def test_malformed_config_exit_2(self, capsys, tmp_path, text):
         cfg = tmp_path / "run.json"
         cfg.write_text(text, encoding="utf-8")
         code, out, err = run_cli(capsys, "circulation", "--config", str(cfg), "--circle", "r=3")
         assert code == 2 and out == ""
         assert err.startswith("ValueError")
+
+    def test_unknown_config_key_named(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"field": {"B": 2, "R": 1, "gama": 3}}', encoding="utf-8")
+        code, out, err = run_cli(capsys, "circulation", "--config", str(cfg), "--circle", "r=3")
+        assert (code, out) == (2, "")
+        assert err.startswith("ValueError") and "'gama'" in err
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run_cli(

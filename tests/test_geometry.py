@@ -526,8 +526,14 @@ class TestLoaders:
         assert winding_number(loop) == 1
 
     def test_polyline_csv_with_header(self):
-        text = "x,y,z\n1,0,0\n0,1,0\n-1,0,0\n"
-        assert len(load_polyline_csv(io.StringIO(text)).vertices) == 3
+        for header in ("x,y,z", "x,y"):
+            text = header + "\n1,0,0\n0,1,0\n-1,0,0\n"
+            assert len(load_polyline_csv(io.StringIO(text)).vertices) == 3
+
+    def test_polyline_csv_mistyped_first_vertex(self):
+        # "O" for "0": the row has numeric cells, so it is a bad vertex, not a header
+        with pytest.raises(ValueError):
+            load_polyline_csv(io.StringIO("2,O,0\n0,2,0\n-2,0,0\n0,-2,0\n"))
 
     def test_polyline_csv_bad_columns(self):
         with pytest.raises(ValueError):

@@ -116,6 +116,10 @@ class TestClosedForm:
         combined = PhaseFactor(phase_closed_form(q, f.gamma, 1).angle + TWO_PI * q * 0.3)
         assert one.isclose(combined, tol=1e-12)
 
+    def test_winding_beyond_float_range(self):
+        with pytest.raises(ValueError, match="w is beyond floating-point range"):
+            phase_closed_form(1.0, 0.5, 10**400)
+
 
 class TestEquivalence:
     def test_half_gap_even_charge(self):
