@@ -37,8 +37,14 @@ BOUNDARY_BAND = 1e-9
 
 
 def _require_finite(label: str, *values: float) -> None:
+    """ValueError naming label unless every value is finite; an int past
+    floating-point range is not."""
     for v in values:
-        if not math.isfinite(v):
+        try:
+            finite = math.isfinite(v)
+        except OverflowError:
+            raise ValueError(f"{label} is beyond floating-point range") from None
+        if not finite:
             raise ValueError(f"{label} must be finite, got {v!r}")
 
 

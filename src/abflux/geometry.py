@@ -16,7 +16,14 @@ Every curve is built from two kinds of piece, a circular arc and a run
 of straight edges, whose integrands return A.dr/dt as plain floats.
 Each pass calls a piece's integrand once: the seed pass on the nodes of
 all its seed panels (every edge of a polyline at the same 15 nodes of
-[0, 1]), a split on both halves of the panel it bisects.  Inputs are
+[0, 1]), a split on both halves of the panel it bisects.  The 60 seed
+nodes of one turn, four quarter-turn panels of [0, 1], are a module
+constant, and so is the cos/sin table of their angles 0.0 + sweep*t,
+for sweeps of 2*pi and -2*pi.  The seed pass of a whole turn from
+azimuth 0 (every circle and split-disc ring) reads its trig from that
+table; splits and all other arcs compute it per node with the function
+that built the table, so the values are the same bit for bit.  Both
+constants are built once at import and never changed.  Inputs are
 validated once, when the path is built and cleared of the solenoid
 surface, not on every quadrature node.  The clearance check puts a
 connected path wholly on one side of rho = R, so the side, and with it
@@ -144,6 +151,34 @@ def _nodes(a: float, b: float) -> list[float]:
             center + d4, center + d5, center + d6]
 
 
+def _tiles(a: float, b: float, tiles: int) -> tuple[tuple, tuple]:
+    """[a, b] split into tiles equal panels: their bounds, and the
+    Kronrod nodes of every panel in order."""
+    width = (b - a) / tiles
+    bounds = []
+    nodes = []
+    for k in range(tiles):
+        lo = a + k * width
+        hi = b if k == tiles - 1 else a + (k + 1) * width
+        bounds.append((lo, hi))
+        nodes += _nodes(lo, hi)
+    return tuple(bounds), tuple(nodes)
+
+
+def _trig(phi0: float, sweep: float, ts: Iterable[float]) -> list[tuple[float, float]]:
+    """(cos(th), sin(th)) at th = phi0 + sweep*t for each node t."""
+    return [(cos(th := phi0 + sweep * t), sin(th)) for t in ts]
+
+
+#: The seed panels of one turn, four quarter turns of [0, 1], and their
+#: 60 nodes
+_TURN_BOUNDS, _TURN_NODES = _tiles(0.0, 1.0, 4)
+#: _trig at _TURN_NODES from azimuth 0, for sweep = -tau at index 0 and
+#: +tau at index 1: the seed pass of every whole turn from azimuth 0
+_TURN_TRIG = (tuple(_trig(0.0, -math.tau, _TURN_NODES)),
+              tuple(_trig(0.0, math.tau, _TURN_NODES)))
+
+
 def _gk15(y: list[float], i: int, a: float, b: float) -> tuple[float, float]:
     """15-point Kronrod estimate on [a, b] and |K15 - G7| error estimate.
 
@@ -182,14 +217,10 @@ def _integrate_pieces(pieces: Iterable[tuple], spec: QuadratureSpec) -> float:
     err = 0.0
     for fn, a, b, seed, curves in pieces:
         tiles = seed // curves
-        width = (b - a) / tiles
-        bounds = []
-        nodes = []
-        for k in range(tiles):
-            lo = a + k * width
-            hi = b if k == tiles - 1 else a + (k + 1) * width
-            bounds.append((lo, hi))
-            nodes += _nodes(lo, hi)
+        if tiles == 4 and a == 0.0 and b == 1.0:
+            bounds, nodes = _TURN_BOUNDS, _TURN_NODES
+        else:
+            bounds, nodes = _tiles(a, b, tiles)
         y = fn(range(curves), nodes)
         i = 0
         for c in range(curves):
@@ -261,6 +292,10 @@ def _arc_piece(f: SolenoidField, inside: bool, cx: float, cy: float, radius: flo
     """Piece for the arc about (cx, cy) from azimuth phi0 through sweep,
     t in [0, 1], seeded with one panel per quarter turn.
 
+    The seed pass of a whole turn from azimuth 0 reads its cos and sin
+    from _TURN_TRIG, built by the same _trig at the same nodes; every
+    other pass computes them at its nodes.
+
     The caller passes the arc's side of rho = R: from _require_clearance,
     or for a circle on rho = R itself the side whose limit it takes
     (_ring).  The integrand holds only that side's formula of
@@ -271,30 +306,29 @@ def _arc_piece(f: SolenoidField, inside: bool, cx: float, cy: float, radius: flo
     k = radius * sweep
     nk = -k
     seed = max(1, math.ceil(abs(sweep) / (0.5 * math.pi)))
+    turn_nodes = _TURN_NODES if phi0 == 0.0 and abs(sweep) == math.tau else None
+    turn_trig = _TURN_TRIG[sweep > 0.0]
 
     if inside:
         bx, by = -0.5 * f.B, 0.5 * f.B
 
-        def interior(cs: Sequence[int], ts: list[float]) -> list[float]:
+        def interior(cs: Sequence[int], ts: Sequence[float]) -> list[float]:
+            pairs = turn_trig if ts is turn_nodes else _trig(phi0, sweep, ts)
             out = []
             for _ in cs:
-                for t in ts:
-                    th = phi0 + sweep * t
-                    c, s = cos(th), sin(th)
-                    out.append(bx * (cy + radius * s) * (nk * s)
-                               + by * (cx + radius * c) * (k * c))
+                out += [bx * (cy + radius * s) * (nk * s) + by * (cx + radius * c) * (k * c)
+                        for c, s in pairs]
             return out
 
         return interior, 0.0, 1.0, seed, 1
 
     gamma = f.gamma
 
-    def exterior(cs: Sequence[int], ts: list[float]) -> list[float]:
+    def exterior(cs: Sequence[int], ts: Sequence[float]) -> list[float]:
+        pairs = turn_trig if ts is turn_nodes else _trig(phi0, sweep, ts)
         out = []
         for _ in cs:
-            for t in ts:
-                th = phi0 + sweep * t
-                c, s = cos(th), sin(th)
+            for c, s in pairs:
                 x, y = cx + radius * c, cy + radius * s
                 rho = hypot(x, y)
                 scale = gamma / (rho * rho)
@@ -325,7 +359,7 @@ def _edge_piece(f: SolenoidField, inside: bool, edges: list[tuple[Point, Point]]
     if inside:
         bx, by = -0.5 * f.B, 0.5 * f.B
 
-        def interior(cs: Sequence[int], ts: list[float]) -> list[float]:
+        def interior(cs: Sequence[int], ts: Sequence[float]) -> list[float]:
             out = []
             for c in cs:
                 px, py, dx, dy = coords[c]
@@ -336,7 +370,7 @@ def _edge_piece(f: SolenoidField, inside: bool, edges: list[tuple[Point, Point]]
 
     gamma = f.gamma
 
-    def exterior(cs: Sequence[int], ts: list[float]) -> list[float]:
+    def exterior(cs: Sequence[int], ts: Sequence[float]) -> list[float]:
         out = []
         for c in cs:
             px, py, dx, dy = coords[c]
@@ -588,7 +622,7 @@ def _disc_flux(b_z: float, rho_min: float, rho_max: float, phi_min: float, phi_m
     the caller validates; its azimuthal integral is the angle times b_z."""
     azimuthal = (phi_max - phi_min) * b_z
 
-    def radial(cs: Sequence[int], rhos: list[float]) -> list[float]:
+    def radial(cs: Sequence[int], rhos: Sequence[float]) -> list[float]:
         return [rho * azimuthal for _ in cs for rho in rhos]
 
     return _integrate_pieces([(radial, rho_min, rho_max, 1, 1)], spec)

@@ -14,7 +14,7 @@ import math
 
 from ._record import Record
 from .errors import ZeroCharge
-from .fields import SolenoidField
+from .fields import SolenoidField, _require_finite
 from .geometry import ClosedPath, QuadratureSpec, circulation
 
 #: Most screen samples one pattern may have; every sample is a row held
@@ -32,8 +32,7 @@ class PhaseFactor(Record):
     __slots__ = _fields = ("angle",)
 
     def __init__(self, angle: float):
-        if not math.isfinite(angle):
-            raise ValueError(f"phase angle must be finite, got {angle!r}")
+        _require_finite("phase angle", angle)
         reduced = angle % math.tau
         if reduced >= math.tau:  # float % can round up to the modulus
             reduced -= math.tau
@@ -46,8 +45,7 @@ class PhaseFactor(Record):
         Reducing first keeps integer turn counts at exactly zero angle,
         which is what makes "no observable effect" cases exact.
         """
-        if not math.isfinite(turns):
-            raise ValueError(f"turn count must be finite, got {turns!r}")
+        _require_finite("turn count", turns)
         frac = turns % 1.0
         if frac >= 1.0:
             frac -= 1.0
@@ -76,11 +74,14 @@ def holonomy(
 
 
 def phase_closed_form(q: float, gamma: float, w: int) -> PhaseFactor:
-    """Closed-form loop phase 2*pi*q*gamma*w mod 2*pi, no quadrature."""
-    try:
-        float(w)
-    except OverflowError:
-        raise ValueError("w is beyond floating-point range") from None
+    """Closed-form loop phase 2*pi*q*gamma*w mod 2*pi, no quadrature.
+
+    A q, gamma or w that is not finite or is an int past floating-point
+    range raises a ValueError naming it, as does the turn count q*gamma*w.
+    """
+    _require_finite("q", q)
+    _require_finite("gamma", gamma)
+    _require_finite("w", w)
     return PhaseFactor.from_turns(q * gamma * w)
 
 
@@ -93,8 +94,12 @@ def phases_equivalent(q: float, gamma1: float, gamma2: float, tol: float = 1e-9)
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
-    x = q * (gamma1 - gamma2)
-    if not math.isfinite(x):
+    try:
+        x = q * (gamma1 - gamma2)
+        finite = math.isfinite(x)
+    except OverflowError:
+        raise ValueError("q*dgamma is beyond floating-point range") from None
+    if not finite:
         raise ValueError(f"q*dgamma must be finite, got q={q!r}, dgamma={gamma1 - gamma2!r}")
     return abs(x - round(x)) <= tol
 
@@ -103,7 +108,11 @@ def periodicity_check(q: float, gamma: float) -> bool:
     """Confirm the loop phase is periodic in gamma with period 1/q."""
     if q == 0:
         raise ZeroCharge("period 1/q is undefined for q = 0")
-    shifted = phase_closed_form(q, gamma + 1.0 / q, 1)
+    _require_finite("q", q)
+    _require_finite("gamma", gamma)
+    shifted_gamma = gamma + 1.0 / q
+    _require_finite("gamma + 1/q", shifted_gamma)
+    shifted = phase_closed_form(q, shifted_gamma, 1)
     return shifted.isclose(phase_closed_form(q, gamma, 1), tol=1e-12)
 
 
@@ -140,8 +149,12 @@ def interference(
     still shifts the pattern; that is the observable the phase carries.
     A non-finite q or q*gamma raises ValueError.
     """
-    turns = q * f.gamma
-    if not math.isfinite(turns):  # gamma is finite: this also catches q = +-inf or nan
+    try:
+        turns = q * f.gamma
+        finite = math.isfinite(turns)
+    except OverflowError:
+        raise ValueError("q*gamma is beyond floating-point range") from None
+    if not finite:  # gamma is finite: this also catches q = +-inf or nan
         raise ValueError(f"q*gamma must be finite, got q={q!r}, gamma={f.gamma!r}")
     dphi = PhaseFactor.from_turns(turns).angle
     k_eff = geom.wavenumber * geom.slit_separation / geom.screen_distance

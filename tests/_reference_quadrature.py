@@ -3,9 +3,9 @@
 This is the kernel as it was before each pass went through one integrand
 call: every panel builds its own 15 nodes and calls its piece's
 integrand once, every polyline edge is its own piece, and every panel
-is pushed onto the heap on its own.  The batched kernel in
-abflux.geometry must give repr-identical values from the same number of
-panels.
+is pushed onto the heap on its own.  Every arc computes cos and sin at
+each of its nodes, with no table.  The batched kernel in abflux.geometry
+must give repr-identical values from the same number of panels.
 """
 
 from __future__ import annotations
@@ -137,3 +137,10 @@ def edge_piece(f: SolenoidField, inside: bool, p: Point, q: Point):
         return out
 
     return exterior, 0.0, 1.0, 1
+
+
+def disc_piece(b_z: float, rho_min: float, rho_max: float, phi_min: float, phi_max: float):
+    """The polar sector of constant B_z = b_z as a radial piece with one
+    seed panel: rho times the sector's angle times b_z."""
+    azimuthal = (phi_max - phi_min) * b_z
+    return (lambda rhos: [rho * azimuthal for rho in rhos]), rho_min, rho_max, 1

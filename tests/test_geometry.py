@@ -45,6 +45,7 @@ from abflux.geometry import (
     winding_number,
 )
 from abflux.loaders import load_circle_json, load_polyline_csv
+from abflux.stokes import chart_audit, verify_stokes
 
 TWO_PI = 2.0 * math.pi
 EPS = sys.float_info.epsilon
@@ -748,10 +749,19 @@ class TestBatchedKernelMatchesReference:
                 assert self.counted(monkeypatch, lambda: circulation(f, circle, spec)) == want
             rho, start = rng.uniform(1.5, 4.0) * f.R, rng.uniform(-1.0, 1.0)
             sweep = rng.uniform(-5.0, 5.0)
-            arc = reference.arc_piece(f, False, 0.0, 0.0, rho, start, sweep)
-            want = self.expected([arc], spec)
-            assert self.counted(
-                monkeypatch, lambda: arc_integral(f, rho, start, start + sweep, spec=spec)) == want
+            sign = rng.choice((-1.0, 1.0))
+            # arcs off the turn table compute their trig at every node: a
+            # sweep short of a whole turn, from azimuth 0 and over four seed
+            # panels too, and a whole turn from another azimuth
+            for inside, r in ((False, rho), (True, rng.uniform(0.1, 0.9) * f.R)):
+                for phi0, phi1 in ((start, start + sweep),
+                                   (0.0, sign * rng.uniform(4.8, 6.2)),
+                                   (0.5, 0.5 + sign * TWO_PI)):
+                    assert abs(phi1 - phi0) <= TWO_PI
+                    arc = reference.arc_piece(f, inside, 0.0, 0.0, r, phi0, phi1 - phi0)
+                    want = self.expected([arc], spec)
+                    assert self.counted(
+                        monkeypatch, lambda: arc_integral(f, r, phi0, phi1, spec=spec)) == want
 
     def test_segments(self, monkeypatch):
         rng = random.Random(73)
@@ -766,6 +776,44 @@ class TestBatchedKernelMatchesReference:
                 want = self.expected([reference.edge_piece(f, inside, p, q)], QuadratureSpec())
                 assert self.counted(monkeypatch, lambda: segment_integral(f, p, q)) == want
 
+    @pytest.mark.parametrize("spec", [QuadratureSpec(), QuadratureSpec(rel_tol=1e-12)])
+    def test_split_disc(self, spec, monkeypatch):
+        # both one-sided rings on rho = R, the outer ring and the area flux:
+        # the batched kernel reads the seed pass's trig from its table, the
+        # reference computes it at every node
+        rng = random.Random(97)
+        for _ in range(8):
+            f = random_field(rng)
+            L = rng.uniform(1.2, 8.0) * f.R
+            rings = [reference.arc_piece(f, inside, 0.0, 0.0, rho, 0.0, TWO_PI)
+                     for inside, rho in ((True, f.R), (False, f.R), (False, L))]
+            (phi_1, n1), (inner, n2), (outer, n3) = [reference.integrate([ring], spec)
+                                                     for ring in rings]
+            area, n_area = reference.integrate(
+                [reference.disc_piece(f.B, 0.0, f.R, 0.0, TWO_PI)], spec)
+            phi_2 = outer - inner
+            phi_total = phi_1 + phi_2
+            want = repr((phi_1, phi_2, phi_total, outer, inner, outer - phi_total))
+
+            def report():
+                r = verify_stokes(f, L, spec)
+                return r.phi_1, r.phi_2, r.phi_total, r.circ_outer, r.circ_inner, r.discrepancy
+
+            assert self.counted(monkeypatch, report) == (want, n1 + n_area + n2 + n3)
+            assert self.counted(monkeypatch, lambda: flux_direct(f, L, spec)) == (repr(area), n_area)
+            assert self.counted(monkeypatch, lambda: chart_audit(f, L, spec)) == (
+                repr(abs(outer - inner)), n2 + n3)
+
+    def test_split_disc_panel_count(self, monkeypatch):
+        # the split disc's work on a fixed set of fields, pinned: four seed
+        # panels per ring and one for the area flux, with no split
+        rng = random.Random(103)
+        for _ in range(16):
+            f = random_field(rng)
+            L = rng.uniform(1.2, 8.0) * f.R
+            assert self.counted(monkeypatch, lambda: verify_stokes(f, L))[1] == 13
+            assert self.counted(monkeypatch, lambda: flux_direct(f, L))[1] == 1
+            assert self.counted(monkeypatch, lambda: chart_audit(f, L))[1] == 8
 
     @pytest.mark.parametrize("spec, want", [(QuadratureSpec(), 1161),
                                             (QuadratureSpec(rel_tol=1e-12), 1749)])
@@ -784,6 +832,72 @@ class TestBatchedKernelMatchesReference:
         for f, loop in cases:
             panels += self.counted(monkeypatch, lambda: circulation(f, loop, spec))[1]
         assert panels == want
+
+
+class TestTurnTrigTable:
+    """The seed pass of every whole turn from azimuth 0 reads cos and sin
+    from one table built at import; nothing else does."""
+
+    def test_table_is_the_integrands_own_expression(self):
+        nodes = geometry._TURN_NODES
+        assert list(nodes) == [t for k in range(4) for t in _nodes(k / 4, (k + 1) / 4)]
+        for sweep, pairs in zip((-TWO_PI, TWO_PI), geometry._TURN_TRIG, strict=True):
+            assert pairs == tuple((math.cos(0.0 + sweep * t), math.sin(0.0 + sweep * t))
+                                  for t in nodes)
+
+    def test_table_is_fixed_and_does_not_grow(self):
+        def tables():
+            return geometry._TURN_BOUNDS, geometry._TURN_NODES, geometry._TURN_TRIG
+
+        before = tables()
+        snapshot = repr(before)
+        rng = random.Random(107)
+        for _ in range(40):
+            f = random_field(rng)
+            verify_stokes(f, rng.uniform(1.2, 8.0) * f.R)
+            chart_audit(f, rng.uniform(1.2, 8.0) * f.R)
+            circulation(f, Circle(ORIGIN, rng.uniform(1.5, 4.0) * f.R, rng.choice((-3, 1))))
+            circulation(f, Circle(Point(3.0 * f.R, 0.0), f.R, 2))
+            arc_integral(f, rng.uniform(0.1, 0.9) * f.R, 0.0, TWO_PI)
+            arc_integral(f, rng.uniform(1.5, 4.0) * f.R, 0.5, 4.0)
+        assert all(now is then for now, then in zip(tables(), before, strict=True))
+        assert repr(before) == snapshot
+        assert [len(pairs) for pairs in geometry._TURN_TRIG] == [60, 60]
+
+    def test_only_whole_turns_from_azimuth_0_skip_the_seed_trig(self, monkeypatch):
+        # cos runs once per node the table does not cover: on every split
+        # of a table arc, and on every panel of any other arc
+        f = SolenoidField(B=2.0, R=1.0, gamma=1.3)
+        fine = QuadratureSpec(rel_tol=1e-12)
+        cos_calls = [0]
+        panels = [0]
+        cos, gk15 = geometry.cos, geometry._gk15
+
+        def counting_cos(x):
+            cos_calls[0] += 1
+            return cos(x)
+
+        def counting_gk15(*args):
+            panels[0] += 1
+            return gk15(*args)
+
+        monkeypatch.setattr(geometry, "cos", counting_cos)
+        monkeypatch.setattr(geometry, "_gk15", counting_gk15)
+        # (call, panels whose nodes need no cos: table seeds and the area flux)
+        cases = ((lambda: verify_stokes(f, 3.0), 13),
+                 (lambda: circulation(f, Circle(Point(3.0, 0.0), 1.0, -2), fine), 4),
+                 (lambda: arc_integral(f, 2.0, 0.0, -TWO_PI, spec=fine), 4),
+                 (lambda: arc_integral(f, 2.0, 0.5, 0.5 + TWO_PI, spec=fine), 0),
+                 (lambda: arc_integral(f, 2.0, 0.0, 6.0, spec=fine), 0))
+        counts = []
+        for call, no_cos in cases:
+            cos_calls[0] = panels[0] = 0
+            call()
+            assert cos_calls[0] == 15 * (panels[0] - no_cos)
+            counts.append(cos_calls[0])
+        # the split disc's rings do not split; the off-centre circle does,
+        # and its splits compute their trig
+        assert counts[0] == 0 and counts[1] > 0
 
 
 class TestNearAxisAccuracy:

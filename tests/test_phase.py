@@ -120,6 +120,15 @@ class TestClosedForm:
         with pytest.raises(ValueError, match="w is beyond floating-point range"):
             phase_closed_form(1.0, 0.5, 10**400)
 
+    @pytest.mark.parametrize("q, gamma, match", [
+        (10**200, 10**200, "turn count"),   # each in range, the int product is not
+        (10**400, 0.5, "q"),
+        (1.0, -(10**400), "gamma"),
+    ], ids=["product", "q", "gamma"])
+    def test_int_charge_or_gamma_beyond_float_range(self, q, gamma, match):
+        with pytest.raises(ValueError, match=f"^{match} is beyond floating-point range$"):
+            phase_closed_form(q, gamma, 1)
+
 
 class TestEquivalence:
     def test_half_gap_even_charge(self):
@@ -146,6 +155,15 @@ class TestEquivalence:
         with pytest.raises(ValueError, match=r"q\*dgamma"):
             phases_equivalent(q, gamma1, gamma2)
 
+    @pytest.mark.parametrize("q, gamma1, gamma2", [
+        (10**200, 10**200, 0),      # the int product overflows
+        (10**400, 1.0, 0.5),        # q overflows as it meets a float
+        (1.0, 10**400, 0.5),        # so does dgamma
+    ], ids=["product", "q", "dgamma"])
+    def test_int_beyond_float_range_named(self, q, gamma1, gamma2):
+        with pytest.raises(ValueError, match=r"^q\*dgamma is beyond floating-point range$"):
+            phases_equivalent(q, gamma1, gamma2)
+
 
 class TestPeriodicity:
     def test_unit_charge(self):
@@ -162,6 +180,17 @@ class TestPeriodicity:
     def test_zero_charge_rejected(self):
         with pytest.raises(ZeroCharge):
             periodicity_check(0.0, 0.4)
+
+    @pytest.mark.parametrize("q, gamma, name", [(10**400, 1.0, "q"), (1, 10**400, "gamma")],
+                             ids=["q", "gamma"])
+    def test_int_beyond_float_range_named(self, q, gamma, name):
+        with pytest.raises(ValueError, match=f"^{name} is beyond floating-point range$"):
+            periodicity_check(q, gamma)
+
+    @pytest.mark.parametrize("q, gamma", [(1e-320, 0.5), (1e-308, 1.7e308)])
+    def test_shifted_gamma_overflow_named(self, q, gamma):
+        with pytest.raises(ValueError, match=r"^gamma \+ 1/q must be finite, got inf$"):
+            periodicity_check(q, gamma)
 
 
 class TestInterference:
@@ -248,3 +277,5 @@ class TestInterference:
                          (1e300, 1e300)):
             with pytest.raises(ValueError, match="must be finite"):
                 interference(SolenoidField(B=0.0, R=1.0, gamma=gamma), q, GEOM)
+        with pytest.raises(ValueError, match=r"^q\*gamma is beyond floating-point range$"):
+            interference(SolenoidField(B=0.0, R=1.0, gamma=0.5), 10**400, GEOM)

@@ -101,10 +101,13 @@ def test_normalizing_constructors():
 @pytest.mark.parametrize("build, error, message", [
     (lambda: Vec3(0.0, math.nan, 0.0), ValueError, "Vec3 component must be finite, got nan"),
     (lambda: Point(math.inf, 0.0), ValueError, "Point coordinate must be finite, got inf"),
+    (lambda: Point(0.0, 10**400), ValueError, "Point coordinate is beyond floating-point range"),
     (lambda: SolenoidField(1.0, 0.0, 1.0), InvalidRadius,
      "solenoid radius must be positive, got 0.0"),
     (lambda: SolenoidField(math.nan, 1.0, 1.0), ValueError,
      "field parameter must be finite, got nan"),
+    (lambda: SolenoidField(1.0, 1.0, -(10**400)), ValueError,
+     "field parameter is beyond floating-point range"),
     (lambda: QuadratureSpec(abs_tol=0.0), ValueError,
      "quadrature tolerances must be finite and positive, got 0.0"),
     (lambda: QuadratureSpec(max_subdivisions=True), ValueError,
@@ -116,6 +119,9 @@ def test_normalizing_constructors():
      "turns is beyond floating-point range"),
     (lambda: Polyline(SQUARE[:2]), ValueError, "a closed polyline needs at least 3 vertices"),
     (lambda: PhaseFactor(math.inf), ValueError, "phase angle must be finite, got inf"),
+    (lambda: PhaseFactor(10**400), ValueError, "phase angle is beyond floating-point range"),
+    (lambda: PhaseFactor.from_turns(10**400), ValueError,
+     "turn count is beyond floating-point range"),
     (lambda: InterferometerGeometry(1.0, 0.0, 1.0, 1.0), ValueError,
      "screen_distance must be positive and finite, got 0.0"),
     (lambda: InterferometerGeometry(1.0, 1.0, 1.0, 1.0, 2.0), ValueError,
