@@ -25,7 +25,11 @@ table; splits and all other arcs compute it per node with the function
 that built the table, so the values are the same bit for bit.  Both
 constants are built once at import and never changed.  Inputs are
 validated once, when the path is built and cleared of the solenoid
-surface, not on every quadrature node.  The clearance check puts a
+surface, not on every quadrature node.  The clearance check takes one
+rho range per path: a polyline's comes from one hypot per vertex and
+one per edge whose closest approach to the axis lies between its ends,
+computed with its (px, py, dx, dy) edge table, so the band, underflow
+and overflow checks each run once per path, not per edge.  It puts a
 connected path wholly on one side of rho = R, so the side, and with it
 the formula, is fixed once per piece: B*rho/2 inside, gamma/rho
 outside.  Along a straight exterior edge the potential dotted with the
@@ -179,6 +183,11 @@ _TURN_TRIG = (tuple(_trig(0.0, -math.tau, _TURN_NODES)),
               tuple(_trig(0.0, math.tau, _TURN_NODES)))
 
 
+#: the weights as scalars, so the rule reads no tuple per panel
+_WGK0, _WGK1, _WGK2, _WGK3, _WGK4, _WGK5, _WGK6, _WGK7 = _WGK
+_WG0, _WG1, _WG2, _WG3 = _WG
+
+
 def _gk15(y: list[float], i: int, a: float, b: float) -> tuple[float, float]:
     """15-point Kronrod estimate on [a, b] and |K15 - G7| error estimate.
 
@@ -188,10 +197,10 @@ def _gk15(y: list[float], i: int, a: float, b: float) -> tuple[float, float]:
     fc, y1, y2, y3, y4, y5, y6, y7, y8, y9, y10, y11, y12, y13, y14 = y[i:i + 15]
     # Gauss pairs (odd Kronrod index); both sums run in dqk15's order
     s1, s3, s5 = y2 + y9, y4 + y11, y6 + y13
-    kronrod = (_WGK[7] * fc + _WGK[0] * (y1 + y8) + _WGK[1] * s1
-               + _WGK[2] * (y3 + y10) + _WGK[3] * s3 + _WGK[4] * (y5 + y12)
-               + _WGK[5] * s5 + _WGK[6] * (y7 + y14))
-    gauss = _WG[3] * fc + _WG[0] * s1 + _WG[1] * s3 + _WG[2] * s5
+    kronrod = (_WGK7 * fc + _WGK0 * (y1 + y8) + _WGK1 * s1
+               + _WGK2 * (y3 + y10) + _WGK3 * s3 + _WGK4 * (y5 + y12)
+               + _WGK5 * s5 + _WGK6 * (y7 + y14))
+    gauss = _WG3 * fc + _WG0 * s1 + _WG1 * s3 + _WG2 * s5
     half = 0.5 * (b - a)
     kronrod *= half
     gauss *= half
@@ -213,6 +222,10 @@ def _integrate_pieces(pieces: Iterable[tuple], spec: QuadratureSpec) -> float:
     # (-err, seed order, integrand, curve, a, b, value): the heap keys
     # (-err, seed order) are unique, so no comparison reaches the rest
     panels: list[tuple] = []
+    append = panels.append
+    # read per call, so a wrapper put on the module name sees every panel
+    gk15 = _gk15
+    n = 0
     total = 0.0
     err = 0.0
     for fn, a, b, seed, curves in pieces:
@@ -225,8 +238,9 @@ def _integrate_pieces(pieces: Iterable[tuple], spec: QuadratureSpec) -> float:
         i = 0
         for c in range(curves):
             for lo, hi in bounds:
-                v, e = _gk15(y, i, lo, hi)
-                panels.append((-e, len(panels), fn, c, lo, hi, v))
+                v, e = gk15(y, i, lo, hi)
+                append((-e, n, fn, c, lo, hi, v))
+                n += 1
                 total += v
                 err += e
                 i += 15
@@ -338,11 +352,35 @@ def _arc_piece(f: SolenoidField, inside: bool, cx: float, cy: float, radius: flo
     return exterior, 0.0, 1.0, seed, 1
 
 
-def _edge_piece(f: SolenoidField, inside: bool, edges: list[tuple[Point, Point]]) -> tuple:
-    """Piece for the straight edges p -> q, each a curve over t in [0, 1]
-    with one seed panel, so the seed pass evaluates every edge at the
-    same 15 nodes in one call.  The potential has no z-component, so
-    only the xy-projection enters.
+def _edge_table(points: Sequence[Point], closed: bool) -> tuple[list[tuple], float, float]:
+    """The straight edges joining points in order, and back from the last
+    to the first when closed, as (px, py, dx, dy) from each start point p
+    along its xy-projected edge; and the (min, max) of rho over them all.
+
+    Every point's rho is taken once, plus each edge's closest approach
+    to the axis where it lies between the edge's ends (0 < t < 1).  The
+    edges share their end points, so that is the range of the whole run.
+    """
+    xs = [p.x for p in points]
+    ys = [p.y for p in points]
+    rhos = list(map(hypot, xs, ys))
+    lo, hi = min(rhos), max(rhos)
+    ends = (xs[1:] + xs[:1], ys[1:] + ys[:1]) if closed else (xs[1:], ys[1:])
+    edges = []
+    for px, py, qx, qy in zip(xs, ys, *ends):
+        dx, dy = qx - px, qy - py
+        edges.append((px, py, dx, dy))
+        dd = dx * dx + dy * dy
+        if dd != 0.0 and 0.0 < (t := -(px * dx + py * dy) / dd) < 1.0:
+            lo = min(lo, hypot(px + t * dx, py + t * dy))
+    return edges, lo, hi
+
+
+def _edge_piece(f: SolenoidField, inside: bool, coords: list[tuple]) -> tuple:
+    """Piece for the straight edges (px, py, dx, dy) of _edge_table, each
+    a curve over t in [0, 1] with one seed panel, so the seed pass
+    evaluates every edge at the same 15 nodes in one call.  The potential
+    has no z-component, so only the xy-projection enters.
 
     As for arcs, the integrand holds only the formula of the edges' side
     of rho = R.  Inside it is eval_A's linear field dotted with the edge
@@ -354,8 +392,6 @@ def _edge_piece(f: SolenoidField, inside: bool, edges: list[tuple[Point, Point]]
     point: that form rounds into every node of an edge alike, which the
     error estimate cannot see near the axis.
     """
-    coords = [(p.x, p.y, q.x - p.x, q.y - p.y) for p, q in edges]
-
     if inside:
         bx, by = -0.5 * f.B, 0.5 * f.B
 
@@ -430,51 +466,33 @@ class Polyline(Record):
             raise ValueError("a closed polyline needs at least 3 vertices")
         object.__setattr__(self, "vertices", verts)
 
-    def _edges(self) -> list[tuple[Point, Point]]:
-        v = self.vertices
-        return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
-
 
 ClosedPath = Circle | Polyline
 
 
-def _segment_rho_range(p: Point, q: Point) -> tuple[float, float]:
-    """Range of distances to the z-axis along the xy-projected segment."""
-    ax, ay = p.x, p.y
-    dx, dy = q.x - ax, q.y - ay
-    ra = math.hypot(ax, ay)
-    rb = math.hypot(q.x, q.y)
-    hi = max(ra, rb)
-    dd = dx * dx + dy * dy
-    if dd == 0.0:
-        return ra, hi
-    t = -(ax * dx + ay * dy) / dd
-    if 0.0 < t < 1.0:
-        return min(math.hypot(ax + t * dx, ay + t * dy), ra, rb), hi
-    return min(ra, rb), hi
-
-
-def _require_clearance(intervals: Iterable[tuple[float, float]], f: SolenoidField) -> bool:
-    """Check the rho intervals of one connected path's pieces and return
+def _require_clearance(lo: float, hi: float, f: SolenoidField) -> bool:
+    """Check the range [lo, hi] of rho along one connected path and return
     the path's side of rho = R: True inside the solenoid, False outside.
 
-    Each interval must clear the band around rho = R, so consecutive
-    pieces, which share an endpoint, lie on the same side.  Outside, the
-    exterior formula's rho*rho must stay in the normal range: from its
-    smallest rho, it must not fall below sys.float_info.min, where it
-    loses precision, and from its largest, it must not overflow.
+    The range must clear the band around rho = R.  A connected path
+    moves rho continuously, so one range for the whole path decides
+    exactly what a range per piece would: a path with no piece in the
+    band has all its pieces on one side.  Outside, the exterior
+    formula's rho*rho must stay in the normal range: from the smallest
+    rho, it must not fall below sys.float_info.min, where it loses
+    precision, and from the largest, it must not overflow.  Both checks
+    run once per path.
     """
     margin = PATH_CLEARANCE * f.R
-    for lo, hi in intervals:
-        inside = hi < f.R - margin
-        if not (inside or lo > f.R + margin):
-            raise PathCrossesSolenoid(
-                f"path sweeps rho in [{lo:.6g}, {hi:.6g}], inside the "
-                f"clearance band {margin:.3g} around R = {f.R:.6g}"
-            )
-        if not inside:
-            _require_no_underflow(lo, sys.float_info.min)
-            _require_no_overflow(hi)
+    inside = hi < f.R - margin
+    if not (inside or lo > f.R + margin):
+        raise PathCrossesSolenoid(
+            f"path sweeps rho in [{lo:.6g}, {hi:.6g}], inside the "
+            f"clearance band {margin:.3g} around R = {f.R:.6g}"
+        )
+    if not inside:
+        _require_no_underflow(lo, sys.float_info.min)
+        _require_no_overflow(hi)
     return inside
 
 
@@ -529,12 +547,12 @@ def circulation(
     if isinstance(path, Circle):
         c = path.center
         d = math.hypot(c.x, c.y)
-        inside = _require_clearance([(abs(d - path.radius), d + path.radius)], f)
+        inside = _require_clearance(abs(d - path.radius), d + path.radius, f)
         arc = _arc_piece(f, inside, c.x, c.y, path.radius, 0.0,
                          math.copysign(math.tau, path.turns))
         return _require_finite_integral(_integrate_pieces([arc], spec) * abs(path.turns))
-    edges = path._edges()
-    inside = _require_clearance([_segment_rho_range(p, q) for p, q in edges], f)
+    edges, lo, hi = _edge_table(path.vertices, closed=True)
+    inside = _require_clearance(lo, hi, f)
     return _integrate_pieces([_edge_piece(f, inside, edges)], spec)
 
 
@@ -543,8 +561,9 @@ def segment_integral(
 ) -> float:
     """Line integral of the vector potential along one straight segment."""
     spec = spec if spec is not None else _DEFAULT_SPEC
-    inside = _require_clearance([_segment_rho_range(start, end)], f)
-    return _integrate_pieces([_edge_piece(f, inside, [(start, end)])], spec)
+    edges, lo, hi = _edge_table((start, end), closed=False)
+    inside = _require_clearance(lo, hi, f)
+    return _integrate_pieces([_edge_piece(f, inside, edges)], spec)
 
 
 def arc_integral(
@@ -565,7 +584,7 @@ def arc_integral(
         raise InvalidRadius(f"arc radius must be positive, got {rho!r}")
     _require_finite("angle", phi_start, phi_end)
     _require_finite("arc plane z", z)
-    inside = _require_clearance([(rho, rho)], f)
+    inside = _require_clearance(rho, rho, f)
     sweep = phi_end - phi_start
     _require_finite("arc sweep", sweep)
     rest = math.fmod(sweep, math.tau)

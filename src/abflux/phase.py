@@ -15,7 +15,11 @@ import math
 from ._record import Record
 from .errors import ZeroCharge
 from .fields import SolenoidField, _require_finite
-from .geometry import ClosedPath, QuadratureSpec, circulation
+
+TYPE_CHECKING = False
+
+if TYPE_CHECKING:
+    from .geometry import ClosedPath, QuadratureSpec
 
 #: Most screen samples one pattern may have; every sample is a row held
 #: in memory, so the bound caps the memory an interference call uses.
@@ -70,7 +74,12 @@ def holonomy(
     spec: QuadratureSpec | None = None,
 ) -> PhaseFactor:
     """Loop phase q * circulation(f, path), reduced mod 2*pi."""
-    return PhaseFactor(q * circulation(f, path, spec))
+    # imported here: the closed-form phases and the fringe model need no
+    # quadrature, so loading abflux.geometry would only slow their start.
+    # The module, not the name: per call, that import costs half as much
+    from . import geometry
+
+    return PhaseFactor(q * geometry.circulation(f, path, spec))
 
 
 def phase_closed_form(q: float, gamma: float, w: int) -> PhaseFactor:

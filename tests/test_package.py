@@ -75,7 +75,7 @@ FOOTPRINTS = [
     (("flux", "--B", "1", "--L", "2"), DATACLASSES | LOADERS),
     (("phase", "--q", "1", "--gamma", "0.5"), DATACLASSES | LOADERS),
     (("phase", "--q", "1", "--gamma", "0.5", "--circle", "r=2"), DATACLASSES | LOADERS),
-    (("interfere", "--q", "1", "--samples", "3"), DATACLASSES | LOADERS),
+    (("interfere", "--q", "1", "--samples", "3"), {"abflux.geometry", *DATACLASSES, *LOADERS}),
     (("stokes", "--B", "1", "--R", "1", "--L", "2"),
      {"abflux.quantize", "abflux.phase", *LOADERS}),
 ]
