@@ -21,6 +21,7 @@ which is represented by a thin exclusion band around rho = R.
 from __future__ import annotations
 
 import math
+import sys
 
 from ._record import Record
 from .errors import (
@@ -46,6 +47,16 @@ def _require_finite(label: str, *values: float) -> None:
             raise ValueError(f"{label} is beyond floating-point range") from None
         if not finite:
             raise ValueError(f"{label} must be finite, got {v!r}")
+
+
+def _require_positive(label: str, *values: float, error: type = ValueError) -> None:
+    """error naming label unless every value is positive and finite.  An
+    int past floating-point range compares as finite here, exactly, and
+    _require_finite then refuses it with its ValueError."""
+    for v in values:
+        if not 0.0 < v < math.inf:
+            raise error(f"{label} must be positive, got {v!r}")
+    _require_finite(label, *values)
 
 
 def _json_float(value, label: str) -> float:
@@ -103,6 +114,7 @@ class Point(Record):
 
     @classmethod
     def from_cylindrical(cls, rho: float, phi: float, z: float = 0.0) -> "Point":
+        _require_finite("Point coordinate", rho, phi)
         return cls(rho * math.cos(phi), rho * math.sin(phi), z)
 
     @property
@@ -130,8 +142,7 @@ class SolenoidField(Record):
     __slots__ = _fields = ("B", "R", "gamma")
 
     def __init__(self, B: float, R: float, gamma: float):
-        if not (math.isfinite(R) and R > 0.0):
-            raise InvalidRadius(f"solenoid radius must be positive, got {R!r}")
+        _require_positive("solenoid radius", R, error=InvalidRadius)
         _require_finite("field parameter", B, gamma)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "R", R)
@@ -167,30 +178,21 @@ def _field_z(f: SolenoidField, x: float, y: float) -> float:
     return f.B if math.hypot(x, y) < f.R else 0.0
 
 
-#: Smallest rho*rho that eval_A, and the split disc's exterior ring at
-#: rho = R, divide by.
-_RHO_SQUARED_MIN = 2.0 * math.ulp(0.0)
-
 #: Largest rho the exterior formulas take: up to it, rho*rho is at most
 #: 2**1022, and a straight edge's x*dy and y*dx about 2**1023 at most,
 #: both finite.
 _RHO_MAX = 2.0**511
 
 
-def _require_no_underflow(rho: float, rho_squared_min: float = _RHO_SQUARED_MIN) -> None:
-    """The exterior formula divides by rho*rho: refuse a rho whose square
-    underflows, that is, falls below rho_squared_min.  The default, two
-    units in the last place of 0.0, leaves room for a node that rounds
-    slightly closer to the axis than the rho it was checked at."""
-    if rho * rho < rho_squared_min:
-        raise ValueError(f"rho*rho underflows at rho = {rho!r}: the inputs underflow")
-
-
-def _require_no_overflow(rho: float) -> None:
-    """The exterior formula divides by rho*rho: refuse a rho whose square
-    overflows, where gamma/rho**2 would quietly become 0."""
-    if rho > _RHO_MAX:
-        raise ValueError(f"rho*rho overflows at rho = {rho!r}: the inputs overflow")
+def _require_exterior_range(lo: float, hi: float) -> None:
+    """The exterior formula divides by rho*rho: refuse a range [lo, hi] of
+    rho on which rho*rho leaves the normal floating-point range.  Below
+    sys.float_info.min it loses precision; past rho = 2**511 it, or a
+    straight edge's x*dy, may overflow, and gamma/rho**2 would read 0."""
+    if lo * lo < sys.float_info.min:
+        raise ValueError(f"rho*rho underflows at rho = {lo!r}: the inputs underflow")
+    if hi > _RHO_MAX:
+        raise ValueError(f"rho*rho overflows at rho = {hi!r}: the inputs overflow")
 
 
 def _potential(f: SolenoidField, x: float, y: float) -> tuple[float, float]:
@@ -219,14 +221,14 @@ def eval_B(f: SolenoidField, p: Point) -> Vec3:
 def eval_A(f: SolenoidField, p: Point) -> Vec3:
     """Vector potential at p, returned in Cartesian components (A_z = 0).
 
-    Raises ValueError where rho*rho underflows or overflows, or the
-    potential overflows.
+    Outside the solenoid, a rho beyond the exterior range that paths and
+    the split disc keep too (_require_exterior_range) raises ValueError
+    naming the underflow or overflow, as does a potential that overflows.
     """
     rho = p.rho
     _require_off_surface(f, rho)
     if rho >= f.R:
-        _require_no_underflow(rho)
-        _require_no_overflow(rho)
+        _require_exterior_range(rho, rho)
     a_x, a_y = _potential(f, p.x, p.y)
     if not (math.isfinite(a_x) and math.isfinite(a_y)):
         raise ValueError(
@@ -243,8 +245,7 @@ def curl_fd(f: SolenoidField, p: Point, h: float) -> Vec3:
     points p +- h along each axis must lie strictly on one side of the
     solenoid surface, clear of the undefined band.
     """
-    if not (math.isfinite(h) and h > 0.0):
-        raise ValueError(f"step h must be positive and finite, got {h!r}")
+    _require_positive("step h", h)
     xp = Point(p.x + h, p.y, p.z)
     xm = Point(p.x - h, p.y, p.z)
     yp = Point(p.x, p.y + h, p.z)
@@ -285,6 +286,7 @@ def ab_standard(B: float, R: float) -> SolenoidField:
     circulation equals the enclosed flux pi*B*R**2, and the potential is
     continuous (though not continuously differentiable) across rho = R.
     """
+    SolenoidField(B=B, R=R, gamma=0.0)  # checks B and R before they multiply
     return SolenoidField(B=B, R=R, gamma=0.5 * B * R * R)
 
 

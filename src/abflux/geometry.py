@@ -36,12 +36,12 @@ outside.  Along a straight exterior edge the potential dotted with the
 tangent is gamma*dphi/dt = gamma*(x*dy - y*dx)/(x*x + y*y), which is
 what its integrand computes, with no square root.  The clearance check
 raises ValueError for an exterior path whose rho*rho leaves the normal
-floating-point range: below sys.float_info.min it loses precision, and
-past rho = 2**511 it, or an edge's x*dy, may overflow, and gamma/rho**2
-would read 0.  The integrand is periodic, so an n-turn circle is
-integrated over one revolution and the result scaled by n: rel_tol
-carries over exactly, while abs_tol applies per revolution.  An
-integral that overflows floating point raises ValueError.
+floating-point range (fields._require_exterior_range, the one range the
+split disc's exterior rings and eval_A keep too).  The integrand is
+periodic, so an n-turn circle is integrated over one revolution and the
+result scaled by n: rel_tol carries over exactly, while abs_tol applies
+per revolution.  An integral that overflows floating point raises
+ValueError.
 
 Disc fluxes integrate the same radial scheme in polar form.  The band
 check puts each radial range on one side of rho = R, where B_z is one
@@ -69,9 +69,9 @@ from .errors import (
 from .fields import (
     Point,
     SolenoidField,
+    _require_exterior_range,
     _require_finite,
-    _require_no_overflow,
-    _require_no_underflow,
+    _require_positive,
 )
 
 #: Relative clearance every integration path must keep from rho = R.
@@ -96,9 +96,7 @@ class QuadratureSpec(Record):
 
     def __init__(self, rel_tol: float = 1e-9, abs_tol: float = 1e-12,
                  max_subdivisions: int = 2**20):
-        for tol in (rel_tol, abs_tol):
-            if not (math.isfinite(tol) and tol > 0.0):
-                raise ValueError(f"quadrature tolerances must be finite and positive, got {tol!r}")
+        _require_positive("quadrature tolerance", rel_tol, abs_tol)
         n = max_subdivisions
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise ValueError(f"max_subdivisions must be a nonnegative integer, got {n!r}")
@@ -328,11 +326,8 @@ def _arc_piece(f: SolenoidField, inside: bool, cx: float, cy: float, radius: flo
 
         def interior(cs: Sequence[int], ts: Sequence[float]) -> list[float]:
             pairs = turn_trig if ts is turn_nodes else _trig(phi0, sweep, ts)
-            out = []
-            for _ in cs:
-                out += [bx * (cy + radius * s) * (nk * s) + by * (cx + radius * c) * (k * c)
-                        for c, s in pairs]
-            return out
+            return [bx * (cy + radius * s) * (nk * s) + by * (cx + radius * c) * (k * c)
+                    for c, s in pairs]
 
         return interior, 0.0, 1.0, seed, 1
 
@@ -341,12 +336,11 @@ def _arc_piece(f: SolenoidField, inside: bool, cx: float, cy: float, radius: flo
     def exterior(cs: Sequence[int], ts: Sequence[float]) -> list[float]:
         pairs = turn_trig if ts is turn_nodes else _trig(phi0, sweep, ts)
         out = []
-        for _ in cs:
-            for c, s in pairs:
-                x, y = cx + radius * c, cy + radius * s
-                rho = hypot(x, y)
-                scale = gamma / (rho * rho)
-                out.append(-scale * y * (nk * s) + scale * x * (k * c))
+        for c, s in pairs:
+            x, y = cx + radius * c, cy + radius * s
+            rho = hypot(x, y)
+            scale = gamma / (rho * rho)
+            out.append(-scale * y * (nk * s) + scale * x * (k * c))
         return out
 
     return exterior, 0.0, 1.0, seed, 1
@@ -438,14 +432,10 @@ class Circle(Record):
     __slots__ = _fields = ("center", "radius", "turns")
 
     def __init__(self, center: Point, radius: float, turns: int = 1):
-        if not (math.isfinite(radius) and radius > 0.0):
-            raise ValueError(f"circle radius must be positive, got {radius!r}")
+        _require_positive("circle radius", radius)
         if isinstance(turns, bool) or not isinstance(turns, int) or turns == 0:
             raise ValueError(f"turns must be a nonzero integer, got {turns!r}")
-        try:
-            float(turns)
-        except OverflowError:
-            raise ValueError("turns is beyond floating-point range") from None
+        _require_finite("turns", turns)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "turns", turns)
@@ -477,11 +467,9 @@ def _require_clearance(lo: float, hi: float, f: SolenoidField) -> bool:
     The range must clear the band around rho = R.  A connected path
     moves rho continuously, so one range for the whole path decides
     exactly what a range per piece would: a path with no piece in the
-    band has all its pieces on one side.  Outside, the exterior
-    formula's rho*rho must stay in the normal range: from the smallest
-    rho, it must not fall below sys.float_info.min, where it loses
-    precision, and from the largest, it must not overflow.  Both checks
-    run once per path.
+    band has all its pieces on one side.  Outside, [lo, hi] must lie in
+    the exterior range (fields._require_exterior_range), checked once per
+    path.
     """
     margin = PATH_CLEARANCE * f.R
     inside = hi < f.R - margin
@@ -491,8 +479,7 @@ def _require_clearance(lo: float, hi: float, f: SolenoidField) -> bool:
             f"clearance band {margin:.3g} around R = {f.R:.6g}"
         )
     if not inside:
-        _require_no_underflow(lo, sys.float_info.min)
-        _require_no_overflow(hi)
+        _require_exterior_range(lo, hi)
     return inside
 
 
@@ -580,8 +567,7 @@ def arc_integral(
     count, like the turns of a circle, and the remainder arc is added.
     """
     spec = spec if spec is not None else _DEFAULT_SPEC
-    if not (math.isfinite(rho) and rho > 0.0):
-        raise InvalidRadius(f"arc radius must be positive, got {rho!r}")
+    _require_positive("arc radius", rho, error=InvalidRadius)
     _require_finite("angle", phi_start, phi_end)
     _require_finite("arc plane z", z)
     inside = _require_clearance(rho, rho, f)
@@ -618,7 +604,8 @@ def sector_flux(
     azimuthal integral of that constant.
     """
     spec = spec if spec is not None else _DEFAULT_SPEC
-    if not (0.0 <= rho_min < rho_max and math.isfinite(rho_max)):
+    _require_finite("radial range", rho_min, rho_max)
+    if not 0.0 <= rho_min < rho_max:
         raise ValueError(f"bad radial range [{rho_min!r}, {rho_max!r}]")
     _require_finite("angle", phi_min, phi_max)
     if not phi_min < phi_max:
@@ -642,7 +629,7 @@ def _disc_flux(b_z: float, rho_min: float, rho_max: float, phi_min: float, phi_m
     azimuthal = (phi_max - phi_min) * b_z
 
     def radial(cs: Sequence[int], rhos: Sequence[float]) -> list[float]:
-        return [rho * azimuthal for _ in cs for rho in rhos]
+        return [rho * azimuthal for rho in rhos]
 
     return _integrate_pieces([(radial, rho_min, rho_max, 1, 1)], spec)
 
@@ -656,8 +643,7 @@ def flux_direct(f: SolenoidField, L: float, spec: QuadratureSpec | None = None) 
     pi * B * min(L, R)**2, independent of L for all L > R.
     """
     spec = spec if spec is not None else _DEFAULT_SPEC
-    if not (math.isfinite(L) and L > 0.0):
-        raise InvalidRadius(f"disc radius must be positive, got {L!r}")
+    _require_positive("disc radius", L, error=InvalidRadius)
     if abs(L - f.R) <= f.boundary_band:
         raise FieldUndefinedOnSolenoid("disc rim lies in the undefined band at rho = R")
     return _disc_flux(f.B, 0.0, min(L, f.R), 0.0, math.tau, spec)

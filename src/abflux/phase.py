@@ -14,7 +14,7 @@ import math
 
 from ._record import Record
 from .errors import ZeroCharge
-from .fields import SolenoidField, _require_finite
+from .fields import SolenoidField, _require_finite, _require_positive
 
 TYPE_CHECKING = False
 
@@ -74,6 +74,7 @@ def holonomy(
     spec: QuadratureSpec | None = None,
 ) -> PhaseFactor:
     """Loop phase q * circulation(f, path), reduced mod 2*pi."""
+    _require_finite("q", q)
     # imported here: the closed-form phases and the fringe model need no
     # quadrature, so loading abflux.geometry would only slow their start.
     # The module, not the name: per call, that import costs half as much
@@ -136,8 +137,7 @@ class InterferometerGeometry(Record):
                  half_extent: float, samples: int = 201):
         values = (slit_separation, screen_distance, wavenumber, half_extent, samples)
         for name, v in zip(self._fields[:4], values):
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {v!r}")
+            _require_positive(name, v)
         if isinstance(samples, bool) or not isinstance(samples, int):
             raise ValueError(f"samples must be an integer, got {samples!r}")
         if not 2 <= samples <= _MAX_SAMPLES:

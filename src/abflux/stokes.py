@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidRadius, QuadratureNotConverged
-from .fields import SolenoidField, _require_no_overflow, _require_no_underflow
+from .fields import SolenoidField, _require_exterior_range, _require_positive
 from .geometry import _DEFAULT_SPEC, QuadratureSpec, _disc_flux, _ring
 
 @dataclass(frozen=True)
@@ -71,14 +71,15 @@ class StokesReport:
 
 
 def _require_outer_radius(f: SolenoidField, L: float) -> None:
-    """The split disc's one input check: L clears rho = R, R*R does not
-    underflow and L*L does not overflow."""
-    if not (math.isfinite(L) and L > f.R + 10.0 * f.boundary_band):
+    """The split disc's one input check: L clears rho = R, and the
+    exterior rings' radii [R, L] lie in the exterior range that every
+    exterior path keeps (fields._require_exterior_range)."""
+    _require_positive("outer radius", L, error=InvalidRadius)
+    if not L > f.R + 10.0 * f.boundary_band:
         raise InvalidRadius(
             f"outer radius must exceed R = {f.R!r} with clearance, got {L!r}"
         )
-    _require_no_underflow(f.R)
-    _require_no_overflow(L)
+    _require_exterior_range(f.R, L)
 
 
 def verify_stokes(

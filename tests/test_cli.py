@@ -276,6 +276,14 @@ class TestStokesCommand:
         assert code == 2 and out == ""
         assert err.startswith("ValueError") and "overflow" in err
 
+    def test_subnormal_radius_square_exit_2(self, capsys):
+        # R*R is subnormal, where circ_inner would read 8.9% low: refused
+        code, out, err = run_cli(
+            capsys, "stokes", "--B", "0", "--R", "3e-162", "--gamma", "1e-20", "--L", "6e-162"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("ValueError: rho*rho underflows")
+
     def test_subnormal_radius_exit_2(self, capsys):
         # named for the caller's R, not for a radius derived from it
         code, out, err = run_cli(

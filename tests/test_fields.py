@@ -126,7 +126,15 @@ class TestEvalA:
             eval_A(f, Point(0.0, 1.0, 0.0))
 
     @pytest.mark.parametrize("f, p", [
-        (SolenoidField(B=1.0, R=1e-300, gamma=1.0), Point(2e-160, 0.0)),  # rho*rho subnormal
+        (SolenoidField(B=1.0, R=1e-300, gamma=1.0), Point(2e-160, 0.0)),
+        # the potential this rho*rho gives would be finite but imprecise
+        (SolenoidField(B=0.0, R=1e-300, gamma=1e-30), Point(2e-160, 0.0)),
+    ])
+    def test_subnormal_rho_squared_named(self, f, p):
+        with pytest.raises(ValueError, match=r"rho\*rho underflows at rho = 2e-160"):
+            eval_A(f, p)
+
+    @pytest.mark.parametrize("f, p", [
         (SolenoidField(B=1.0, R=0.1, gamma=1e308), Point(0.5, 0.0)),
         (SolenoidField(B=1.0, R=1e-3, gamma=0.5), Point(1e155, 0.0)),  # rho*rho overflows
     ])

@@ -9,10 +9,18 @@ import pickle
 import pytest
 
 from abflux.errors import InvalidRadius
-from abflux.fields import Point, SolenoidField, Vec3
-from abflux.geometry import Circle, Polyline, QuadratureSpec
-from abflux.phase import InterferometerGeometry, PhaseFactor
+from abflux.fields import Point, SolenoidField, Vec3, ab_standard, curl_fd
+from abflux.geometry import (
+    Circle,
+    Polyline,
+    QuadratureSpec,
+    arc_integral,
+    flux_direct,
+    sector_flux,
+)
+from abflux.phase import InterferometerGeometry, PhaseFactor, holonomy
 from abflux.quantize import ChargeSpectrum, RationalCharge
+from abflux.stokes import chart_audit, verify_stokes
 
 SQUARE = (Point(2.0, -2.0), Point(2.0, 2.0), Point(-2.0, 2.0), Point(-2.0, -2.0))
 
@@ -109,7 +117,7 @@ def test_normalizing_constructors():
     (lambda: SolenoidField(1.0, 1.0, -(10**400)), ValueError,
      "field parameter is beyond floating-point range"),
     (lambda: QuadratureSpec(abs_tol=0.0), ValueError,
-     "quadrature tolerances must be finite and positive, got 0.0"),
+     "quadrature tolerance must be positive, got 0.0"),
     (lambda: QuadratureSpec(max_subdivisions=True), ValueError,
      "max_subdivisions must be a nonnegative integer, got True"),
     (lambda: Circle(Point(0.0, 0.0), -1.0), ValueError, "circle radius must be positive, got -1.0"),
@@ -123,7 +131,7 @@ def test_normalizing_constructors():
     (lambda: PhaseFactor.from_turns(10**400), ValueError,
      "turn count is beyond floating-point range"),
     (lambda: InterferometerGeometry(1.0, 0.0, 1.0, 1.0), ValueError,
-     "screen_distance must be positive and finite, got 0.0"),
+     "screen_distance must be positive, got 0.0"),
     (lambda: InterferometerGeometry(1.0, 1.0, 1.0, 1.0, 2.0), ValueError,
      "samples must be an integer, got 2.0"),
     (lambda: InterferometerGeometry(1.0, 1.0, 1.0, 1.0, 1), ValueError,
@@ -135,3 +143,48 @@ def test_validation_errors(build, error, message):
     with pytest.raises(error) as info:
         build()
     assert type(info.value) is error and str(info.value) == message
+
+
+F = SolenoidField(2.0, 1.0, 1.0)
+#: numbers an entry point below may refuse, each with its own error class
+ODD_NUMBERS = {"nan": math.nan, "inf": math.inf, "0.0": 0.0, "-1.0": -1.0}
+
+#: (entry point with one number x left open, the error it raises for each
+#: of ODD_NUMBERS in order, or None where that x is accepted)
+POSITIVE_INPUTS = {
+    "SolenoidField R": (lambda x: SolenoidField(2.0, x, 1.0), (InvalidRadius,) * 4),
+    "curl_fd h": (lambda x: curl_fd(F, Point(3.0, 0.0), x), (ValueError,) * 4),
+    "QuadratureSpec abs_tol": (lambda x: QuadratureSpec(abs_tol=x), (ValueError,) * 4),
+    "Circle radius": (lambda x: Circle(Point(0.0, 0.0), x), (ValueError,) * 4),
+    "arc_integral rho": (lambda x: arc_integral(F, x, 0.0, 1.0), (InvalidRadius,) * 4),
+    "flux_direct L": (lambda x: flux_direct(F, x), (InvalidRadius,) * 4),
+    "sector_flux rho_max": (lambda x: sector_flux(F, 0.0, x, 0.0, 1.0), (ValueError,) * 4),
+    "verify_stokes L": (lambda x: verify_stokes(F, x), (InvalidRadius,) * 4),
+    "chart_audit L": (lambda x: chart_audit(F, x), (InvalidRadius,) * 4),
+    "InterferometerGeometry screen_distance": (
+        lambda x: InterferometerGeometry(1.0, x, 1.0, 1.0), (ValueError,) * 4),
+    "ab_standard R": (lambda x: ab_standard(2.0, x), (InvalidRadius,) * 4),
+    "holonomy q": (lambda x: holonomy(F, Circle(Point(0.0, 0.0), 2.0), x),
+                   (ValueError, ValueError, None, None)),
+    "Point.from_cylindrical rho": (lambda x: Point.from_cylindrical(x, 0.0),
+                                   (ValueError, ValueError, None, None)),
+}
+
+
+@pytest.mark.parametrize("value", ["10**400", *ODD_NUMBERS])
+@pytest.mark.parametrize("name", POSITIVE_INPUTS)
+def test_positive_number_check(name, value):
+    # an int past float range is refused as one, never a bare
+    # OverflowError; every other value keeps its entry point's error class
+    call, errors = POSITIVE_INPUTS[name]
+    if value == "10**400":
+        with pytest.raises(ValueError, match="is beyond floating-point range$"):
+            call(10**400)
+        return
+    error = dict(zip(ODD_NUMBERS, errors))[value]
+    if error is None:
+        call(ODD_NUMBERS[value])
+        return
+    with pytest.raises(error) as info:
+        call(ODD_NUMBERS[value])
+    assert type(info.value) is error

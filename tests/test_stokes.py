@@ -231,6 +231,19 @@ class TestSplitDiscPieces:
             with pytest.raises(ValueError, match=word):
                 call(f, L)
 
+    def test_subnormal_radius_square_named(self, monkeypatch):
+        # R*R = 1e-323 is subnormal: there the exterior ring at rho = R
+        # would read circ_inner 8.9% below 2*pi*gamma, so the split disc
+        # refuses it by the underflow rule every exterior path keeps
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran before the underflow check")
+
+        monkeypatch.setattr(geometry, "_gk15", no_quadrature)
+        f = SolenoidField(B=0.0, R=3e-162, gamma=1e-20)
+        for call in (verify_stokes, chart_audit):
+            with pytest.raises(ValueError, match=r"rho\*rho underflows at rho = 3e-162"):
+                call(f, 6e-162)
+
     def test_outer_radius_whose_square_overflows(self, monkeypatch):
         # L*L overflows, where both exterior rings would read 0: named
         # before any quadrature
