@@ -135,6 +135,7 @@ class TestEvalA:
             eval_A(f, p)
 
     @pytest.mark.parametrize("f, p", [
+        (SolenoidField(B=1e308, R=1e10, gamma=1.0), Point(1e9, 0.0)),  # B*x/2 overflows inside
         (SolenoidField(B=1.0, R=0.1, gamma=1e308), Point(0.5, 0.0)),
         (SolenoidField(B=1.0, R=1e-3, gamma=0.5), Point(1e155, 0.0)),  # rho*rho overflows
     ])
