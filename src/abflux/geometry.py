@@ -46,6 +46,14 @@ ValueError.
 Disc fluxes integrate the same radial scheme in polar form.  The band
 check puts each radial range on one side of rho = R, where B_z is one
 constant, so the azimuthal integral is the sector's angle times B_z.
+
+Three whole turns about the axis are memoized: a ring of the interior
+or of the exterior formula, and the disc [0, rho] (_whole_turn).  The
+split disc asks for the same ones from verify_stokes, chart_audit and
+flux_direct, and each is integrated once.  The memo is an lru_cache of
+8 entries keyed on the kind, its coefficient (B, or gamma for the
+exterior ring), rho and the spec, so its values are those of computing
+again, and it is the one piece of state that changes after import.
 """
 
 from __future__ import annotations
@@ -54,6 +62,7 @@ import heapq
 import math
 import sys
 from collections.abc import Iterable, Sequence
+from functools import lru_cache
 from itertools import count
 from math import cos, hypot, sin
 
@@ -299,7 +308,7 @@ def _require_finite_integral(value: float) -> float:
     return value
 
 
-def _arc_piece(f: SolenoidField, inside: bool, cx: float, cy: float, radius: float,
+def _arc_piece(coef: float, inside: bool, cx: float, cy: float, radius: float,
                phi0: float, sweep: float) -> tuple:
     """Piece for the arc about (cx, cy) from azimuth phi0 through sweep,
     t in [0, 1], seeded with one panel per quarter turn.
@@ -308,12 +317,13 @@ def _arc_piece(f: SolenoidField, inside: bool, cx: float, cy: float, radius: flo
     from _TURN_TRIG, built by the same _trig at the same nodes; every
     other pass computes them at its nodes.
 
-    The caller passes the arc's side of rho = R: from _require_clearance,
+    The caller passes the arc's side of rho = R, from _require_clearance,
     or for a circle on rho = R itself the side whose limit it takes
-    (_ring).  The integrand holds only that side's formula of
-    fields._potential: the linear field (-B*y/2, B*x/2) inside,
-    gamma*(-y, x)/rho**2 outside, in the same floating-point operations
-    as eval_A, so every value equals eval_A's dotted with dr/dt.
+    (_whole_turn), and that side's coefficient coef: B inside, gamma outside.
+    The integrand holds only that side's formula of fields._potential:
+    the linear field (-B*y/2, B*x/2) inside, gamma*(-y, x)/rho**2
+    outside, in the same floating-point operations as eval_A, so every
+    value equals eval_A's dotted with dr/dt.
     """
     k = radius * sweep
     nk = -k
@@ -322,7 +332,7 @@ def _arc_piece(f: SolenoidField, inside: bool, cx: float, cy: float, radius: flo
     turn_trig = _TURN_TRIG[sweep > 0.0]
 
     if inside:
-        bx, by = -0.5 * f.B, 0.5 * f.B
+        bx, by = -0.5 * coef, 0.5 * coef
 
         def interior(cs: Sequence[int], ts: Sequence[float]) -> list[float]:
             pairs = turn_trig if ts is turn_nodes else _trig(phi0, sweep, ts)
@@ -331,15 +341,13 @@ def _arc_piece(f: SolenoidField, inside: bool, cx: float, cy: float, radius: flo
 
         return interior, 0.0, 1.0, seed, 1
 
-    gamma = f.gamma
-
     def exterior(cs: Sequence[int], ts: Sequence[float]) -> list[float]:
         pairs = turn_trig if ts is turn_nodes else _trig(phi0, sweep, ts)
         out = []
         for c, s in pairs:
             x, y = cx + radius * c, cy + radius * s
             rho = hypot(x, y)
-            scale = gamma / (rho * rho)
+            scale = coef / (rho * rho)
             out.append(-scale * y * (nk * s) + scale * x * (k * c))
         return out
 
@@ -418,7 +426,29 @@ def _ring(f: SolenoidField, inside: bool, rho: float, spec: QuadratureSpec) -> f
     """One counterclockwise turn about the axis at radius rho, from the
     formula of the given side of rho = R; on rho = R itself this is that
     side's one-sided limit.  The caller validates rho."""
-    return _integrate_pieces([_arc_piece(f, inside, 0.0, 0.0, rho, 0.0, math.tau)], spec)
+    if inside:
+        return _whole_turn("interior", f.B, rho, spec)
+    return _whole_turn("exterior", f.gamma, rho, spec)
+
+
+@lru_cache(maxsize=8)
+def _whole_turn(kind: str, coef: float, rho: float, spec: QuadratureSpec) -> float:
+    """One whole turn about the axis at radius rho: the counterclockwise
+    ring of the "interior" formula (coef = B) or of the "exterior" one
+    (coef = gamma), or the flux of B_z = coef through the "disc" [0, rho].
+
+    Memoized, so each split disc integrates each of these once although
+    verify_stokes, chart_audit and flux_direct all ask for them.  The key
+    is everything the value depends on, and keys that compare equal give
+    the same value bit for bit: an int computes as the float it equals,
+    and a coef of -0.0 gives 0.0 as +0.0 does (fsum of zeros is +0.0).
+    The bound holds one split disc's four integrals twice over; a call
+    that raises is not stored.  The caller validates rho.
+    """
+    if kind == "disc":
+        return _disc_flux(coef, 0.0, rho, 0.0, math.tau, spec)
+    arc = _arc_piece(coef, kind == "interior", 0.0, 0.0, rho, 0.0, math.tau)
+    return _integrate_pieces([arc], spec)
 
 
 class Circle(Record):
@@ -535,7 +565,7 @@ def circulation(
         c = path.center
         d = math.hypot(c.x, c.y)
         inside = _require_clearance(abs(d - path.radius), d + path.radius, f)
-        arc = _arc_piece(f, inside, c.x, c.y, path.radius, 0.0,
+        arc = _arc_piece(f.B if inside else f.gamma, inside, c.x, c.y, path.radius, 0.0,
                          math.copysign(math.tau, path.turns))
         return _require_finite_integral(_integrate_pieces([arc], spec) * abs(path.turns))
     edges, lo, hi = _edge_table(path.vertices, closed=True)
@@ -571,16 +601,18 @@ def arc_integral(
     _require_finite("angle", phi_start, phi_end)
     _require_finite("arc plane z", z)
     inside = _require_clearance(rho, rho, f)
+    coef = f.B if inside else f.gamma
     sweep = phi_end - phi_start
     _require_finite("arc sweep", sweep)
     rest = math.fmod(sweep, math.tau)
     turns = round(abs(sweep - rest) / math.tau)
     if turns == 0:
-        return _integrate_pieces([_arc_piece(f, inside, 0.0, 0.0, rho, phi_start, sweep)], spec)
-    turn = _arc_piece(f, inside, 0.0, 0.0, rho, phi_start, math.copysign(math.tau, sweep))
+        return _integrate_pieces([_arc_piece(coef, inside, 0.0, 0.0, rho, phi_start, sweep)],
+                                 spec)
+    turn = _arc_piece(coef, inside, 0.0, 0.0, rho, phi_start, math.copysign(math.tau, sweep))
     total = _integrate_pieces([turn], spec) * turns
     if rest:
-        total += _integrate_pieces([_arc_piece(f, inside, 0.0, 0.0, rho, phi_start, rest)],
+        total += _integrate_pieces([_arc_piece(coef, inside, 0.0, 0.0, rho, phi_start, rest)],
                                    spec)
     return _require_finite_integral(total)
 
@@ -646,5 +678,5 @@ def flux_direct(f: SolenoidField, L: float, spec: QuadratureSpec | None = None) 
     _require_positive("disc radius", L, error=InvalidRadius)
     if abs(L - f.R) <= f.boundary_band:
         raise FieldUndefinedOnSolenoid("disc rim lies in the undefined band at rho = R")
-    return _disc_flux(f.B, 0.0, min(L, f.R), 0.0, math.tau, spec)
+    return _whole_turn("disc", f.B, min(L, f.R), spec)
 

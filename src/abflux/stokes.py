@@ -25,18 +25,20 @@ a quadrature piece whose side is known, so the inputs are validated
 once, by the outer-radius check.
 
 The chart audit's two-sector assembly of D2's flux is zero by
-construction (see chart_audit), so it integrates only the rings of D2.
+construction (see chart_audit), so it needs only the rings of D2.  The
+three rings and the disc go through geometry's memo of whole turns, so
+chart_audit and flux_direct, run after verify_stokes on the same disc,
+read their integrals from it and integrate nothing again.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 from .errors import InvalidRadius, QuadratureNotConverged
 from .fields import SolenoidField, _require_exterior_range, _require_positive
-from .geometry import _DEFAULT_SPEC, QuadratureSpec, _disc_flux, _ring
+from .geometry import _DEFAULT_SPEC, QuadratureSpec, _ring, _whole_turn
 
 @dataclass(frozen=True)
 class StokesReport:
@@ -97,7 +99,7 @@ def verify_stokes(
     _require_outer_radius(f, L)
 
     phi_1 = _ring(f, True, f.R, spec)
-    phi_1_area = _disc_flux(f.B, 0.0, f.R, 0.0, math.tau, spec)
+    phi_1_area = _whole_turn("disc", f.B, f.R, spec)
     scale = max(1.0, abs(phi_1), abs(phi_1_area))
     if abs(phi_1 - phi_1_area) > 1e-7 * scale:
         raise QuadratureNotConverged(
@@ -133,7 +135,9 @@ def chart_audit(f: SolenoidField, L: float, spec: QuadratureSpec | None = None) 
     That is the seam statement.  Returns the absolute difference between
     that assembly and phi_2 from the two-boundary route, which is
     |circ(L) - circ(R+)|; a value at roundoff scale shows the seam
-    contributes nothing.
+    contributes nothing.  Both rings are memoized (geometry._whole_turn):
+    after verify_stokes on the same field, L and spec, the audit
+    integrates neither again and returns the same value bit for bit.
     """
     spec = spec if spec is not None else _DEFAULT_SPEC
     _require_outer_radius(f, L)

@@ -733,6 +733,12 @@ class TestBatchedKernelMatchesReference:
         value, panels = reference.integrate(pieces, spec)
         return repr(value * scale), panels
 
+    @classmethod
+    def cold(cls, monkeypatch, call):
+        """counted, from an empty whole-turn memo"""
+        geometry._whole_turn.cache_clear()
+        return cls.counted(monkeypatch, call)
+
     @pytest.mark.parametrize("spec", [QuadratureSpec(), QuadratureSpec(rel_tol=1e-12)])
     def test_polylines(self, spec, monkeypatch):
         rng = random.Random(67)
@@ -820,21 +826,29 @@ class TestBatchedKernelMatchesReference:
                 r = verify_stokes(f, L, spec)
                 return r.phi_1, r.phi_2, r.phi_total, r.circ_outer, r.circ_inner, r.discrepancy
 
-            assert self.counted(monkeypatch, report) == (want, n1 + n_area + n2 + n3)
-            assert self.counted(monkeypatch, lambda: flux_direct(f, L, spec)) == (repr(area), n_area)
-            assert self.counted(monkeypatch, lambda: chart_audit(f, L, spec)) == (
-                repr(abs(outer - inner)), n2 + n3)
+            cold = [(want, n1 + n_area + n2 + n3), (repr(area), n_area),
+                    (repr(abs(outer - inner)), n2 + n3)]
+            calls = (report, lambda: flux_direct(f, L, spec), lambda: chart_audit(f, L, spec))
+            assert [self.cold(monkeypatch, call) for call in calls] == cold
+            # in call order, flux_direct and chart_audit find every integral
+            # verify_stokes has just memoized
+            geometry._whole_turn.cache_clear()
+            warm = [cold[0], (repr(area), 0), (repr(abs(outer - inner)), 0)]
+            assert [self.counted(monkeypatch, call) for call in calls] == warm
 
     def test_split_disc_panel_count(self, monkeypatch):
         # the split disc's work on a fixed set of fields, pinned: four seed
-        # panels per ring and one for the area flux, with no split
+        # panels per ring and one for the area flux, with no split; cold,
+        # then warm in call order
         rng = random.Random(103)
         for _ in range(16):
             f = random_field(rng)
             L = rng.uniform(1.2, 8.0) * f.R
-            assert self.counted(monkeypatch, lambda: verify_stokes(f, L))[1] == 13
-            assert self.counted(monkeypatch, lambda: flux_direct(f, L))[1] == 1
-            assert self.counted(monkeypatch, lambda: chart_audit(f, L))[1] == 8
+            calls = (lambda: verify_stokes(f, L), lambda: flux_direct(f, L),
+                     lambda: chart_audit(f, L))
+            assert [self.cold(monkeypatch, call)[1] for call in calls] == [13, 1, 8]
+            geometry._whole_turn.cache_clear()
+            assert [self.counted(monkeypatch, call)[1] for call in calls] == [13, 0, 0]
 
     @pytest.mark.parametrize("spec, want", [(QuadratureSpec(), 1161),
                                             (QuadratureSpec(rel_tol=1e-12), 1749)])

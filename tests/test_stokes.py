@@ -1,12 +1,14 @@
 import json
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from _helpers import random_field
 from abflux import geometry
-from abflux.errors import InvalidRadius
+from abflux.errors import InvalidRadius, QuadratureNotConverged
 from abflux.fields import SolenoidField, ab_standard, gauge_shift
 from abflux.geometry import QuadratureSpec, flux_direct
 from abflux.stokes import StokesReport, chart_audit, verify_stokes
@@ -189,9 +191,10 @@ class TestSplitDiscPieces:
         assert built == []
 
     def test_panel_counts(self, monkeypatch):
-        # seed panels only: three one-turn circles of 4 and one disc in
-        # verify_stokes, two exterior circles in chart_audit, the interior
-        # disc in flux_direct
+        # seed panels only, each call cold: three one-turn circles of 4 and
+        # one disc in verify_stokes, two exterior circles in chart_audit, the
+        # interior disc in flux_direct.  In call order after verify_stokes,
+        # the other two find all their integrals memoized.
         panels = [0]
         gk15 = geometry._gk15
 
@@ -200,12 +203,20 @@ class TestSplitDiscPieces:
             return gk15(*args)
 
         monkeypatch.setattr(geometry, "_gk15", counting)
-        counts = []
-        for call in (verify_stokes, chart_audit, flux_direct):
+
+        def count(call):
             panels[0] = 0
             call(self.F, 2.0)
-            counts.append(panels[0])
-        assert counts == [13, 8, 1]
+            return panels[0]
+
+        calls = (verify_stokes, chart_audit, flux_direct)
+        cold = []
+        for call in calls:
+            geometry._whole_turn.cache_clear()
+            cold.append(count(call))
+        assert cold == [13, 8, 1]
+        geometry._whole_turn.cache_clear()
+        assert [count(call) for call in calls] == [13, 0, 0]
 
     def test_flux_direct_exactly_independent_of_outer_radius(self):
         # beyond rho = R the disc adds only the exterior B_z = 0
@@ -262,3 +273,127 @@ class TestSplitDiscPieces:
         assert abs(flux_direct(SolenoidField(B=1.0, R=5e-324, gamma=0.0), 1e-300)) <= 1e-12
         with pytest.raises(ValueError, match="overflow"):
             flux_direct(SolenoidField(B=1.0, R=1e308, gamma=0.0), 1.5e308)
+
+
+def split_disc(f: SolenoidField, L: float, spec: QuadratureSpec | None = None) -> str:
+    """repr of every value the split disc's three calls return"""
+    r = verify_stokes(f, L, spec)
+    return repr((r.phi_1, r.phi_2, r.phi_total, r.circ_outer, r.circ_inner, r.discrepancy,
+                 flux_direct(f, L, spec), chart_audit(f, L, spec)))
+
+
+class TestWholeTurnMemo:
+    """Each whole turn is integrated once: a memo hit returns the cold
+    value bit for bit, and the memo stores nothing it should not."""
+
+    @staticmethod
+    def integrations(monkeypatch, call):
+        """(call's value, the number of adaptive integrations it ran)"""
+        runs = [0]
+        integrate = geometry._integrate_pieces
+
+        def counting(pieces, spec):
+            runs[0] += 1
+            return integrate(pieces, spec)
+
+        with monkeypatch.context() as m:
+            m.setattr(geometry, "_integrate_pieces", counting)
+            value = call()
+        return value, runs[0]
+
+    @staticmethod
+    def cold(call):
+        geometry._whole_turn.cache_clear()
+        return call()
+
+    def test_hit_equals_cold_call(self, monkeypatch):
+        # each pair has equal keys: the second call of a pair hits every
+        # entry the first stored, and must read what it reads cold
+        rng = random.Random(131)
+        pairs = []
+        for _ in range(12):
+            f = random_field(rng)
+            L = f.R * rng.uniform(1.2, 8.0)
+            pairs.append(((f, L, None), (SolenoidField(f.B, f.R, f.gamma), L, QuadratureSpec())))
+        for zero in (0.0, -0.0):
+            pairs += [((SolenoidField(0.0, 1.0, 0.0), 3.0, None),
+                       (SolenoidField(zero, 1.0, -zero), 3.0, None)),
+                      ((SolenoidField(2.0, 1.0, 0.0), 3.0, None),
+                       (SolenoidField(2.0, 1.0, zero), 3.0, None)),
+                      ((SolenoidField(0.0, 1.0, 1.5), 3.0, None),
+                       (SolenoidField(zero, 1.0, 1.5), 3.0, None))]
+        pairs += [((SolenoidField(2.0, 1.0, 1.0), 3.0, None), (SolenoidField(2, 1, 1), 3, None)),
+                  ((SolenoidField(-3, 2, 5), 7, None), (SolenoidField(-3.0, 2.0, 5.0), 7.0, None)),
+                  ((SolenoidField(2.0, 1.0, 1.5), 2.0, QuadratureSpec(rel_tol=1e-12)),
+                   (SolenoidField(2.0, 1.0, 1.5), 2.0, QuadratureSpec(rel_tol=1e-12))),
+                  ((SolenoidField(2.0, 1.0, 1.5), 2.0, QuadratureSpec(1e-9, 1e-12, 2**20)),
+                   (SolenoidField(2.0, 1.0, 1.5), 2.0, None))]
+        for first, second in pairs:
+            want = self.cold(lambda: split_disc(*second))
+            self.cold(lambda: split_disc(*first))
+            assert self.integrations(monkeypatch, lambda: split_disc(*second)) == (want, 0)
+
+    def test_specs_that_differ_never_share(self, monkeypatch):
+        f = SolenoidField(B=2.0, R=1.0, gamma=1.5)
+        specs = (QuadratureSpec(rel_tol=1e-9), QuadratureSpec(rel_tol=1e-12))
+        want = [self.cold(lambda: split_disc(f, 2.0, spec)) for spec in specs]
+        geometry._whole_turn.cache_clear()
+        for spec, value in zip(specs, want):
+            assert self.integrations(monkeypatch, lambda: split_disc(f, 2.0, spec)) == (value, 4)
+
+    def test_call_that_raises_is_not_stored(self, monkeypatch):
+        f = SolenoidField(B=2.0, R=1.0, gamma=1.5)
+        want = self.cold(lambda: split_disc(f, 2.0))
+        geometry._whole_turn.cache_clear()
+        integrate = geometry._integrate_pieces
+        runs = [0]
+
+        def once(pieces, spec):
+            runs[0] += 1
+            if runs[0] == 1:
+                raise QuadratureNotConverged("injected")
+            return integrate(pieces, spec)
+
+        with monkeypatch.context() as m:
+            m.setattr(geometry, "_integrate_pieces", once)
+            with pytest.raises(QuadratureNotConverged, match="injected"):
+                verify_stokes(f, 2.0)
+        assert geometry._whole_turn.cache_info().currsize == 0
+        assert self.integrations(monkeypatch, lambda: split_disc(f, 2.0)) == (want, 4)
+
+    def test_bound_evicts_the_oldest_ring(self, monkeypatch):
+        spec = QuadratureSpec()
+        rhos = [1.5 + 0.25 * k for k in range(9)]
+        for rho in rhos:
+            geometry._whole_turn("exterior", 1.0, rho, spec)
+
+        def ring(rho):
+            return lambda: geometry._whole_turn("exterior", 1.0, rho, spec)
+
+        assert self.integrations(monkeypatch, ring(rhos[-1]))[1] == 0
+        assert self.integrations(monkeypatch, ring(rhos[0]))[1] == 1
+
+    def test_threads_read_serial_cold_values(self):
+        rng = random.Random(137)
+        cases = []
+        for _ in range(64):
+            f = random_field(rng)
+            cases.append((f, f.R * rng.uniform(1.2, 8.0)))
+        want = [self.cold(lambda: split_disc(f, L)) for f, L in cases]
+        geometry._whole_turn.cache_clear()
+
+        def run(offset):
+            # each thread starts at another case, so they share and evict
+            # one another's entries
+            order = [(k + 16 * offset) % len(cases) for k in range(len(cases))]
+            return {k: split_disc(*cases[k]) for k in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(run, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for got in results:
+            assert [got[k] for k in range(len(cases))] == want
