@@ -173,11 +173,6 @@ def _require_off_surface(f: SolenoidField, rho: float) -> None:
         )
 
 
-def _field_z(f: SolenoidField, x: float, y: float) -> float:
-    """B_z at (x, y) as a float, without the surface check."""
-    return f.B if math.hypot(x, y) < f.R else 0.0
-
-
 #: Largest rho the exterior formulas take: up to it, rho*rho is at most
 #: 2**1022, and a straight edge's x*dy and y*dx about 2**1023 at most,
 #: both finite.
@@ -195,8 +190,15 @@ def _require_exterior_range(lo: float, hi: float) -> None:
         raise ValueError(f"rho*rho overflows at rho = {hi!r}: the inputs overflow")
 
 
-def _potential(f: SolenoidField, x: float, y: float) -> tuple[float, float]:
-    """(A_x, A_y) at (x, y) as floats, without the surface check.
+def eval_B(f: SolenoidField, p: Point) -> Vec3:
+    """Magnetic field at p: (0, 0, B) inside the solenoid, zero outside."""
+    rho = p.rho
+    _require_off_surface(f, rho)
+    return Vec3(0.0, 0.0, f.B if rho < f.R else 0.0)
+
+
+def eval_A(f: SolenoidField, p: Point) -> Vec3:
+    """Vector potential at p, returned in Cartesian components (A_z = 0).
 
     Inside, B*rho/2 along phi_hat is the linear field (-B*y/2, B*x/2),
     which vanishes on the axis.  Outside, gamma/rho along phi_hat is
@@ -204,22 +206,6 @@ def _potential(f: SolenoidField, x: float, y: float) -> tuple[float, float]:
     the same formulas (geometry._arc_piece, _edge_piece); exterior edge
     pieces integrate gamma*dphi, the same potential dotted with the edge
     in fewer operations.
-    """
-    rho = math.hypot(x, y)
-    if rho < f.R:
-        return -0.5 * f.B * y, 0.5 * f.B * x
-    scale = f.gamma / (rho * rho)
-    return -scale * y, scale * x
-
-
-def eval_B(f: SolenoidField, p: Point) -> Vec3:
-    """Magnetic field at p: (0, 0, B) inside the solenoid, zero outside."""
-    _require_off_surface(f, p.rho)
-    return Vec3(0.0, 0.0, _field_z(f, p.x, p.y))
-
-
-def eval_A(f: SolenoidField, p: Point) -> Vec3:
-    """Vector potential at p, returned in Cartesian components (A_z = 0).
 
     Outside the solenoid, a rho beyond the exterior range that paths and
     the split disc keep too (_require_exterior_range) raises ValueError
@@ -227,9 +213,12 @@ def eval_A(f: SolenoidField, p: Point) -> Vec3:
     """
     rho = p.rho
     _require_off_surface(f, rho)
-    if rho >= f.R:
+    if rho < f.R:
+        a_x, a_y = -0.5 * f.B * p.y, 0.5 * f.B * p.x
+    else:
         _require_exterior_range(rho, rho)
-    a_x, a_y = _potential(f, p.x, p.y)
+        scale = f.gamma / (rho * rho)
+        a_x, a_y = -scale * p.y, scale * p.x
     if not (math.isfinite(a_x) and math.isfinite(a_y)):
         raise ValueError(
             f"potential at rho = {rho!r} is not finite ({a_x!r}, {a_y!r}): the inputs overflow"

@@ -1,16 +1,19 @@
 """Closed paths, circulations, winding numbers, and disc fluxes.
 
-Line integrals use a globally adaptive Gauss-Kronrod 7/15 scheme.  Every
-path piece seeds a worklist with its embedded error estimate; the worst
-interval is bisected until the summed estimate meets the requested
-tolerance (absolute or relative, whichever is slacker) or the
-subdivision budget runs out.  The running sums of values and estimates
-drift by rounding, so once the estimate could be within that drift of
-the tolerance, both are summed again exactly and convergence is judged
-on the exact sums.  The result is the exactly rounded sum (math.fsum)
-of the panel values, so repeated runs are bit-identical.  The 1/rho
-falloff of the exterior potential near the solenoid needs no special
-casing: the adaptive loop concentrates nodes there on its own.
+Line integrals use a globally adaptive Gauss-Kronrod 7/15 scheme.  One
+function, _integrate_pieces, owns its seed pass, bisection and exact
+re-sum, as QUADPACK's dqagse does; it takes a list of one path piece,
+which the benchmark's tracer wraps and reads.  The piece seeds a
+worklist with its embedded error estimate; the worst interval is
+bisected until the summed estimate meets the requested tolerance
+(absolute or relative, whichever is slacker) or the subdivision budget
+runs out.  The running sums of values and estimates drift by rounding,
+so once the estimate could be within that drift of the tolerance, both
+are summed again exactly and convergence is judged on the exact sums.
+The result is the exactly rounded sum (math.fsum) of the panel values,
+so repeated runs are bit-identical.  The 1/rho falloff of the exterior
+potential near the solenoid needs no special casing: the adaptive loop
+concentrates nodes there on its own.
 
 Every curve is built from two kinds of piece, a circular arc and a run
 of straight edges, whose integrands return A.dr/dt as plain floats.
@@ -80,6 +83,7 @@ from .fields import (
     SolenoidField,
     _require_exterior_range,
     _require_finite,
+    _require_off_surface,
     _require_positive,
 )
 
@@ -214,57 +218,17 @@ def _gk15(y: list[float], i: int, a: float, b: float) -> tuple[float, float]:
     return kronrod, abs(kronrod - gauss)
 
 
-def _integrate_pieces(pieces: Iterable[tuple], spec: QuadratureSpec) -> float:
-    """Adaptively integrate a list of (fn, a, b, seed, curves) pieces as
-    one sum.
+def _integrate_pieces(pieces: list[tuple], spec: QuadratureSpec) -> float:
+    """Adaptively integrate the one (fn, a, b, seed, curves) piece in
+    pieces: the seed pass, the bisection and the exact re-sum.  It takes
+    a list because the benchmark's tracer (perfbench/tracing.py) wraps
+    it and counts each listed piece's seed panels, piece[3].
 
-    Each curve of a piece is pre-split into equal panels so the error
+    Each curve of the piece is pre-split into equal panels so the error
     estimator starts below one oscillation per panel.  Every pass calls
-    a piece's integrand once: the seed pass on all its panels, each
-    split on both halves of the panel it bisects.  Convergence is judged
-    on the total: sum of estimates <= max(abs_tol, rel_tol*|sum|).  The
-    running sums drift by rounding, so once they could be within their
-    drift of that test they are summed again exactly.
-    """
-    # (-err, seed order, integrand, curve, a, b, value): the heap keys
-    # (-err, seed order) are unique, so no comparison reaches the rest
-    panels: list[tuple] = []
-    append = panels.append
-    # read per call, so a wrapper put on the module name sees every panel
-    gk15 = _gk15
-    n = 0
-    total = 0.0
-    err = 0.0
-    for fn, a, b, seed, curves in pieces:
-        tiles = seed // curves
-        if tiles == 4 and a == 0.0 and b == 1.0:
-            bounds, nodes = _TURN_BOUNDS, _TURN_NODES
-        else:
-            bounds, nodes = _tiles(a, b, tiles)
-        y = fn(range(curves), nodes)
-        i = 0
-        for c in range(curves):
-            for lo, hi in bounds:
-                v, e = gk15(y, i, lo, hi)
-                append((-e, n, fn, c, lo, hi, v))
-                n += 1
-                total += v
-                err += e
-                i += 15
-
-    if err > max(spec.abs_tol, spec.rel_tol * abs(total)):
-        heapq.heapify(panels)
-        total = _bisect(panels, total, err, spec)
-    # checked on the running sum: fsum raises OverflowError, not
-    # ValueError, on finite terms whose sum overflows.  fsum is exactly
-    # rounded, so the order of the panels does not change the result.
-    _require_finite_integral(total)
-    return math.fsum([item[6] for item in panels])
-
-
-def _bisect(heap: list, total: float, err: float, spec: QuadratureSpec) -> float:
-    """Bisect the heap's worst panel until the estimates meet the
-    tolerance; return the running total.
+    the integrand once: the seed pass on all its panels, each split on
+    both halves of the worst panel.  Convergence is judged on the total:
+    sum of estimates <= max(abs_tol, rel_tol*|sum|).
 
     eps2 * drift bounds the rounding the running total and err have
     gathered since they were last exact: each add rounds by at most eps/2
@@ -273,33 +237,62 @@ def _bisect(heap: list, total: float, err: float, spec: QuadratureSpec) -> float
     a tight tolerance, which the running err then never meets; so once
     err is within it of the tolerance, both are summed again exactly.
     """
-    eps2 = 2.0 * sys.float_info.epsilon
-    drift = len(heap) * (err + spec.rel_tol * sum(abs(item[6]) for item in heap))
-    tie = count(len(heap))
-    splits = 0
-    while err > (tol := max(spec.abs_tol, spec.rel_tol * abs(total))):
-        if err - eps2 * drift <= tol:
-            total = math.fsum(item[6] for item in heap)
-            err = math.fsum(-item[0] for item in heap)
-            drift = 0.0
-            continue
-        if splits >= spec.max_subdivisions:
-            raise QuadratureNotConverged(
-                f"error estimate {err:.3e} still above tolerance after "
-                f"{splits} subdivisions"
-            )
-        neg_e, _, fn, c, lo, hi, v = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        y = fn((c,), _nodes(lo, mid) + _nodes(mid, hi))
-        v1, e1 = _gk15(y, 0, lo, mid)
-        v2, e2 = _gk15(y, 15, mid, hi)
-        drift += err + e1 + e2 + spec.rel_tol * (abs(total) + abs(v1) + abs(v2) + abs(v))
-        total += (v1 + v2) - v
-        err = max(err + (e1 + e2) - (-neg_e), 0.0)
-        heapq.heappush(heap, (-e1, next(tie), fn, c, lo, mid, v1))
-        heapq.heappush(heap, (-e2, next(tie), fn, c, mid, hi, v2))
-        splits += 1
-    return total
+    (fn, a, b, seed, curves), = pieces
+    tiles = seed // curves
+    if tiles == 4 and a == 0.0 and b == 1.0:
+        bounds, nodes = _TURN_BOUNDS, _TURN_NODES
+    else:
+        bounds, nodes = _tiles(a, b, tiles)
+    y = fn(range(curves), nodes)
+    # (-err, seed or split order, curve, a, b, value): the heap keys
+    # (-err, order) are unique, so no comparison reaches the rest
+    heap: list[tuple] = []
+    tie = count()
+    # read per call, so a wrapper put on the module name sees every panel
+    gk15 = _gk15
+    total = 0.0
+    err = 0.0
+    i = 0
+    for c in range(curves):
+        for lo, hi in bounds:
+            v, e = gk15(y, i, lo, hi)
+            heap.append((-e, next(tie), c, lo, hi, v))
+            total += v
+            err += e
+            i += 15
+
+    if err > max(spec.abs_tol, spec.rel_tol * abs(total)):
+        heapq.heapify(heap)
+        eps2 = 2.0 * sys.float_info.epsilon
+        drift = len(heap) * (err + spec.rel_tol * sum(abs(item[5]) for item in heap))
+        splits = 0
+        while err > (tol := max(spec.abs_tol, spec.rel_tol * abs(total))):
+            if err - eps2 * drift <= tol:
+                total = math.fsum(item[5] for item in heap)
+                err = math.fsum(-item[0] for item in heap)
+                drift = 0.0
+                continue
+            if splits >= spec.max_subdivisions:
+                raise QuadratureNotConverged(
+                    f"error estimate {err:.3e} still above tolerance after "
+                    f"{splits} subdivisions"
+                )
+            neg_e, _, c, lo, hi, v = heapq.heappop(heap)
+            mid = 0.5 * (lo + hi)
+            y = fn((c,), _nodes(lo, mid) + _nodes(mid, hi))
+            v1, e1 = _gk15(y, 0, lo, mid)
+            v2, e2 = _gk15(y, 15, mid, hi)
+            drift += err + e1 + e2 + spec.rel_tol * (abs(total) + abs(v1) + abs(v2) + abs(v))
+            total += (v1 + v2) - v
+            err = max(err + (e1 + e2) - (-neg_e), 0.0)
+            heapq.heappush(heap, (-e1, next(tie), c, lo, mid, v1))
+            heapq.heappush(heap, (-e2, next(tie), c, mid, hi, v2))
+            splits += 1
+    # checked on the running sum: fsum raises OverflowError, not
+    # ValueError, on finite terms whose sum overflows.  fsum is exactly
+    # rounded, so the order of the panels does not change the result.
+    _require_finite_integral(total)
+    return math.fsum([item[5] for item in heap])
 
 
 def _require_finite_integral(value: float) -> float:
@@ -320,7 +313,7 @@ def _arc_piece(coef: float, inside: bool, cx: float, cy: float, radius: float,
     The caller passes the arc's side of rho = R, from _require_clearance,
     or for a circle on rho = R itself the side whose limit it takes
     (_whole_turn), and that side's coefficient coef: B inside, gamma outside.
-    The integrand holds only that side's formula of fields._potential:
+    The integrand holds only that side's formula of fields.eval_A:
     the linear field (-B*y/2, B*x/2) inside, gamma*(-y, x)/rho**2
     outside, in the same floating-point operations as eval_A, so every
     value equals eval_A's dotted with dr/dt.
@@ -422,20 +415,12 @@ def _edge_piece(f: SolenoidField, inside: bool, coords: list[tuple]) -> tuple:
     return exterior, 0.0, 1.0, len(coords), len(coords)
 
 
-def _ring(f: SolenoidField, inside: bool, rho: float, spec: QuadratureSpec) -> float:
-    """One counterclockwise turn about the axis at radius rho, from the
-    formula of the given side of rho = R; on rho = R itself this is that
-    side's one-sided limit.  The caller validates rho."""
-    if inside:
-        return _whole_turn("interior", f.B, rho, spec)
-    return _whole_turn("exterior", f.gamma, rho, spec)
-
-
 @lru_cache(maxsize=8)
 def _whole_turn(kind: str, coef: float, rho: float, spec: QuadratureSpec) -> float:
     """One whole turn about the axis at radius rho: the counterclockwise
-    ring of the "interior" formula (coef = B) or of the "exterior" one
-    (coef = gamma), or the flux of B_z = coef through the "disc" [0, rho].
+    ring of eval_A's "interior" formula (coef = B) or of its "exterior"
+    one (coef = gamma), or the flux of B_z = coef through the "disc"
+    [0, rho].  On rho = R a ring is that side's one-sided limit.
 
     Memoized, so each split disc integrates each of these once although
     verify_stokes, chart_audit and flux_direct all ask for them.  The key
@@ -676,7 +661,6 @@ def flux_direct(f: SolenoidField, L: float, spec: QuadratureSpec | None = None) 
     """
     spec = spec if spec is not None else _DEFAULT_SPEC
     _require_positive("disc radius", L, error=InvalidRadius)
-    if abs(L - f.R) <= f.boundary_band:
-        raise FieldUndefinedOnSolenoid("disc rim lies in the undefined band at rho = R")
+    _require_off_surface(f, L)
     return _whole_turn("disc", f.B, min(L, f.R), spec)
 

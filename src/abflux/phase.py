@@ -61,6 +61,7 @@ class PhaseFactor(Record):
         return min(d, math.tau - d)
 
     def isclose(self, other: "PhaseFactor", tol: float = 1e-9) -> bool:
+        _require_positive("tolerance", tol)
         return self.distance(other) <= tol
 
     def as_complex(self) -> complex:
@@ -102,8 +103,7 @@ def phases_equivalent(q: float, gamma1: float, gamma2: float, tol: float = 1e-9)
     the exterior parameter is observable only through its class mod 1/q.
     A non-finite q*(gamma1 - gamma2) raises ValueError.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
+    _require_positive("tolerance", tol)
     try:
         x = q * (gamma1 - gamma2)
         finite = math.isfinite(x)

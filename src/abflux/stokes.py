@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidRadius, QuadratureNotConverged
 from .fields import SolenoidField, _require_exterior_range, _require_positive
-from .geometry import _DEFAULT_SPEC, QuadratureSpec, _ring, _whole_turn
+from .geometry import _DEFAULT_SPEC, QuadratureSpec, _whole_turn
 
 @dataclass(frozen=True)
 class StokesReport:
@@ -98,7 +98,7 @@ def verify_stokes(
     spec = spec if spec is not None else _DEFAULT_SPEC
     _require_outer_radius(f, L)
 
-    phi_1 = _ring(f, True, f.R, spec)
+    phi_1 = _whole_turn("interior", f.B, f.R, spec)
     phi_1_area = _whole_turn("disc", f.B, f.R, spec)
     scale = max(1.0, abs(phi_1), abs(phi_1_area))
     if abs(phi_1 - phi_1_area) > 1e-7 * scale:
@@ -107,8 +107,8 @@ def verify_stokes(
             f"{phi_1!r} vs area quadrature {phi_1_area!r}"
         )
 
-    circ_inner = _ring(f, False, f.R, spec)
-    circ_outer = _ring(f, False, L, spec)
+    circ_inner = _whole_turn("exterior", f.gamma, f.R, spec)
+    circ_outer = _whole_turn("exterior", f.gamma, L, spec)
     phi_2 = circ_outer - circ_inner
     phi_total = phi_1 + phi_2
     return StokesReport(
@@ -141,6 +141,6 @@ def chart_audit(f: SolenoidField, L: float, spec: QuadratureSpec | None = None) 
     """
     spec = spec if spec is not None else _DEFAULT_SPEC
     _require_outer_radius(f, L)
-    circ_inner = _ring(f, False, f.R, spec)
-    circ_outer = _ring(f, False, L, spec)
+    circ_inner = _whole_turn("exterior", f.gamma, f.R, spec)
+    circ_outer = _whole_turn("exterior", f.gamma, L, spec)
     return abs(circ_outer - circ_inner)

@@ -516,6 +516,11 @@ class TestFluxDirect:
         f = SolenoidField(B=1.0, R=1.0, gamma=0.0)
         with pytest.raises(FieldUndefinedOnSolenoid):
             flux_direct(f, 1.0)
+        # the band of the surface rule, whose message names the rim's rho
+        for L in (f.R * (1.0 - 5e-10), f.R * (1.0 + 5e-10)):
+            with pytest.raises(FieldUndefinedOnSolenoid, match=f"rho = {L!r}"):
+                flux_direct(f, L)
+        assert flux_direct(f, f.R * (1.0 + 2e-9)) == flux_direct(f, 2.0 * f.R)
 
     def test_bad_radius_rejected(self):
         f = SolenoidField(B=1.0, R=1.0, gamma=0.0)

@@ -18,7 +18,7 @@ from abflux.geometry import (
     flux_direct,
     sector_flux,
 )
-from abflux.phase import InterferometerGeometry, PhaseFactor, holonomy
+from abflux.phase import InterferometerGeometry, PhaseFactor, holonomy, phases_equivalent
 from abflux.quantize import ChargeSpectrum, RationalCharge
 from abflux.stokes import chart_audit, verify_stokes
 
@@ -168,6 +168,10 @@ POSITIVE_INPUTS = {
                    (ValueError, ValueError, None, None)),
     "Point.from_cylindrical rho": (lambda x: Point.from_cylindrical(x, 0.0),
                                    (ValueError, ValueError, None, None)),
+    "phases_equivalent tol": (lambda x: phases_equivalent(1.0, 0.0, 0.5, tol=x),
+                              (ValueError,) * 4),
+    "PhaseFactor.isclose tol": (lambda x: PhaseFactor(1.0).isclose(PhaseFactor(1.0), tol=x),
+                                (ValueError,) * 4),
 }
 
 
