@@ -56,7 +56,10 @@ split disc asks for the same ones from verify_stokes, chart_audit and
 flux_direct, and each is integrated once.  The memo is an lru_cache of
 8 entries keyed on the kind, its coefficient (B, or gamma for the
 exterior ring), rho and the spec, so its values are those of computing
-again, and it is the one piece of state that changes after import.
+again.  circulation keeps its last 8 results too (_circulations), keyed
+on the identity of its field, path and spec, so a holonomy of the path
+just integrated integrates nothing.  These two bounded memos are the
+only state that changes after import.
 """
 
 from __future__ import annotations
@@ -535,6 +538,10 @@ def winding_number(path: ClosedPath) -> int:
     return int(nearest)
 
 
+#: circulation's last 8 results, newest first, as (f, path, spec, value)
+_circulations: tuple[tuple, ...] = ()
+
+
 def circulation(
     f: SolenoidField, path: ClosedPath, spec: QuadratureSpec | None = None
 ) -> float:
@@ -544,18 +551,36 @@ def circulation(
     value is 2*pi*gamma*w, independent of the path's shape or size; for a
     path inside the solenoid it is B/2 times twice the enclosed area.
     A circle is integrated over one revolution and scaled by |turns|.
+
+    The last 8 results are memoized, so a holonomy of the same path
+    integrates nothing.  A call whose f, path and spec (None resolved to
+    the default) are the same objects as a stored call's returns its
+    value: they are immutable records, so it is the value of computing
+    again, bit for bit.  Identity, not equality: hashing a long polyline
+    costs a good part of integrating it.  Each entry holds its objects,
+    so their ids cannot be reused while it lives; a call that raises is
+    not stored.  The memo is one tuple, read once per call and replaced
+    whole, so it needs no lock: a racing store may drop or repeat an
+    entry, never change one.
     """
+    global _circulations
     spec = spec if spec is not None else _DEFAULT_SPEC
+    for mf, mpath, mspec, value in _circulations:
+        if mpath is path and mf is f and mspec is spec:
+            return value
     if isinstance(path, Circle):
         c = path.center
         d = math.hypot(c.x, c.y)
         inside = _require_clearance(abs(d - path.radius), d + path.radius, f)
         arc = _arc_piece(f.B if inside else f.gamma, inside, c.x, c.y, path.radius, 0.0,
                          math.copysign(math.tau, path.turns))
-        return _require_finite_integral(_integrate_pieces([arc], spec) * abs(path.turns))
-    edges, lo, hi = _edge_table(path.vertices, closed=True)
-    inside = _require_clearance(lo, hi, f)
-    return _integrate_pieces([_edge_piece(f, inside, edges)], spec)
+        value = _require_finite_integral(_integrate_pieces([arc], spec) * abs(path.turns))
+    else:
+        edges, lo, hi = _edge_table(path.vertices, closed=True)
+        inside = _require_clearance(lo, hi, f)
+        value = _integrate_pieces([_edge_piece(f, inside, edges)], spec)
+    _circulations = ((f, path, spec, value),) + _circulations[:7]
+    return value
 
 
 def segment_integral(

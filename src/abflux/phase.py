@@ -74,7 +74,11 @@ def holonomy(
     q: float,
     spec: QuadratureSpec | None = None,
 ) -> PhaseFactor:
-    """Loop phase q * circulation(f, path), reduced mod 2*pi."""
+    """Loop phase q * circulation(f, path), reduced mod 2*pi.
+
+    circulation remembers its last results, so after circulation(f, path,
+    spec) on the same objects this integrates nothing.
+    """
     _require_finite("q", q)
     # imported here: the closed-form phases and the fringe model need no
     # quadrature, so loading abflux.geometry would only slow their start.

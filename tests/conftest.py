@@ -6,7 +6,9 @@ from abflux import geometry
 
 
 @pytest.fixture(autouse=True)
-def cold_whole_turns():
-    """Start every test with an empty whole-turn memo, so that no panel
-    count depends on the tests that ran before it."""
+def cold_memos():
+    """Start every test with empty memos of whole turns and of
+    circulations, so that no panel count depends on the tests that ran
+    before it."""
     geometry._whole_turn.cache_clear()
+    geometry._circulations = ()

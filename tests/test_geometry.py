@@ -3,6 +3,7 @@ import json
 import math
 import random
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +46,7 @@ from abflux.geometry import (
     winding_number,
 )
 from abflux.loaders import load_circle_json, load_polyline_csv
+from abflux.phase import holonomy
 from abflux.stokes import chart_audit, verify_stokes
 
 TWO_PI = 2.0 * math.pi
@@ -872,6 +874,134 @@ class TestBatchedKernelMatchesReference:
         for f, loop in cases:
             panels += self.counted(monkeypatch, lambda: circulation(f, loop, spec))[1]
         assert panels == want
+
+
+class TestCirculationMemo:
+    """circulation keeps its last 8 results, keyed on the f, path and spec
+    objects: a repeat integrates nothing and returns the cold value."""
+
+    counted = staticmethod(TestBatchedKernelMatchesReference.counted)
+
+    @classmethod
+    def cold(cls, monkeypatch, call):
+        """counted, from an empty memo of circulations"""
+        geometry._circulations = ()
+        return cls.counted(monkeypatch, call)
+
+    @staticmethod
+    def cases(rng, count):
+        """(f, path, spec): polylines and circles, inside and outside"""
+        fine = QuadratureSpec(rel_tol=1e-12)
+        for _ in range(count):
+            f = random_field(rng)
+            a = rng.uniform(0.0, TWO_PI)
+            yield f, star_loop(rng, rng.choice((-2, 1, 3)), 1.5 * f.R, 4.0 * f.R), None
+            yield f, star_loop(rng, 1, 0.3 * f.R, 0.6 * f.R, z_jitter=0.2), fine
+            yield f, Circle(ORIGIN, rng.uniform(1.5, 4.0) * f.R, -2), fine
+            yield f, Circle(Point(3.0 * f.R * math.cos(a), 3.0 * f.R * math.sin(a)), f.R), None
+
+    def test_holonomy_after_circulation_integrates_nothing(self, monkeypatch):
+        rng = random.Random(139)
+        for f, path, spec in self.cases(rng, 4):
+            q = rng.choice((1.0, -1.0 / 3.0, 2.0 / 3.0))
+            circ = self.cold(monkeypatch, lambda: circulation(f, path, spec))
+            angle = self.cold(monkeypatch, lambda: holonomy(f, path, q, spec).angle)
+            assert circ[1] > 0 and angle[1] == circ[1]
+            geometry._circulations = ()
+            assert self.counted(monkeypatch, lambda: circulation(f, path, spec)) == circ
+            assert self.counted(monkeypatch, lambda: holonomy(f, path, q, spec).angle) == (
+                angle[0], 0)
+            assert self.counted(monkeypatch, lambda: circulation(f, path, spec)) == (circ[0], 0)
+            if spec is None:
+                # no spec is the default spec object
+                assert self.counted(
+                    monkeypatch, lambda: circulation(f, path, geometry._DEFAULT_SPEC))[1] == 0
+
+    def test_equal_objects_that_are_not_the_same_recompute(self, monkeypatch):
+        rng = random.Random(149)
+        f = random_field(rng)
+        path = star_loop(rng, 2, 1.5 * f.R, 4.0 * f.R)
+        spec = QuadratureSpec(rel_tol=1e-12)
+        want = self.cold(monkeypatch, lambda: circulation(f, path, spec))
+        twins = [(SolenoidField(f.B, f.R, f.gamma), path, spec),
+                 (f, Polyline(path.vertices), spec),
+                 (f, path, QuadratureSpec(spec.rel_tol, spec.abs_tol, spec.max_subdivisions))]
+        for twin in twins:
+            assert twin == (f, path, spec)
+            assert [a is b for a, b in zip(twin, (f, path, spec))].count(False) == 1
+            circulation(f, path, spec)
+            assert self.counted(monkeypatch, lambda: circulation(*twin)) == want
+
+    def test_call_that_raises_is_not_stored(self, monkeypatch):
+        rng = random.Random(151)
+        f = random_field(rng)
+        loop = star_loop(rng, 2, 1.5 * f.R, 4.0 * f.R)
+        no_split = QuadratureSpec(rel_tol=1e-12, max_subdivisions=0)
+        crossing = Circle(ORIGIN, f.R)
+        for path, spec, error in ((loop, no_split, QuadratureNotConverged),
+                                  (crossing, None, PathCrossesSolenoid)):
+            for _ in range(2):
+                with pytest.raises(error):
+                    circulation(f, path, spec)
+            assert geometry._circulations == ()
+        want = self.cold(monkeypatch, lambda: circulation(f, loop))
+        with pytest.raises(QuadratureNotConverged):
+            circulation(f, loop, no_split)
+        assert self.counted(monkeypatch, lambda: circulation(f, loop)) == (want[0], 0)
+
+    def test_ninth_path_evicts_the_oldest(self, monkeypatch):
+        f = SolenoidField(B=2.0, R=1.0, gamma=1.5)
+        paths = [Circle(ORIGIN, 1.5 + 0.25 * k) for k in range(9)]
+        want = [self.cold(monkeypatch, lambda: circulation(f, path)) for path in paths]
+        geometry._circulations = ()
+        for path in paths:
+            circulation(f, path)
+        for path, (value, _) in zip(paths[1:], want[1:]):
+            assert self.counted(monkeypatch, lambda: circulation(f, path)) == (value, 0)
+        assert self.counted(monkeypatch, lambda: circulation(f, paths[0])) == want[0]
+
+    def test_dropped_paths_never_lend_their_value(self, monkeypatch):
+        # each polyline is built, integrated and dropped; once its entry is
+        # evicted, the next one may be allocated at its address
+        rng = random.Random(157)
+        f = random_field(rng)
+        vertex_lists = [star_loop(rng, 1, 1.5 * f.R, 4.0 * f.R).vertices for _ in range(32)]
+        want = [self.cold(monkeypatch, lambda: circulation(f, Polyline(v)))
+                for v in vertex_lists]
+        geometry._circulations = ()
+        for vertices, expected in zip(vertex_lists, want):
+            assert self.counted(
+                monkeypatch, lambda: circulation(f, Polyline(vertices))) == expected
+
+    def test_threads_read_serial_cold_values(self):
+        rng = random.Random(163)
+        cases = [(f, path, rng.choice((1.0, -1.0 / 3.0)), spec)
+                 for f, path, spec in self.cases(rng, 16)]
+
+        def both(f, path, q, spec):
+            return circulation(f, path, spec), holonomy(f, path, q, spec).angle
+
+        want = []
+        for case in cases:
+            geometry._circulations = ()
+            want.append(both(*case))
+        geometry._circulations = ()
+
+        def run(offset):
+            # each thread starts at another case, so they share and evict
+            # one another's entries
+            order = [(k + 16 * offset) % len(cases) for k in range(len(cases))]
+            return {k: both(*cases[k]) for k in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(run, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for got in results:
+            assert [got[k] for k in range(len(cases))] == want
 
 
 class TestTurnTrigTable:

@@ -96,6 +96,19 @@ def test_subcommand_loads_no_typing_without_site(argv):
     assert "typing" not in loaded
 
 
+#: the subcommands that integrate a closed path, whose circulation memo
+#: must need no lock from threading.  A site .pth file may load threading
+#: (zipfile imports it), so these run without site.
+MEMO_FOOTPRINTS = [argv for argv, _ in FOOTPRINTS if "--circle" in argv]
+
+
+@pytest.mark.parametrize("argv", MEMO_FOOTPRINTS)
+def test_circulation_memo_loads_no_threading(argv):
+    code, loaded = json.loads(run_python("-S", "-c", FOOTPRINT, *argv))
+    assert code == 0
+    assert "threading" not in loaded
+
+
 def test_library_layers_load_no_loader():
     out = run_python(
         "-c",
