@@ -56,10 +56,10 @@ split disc asks for the same ones from verify_stokes, chart_audit and
 flux_direct, and each is integrated once.  The memo is an lru_cache of
 8 entries keyed on the kind, its coefficient (B, or gamma for the
 exterior ring), rho and the spec, so its values are those of computing
-again.  circulation keeps its last 8 results too (_circulations), keyed
-on the identity of its field, path and spec, so a holonomy of the path
-just integrated integrates nothing.  These two bounded memos are the
-only state that changes after import.
+again.  circulation keeps its last result too (_last_circulation),
+keyed on the identity of its field, path and spec, so a holonomy of the
+path just integrated integrates nothing.  These two bounded memos are
+the only state that changes after import.
 """
 
 from __future__ import annotations
@@ -538,8 +538,8 @@ def winding_number(path: ClosedPath) -> int:
     return int(nearest)
 
 
-#: circulation's last 8 results, newest first, as (f, path, spec, value)
-_circulations: tuple[tuple, ...] = ()
+#: circulation's last result as (f, path, spec, value), or None
+_last_circulation: tuple | None = None
 
 
 def circulation(
@@ -552,22 +552,21 @@ def circulation(
     path inside the solenoid it is B/2 times twice the enclosed area.
     A circle is integrated over one revolution and scaled by |turns|.
 
-    The last 8 results are memoized, so a holonomy of the same path
+    The last result is memoized, so a holonomy of the same path
     integrates nothing.  A call whose f, path and spec (None resolved to
-    the default) are the same objects as a stored call's returns its
+    the default) are the same objects as the last call's returns its
     value: they are immutable records, so it is the value of computing
     again, bit for bit.  Identity, not equality: hashing a long polyline
-    costs a good part of integrating it.  Each entry holds its objects,
-    so their ids cannot be reused while it lives; a call that raises is
-    not stored.  The memo is one tuple, read once per call and replaced
-    whole, so it needs no lock: a racing store may drop or repeat an
-    entry, never change one.
+    costs a good part of integrating it.  The memo holds its objects, so
+    their ids cannot be reused while it lives; a call that raises is not
+    stored.  The memo is one tuple, read once per call and replaced by
+    one assignment, so it needs no lock.
     """
-    global _circulations
+    global _last_circulation
     spec = spec if spec is not None else _DEFAULT_SPEC
-    for mf, mpath, mspec, value in _circulations:
-        if mpath is path and mf is f and mspec is spec:
-            return value
+    last = _last_circulation
+    if last is not None and last[1] is path and last[0] is f and last[2] is spec:
+        return last[3]
     if isinstance(path, Circle):
         c = path.center
         d = math.hypot(c.x, c.y)
@@ -579,7 +578,7 @@ def circulation(
         edges, lo, hi = _edge_table(path.vertices, closed=True)
         inside = _require_clearance(lo, hi, f)
         value = _integrate_pieces([_edge_piece(f, inside, edges)], spec)
-    _circulations = ((f, path, spec, value),) + _circulations[:7]
+    _last_circulation = (f, path, spec, value)
     return value
 
 

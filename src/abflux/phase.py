@@ -76,7 +76,7 @@ def holonomy(
 ) -> PhaseFactor:
     """Loop phase q * circulation(f, path), reduced mod 2*pi.
 
-    circulation remembers its last results, so after circulation(f, path,
+    circulation remembers its last result, so after circulation(f, path,
     spec) on the same objects this integrates nothing.
     """
     _require_finite("q", q)

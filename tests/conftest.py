@@ -7,8 +7,8 @@ from abflux import geometry
 
 @pytest.fixture(autouse=True)
 def cold_memos():
-    """Start every test with empty memos of whole turns and of
-    circulations, so that no panel count depends on the tests that ran
+    """Start every test with an empty whole-turn memo and no memoized
+    circulation, so that no panel count depends on the tests that ran
     before it."""
     geometry._whole_turn.cache_clear()
-    geometry._circulations = ()
+    geometry._last_circulation = None

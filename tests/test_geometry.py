@@ -877,7 +877,7 @@ class TestBatchedKernelMatchesReference:
 
 
 class TestCirculationMemo:
-    """circulation keeps its last 8 results, keyed on the f, path and spec
+    """circulation keeps its last result, keyed on the f, path and spec
     objects: a repeat integrates nothing and returns the cold value."""
 
     counted = staticmethod(TestBatchedKernelMatchesReference.counted)
@@ -885,7 +885,7 @@ class TestCirculationMemo:
     @classmethod
     def cold(cls, monkeypatch, call):
         """counted, from an empty memo of circulations"""
-        geometry._circulations = ()
+        geometry._last_circulation = None
         return cls.counted(monkeypatch, call)
 
     @staticmethod
@@ -907,7 +907,7 @@ class TestCirculationMemo:
             circ = self.cold(monkeypatch, lambda: circulation(f, path, spec))
             angle = self.cold(monkeypatch, lambda: holonomy(f, path, q, spec).angle)
             assert circ[1] > 0 and angle[1] == circ[1]
-            geometry._circulations = ()
+            geometry._last_circulation = None
             assert self.counted(monkeypatch, lambda: circulation(f, path, spec)) == circ
             assert self.counted(monkeypatch, lambda: holonomy(f, path, q, spec).angle) == (
                 angle[0], 0)
@@ -943,32 +943,32 @@ class TestCirculationMemo:
             for _ in range(2):
                 with pytest.raises(error):
                     circulation(f, path, spec)
-            assert geometry._circulations == ()
+            assert geometry._last_circulation is None
         want = self.cold(monkeypatch, lambda: circulation(f, loop))
         with pytest.raises(QuadratureNotConverged):
             circulation(f, loop, no_split)
         assert self.counted(monkeypatch, lambda: circulation(f, loop)) == (want[0], 0)
 
-    def test_ninth_path_evicts_the_oldest(self, monkeypatch):
+    def test_second_path_replaces_the_first(self, monkeypatch):
         f = SolenoidField(B=2.0, R=1.0, gamma=1.5)
-        paths = [Circle(ORIGIN, 1.5 + 0.25 * k) for k in range(9)]
-        want = [self.cold(monkeypatch, lambda: circulation(f, path)) for path in paths]
-        geometry._circulations = ()
-        for path in paths:
-            circulation(f, path)
-        for path, (value, _) in zip(paths[1:], want[1:]):
-            assert self.counted(monkeypatch, lambda: circulation(f, path)) == (value, 0)
-        assert self.counted(monkeypatch, lambda: circulation(f, paths[0])) == want[0]
+        first, second = Circle(ORIGIN, 1.5), Circle(ORIGIN, 1.75)
+        want = [self.cold(monkeypatch, lambda: circulation(f, path))
+                for path in (first, second)]
+        geometry._last_circulation = None
+        circulation(f, first)
+        assert self.counted(monkeypatch, lambda: circulation(f, second)) == want[1]
+        assert self.counted(monkeypatch, lambda: circulation(f, second)) == (want[1][0], 0)
+        assert self.counted(monkeypatch, lambda: circulation(f, first)) == want[0]
 
     def test_dropped_paths_never_lend_their_value(self, monkeypatch):
-        # each polyline is built, integrated and dropped; once its entry is
-        # evicted, the next one may be allocated at its address
+        # each polyline is built, integrated and dropped; once the next
+        # call has replaced its entry, a later one may take its address
         rng = random.Random(157)
         f = random_field(rng)
         vertex_lists = [star_loop(rng, 1, 1.5 * f.R, 4.0 * f.R).vertices for _ in range(32)]
         want = [self.cold(monkeypatch, lambda: circulation(f, Polyline(v)))
                 for v in vertex_lists]
-        geometry._circulations = ()
+        geometry._last_circulation = None
         for vertices, expected in zip(vertex_lists, want):
             assert self.counted(
                 monkeypatch, lambda: circulation(f, Polyline(vertices))) == expected
@@ -983,13 +983,13 @@ class TestCirculationMemo:
 
         want = []
         for case in cases:
-            geometry._circulations = ()
+            geometry._last_circulation = None
             want.append(both(*case))
-        geometry._circulations = ()
+        geometry._last_circulation = None
 
         def run(offset):
-            # each thread starts at another case, so they share and evict
-            # one another's entries
+            # each thread starts at another case, so they replace one
+            # another's entry
             order = [(k + 16 * offset) % len(cases) for k in range(len(cases))]
             return {k: both(*cases[k]) for k in order}
 
