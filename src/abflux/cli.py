@@ -116,6 +116,8 @@ def _load_config(args: argparse.Namespace) -> dict:
     if not isinstance(config, dict):
         raise ValueError(f"config must be a JSON object, got {type(config).__name__}")
     _require_known(config, ("field", "quadrature", "format"), "config")
+    if config.get("format", "csv") not in ("json", "csv"):
+        raise ValueError(f"unknown output format {config['format']!r}")
     return config
 
 
@@ -251,7 +253,8 @@ def _cmd_chart_audit(args: argparse.Namespace, config, field, spec) -> None:
 def _cmd_phase(args: argparse.Namespace, config, field, spec) -> None:
     from .phase import holonomy, phase_closed_form
 
-    path_given = any(v is not None for v in (args.circle, args.circle_json, args.polyline))
+    path_given = any(v is not None
+                     for v in (args.circle, args.circle_json, args.polyline, args.turns))
     if path_given:
         factor = holonomy(field, _resolve_path(args), args.q, spec)
     else:
@@ -270,10 +273,7 @@ def _cmd_interfere(args: argparse.Namespace, config, field, spec) -> None:
         samples=args.samples,
     )
     rows = interference(field, args.q, geom)
-    fmt = args.format or config.get("format") or "csv"
-    if fmt not in ("json", "csv"):
-        raise ValueError(f"unknown output format {fmt!r}")
-    if fmt == "csv":
+    if (args.format or config.get("format", "csv")) == "csv":
         sys.stdout.write(interference_csv(rows))
     else:
         print(json.dumps([[_round12(x), _round12(i)] for x, i in rows]))

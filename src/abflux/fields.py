@@ -202,10 +202,9 @@ def eval_A(f: SolenoidField, p: Point) -> Vec3:
 
     Inside, B*rho/2 along phi_hat is the linear field (-B*y/2, B*x/2),
     which vanishes on the axis.  Outside, gamma/rho along phi_hat is
-    gamma * (-y, x) / rho**2.  Arc pieces and interior edge pieces inline
-    the same formulas (geometry._arc_piece, _edge_piece); exterior edge
-    pieces integrate gamma*dphi, the same potential dotted with the edge
-    in fewer operations.
+    gamma * (-y, x) / rho**2.  Arcs and interior edges inline the same
+    formulas (geometry._arc, _edges); exterior edges integrate gamma*dphi,
+    the same potential dotted with the edge in fewer operations.
 
     Outside the solenoid, a rho beyond the exterior range that paths and
     the split disc keep too (_require_exterior_range) raises ValueError

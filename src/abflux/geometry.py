@@ -15,8 +15,10 @@ so repeated runs are bit-identical.  The 1/rho falloff of the exterior
 potential near the solenoid needs no special casing: the adaptive loop
 concentrates nodes there on its own.
 
-Every curve is built from two kinds of piece, a circular arc and a run
-of straight edges, whose integrands return A.dr/dt as plain floats.
+Every curve is integrated by one of two functions, _arc for a circular
+arc and _edges for a run of straight edges.  Each builds its piece,
+whose integrand returns A.dr/dt as plain floats, and integrates it, as
+_disc_flux does for a sector; no other function calls _integrate_pieces.
 Each pass calls a piece's integrand once: the seed pass on the nodes of
 all its seed panels (every edge of a polyline at the same 15 nodes of
 [0, 1]), a split on both halves of the panel it bisects.  The 60 seed
@@ -304,10 +306,10 @@ def _require_finite_integral(value: float) -> float:
     return value
 
 
-def _arc_piece(coef: float, inside: bool, cx: float, cy: float, radius: float,
-               phi0: float, sweep: float) -> tuple:
-    """Piece for the arc about (cx, cy) from azimuth phi0 through sweep,
-    t in [0, 1], seeded with one panel per quarter turn.
+def _arc(coef: float, inside: bool, cx: float, cy: float, radius: float,
+         phi0: float, sweep: float, spec: QuadratureSpec) -> float:
+    """Integral along the arc about (cx, cy) from azimuth phi0 through
+    sweep, t in [0, 1], seeded with one panel per quarter turn.
 
     The seed pass of a whole turn from azimuth 0 reads its cos and sin
     from _TURN_TRIG, built by the same _trig at the same nodes; every
@@ -330,55 +332,34 @@ def _arc_piece(coef: float, inside: bool, cx: float, cy: float, radius: float,
     if inside:
         bx, by = -0.5 * coef, 0.5 * coef
 
-        def interior(cs: Sequence[int], ts: Sequence[float]) -> list[float]:
+        def fn(cs: Sequence[int], ts: Sequence[float]) -> list[float]:
             pairs = turn_trig if ts is turn_nodes else _trig(phi0, sweep, ts)
             return [bx * (cy + radius * s) * (nk * s) + by * (cx + radius * c) * (k * c)
                     for c, s in pairs]
+    else:
+        def fn(cs: Sequence[int], ts: Sequence[float]) -> list[float]:
+            pairs = turn_trig if ts is turn_nodes else _trig(phi0, sweep, ts)
+            out = []
+            for c, s in pairs:
+                x, y = cx + radius * c, cy + radius * s
+                rho = hypot(x, y)
+                scale = coef / (rho * rho)
+                out.append(-scale * y * (nk * s) + scale * x * (k * c))
+            return out
 
-        return interior, 0.0, 1.0, seed, 1
-
-    def exterior(cs: Sequence[int], ts: Sequence[float]) -> list[float]:
-        pairs = turn_trig if ts is turn_nodes else _trig(phi0, sweep, ts)
-        out = []
-        for c, s in pairs:
-            x, y = cx + radius * c, cy + radius * s
-            rho = hypot(x, y)
-            scale = coef / (rho * rho)
-            out.append(-scale * y * (nk * s) + scale * x * (k * c))
-        return out
-
-    return exterior, 0.0, 1.0, seed, 1
+    return _integrate_pieces([(fn, 0.0, 1.0, seed, 1)], spec)
 
 
-def _edge_table(points: Sequence[Point], closed: bool) -> tuple[list[tuple], float, float]:
-    """The straight edges joining points in order, and back from the last
-    to the first when closed, as (px, py, dx, dy) from each start point p
-    along its xy-projected edge; and the (min, max) of rho over them all.
+def _edges(f: SolenoidField, points: Sequence[Point], spec: QuadratureSpec) -> float:
+    """Integral along the straight edges joining points in order.
 
-    Every point's rho is taken once, plus each edge's closest approach
-    to the axis where it lies between the edge's ends (0 < t < 1).  The
-    edges share their end points, so that is the range of the whole run.
-    """
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
-    rhos = list(map(hypot, xs, ys))
-    lo, hi = min(rhos), max(rhos)
-    ends = (xs[1:] + xs[:1], ys[1:] + ys[:1]) if closed else (xs[1:], ys[1:])
-    edges = []
-    for px, py, qx, qy in zip(xs, ys, *ends):
-        dx, dy = qx - px, qy - py
-        edges.append((px, py, dx, dy))
-        dd = dx * dx + dy * dy
-        if dd != 0.0 and 0.0 < (t := -(px * dx + py * dy) / dd) < 1.0:
-            lo = min(lo, hypot(px + t * dx, py + t * dy))
-    return edges, lo, hi
-
-
-def _edge_piece(f: SolenoidField, inside: bool, coords: list[tuple]) -> tuple:
-    """Piece for the straight edges (px, py, dx, dy) of _edge_table, each
-    a curve over t in [0, 1] with one seed panel, so the seed pass
-    evaluates every edge at the same 15 nodes in one call.  The potential
-    has no z-component, so only the xy-projection enters.
+    Each edge is (px, py, dx, dy) from its start point p along its
+    xy-projection, a curve over t in [0, 1] with one seed panel, so the
+    seed pass evaluates every edge at the same 15 nodes in one call.  The
+    potential has no z-component, so only the xy-projection enters.  The
+    clearance check takes the rho range of the whole run: every point's
+    rho once, plus each edge's closest approach to the axis where it lies
+    between the edge's ends (0 < t < 1).
 
     As for arcs, the integrand holds only the formula of the edges' side
     of rho = R.  Inside it is eval_A's linear field dotted with the edge
@@ -390,32 +371,42 @@ def _edge_piece(f: SolenoidField, inside: bool, coords: list[tuple]) -> tuple:
     point: that form rounds into every node of an edge alike, which the
     error estimate cannot see near the axis.
     """
-    if inside:
+    xs = [p.x for p in points]
+    ys = [p.y for p in points]
+    rhos = list(map(hypot, xs, ys))
+    lo, hi = min(rhos), max(rhos)
+    coords = []
+    for px, py, qx, qy in zip(xs, ys, xs[1:], ys[1:]):
+        dx, dy = qx - px, qy - py
+        coords.append((px, py, dx, dy))
+        dd = dx * dx + dy * dy
+        if dd != 0.0 and 0.0 < (t := -(px * dx + py * dy) / dd) < 1.0:
+            lo = min(lo, hypot(px + t * dx, py + t * dy))
+
+    if _require_clearance(lo, hi, f):
         bx, by = -0.5 * f.B, 0.5 * f.B
 
-        def interior(cs: Sequence[int], ts: Sequence[float]) -> list[float]:
+        def fn(cs: Sequence[int], ts: Sequence[float]) -> list[float]:
             out = []
             for c in cs:
                 px, py, dx, dy = coords[c]
                 out += [bx * (py + t * dy) * dx + by * (px + t * dx) * dy for t in ts]
             return out
+    else:
+        gamma = f.gamma
 
-        return interior, 0.0, 1.0, len(coords), len(coords)
+        def fn(cs: Sequence[int], ts: Sequence[float]) -> list[float]:
+            out = []
+            for c in cs:
+                px, py, dx, dy = coords[c]
+                for t in ts:
+                    x, y = px + t * dx, py + t * dy
+                    # divided before gamma scales it, so a large gamma overflows
+                    # only where the value itself does
+                    out.append(gamma * ((x * dy - y * dx) / (x * x + y * y)))
+            return out
 
-    gamma = f.gamma
-
-    def exterior(cs: Sequence[int], ts: Sequence[float]) -> list[float]:
-        out = []
-        for c in cs:
-            px, py, dx, dy = coords[c]
-            for t in ts:
-                x, y = px + t * dx, py + t * dy
-                # divided before gamma scales it, so a large gamma overflows
-                # only where the value itself does
-                out.append(gamma * ((x * dy - y * dx) / (x * x + y * y)))
-        return out
-
-    return exterior, 0.0, 1.0, len(coords), len(coords)
+    return _integrate_pieces([(fn, 0.0, 1.0, len(coords), len(coords))], spec)
 
 
 @lru_cache(maxsize=8)
@@ -435,8 +426,7 @@ def _whole_turn(kind: str, coef: float, rho: float, spec: QuadratureSpec) -> flo
     """
     if kind == "disc":
         return _disc_flux(coef, 0.0, rho, 0.0, math.tau, spec)
-    arc = _arc_piece(coef, kind == "interior", 0.0, 0.0, rho, 0.0, math.tau)
-    return _integrate_pieces([arc], spec)
+    return _arc(coef, kind == "interior", 0.0, 0.0, rho, 0.0, math.tau, spec)
 
 
 class Circle(Record):
@@ -571,13 +561,11 @@ def circulation(
         c = path.center
         d = math.hypot(c.x, c.y)
         inside = _require_clearance(abs(d - path.radius), d + path.radius, f)
-        arc = _arc_piece(f.B if inside else f.gamma, inside, c.x, c.y, path.radius, 0.0,
-                         math.copysign(math.tau, path.turns))
-        value = _require_finite_integral(_integrate_pieces([arc], spec) * abs(path.turns))
+        turn = _arc(f.B if inside else f.gamma, inside, c.x, c.y, path.radius, 0.0,
+                    math.copysign(math.tau, path.turns), spec)
+        value = _require_finite_integral(turn * abs(path.turns))
     else:
-        edges, lo, hi = _edge_table(path.vertices, closed=True)
-        inside = _require_clearance(lo, hi, f)
-        value = _integrate_pieces([_edge_piece(f, inside, edges)], spec)
+        value = _edges(f, path.vertices + path.vertices[:1], spec)
     _last_circulation = (f, path, spec, value)
     return value
 
@@ -586,10 +574,7 @@ def segment_integral(
     f: SolenoidField, start: Point, end: Point, spec: QuadratureSpec | None = None
 ) -> float:
     """Line integral of the vector potential along one straight segment."""
-    spec = spec if spec is not None else _DEFAULT_SPEC
-    edges, lo, hi = _edge_table((start, end), closed=False)
-    inside = _require_clearance(lo, hi, f)
-    return _integrate_pieces([_edge_piece(f, inside, edges)], spec)
+    return _edges(f, (start, end), spec if spec is not None else _DEFAULT_SPEC)
 
 
 def arc_integral(
@@ -616,13 +601,11 @@ def arc_integral(
     rest = math.fmod(sweep, math.tau)
     turns = round(abs(sweep - rest) / math.tau)
     if turns == 0:
-        return _integrate_pieces([_arc_piece(coef, inside, 0.0, 0.0, rho, phi_start, sweep)],
-                                 spec)
-    turn = _arc_piece(coef, inside, 0.0, 0.0, rho, phi_start, math.copysign(math.tau, sweep))
-    total = _integrate_pieces([turn], spec) * turns
+        return _arc(coef, inside, 0.0, 0.0, rho, phi_start, sweep, spec)
+    total = _arc(coef, inside, 0.0, 0.0, rho, phi_start, math.copysign(math.tau, sweep),
+                 spec) * turns
     if rest:
-        total += _integrate_pieces([_arc_piece(coef, inside, 0.0, 0.0, rho, phi_start, rest)],
-                                   spec)
+        total += _arc(coef, inside, 0.0, 0.0, rho, phi_start, rest, spec)
     return _require_finite_integral(total)
 
 

@@ -352,6 +352,11 @@ class TestPhaseCommand:
         assert (code, out) == (2, "")
         assert err == "ValueError: w is beyond floating-point range\n"
 
+    def test_turns_without_path_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "phase", "--q", "1", "--gamma", "0.3", "--turns", "3")
+        assert (code, out) == (2, "")
+        assert err.startswith("ValueError: specify exactly one of")
+
 
 class TestInterfereCommand:
     def test_csv_shape(self, capsys):
@@ -395,6 +400,14 @@ class TestInterfereCommand:
         rows = json.loads(out)
         assert len(rows) == 3
         assert rows[1][1] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("fmt", ['""', "0", "false", "null"])
+    def test_bad_config_format_exit_2(self, capsys, tmp_path, fmt):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(f'{{"format": {fmt}}}', encoding="utf-8")
+        code, out, err = run_cli(capsys, "interfere", "--config", str(cfg), "--q", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("ValueError: unknown output format")
 
 
 class TestQuantizeCommand:
@@ -504,13 +517,23 @@ class TestConfigHandling:
                                       '{"field": [1, 2]}', '[]', "[" * 100_000,
                                       '{"field": {"B": 2, "R": 1, "gama": 3}}',
                                       '{"quadrature": {"max_subdivison": 10}}',
-                                      '{"fromat": "json"}'])
+                                      '{"fromat": "json"}', '{"format": "xml"}'])
     def test_malformed_config_exit_2(self, capsys, tmp_path, text):
         cfg = tmp_path / "run.json"
         cfg.write_text(text, encoding="utf-8")
         code, out, err = run_cli(capsys, "circulation", "--config", str(cfg), "--circle", "r=3")
         assert code == 2 and out == ""
         assert err.startswith("ValueError")
+
+    def test_integral_float_budget(self, capsys, tmp_path):
+        outs = []
+        for budget in ("1000", "1000.0"):
+            cfg = tmp_path / "run.json"
+            cfg.write_text(f'{{"quadrature": {{"max_subdivisions": {budget}}}}}',
+                           encoding="utf-8")
+            outs.append(run_cli(capsys, "circulation", "--config", str(cfg), "--B", "2",
+                                "--R", "1", "--gamma", "0.7", "--circle", "r=2,cx=0.5"))
+        assert outs[0] == outs[1] == (0, "4.39822971503\n", "")
 
     def test_unknown_config_key_named(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -565,6 +566,11 @@ class TestLoaders:
     def test_polyline_csv_bad_columns(self):
         with pytest.raises(ValueError):
             load_polyline_csv(io.StringIO("1,0\n0,1\n2,2\n"))
+
+    def test_polyline_csv_field_too_long(self):
+        text = "1" * (csv.field_size_limit() + 1) + ",0,0\n0,1,0\n-1,0,0\n"
+        with pytest.raises(ValueError, match="malformed CSV"):
+            load_polyline_csv(io.StringIO(text))
 
     def test_polyline_csv_from_file(self, tmp_path):
         path = tmp_path / "loop.csv"

@@ -38,6 +38,8 @@ class TestPhaseFactor:
         assert PhaseFactor(TWO_PI + 1.0).angle == pytest.approx(1.0, abs=1e-15)
         assert PhaseFactor(-0.5).angle == pytest.approx(TWO_PI - 0.5, abs=1e-15)
         assert 0.0 <= PhaseFactor(-1e-18).angle < TWO_PI
+        # turns % 1.0 rounds up to 1.0 here
+        assert PhaseFactor.from_turns(-1e-20).angle == 0.0
 
     def test_wrap_aware_equality(self):
         a = PhaseFactor(1e-12)

@@ -96,6 +96,8 @@ class TestRationalCharge:
         assert RationalCharge(-1, 3) < RationalCharge(1, 3)
         assert -RationalCharge(2, 3) == RationalCharge(-2, 3)
         assert sorted([RationalCharge(1), RationalCharge(-2, 3)])[0] == RationalCharge(-2, 3)
+        with pytest.raises(TypeError):
+            RationalCharge(1) < 1
 
     def test_float_projection(self):
         assert float(RationalCharge(1, 2)) == 0.5

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from _helpers import random_field
-from abflux import geometry
+from abflux import cli, geometry, stokes
 from abflux.errors import InvalidRadius, QuadratureNotConverged
 from abflux.fields import SolenoidField, ab_standard, gauge_shift
 from abflux.geometry import QuadratureSpec, flux_direct
@@ -102,6 +102,21 @@ class TestVerifyStokes:
             verify_stokes(f, 1.0)
         with pytest.raises(InvalidRadius):
             verify_stokes(f, 0.5)
+
+    def test_cross_check_failure_raises(self, monkeypatch, capsys):
+        whole_turn = stokes._whole_turn
+
+        def disc_off(kind, coef, rho, spec):
+            value = whole_turn(kind, coef, rho, spec)
+            return value * (1.0 + 1e-6) if kind == "disc" else value
+
+        monkeypatch.setattr(stokes, "_whole_turn", disc_off)
+        with pytest.raises(QuadratureNotConverged, match="interior flux cross-check failed"):
+            verify_stokes(SolenoidField(B=2.0, R=1.0, gamma=1.0), 3.0)
+        code = cli.main(["stokes", "--B", "2", "--R", "1", "--gamma", "1", "--L", "3"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.startswith("QuadratureNotConverged: interior flux cross-check failed")
 
     def test_report_serialization(self):
         report = verify_stokes(ab_standard(2.0, 1.0), 2.0)
