@@ -25,7 +25,6 @@ _EXPORTS = {
         "QuadratureNotConverged",
         "StencilCrossesSolenoid",
         "WindingUnresolvable",
-        "ZeroCharge",
     ),
     "fields": (
         "BOUNDARY_BAND",
@@ -58,14 +57,12 @@ _EXPORTS = {
         "holonomy",
         "interference",
         "interference_csv",
-        "periodicity_check",
         "phase_closed_form",
         "phases_equivalent",
     ),
     "quantize": (
         "ChargeSpectrum",
         "RationalCharge",
-        "antiparticle_closure",
         "charge_allowed",
         "infer_minimal_N",
         "kappa_allowed",

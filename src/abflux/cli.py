@@ -12,8 +12,10 @@ Subcommands
 Field parameters come from ``--config file.json`` and/or flags; flags
 win.  The config envelope is
 ``{"field": {"B":..,"R":..,"gamma":..}, "quadrature": {...}, "format": "json"|"csv"}``;
-any other key is a ValueError.  ``main`` resolves config, field and
-quadrature spec once and passes them to the command.
+any other key, in the envelope or in a section, is a ValueError for
+every field command, whether or not it reads that section.  ``main``
+resolves config, field and quadrature spec once and passes them to the
+command.
 Scalars print with 12 significant digits.  Domain errors exit nonzero
 with the error-class name on stderr; identical inputs always produce
 byte-identical output.
@@ -107,7 +109,23 @@ def _require_known(data: dict, keys: tuple[str, ...], where: str) -> None:
             raise ValueError(f"unknown {where} key {key!r}; keys are {list(keys)}")
 
 
+#: config section -> its keys, each also a flag of the field commands
+_SECTIONS = {"field": ("B", "R", "gamma"),
+             "quadrature": ("rel_tol", "abs_tol", "max_subdivisions")}
+
+
+def _section(config: dict, key: str) -> dict:
+    """Config section ``key``; ValueError unless it is an object of known keys."""
+    data = config.get(key, {})
+    if not isinstance(data, dict):
+        raise ValueError(f"config {key!r} must be a JSON object, got {type(data).__name__}")
+    _require_known(data, _SECTIONS[key], f"config {key!r}")
+    return data
+
+
 def _load_config(args: argparse.Namespace) -> dict:
+    """The config file's envelope, format and section keys checked, so
+    every field command refuses the same files, whatever it reads."""
     if args.config is None:
         return {}
     from .loaders import _parse_json
@@ -115,22 +133,18 @@ def _load_config(args: argparse.Namespace) -> dict:
     config = _parse_json(args.config.read_text(encoding="utf-8"))
     if not isinstance(config, dict):
         raise ValueError(f"config must be a JSON object, got {type(config).__name__}")
-    _require_known(config, ("field", "quadrature", "format"), "config")
+    _require_known(config, (*_SECTIONS, "format"), "config")
     if config.get("format", "csv") not in ("json", "csv"):
         raise ValueError(f"unknown output format {config['format']!r}")
+    for key in _SECTIONS:
+        _section(config, key)
     return config
 
 
-def _config_section(args: argparse.Namespace, config: dict, key: str,
-                    flags: tuple[str, ...]) -> dict:
-    """Config section ``key``, whose keys are ``flags``, with every flag
-    that was given laid over it."""
-    data = config.get(key, {})
-    if not isinstance(data, dict):
-        raise ValueError(f"config {key!r} must be a JSON object, got {type(data).__name__}")
-    _require_known(data, flags, f"config {key!r}")
-    data = dict(data)
-    for flag in flags:
+def _config_section(args: argparse.Namespace, config: dict, key: str) -> dict:
+    """Config section ``key`` with every flag that was given laid over it."""
+    data = dict(_section(config, key))
+    for flag in _SECTIONS[key]:
         if getattr(args, flag) is not None:
             data[flag] = getattr(args, flag)
     return data
@@ -139,7 +153,7 @@ def _config_section(args: argparse.Namespace, config: dict, key: str,
 def _resolve_field(args: argparse.Namespace, config: dict) -> SolenoidField:
     from .fields import SolenoidField, _json_float
 
-    data = _config_section(args, config, "field", ("B", "R", "gamma"))
+    data = _config_section(args, config, "field")
     B = _json_float(data.get("B", 0.0), "field B")
     R = _json_float(data.get("R", 1.0), "field R")
     if args.kappa is not None:
@@ -155,8 +169,7 @@ def _resolve_quadrature(args: argparse.Namespace, config: dict) -> QuadratureSpe
     from .fields import _json_float, _json_int
     from .geometry import _DEFAULT_SPEC, QuadratureSpec
 
-    data = _config_section(args, config, "quadrature",
-                           ("rel_tol", "abs_tol", "max_subdivisions"))
+    data = _config_section(args, config, "quadrature")
     base = _DEFAULT_SPEC
     return QuadratureSpec(
         rel_tol=_json_float(data.get("rel_tol", base.rel_tol), "rel_tol"),

@@ -42,9 +42,5 @@ class QuadratureNotConverged(AbfluxError):
     """Numerical integration could not reach or confirm the requested accuracy."""
 
 
-class ZeroCharge(AbfluxError):
-    """An operation that needs a nonzero charge received q = 0."""
-
-
 class EmptyChargeSet(AbfluxError):
     """A charge-set operation received no charges."""

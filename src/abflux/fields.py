@@ -38,9 +38,11 @@ BOUNDARY_BAND = 1e-9
 
 
 def _require_finite(label: str, *values: float) -> None:
-    """ValueError naming label unless every value is finite; an int past
-    floating-point range is not."""
+    """ValueError naming label unless every value is a finite number; a
+    bool is not one, and an int past floating-point range is not finite."""
     for v in values:
+        if isinstance(v, bool):
+            raise ValueError(f"{label} must be a number, got {v!r}")
         try:
             finite = math.isfinite(v)
         except OverflowError:
@@ -50,11 +52,12 @@ def _require_finite(label: str, *values: float) -> None:
 
 
 def _require_positive(label: str, *values: float, error: type = ValueError) -> None:
-    """error naming label unless every value is positive and finite.  An
-    int past floating-point range compares as finite here, exactly, and
-    _require_finite then refuses it with its ValueError."""
+    """error naming label unless every value is positive and finite.  A
+    bool, or an int past floating-point range (which compares as finite
+    here, exactly), is left to _require_finite, which refuses it with its
+    ValueError."""
     for v in values:
-        if not 0.0 < v < math.inf:
+        if not isinstance(v, bool) and not 0.0 < v < math.inf:
             raise error(f"{label} must be positive, got {v!r}")
     _require_finite(label, *values)
 

@@ -582,7 +582,6 @@ def arc_integral(
     rho: float,
     phi_start: float,
     phi_end: float,
-    z: float = 0.0,
     spec: QuadratureSpec | None = None,
 ) -> float:
     """Line integral of the potential along a circular arc at fixed rho.
@@ -593,7 +592,6 @@ def arc_integral(
     spec = spec if spec is not None else _DEFAULT_SPEC
     _require_positive("arc radius", rho, error=InvalidRadius)
     _require_finite("angle", phi_start, phi_end)
-    _require_finite("arc plane z", z)
     inside = _require_clearance(rho, rho, f)
     coef = f.B if inside else f.gamma
     sweep = phi_end - phi_start

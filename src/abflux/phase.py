@@ -5,7 +5,8 @@ its wave function by exp(-i*theta) with theta = q * (circulation of the
 potential); only the real angle theta is stored, reduced to [0, 2*pi).
 For a loop of winding number w in the exterior region this is
 theta = 2*pi*q*gamma*w.  The angle, not any complex bookkeeping, is the
-physical content, and it is periodic in gamma with period 1/q.
+physical content, and it is periodic in gamma with period 1/q:
+phases_equivalent tells whether two gammas give the same phase.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import math
 
 from ._record import Record
-from .errors import ZeroCharge
 from .fields import SolenoidField, _require_finite, _require_positive
 
 TYPE_CHECKING = False
@@ -91,11 +91,14 @@ def holonomy(
 def phase_closed_form(q: float, gamma: float, w: int) -> PhaseFactor:
     """Closed-form loop phase 2*pi*q*gamma*w mod 2*pi, no quadrature.
 
-    A q, gamma or w that is not finite or is an int past floating-point
-    range raises a ValueError naming it, as does the turn count q*gamma*w.
+    A q or gamma that is not finite, a w that is not an int (a bool
+    included), or any of them an int past floating-point range raises a
+    ValueError naming it, as does the turn count q*gamma*w.
     """
     _require_finite("q", q)
     _require_finite("gamma", gamma)
+    if isinstance(w, bool) or not isinstance(w, int):
+        raise ValueError(f"w must be an integer, got {w!r}")
     _require_finite("w", w)
     return PhaseFactor.from_turns(q * gamma * w)
 
@@ -116,18 +119,6 @@ def phases_equivalent(q: float, gamma1: float, gamma2: float, tol: float = 1e-9)
     if not finite:
         raise ValueError(f"q*dgamma must be finite, got q={q!r}, dgamma={gamma1 - gamma2!r}")
     return abs(x - round(x)) <= tol
-
-
-def periodicity_check(q: float, gamma: float) -> bool:
-    """Confirm the loop phase is periodic in gamma with period 1/q."""
-    if q == 0:
-        raise ZeroCharge("period 1/q is undefined for q = 0")
-    _require_finite("q", q)
-    _require_finite("gamma", gamma)
-    shifted_gamma = gamma + 1.0 / q
-    _require_finite("gamma + 1/q", shifted_gamma)
-    shifted = phase_closed_form(q, shifted_gamma, 1)
-    return shifted.isclose(phase_closed_form(q, gamma, 1), tol=1e-12)
 
 
 class InterferometerGeometry(Record):

@@ -81,10 +81,6 @@ class RationalCharge(Record):
             )
         return cls(frac.numerator, frac.denominator)
 
-    @classmethod
-    def from_fraction(cls, frac: Fraction) -> "RationalCharge":
-        return cls(frac.numerator, frac.denominator)
-
     def as_fraction(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
 
@@ -192,12 +188,3 @@ def kappa_constraints(charges: Iterable[RationalLike], kappa_times_e: RationalLi
     ke = _as_fraction(kappa_times_e)
     return all((_as_fraction(q) * ke).denominator == 1 for q in charges)
 
-
-def antiparticle_closure(lattice: ChargeSpectrum, n_min: int, n_max: int) -> bool:
-    """With a sign-symmetric index range, the spectrum contains -q for
-    every q it contains.  True by construction; kept as an executable
-    regression of that closure."""
-    if n_min != -n_max:
-        raise ValueError(f"index range [{n_min}, {n_max}] is not symmetric about zero")
-    values = {c.as_fraction() for c in spectrum(lattice, n_min, n_max)}
-    return all(-v in values for v in values)

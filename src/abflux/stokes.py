@@ -33,7 +33,6 @@ read their integrals from it and integrate nothing again.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import InvalidRadius, QuadratureNotConverged
@@ -67,9 +66,6 @@ class StokesReport:
             "discrepancy": self.discrepancy,
             "config": {"field": self.field.to_dict(), "L": self.L},
         }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def _require_outer_radius(f: SolenoidField, L: float) -> None:

@@ -18,19 +18,13 @@ import math
 import random
 from fractions import Fraction
 
-from _helpers import random_exterior_loop, random_field
+from _helpers import exterior_circle, random_exterior_loop, random_field, star_loop
 from abflux.fields import Point, SolenoidField, Vec3, ab_standard, curl_fd, eval_B, gauge_shift
 from abflux.geometry import Circle, circulation, flux_direct
-from abflux.phase import (
-    InterferometerGeometry,
-    interference,
-    periodicity_check,
-    phases_equivalent,
-)
+from abflux.phase import InterferometerGeometry, holonomy, interference, phases_equivalent
 from abflux.quantize import (
     ChargeSpectrum,
     RationalCharge,
-    antiparticle_closure,
     charge_allowed,
     infer_minimal_N,
     spectrum,
@@ -175,12 +169,26 @@ def test_criterion_06_curl_check():
 
 
 def test_criterion_07_phase_periodicity():
+    # the loop phase by quadrature is periodic in gamma with period 1/q,
+    # and a half period moves it by pi: on circles and on polylines, w = +-1
     rng = random.Random(707)
-    for _ in range(100):
+    worst = 0.0
+    for i in range(100):
         q = rng.choice((-1, 1)) * rng.uniform(0.05, 20.0)
-        gamma = rng.uniform(-3.0, 3.0)
-        assert periodicity_check(q, gamma), (q, gamma)
-    report(7, "phase(q, gamma + 1/q) = phase(q, gamma) within 1e-12 for 100 draws")
+        f = random_field(rng, gamma=rng.uniform(-3.0, 3.0))
+        w = rng.choice((-1, 1))
+        loop = exterior_circle(rng, f, w) if i % 2 else star_loop(rng, w, 2.0 * f.R, 5.0 * f.R)
+        shifted = gauge_shift(f, 1.0 / q)
+        phase = holonomy(f, loop, q)
+        tol = 1e-8 * abs(q) * max(config_scale(f), config_scale(shifted))
+        gap = phase.distance(holonomy(shifted, loop, q))
+        worst = max(worst, gap)
+        assert gap <= tol, (q, f, loop, gap, tol)
+        assert phases_equivalent(q, f.gamma, f.gamma + 1.0 / q)
+        half = phase.distance(holonomy(gauge_shift(f, 0.5 / q), loop, q))
+        assert abs(half - math.pi) <= tol, (q, f, loop, half)
+    report(7, f"holonomy(q, gamma + 1/q) = holonomy(q, gamma) on 100 circles and "
+              f"polylines, worst gap {worst:.2e}; gamma + 1/(2q) moves it by pi")
 
 
 def test_criterion_08_single_valuedness():
@@ -229,9 +237,6 @@ def test_criterion_10_quantization():
     assert values == [Fraction(-1), Fraction(-2, 3), Fraction(-1, 3), Fraction(0),
                       Fraction(1, 3), Fraction(2, 3), Fraction(1)]
 
-    for N in (1, 2, 3, 6, 12):
-        assert antiparticle_closure(ChargeSpectrum(N), -2 * N, 2 * N)
-
     for charges in ([Fraction(2, 3), Fraction(-1, 3), Fraction(1)],
                     [Fraction(1, 2), Fraction(1, 3)],
                     [Fraction(5, 12), Fraction(-7, 8)]):
@@ -249,8 +254,8 @@ def test_criterion_10_quantization():
         for p in prime_divisors:
             assert not all(charge_allowed(q, ChargeSpectrum(lattice.N // p))
                            for q in charges)
-    report(10, "N({2/3,-1/3,1}) = 3, spectrum exact, antiparticle closure and "
-               "minimality hold in exact arithmetic")
+    report(10, "N({2/3,-1/3,1}) = 3, the spectrum is exact and N is minimal, "
+               "in exact arithmetic")
 
 
 def test_criterion_11_gauge_shift_composition():

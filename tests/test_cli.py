@@ -525,6 +525,20 @@ class TestConfigHandling:
         assert code == 2 and out == ""
         assert err.startswith("ValueError")
 
+    @pytest.mark.parametrize("text", ['{"quadrature": {"bogus": 1}}', '{"quadrature": []}'])
+    @pytest.mark.parametrize("argv", [("circulation", "--circle", "r=3"), ("flux", "--L", "2"),
+                                      ("stokes", "--L", "2"), ("chart-audit", "--L", "2"),
+                                      ("phase", "--q", "1"), ("interfere", "--q", "1")],
+                             ids=lambda argv: argv[0])
+    def test_every_field_command_checks_the_quadrature_section(self, capsys, tmp_path,
+                                                               argv, text):
+        # interfere reads no quadrature section, yet refuses a malformed one
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, argv[0], "--config", str(cfg), *argv[1:])
+        assert (code, out) == (2, "")
+        assert err.startswith("ValueError: ") and "config 'quadrature'" in err
+
     def test_integral_float_budget(self, capsys, tmp_path):
         outs = []
         for budget in ("1000", "1000.0"):

@@ -480,11 +480,6 @@ class TestOpenIntegrals:
             arc_integral(f, rho, 0.0, math.fmod(sweep, TWO_PI))
             assert panels[-2] == panels[-1]
 
-    def test_arc_rejects_nonfinite_plane(self):
-        f = SolenoidField(B=2.0, R=1.0, gamma=1.3)
-        with pytest.raises(ValueError):
-            arc_integral(f, 2.0, 0.0, math.pi, z=math.nan)
-
     def test_polygon_assembles_from_segments(self):
         f = SolenoidField(B=2.0, R=1.0, gamma=0.8)
         square = Polyline((Point(2, -2), Point(2, 2), Point(-2, 2), Point(-2, -2)))

@@ -6,16 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _helpers import random_exterior_loop, random_field
-from abflux.errors import ZeroCharge
 from abflux.fields import Point, SolenoidField, ab_standard, gauge_shift
-from abflux.geometry import Circle
+from abflux.geometry import Circle, Polyline
 from abflux.phase import (
     InterferometerGeometry,
     PhaseFactor,
     holonomy,
     interference,
     interference_csv,
-    periodicity_check,
     phase_closed_form,
     phases_equivalent,
 )
@@ -122,6 +120,11 @@ class TestClosedForm:
         with pytest.raises(ValueError, match="w is beyond floating-point range"):
             phase_closed_form(1.0, 0.5, 10**400)
 
+    @pytest.mark.parametrize("w", [1.5, 1.0, True, "1"])
+    def test_winding_must_be_an_int(self, w):
+        with pytest.raises(ValueError, match=f"^w must be an integer, got {w!r}$"):
+            phase_closed_form(1.0, 0.5, w)
+
     @pytest.mark.parametrize("q, gamma, match", [
         (10**200, 10**200, "turn count"),   # each in range, the int product is not
         (10**400, 0.5, "q"),
@@ -168,31 +171,22 @@ class TestEquivalence:
 
 
 class TestPeriodicity:
+    # the loop phase by quadrature repeats when gamma moves by 1/q
+    def period_gap(self, q, gamma, loop):
+        f = SolenoidField(B=1.0, R=1.0, gamma=gamma)
+        return holonomy(f, loop, q).distance(holonomy(gauge_shift(f, 1.0 / q), loop, q))
+
     def test_unit_charge(self):
-        assert periodicity_check(1.0, 0.37)
+        assert self.period_gap(1.0, 0.37, Circle(ORIGIN, 2.0, -1)) <= 1e-9
 
     def test_charge_three(self):
-        assert periodicity_check(3.0, 0.1)
+        square = Polyline((Point(2, -2), Point(2, 2), Point(-2, 2), Point(-2, -2)))
+        assert self.period_gap(3.0, 0.1, square) <= 1e-9
 
     def test_half_shift_is_not_a_period(self):
         a = phase_closed_form(1.0, 0.37, 1)
         b = phase_closed_form(1.0, 0.87, 1)
         assert a.distance(b) == pytest.approx(math.pi, rel=1e-12)
-
-    def test_zero_charge_rejected(self):
-        with pytest.raises(ZeroCharge):
-            periodicity_check(0.0, 0.4)
-
-    @pytest.mark.parametrize("q, gamma, name", [(10**400, 1.0, "q"), (1, 10**400, "gamma")],
-                             ids=["q", "gamma"])
-    def test_int_beyond_float_range_named(self, q, gamma, name):
-        with pytest.raises(ValueError, match=f"^{name} is beyond floating-point range$"):
-            periodicity_check(q, gamma)
-
-    @pytest.mark.parametrize("q, gamma", [(1e-320, 0.5), (1e-308, 1.7e308)])
-    def test_shifted_gamma_overflow_named(self, q, gamma):
-        with pytest.raises(ValueError, match=r"^gamma \+ 1/q must be finite, got inf$"):
-            periodicity_check(q, gamma)
 
 
 class TestInterference:

@@ -12,7 +12,6 @@ from abflux.phase import phases_equivalent
 from abflux.quantize import (
     ChargeSpectrum,
     RationalCharge,
-    antiparticle_closure,
     charge_allowed,
     infer_minimal_N,
     kappa_allowed,
@@ -214,11 +213,11 @@ class TestKappaConstraints:
 class TestAntiparticleClosure:
     @pytest.mark.parametrize("N", [1, 2, 3, 6, 12])
     def test_closure(self, N):
-        assert antiparticle_closure(ChargeSpectrum(N), -3 * N, 3 * N)
-
-    def test_asymmetric_range_rejected(self):
-        with pytest.raises(ValueError):
-            antiparticle_closure(ChargeSpectrum(3), -2, 3)
+        # a sign-symmetric range lists each charge's antiparticle, on the lattice
+        lattice = ChargeSpectrum(N)
+        charges = spectrum(lattice, -3 * N, 3 * N)
+        assert [-c for c in reversed(charges)] == charges
+        assert all(charge_allowed(-c, lattice) for c in charges)
 
 
 class TestExactness:

@@ -116,8 +116,14 @@ def test_normalizing_constructors():
      "field parameter must be finite, got nan"),
     (lambda: SolenoidField(1.0, 1.0, -(10**400)), ValueError,
      "field parameter is beyond floating-point range"),
+    (lambda: SolenoidField(B=True, R=1, gamma=0), ValueError,
+     "field parameter must be a number, got True"),
+    (lambda: SolenoidField(1.0, False, 1.0), ValueError,
+     "solenoid radius must be a number, got False"),
     (lambda: QuadratureSpec(abs_tol=0.0), ValueError,
      "quadrature tolerance must be positive, got 0.0"),
+    (lambda: QuadratureSpec(rel_tol=True), ValueError,
+     "quadrature tolerance must be a number, got True"),
     (lambda: QuadratureSpec(max_subdivisions=True), ValueError,
      "max_subdivisions must be a nonnegative integer, got True"),
     (lambda: Circle(Point(0.0, 0.0), -1.0), ValueError, "circle radius must be positive, got -1.0"),
@@ -175,15 +181,22 @@ POSITIVE_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("value", ["10**400", *ODD_NUMBERS])
+#: inputs every entry point below refuses with a ValueError ending so
+NOT_NUMBERS = {"10**400": (10**400, "is beyond floating-point range$"),
+               "True": (True, "must be a number, got True$")}
+
+
+@pytest.mark.parametrize("value", [*NOT_NUMBERS, *ODD_NUMBERS])
 @pytest.mark.parametrize("name", POSITIVE_INPUTS)
 def test_positive_number_check(name, value):
     # an int past float range is refused as one, never a bare
-    # OverflowError; every other value keeps its entry point's error class
+    # OverflowError, and a bool as no number; every other value keeps its
+    # entry point's error class
     call, errors = POSITIVE_INPUTS[name]
-    if value == "10**400":
-        with pytest.raises(ValueError, match="is beyond floating-point range$"):
-            call(10**400)
+    if value in NOT_NUMBERS:
+        number, message = NOT_NUMBERS[value]
+        with pytest.raises(ValueError, match=message):
+            call(number)
         return
     error = dict(zip(ODD_NUMBERS, errors))[value]
     if error is None:

@@ -120,7 +120,7 @@ class TestVerifyStokes:
 
     def test_report_serialization(self):
         report = verify_stokes(ab_standard(2.0, 1.0), 2.0)
-        data = json.loads(report.to_json())
+        data = json.loads(json.dumps(report.to_dict()))
         assert set(data) == {
             "phi_1", "phi_2", "phi_total", "circ_outer", "circ_inner",
             "discrepancy", "config",
