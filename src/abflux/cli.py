@@ -103,12 +103,6 @@ def _field_command(sub, name: str, help: str, func, quad: bool = True,
     return parser
 
 
-def _require_known(data: dict, keys: tuple[str, ...], where: str) -> None:
-    for key in data:
-        if key not in keys:
-            raise ValueError(f"unknown {where} key {key!r}; keys are {list(keys)}")
-
-
 #: config section -> its keys, each also a flag of the field commands
 _SECTIONS = {"field": ("B", "R", "gamma"),
              "quadrature": ("rel_tol", "abs_tol", "max_subdivisions")}
@@ -116,6 +110,8 @@ _SECTIONS = {"field": ("B", "R", "gamma"),
 
 def _section(config: dict, key: str) -> dict:
     """Config section ``key``; ValueError unless it is an object of known keys."""
+    from .fields import _require_known
+
     data = config.get(key, {})
     if not isinstance(data, dict):
         raise ValueError(f"config {key!r} must be a JSON object, got {type(data).__name__}")
@@ -128,6 +124,7 @@ def _load_config(args: argparse.Namespace) -> dict:
     every field command refuses the same files, whatever it reads."""
     if args.config is None:
         return {}
+    from .fields import _require_known
     from .loaders import _parse_json
 
     config = _parse_json(args.config.read_text(encoding="utf-8"))
@@ -179,7 +176,7 @@ def _resolve_quadrature(args: argparse.Namespace, config: dict) -> QuadratureSpe
     )
 
 
-_CIRCLE_KEYS = {"r", "radius", "turns", "cx", "cy", "cz"}
+_CIRCLE_KEYS = {"r", "turns", "cx", "cy", "cz"}
 
 
 def _parse_circle_inline(text: str, turns_flag: int | None) -> Circle:
@@ -195,10 +192,9 @@ def _parse_circle_inline(text: str, turns_flag: int | None) -> Circle:
         key = key.strip()
         if not sep or key not in _CIRCLE_KEYS:
             raise ValueError(f"bad circle spec item {item!r}; keys are {sorted(_CIRCLE_KEYS)}")
-        slot = "r" if key == "radius" else key
-        if slot in fields:
+        if key in fields:
             raise ValueError(f"circle spec {text!r} gives {key!r} more than once")
-        fields[slot] = value.strip()
+        fields[key] = value.strip()
     if "r" not in fields:
         raise ValueError(f"circle spec {text!r} is missing r=<radius>")
     if "turns" in fields and turns_flag is not None:
@@ -250,10 +246,8 @@ def _cmd_flux(args: argparse.Namespace, config, field, spec) -> None:
 def _cmd_stokes(args: argparse.Namespace, config, field, spec) -> None:
     from .stokes import verify_stokes
 
-    report = verify_stokes(field, args.L, spec)
-    data = report.to_dict()
-    for key in ("phi_1", "phi_2", "phi_total", "circ_outer", "circ_inner", "discrepancy"):
-        data[key] = _round12(data[key])
+    report = verify_stokes(field, args.L, spec).to_dict()
+    data = {key: _round12(v) if isinstance(v, float) else v for key, v in report.items()}
     print(json.dumps(data, indent=2))
 
 
@@ -403,11 +397,7 @@ def main(argv: list[str] | None = None) -> int:
             args.func(args, config, field, spec)
         else:
             args.func(args)
-    except (AbfluxError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (AbfluxError, ValueError, OSError, KeyError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, AbfluxError) else 2
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -81,6 +81,13 @@ def _json_int(value, label: str) -> int:
     return value
 
 
+def _require_known(data: dict, keys: tuple[str, ...], where: str) -> None:
+    """ValueError naming the first key of data that is not in keys."""
+    for key in data:
+        if key not in keys:
+            raise ValueError(f"unknown {where} key {key!r}; keys are {list(keys)}")
+
+
 class Vec3(Record):
     """Cartesian 3-vector with finite components."""
 

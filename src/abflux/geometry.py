@@ -227,7 +227,8 @@ def _integrate_pieces(pieces: list[tuple], spec: QuadratureSpec) -> float:
     """Adaptively integrate the one (fn, a, b, seed, curves) piece in
     pieces: the seed pass, the bisection and the exact re-sum.  It takes
     a list because the benchmark's tracer (perfbench/tracing.py) wraps
-    it and counts each listed piece's seed panels, piece[3].
+    it and counts each listed piece's seed panels, piece[3].  Both passes
+    call _gk15 by its module name, so the tracer's wrapper sees each panel.
 
     Each curve of the piece is pre-split into equal panels so the error
     estimator starts below one oscillation per panel.  Every pass calls
@@ -253,14 +254,12 @@ def _integrate_pieces(pieces: list[tuple], spec: QuadratureSpec) -> float:
     # (-err, order) are unique, so no comparison reaches the rest
     heap: list[tuple] = []
     tie = count()
-    # read per call, so a wrapper put on the module name sees every panel
-    gk15 = _gk15
     total = 0.0
     err = 0.0
     i = 0
     for c in range(curves):
         for lo, hi in bounds:
-            v, e = gk15(y, i, lo, hi)
+            v, e = _gk15(y, i, lo, hi)
             heap.append((-e, next(tie), c, lo, hi, v))
             total += v
             err += e
@@ -440,6 +439,8 @@ class Circle(Record):
     __slots__ = _fields = ("center", "radius", "turns")
 
     def __init__(self, center: Point, radius: float, turns: int = 1):
+        if not isinstance(center, Point):
+            raise ValueError(f"circle center must be a Point, got {center!r}")
         _require_positive("circle radius", radius)
         if isinstance(turns, bool) or not isinstance(turns, int) or turns == 0:
             raise ValueError(f"turns must be a nonzero integer, got {turns!r}")
@@ -462,6 +463,9 @@ class Polyline(Record):
         verts = tuple(vertices)
         if len(verts) < 3:
             raise ValueError("a closed polyline needs at least 3 vertices")
+        for v in verts:
+            if not isinstance(v, Point):
+                raise ValueError(f"polyline vertex must be a Point, got {v!r}")
         object.__setattr__(self, "vertices", verts)
 
 

@@ -10,7 +10,7 @@ import io
 import json
 from pathlib import Path
 
-from .fields import Point, _json_float, _json_int
+from .fields import Point, _json_float, _json_int, _require_known
 from .geometry import Circle, Polyline
 
 
@@ -62,6 +62,7 @@ def load_circle_json(source: str | Path | io.TextIOBase) -> Circle:
     data = _parse_json(_read_text(source))
     if not isinstance(data, dict):
         raise ValueError(f"circle JSON must be an object, got {type(data).__name__}")
+    _require_known(data, ("center", "radius", "turns"), "circle JSON")
     for key in ("center", "radius"):
         if key not in data:
             raise ValueError(f"circle JSON is missing {key!r}")

@@ -50,10 +50,7 @@ class PhaseFactor(Record):
         which is what makes "no observable effect" cases exact.
         """
         _require_finite("turn count", turns)
-        frac = turns % 1.0
-        if frac >= 1.0:
-            frac -= 1.0
-        return cls(math.tau * frac)
+        return cls(math.tau * (turns % 1.0))
 
     def distance(self, other: "PhaseFactor") -> float:
         """Shortest angular distance on the circle."""

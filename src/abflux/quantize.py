@@ -129,12 +129,12 @@ class ChargeSpectrum(Record):
 
 
 def _as_fraction(value: RationalLike) -> Fraction:
-    """Coerce exact inputs to Fraction; floats are rejected on purpose."""
+    """Coerce exact inputs to Fraction; floats and bools are rejected on purpose."""
     if isinstance(value, RationalCharge):
         return value.as_fraction()
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return RationalCharge.parse(value).as_fraction()

@@ -194,12 +194,27 @@ class TestCirculationCommand:
         assert code == 2 and out == ""
         assert err.startswith("ValueError") and "turns" in err
 
-    @pytest.mark.parametrize("spec", ["r=3,r=4", "r=3,radius=9", "r=3,r=4,radius=9",
+    @pytest.mark.parametrize("spec", ["r=3,r=4", "r=3,r=4,radius=9",
                                       "r=3,turns=1,turns=2", "r=3,cx=0,cx=1"])
     def test_repeated_inline_key_exit_2(self, capsys, spec):
         code, out, err = run_cli(capsys, "circulation", "--gamma", "1", "--circle", spec)
         assert code == 2 and out == ""
         assert err.startswith("ValueError") and "more than once" in err
+
+    def test_radius_key_is_unknown_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "circulation", "--gamma", "1", "--circle", "radius=3")
+        assert code == 2 and out == ""
+        assert err.startswith("ValueError: bad circle spec item 'radius=3'")
+
+    def test_circle_json_unknown_key_exit_2(self, capsys, tmp_path):
+        # a mistyped "turns" is refused, not read as the default one turn
+        circle_path = tmp_path / "circle.json"
+        circle_path.write_text('{"center": [0, 0, 0], "radius": 3, "turn": 2}', encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "circulation", "--gamma", "1", "--circle-json", str(circle_path),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("ValueError: unknown circle JSON key 'turn'")
 
     def test_kappa_flag(self, capsys):
         code, out, _ = run_cli(

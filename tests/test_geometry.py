@@ -587,7 +587,8 @@ class TestLoaders:
                      '{"center": [0, 0, 0], "radius": 1, "turns": 1e400}',
                      '{"center": [0, 0, 0], "radius": 1, "turns": 2.5}',
                      '{"center": [0, 0, 0], "radius": "1"}', "[" * 100_000,
-                     '{"radius": 1}', '{"center": [0, 0, 0]}', '{}'):
+                     '{"radius": 1}', '{"center": [0, 0, 0]}', '{}',
+                     '{"center": [0, 0, 0], "radius": 3, "turn": 2}'):
             with pytest.raises(ValueError):
                 load_circle_json(io.StringIO(text))
 

@@ -49,6 +49,14 @@ class TestPhaseFactor:
         z = PhaseFactor(math.pi / 2.0).as_complex()
         assert z == pytest.approx(complex(0.0, -1.0), abs=1e-15)
 
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_from_turns_in_range(self, turns):
+        assert 0.0 <= PhaseFactor.from_turns(turns).angle < TWO_PI
+
+    @given(st.floats(allow_nan=False, allow_infinity=False).map(lambda x: float(math.floor(x))))
+    def test_from_turns_of_whole_turns_is_zero(self, turns):
+        assert PhaseFactor.from_turns(turns).angle == 0.0
+
     @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
     def test_angle_always_in_range(self, raw):
         p = PhaseFactor(raw)

@@ -118,6 +118,13 @@ class TestKappaAllowed:
         with pytest.raises(TypeError):
             kappa_allowed(0.5)
 
+    def test_rejects_bools(self):
+        # a bool is an int subclass; like a float it is refused, not read as 1 or 0
+        for call in (kappa_allowed, lambda x: infer_minimal_N([x, False]),
+                     lambda x: charge_allowed(x, ChargeSpectrum(3))):
+            with pytest.raises(TypeError, match="expected an exact rational, got bool"):
+                call(True)
+
 
 class TestChargeAllowed:
     def test_quark_like_charges(self):

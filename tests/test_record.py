@@ -131,7 +131,11 @@ def test_normalizing_constructors():
      "turns must be a nonzero integer, got 0"),
     (lambda: Circle(Point(0.0, 0.0), 1.0, 10**400), ValueError,
      "turns is beyond floating-point range"),
+    (lambda: Circle((0, 0, 0), 2.0), ValueError, "circle center must be a Point, got (0, 0, 0)"),
     (lambda: Polyline(SQUARE[:2]), ValueError, "a closed polyline needs at least 3 vertices"),
+    (lambda: Polyline([(3, 0, 0), (0, 3, 0), (-3, 0, 0)]), ValueError,
+     "polyline vertex must be a Point, got (3, 0, 0)"),
+    (lambda: Polyline([*SQUARE, None]), ValueError, "polyline vertex must be a Point, got None"),
     (lambda: PhaseFactor(math.inf), ValueError, "phase angle must be finite, got inf"),
     (lambda: PhaseFactor(10**400), ValueError, "phase angle is beyond floating-point range"),
     (lambda: PhaseFactor.from_turns(10**400), ValueError,
