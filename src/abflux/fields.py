@@ -172,7 +172,12 @@ class SolenoidField(Record):
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolenoidField":
-        """Inverse of to_dict; each value must be a JSON number (_json_float)."""
+        """Inverse of to_dict; each value must be a JSON number (_json_float).
+        ValueError names a missing or unknown key."""
+        _require_known(data, cls._fields, "field")
+        for key in cls._fields:
+            if key not in data:
+                raise ValueError(f"field is missing {key!r}")
         return cls(*(_json_float(data[key], f"field {key}") for key in cls._fields))
 
 

@@ -58,7 +58,10 @@ split disc asks for the same ones from verify_stokes, chart_audit and
 flux_direct, and each is integrated once.  The memo is an lru_cache of
 8 entries keyed on the kind, its coefficient (B, or gamma for the
 exterior ring), rho and the spec, so its values are those of computing
-again.  circulation keeps its last result too (_last_circulation),
+again.  A split disc looks the memo up seven times per verify_stokes,
+flux_direct and chart_audit, so a spec computes its hash once, when it
+is built (QuadratureSpec), not on every lookup; equal specs still share
+entries.  circulation keeps its last result too (_last_circulation),
 keyed on the identity of its field, path and spec, so a holonomy of the
 path just integrated integrates nothing.  These two bounded memos are
 the only state that changes after import.
@@ -108,9 +111,14 @@ class QuadratureSpec(Record):
     integration starts from are not counted against it: one per polyline
     edge, one per quarter turn of an arc and one per sector.  That work
     grows linearly with the size of the path.
+
+    The spec is part of every _whole_turn memo key, so its hash is
+    computed once, in __init__, and kept in a slot that is not a field;
+    it is the hash of the field values, as a frozen dataclass's is.
     """
 
-    __slots__ = _fields = ("rel_tol", "abs_tol", "max_subdivisions")
+    __slots__ = ("rel_tol", "abs_tol", "max_subdivisions", "_hash")
+    _fields = ("rel_tol", "abs_tol", "max_subdivisions")
 
     def __init__(self, rel_tol: float = 1e-9, abs_tol: float = 1e-12,
                  max_subdivisions: int = 2**20):
@@ -121,6 +129,10 @@ class QuadratureSpec(Record):
         object.__setattr__(self, "rel_tol", rel_tol)
         object.__setattr__(self, "abs_tol", abs_tol)
         object.__setattr__(self, "max_subdivisions", max_subdivisions)
+        object.__setattr__(self, "_hash", hash((rel_tol, abs_tol, max_subdivisions)))
+
+    def __hash__(self):
+        return self._hash
 
 
 #: The spec of every call that passes none

@@ -84,6 +84,15 @@ class TestSolenoidField:
         with pytest.raises(ValueError, match=f"field {key}"):
             SolenoidField.from_dict(data)
 
+    @pytest.mark.parametrize("data, message", [
+        ({"B": 2, "R": 1, "gama": 5}, "unknown field key 'gama'"),
+        ({"B": 2, "R": 1, "gamma": 5, "extra": 1}, "unknown field key 'extra'"),
+        ({"B": 2, "R": 1}, "field is missing 'gamma'"),
+    ])
+    def test_from_dict_refuses_unknown_and_missing_keys(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            SolenoidField.from_dict(data)
+
 
 class TestEvalB:
     def test_interior(self):

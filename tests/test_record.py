@@ -56,10 +56,18 @@ class TestAsDataclass:
     def test_repr_text(self, record, names):
         assert repr(record) == repr(as_dataclass(record, names))
 
+    def test_only_fields_are_values(self, record, names):
+        # a slot that is not a field, such as QuadratureSpec's stored
+        # hash, is in no field list, value tuple or pickle
+        assert record._fields == names
+        assert record._values() == values(record, names)
+        assert record.__reduce__() == (type(record), values(record, names))
+
     def test_eq_and_hash(self, record, names):
         twin = type(record)(*values(record, names))
         assert twin == record and not twin != record
         assert hash(twin) == hash(record) == hash(as_dataclass(record, names))
+        assert hash(record) == hash(values(record, names))
         assert record != as_dataclass(record, names)
         assert record.__eq__(values(record, names)) is NotImplemented
 
@@ -67,7 +75,8 @@ class TestAsDataclass:
         assert type(record)(**dict(zip(names, values(record, names)))) == record
 
     def test_fields_are_read_only(self, record, names):
-        for name in names:
+        # every slot, a stored hash too, and not only the fields
+        for name in (*names, *type(record).__slots__):
             with pytest.raises(AttributeError):
                 setattr(record, name, getattr(record, name))
             with pytest.raises(AttributeError):
@@ -82,6 +91,7 @@ class TestAsDataclass:
         twin = clone(record)
         assert type(twin) is type(record)
         assert twin == record and values(twin, names) == values(record, names)
+        assert hash(twin) == hash(record)
 
 
 def test_records_of_equal_values_differ_by_class():
