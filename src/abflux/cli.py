@@ -11,11 +11,10 @@ Subcommands
 
 Field parameters come from ``--config file.json`` and/or flags; flags
 win.  The config envelope is
-``{"field": {"B":..,"R":..,"gamma":..}, "quadrature": {...}, "format": "json"|"csv"}``;
-any other key, in the envelope or in a section, is a ValueError for
-every field command, whether or not it reads that section.  ``main``
-resolves config, field and quadrature spec once and passes them to the
-command.
+``{"field": {"B":..,"R":..,"gamma":..}, "quadrature": {...}}``; any
+other key, in the envelope or in a section, is a ValueError for every
+field command, whether or not it reads that section.  ``main`` resolves
+field and quadrature spec once and passes them to the command.
 Scalars print with 12 significant digits.  Domain errors exit nonzero
 with the error-class name on stderr; identical inputs always produce
 byte-identical output.
@@ -71,7 +70,7 @@ def _field_command(sub, name: str, help: str, func, quad: bool = True,
         type=Path,
         default=None,
         metavar="FILE",
-        help="JSON config {field, quadrature, format}; flags override it",
+        help="JSON config {field, quadrature}; flags override it",
     )
     group = parser.add_argument_group("field")
     group.add_argument("--B", type=float, default=None,
@@ -93,8 +92,8 @@ def _field_command(sub, name: str, help: str, func, quad: bool = True,
         group.add_argument("--circle", default=None, metavar="SPEC",
                            help='inline circle, e.g. "r=3" or "r=3,turns=2,cx=0,cy=0,cz=0"')
         group.add_argument("--turns", type=int, default=None,
-                           help="turn count for --circle (default 1), or in place of "
-                                "--circle-json's; not with an inline turns= or --polyline")
+                           help="turn count for --circle (default 1); not with an "
+                                "inline turns=, --circle-json or --polyline")
         group.add_argument("--circle-json", type=Path, default=None, metavar="FILE",
                            help='circle from JSON {"center":[x,y,z],"radius":r,"turns":n}')
         group.add_argument("--polyline", type=Path, default=None, metavar="FILE",
@@ -113,26 +112,20 @@ def _section(config: dict, key: str) -> dict:
     from .fields import _require_known
 
     data = config.get(key, {})
-    if not isinstance(data, dict):
-        raise ValueError(f"config {key!r} must be a JSON object, got {type(data).__name__}")
     _require_known(data, _SECTIONS[key], f"config {key!r}")
     return data
 
 
 def _load_config(args: argparse.Namespace) -> dict:
-    """The config file's envelope, format and section keys checked, so
-    every field command refuses the same files, whatever it reads."""
+    """The config file's envelope and section keys checked, so every
+    field command refuses the same files, whatever it reads."""
     if args.config is None:
         return {}
     from .fields import _require_known
     from .loaders import _parse_json
 
     config = _parse_json(args.config.read_text(encoding="utf-8"))
-    if not isinstance(config, dict):
-        raise ValueError(f"config must be a JSON object, got {type(config).__name__}")
-    _require_known(config, (*_SECTIONS, "format"), "config")
-    if config.get("format", "csv") not in ("json", "csv"):
-        raise ValueError(f"unknown output format {config['format']!r}")
+    _require_known(config, tuple(_SECTIONS), "config")
     for key in _SECTIONS:
         _section(config, key)
     return config
@@ -218,32 +211,29 @@ def _resolve_path(args: argparse.Namespace):
         raise ValueError("specify exactly one of --circle, --circle-json, --polyline")
     if args.circle is not None:
         return _parse_circle_inline(args.circle, args.turns)
-    if args.polyline is not None and args.turns is not None:
-        raise ValueError("--turns applies to a circle, not to --polyline")
-    from .geometry import Circle
+    if args.turns is not None:
+        raise ValueError("--turns applies to an inline --circle, "
+                         "not to --circle-json or --polyline")
     from .loaders import load_circle_json, load_polyline_csv
 
     if args.polyline is not None:
         return load_polyline_csv(args.polyline)
-    path = load_circle_json(args.circle_json)
-    if args.turns is not None:
-        path = Circle(center=path.center, radius=path.radius, turns=args.turns)
-    return path
+    return load_circle_json(args.circle_json)
 
 
-def _cmd_circulation(args: argparse.Namespace, config, field, spec) -> None:
+def _cmd_circulation(args: argparse.Namespace, field, spec) -> None:
     from .geometry import circulation
 
     print(_fmt(circulation(field, _resolve_path(args), spec)))
 
 
-def _cmd_flux(args: argparse.Namespace, config, field, spec) -> None:
+def _cmd_flux(args: argparse.Namespace, field, spec) -> None:
     from .geometry import flux_direct
 
     print(_fmt(flux_direct(field, args.L, spec)))
 
 
-def _cmd_stokes(args: argparse.Namespace, config, field, spec) -> None:
+def _cmd_stokes(args: argparse.Namespace, field, spec) -> None:
     from .stokes import verify_stokes
 
     report = verify_stokes(field, args.L, spec).to_dict()
@@ -251,13 +241,13 @@ def _cmd_stokes(args: argparse.Namespace, config, field, spec) -> None:
     print(json.dumps(data, indent=2))
 
 
-def _cmd_chart_audit(args: argparse.Namespace, config, field, spec) -> None:
+def _cmd_chart_audit(args: argparse.Namespace, field, spec) -> None:
     from .stokes import chart_audit
 
     print(_fmt(chart_audit(field, args.L, spec)))
 
 
-def _cmd_phase(args: argparse.Namespace, config, field, spec) -> None:
+def _cmd_phase(args: argparse.Namespace, field, spec) -> None:
     from .phase import holonomy, phase_closed_form
 
     path_given = any(v is not None
@@ -269,7 +259,7 @@ def _cmd_phase(args: argparse.Namespace, config, field, spec) -> None:
     print(_fmt(factor.angle))
 
 
-def _cmd_interfere(args: argparse.Namespace, config, field, spec) -> None:
+def _cmd_interfere(args: argparse.Namespace, field, spec) -> None:
     from .phase import InterferometerGeometry, interference, interference_csv
 
     geom = InterferometerGeometry(
@@ -280,7 +270,7 @@ def _cmd_interfere(args: argparse.Namespace, config, field, spec) -> None:
         samples=args.samples,
     )
     rows = interference(field, args.q, geom)
-    if (args.format or config.get("format", "csv")) == "csv":
+    if args.format == "csv":
         sys.stdout.write(interference_csv(rows))
     else:
         print(json.dumps([[_round12(x), _round12(i)] for x, i in rows]))
@@ -353,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wavenumber", type=float, default=math.tau)
     p.add_argument("--half-extent", type=float, default=2.5)
     p.add_argument("--samples", type=int, default=201, help="screen samples, 2 to 1000000")
-    p.add_argument("--format", choices=("json", "csv"), default=None,
+    p.add_argument("--format", choices=("json", "csv"), default="csv",
                    help="output format (default csv)")
 
     p = sub.add_parser("quantize", help="exact charge-lattice arithmetic")
@@ -394,10 +384,10 @@ def main(argv: list[str] | None = None) -> int:
             config = _load_config(args)
             field = _resolve_field(args, config)
             spec = _resolve_quadrature(args, config) if "rel_tol" in args else None
-            args.func(args, config, field, spec)
+            args.func(args, field, spec)
         else:
             args.func(args)
-    except (AbfluxError, ValueError, OSError, KeyError) as exc:
+    except (AbfluxError, ValueError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, AbfluxError) else 2
     return 0

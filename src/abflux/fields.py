@@ -81,11 +81,18 @@ def _json_int(value, label: str) -> int:
     return value
 
 
-def _require_known(data: dict, keys: tuple[str, ...], where: str) -> None:
-    """ValueError naming the first key of data that is not in keys."""
+def _require_known(data, keys: tuple[str, ...], where: str,
+                   required: tuple[str, ...] = ()) -> None:
+    """The one check of a JSON object's shape: ValueError unless data is a
+    dict, holds only keys from keys, and holds every key of required."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(data).__name__}")
     for key in data:
         if key not in keys:
             raise ValueError(f"unknown {where} key {key!r}; keys are {list(keys)}")
+    for key in required:
+        if key not in data:
+            raise ValueError(f"{where} is missing {key!r}")
 
 
 class Vec3(Record):
@@ -173,11 +180,8 @@ class SolenoidField(Record):
     @classmethod
     def from_dict(cls, data: dict) -> "SolenoidField":
         """Inverse of to_dict; each value must be a JSON number (_json_float).
-        ValueError names a missing or unknown key."""
-        _require_known(data, cls._fields, "field")
-        for key in cls._fields:
-            if key not in data:
-                raise ValueError(f"field is missing {key!r}")
+        ValueError for a non-object, or one that names a missing or unknown key."""
+        _require_known(data, cls._fields, "field", required=cls._fields)
         return cls(*(_json_float(data[key], f"field {key}") for key in cls._fields))
 
 

@@ -1,6 +1,7 @@
 """Closed paths read from CSV and JSON text, and the JSON parsing the
-CLI's config file shares.  JSON numbers follow fields._json_float and
-_json_int.  Malformed input is a ValueError that says what is wrong.
+CLI's config file shares.  A JSON object's shape follows
+fields._require_known, and its numbers fields._json_float and _json_int.
+Malformed input is a ValueError that says what is wrong.
 """
 
 from __future__ import annotations
@@ -60,12 +61,8 @@ def load_polyline_csv(source: str | Path | io.TextIOBase) -> Polyline:
 def load_circle_json(source: str | Path | io.TextIOBase) -> Circle:
     """Read a circle path from JSON {"center": [x, y, z], "radius": r, "turns": n}."""
     data = _parse_json(_read_text(source))
-    if not isinstance(data, dict):
-        raise ValueError(f"circle JSON must be an object, got {type(data).__name__}")
-    _require_known(data, ("center", "radius", "turns"), "circle JSON")
-    for key in ("center", "radius"):
-        if key not in data:
-            raise ValueError(f"circle JSON is missing {key!r}")
+    _require_known(data, ("center", "radius", "turns"), "circle JSON",
+                   required=("center", "radius"))
     center = data["center"]
     if not (isinstance(center, list) and len(center) == 3):
         raise ValueError(f"circle center must be a list of 3 numbers, got {center!r}")

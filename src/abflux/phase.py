@@ -148,16 +148,10 @@ def interference(
     fringes.  Integer q*gamma shifts by whole fringes: indistinguishable
     from no solenoid at all.  A pure-gauge exterior (B = 0, gamma != 0)
     still shifts the pattern; that is the observable the phase carries.
-    A non-finite q or q*gamma raises ValueError.
+    q, and the turn count q*gamma, are checked as phase_closed_form checks
+    them: a bool, non-finite or out-of-range value raises ValueError.
     """
-    try:
-        turns = q * f.gamma
-        finite = math.isfinite(turns)
-    except OverflowError:
-        raise ValueError("q*gamma is beyond floating-point range") from None
-    if not finite:  # gamma is finite: this also catches q = +-inf or nan
-        raise ValueError(f"q*gamma must be finite, got q={q!r}, gamma={f.gamma!r}")
-    dphi = PhaseFactor.from_turns(turns).angle
+    dphi = phase_closed_form(q, f.gamma, 1).angle
     k_eff = geom.wavenumber * geom.slit_separation / geom.screen_distance
     n = geom.samples
     extent = geom.half_extent

@@ -97,7 +97,7 @@ def result_or_none(call, *args):
     to an exit status."""
     try:
         return call(*args)
-    except (ValueError, KeyError, AbfluxError):
+    except (ValueError, AbfluxError):
         return None
 
 

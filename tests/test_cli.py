@@ -168,15 +168,16 @@ class TestCirculationCommand:
         assert code == 0
         assert float(out) == pytest.approx(-math.pi, rel=1e-9)
 
-    def test_turns_flag_overrides_circle_json(self, capsys, tmp_path):
+    def test_turns_flag_with_circle_json_exit_2(self, capsys, tmp_path):
+        # the file's own "turns" is its turn count
         circle_path = tmp_path / "circle.json"
         circle_path.write_text('{"center": [0, 0, 0], "radius": 4.0, "turns": 2}', encoding="utf-8")
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             capsys, "circulation", "--gamma", "1", "--circle-json", str(circle_path),
             "--turns", "-1",
         )
-        assert code == 0
-        assert out.strip() == f"{-2.0 * math.pi:.12g}"
+        assert code == 2 and out == ""
+        assert err.startswith("ValueError: --turns")
 
     def test_turns_flag_with_polyline_exit_2(self, capsys, tmp_path):
         csv_path = tmp_path / "square.csv"
@@ -416,13 +417,14 @@ class TestInterfereCommand:
         assert len(rows) == 3
         assert rows[1][1] == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("fmt", ['""', "0", "false", "null"])
+    @pytest.mark.parametrize("fmt", ['""', "0", "false", "null", '"json"', '"csv"'])
     def test_bad_config_format_exit_2(self, capsys, tmp_path, fmt):
+        # the output format is the --format flag's alone
         cfg = tmp_path / "run.json"
         cfg.write_text(f'{{"format": {fmt}}}', encoding="utf-8")
         code, out, err = run_cli(capsys, "interfere", "--config", str(cfg), "--q", "1")
         assert (code, out) == (2, "")
-        assert err.startswith("ValueError: unknown output format")
+        assert err.startswith("ValueError: unknown config key 'format'")
 
 
 class TestQuantizeCommand:

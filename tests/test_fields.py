@@ -88,6 +88,9 @@ class TestSolenoidField:
         ({"B": 2, "R": 1, "gama": 5}, "unknown field key 'gama'"),
         ({"B": 2, "R": 1, "gamma": 5, "extra": 1}, "unknown field key 'extra'"),
         ({"B": 2, "R": 1}, "field is missing 'gamma'"),
+        (["B", "R", "gamma"], "^field must be a JSON object, got list$"),
+        (None, "^field must be a JSON object, got NoneType$"),
+        ("BRg", "^field must be a JSON object, got str$"),
     ])
     def test_from_dict_refuses_unknown_and_missing_keys(self, data, message):
         with pytest.raises(ValueError, match=message):

@@ -281,5 +281,7 @@ class TestInterference:
                          (1e300, 1e300)):
             with pytest.raises(ValueError, match="must be finite"):
                 interference(SolenoidField(B=0.0, R=1.0, gamma=gamma), q, GEOM)
-        with pytest.raises(ValueError, match=r"^q\*gamma is beyond floating-point range$"):
+        with pytest.raises(ValueError, match=r"^q is beyond floating-point range$"):
             interference(SolenoidField(B=0.0, R=1.0, gamma=0.5), 10**400, GEOM)
+        with pytest.raises(ValueError, match=r"^q must be a number, got True$"):
+            interference(SolenoidField(B=0.0, R=1.0, gamma=0.5), True, GEOM)
