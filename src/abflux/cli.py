@@ -13,8 +13,9 @@ Field parameters come from ``--config file.json`` and/or flags; flags
 win.  The config envelope is
 ``{"field": {"B":..,"R":..,"gamma":..}, "quadrature": {...}}``; any
 other key, in the envelope or in a section, is a ValueError for every
-field command, whether or not it reads that section.  ``main`` resolves
-field and quadrature spec once and passes them to the command.
+field command, whether or not it reads that section.  ``main`` reads
+the settings once, file and flags together, resolves field and
+quadrature spec from them and passes both to the command.
 Scalars print with 12 significant digits.  Domain errors exit nonzero
 with the error-class name on stderr; identical inputs always produce
 byte-identical output.
@@ -23,9 +24,9 @@ Only the standard library and ``errors`` are imported at module level.
 Each command function and parsing helper imports the library layers it
 uses, so a process loads only what its subcommand needs: ``quantize``
 never loads the quadrature engine, and ``circulation`` never loads
-``fractions``.  Path files and the config file are read by ``loaders``,
-which is imported only when one is given, so an inline circle never
-loads ``csv``.  The value types are immutable slotted records
+``fractions``.  A config file is read through ``fields``' JSON rules.
+Only path files load ``loaders``, so an inline circle or a config file
+never loads ``csv``.  The value types are immutable slotted records
 (``abflux._record``), not dataclasses, so only ``stokes`` and
 ``chart-audit``, whose report is a dataclass, load ``dataclasses`` and
 the ``inspect`` module it imports.
@@ -107,64 +108,48 @@ _SECTIONS = {"field": ("B", "R", "gamma"),
              "quadrature": ("rel_tol", "abs_tol", "max_subdivisions")}
 
 
-def _section(config: dict, key: str) -> dict:
-    """Config section ``key``; ValueError unless it is an object of known keys."""
-    from .fields import _require_known
+def _settings(args: argparse.Namespace) -> dict:
+    """The config file's envelope and both sections checked once, so every
+    field command refuses the same files, whatever it reads; then the two
+    sections in one mapping, with every flag that was given laid over it."""
+    from .fields import _parse_json, _require_known
 
-    data = config.get(key, {})
-    _require_known(data, _SECTIONS[key], f"config {key!r}")
-    return data
-
-
-def _load_config(args: argparse.Namespace) -> dict:
-    """The config file's envelope and section keys checked, so every
-    field command refuses the same files, whatever it reads."""
-    if args.config is None:
-        return {}
-    from .fields import _require_known
-    from .loaders import _parse_json
-
-    config = _parse_json(args.config.read_text(encoding="utf-8"))
-    _require_known(config, tuple(_SECTIONS), "config")
-    for key in _SECTIONS:
-        _section(config, key)
-    return config
+    config = {}
+    if args.config is not None:
+        config = _parse_json(args.config.read_text(encoding="utf-8"))
+        _require_known(config, tuple(_SECTIONS), "config")
+    settings, flags = {}, vars(args)
+    for key, names in _SECTIONS.items():
+        section = config.get(key, {})
+        _require_known(section, names, f"config {key!r}")
+        settings.update(section)
+        settings.update((name, flags[name]) for name in names if flags.get(name) is not None)
+    return settings
 
 
-def _config_section(args: argparse.Namespace, config: dict, key: str) -> dict:
-    """Config section ``key`` with every flag that was given laid over it."""
-    data = dict(_section(config, key))
-    for flag in _SECTIONS[key]:
-        if getattr(args, flag) is not None:
-            data[flag] = getattr(args, flag)
-    return data
-
-
-def _resolve_field(args: argparse.Namespace, config: dict) -> SolenoidField:
+def _resolve_field(args: argparse.Namespace, settings: dict) -> SolenoidField:
     from .fields import SolenoidField, _json_float
 
-    data = _config_section(args, config, "field")
-    B = _json_float(data.get("B", 0.0), "field B")
-    R = _json_float(data.get("R", 1.0), "field R")
+    B = _json_float(settings.get("B", 0.0), "field B")
+    R = _json_float(settings.get("R", 1.0), "field R")
     if args.kappa is not None:
         gamma = 0.5 * B * R * R + args.kappa
-    elif "gamma" in data:
-        gamma = _json_float(data["gamma"], "field gamma")
+    elif "gamma" in settings:
+        gamma = _json_float(settings["gamma"], "field gamma")
     else:
         gamma = 0.5 * B * R * R
     return SolenoidField(B=B, R=R, gamma=gamma)
 
 
-def _resolve_quadrature(args: argparse.Namespace, config: dict) -> QuadratureSpec:
+def _resolve_quadrature(settings: dict) -> QuadratureSpec:
     from .fields import _json_float, _json_int
     from .geometry import _DEFAULT_SPEC, QuadratureSpec
 
-    data = _config_section(args, config, "quadrature")
     base = _DEFAULT_SPEC
     return QuadratureSpec(
-        rel_tol=_json_float(data.get("rel_tol", base.rel_tol), "rel_tol"),
-        abs_tol=_json_float(data.get("abs_tol", base.abs_tol), "abs_tol"),
-        max_subdivisions=_json_int(data.get("max_subdivisions", base.max_subdivisions),
+        rel_tol=_json_float(settings.get("rel_tol", base.rel_tol), "rel_tol"),
+        abs_tol=_json_float(settings.get("abs_tol", base.abs_tol), "abs_tol"),
+        max_subdivisions=_json_int(settings.get("max_subdivisions", base.max_subdivisions),
                                    "max_subdivisions"),
     )
 
@@ -253,9 +238,12 @@ def _cmd_phase(args: argparse.Namespace, field, spec) -> None:
     path_given = any(v is not None
                      for v in (args.circle, args.circle_json, args.polyline, args.turns))
     if path_given:
-        factor = holonomy(field, _resolve_path(args), args.q, spec)
+        path = _resolve_path(args)
+        if args.w is not None:
+            raise ValueError("--w applies to the closed form, not to a path")
+        factor = holonomy(field, path, args.q, spec)
     else:
-        factor = phase_closed_form(args.q, field.gamma, args.w)
+        factor = phase_closed_form(args.q, field.gamma, 1 if args.w is None else args.w)
     print(_fmt(factor.angle))
 
 
@@ -332,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _field_command(sub, "phase", "loop phase angle in [0, 2*pi)", _cmd_phase, path=True)
     p.add_argument("--q", type=float, required=True, help="charge of the transported wave function")
-    p.add_argument("--w", type=int, default=1,
-                   help="winding number for the closed form (ignored when a path is given)")
+    p.add_argument("--w", type=int, default=None,
+                   help="winding number for the closed form (default 1); not with a path")
 
     p = _field_command(sub, "interfere", "two-beam fringe pattern as x,intensity rows",
                        _cmd_interfere, quad=False)
@@ -381,9 +369,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if "config" in args:  # a field command
-            config = _load_config(args)
-            field = _resolve_field(args, config)
-            spec = _resolve_quadrature(args, config) if "rel_tol" in args else None
+            settings = _settings(args)
+            field = _resolve_field(args, settings)
+            spec = _resolve_quadrature(settings) if "rel_tol" in args else None
             args.func(args, field, spec)
         else:
             args.func(args)

@@ -16,10 +16,15 @@ Points are stored in Cartesian coordinates; cylindrical values are
 derived views, so the multivaluedness of the azimuth never enters the
 data model.  On the solenoid surface itself the field carries no value,
 which is represented by a thin exclusion band around rho = R.
+
+The JSON rules live here too, so the CLI's config file and the path files
+are read alike: _parse_json decodes the text, _require_known checks an
+object's shape, and _json_float and _json_int its numbers.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 
@@ -60,6 +65,14 @@ def _require_positive(label: str, *values: float, error: type = ValueError) -> N
         if not isinstance(v, bool) and not 0.0 < v < math.inf:
             raise error(f"{label} must be positive, got {v!r}")
     _require_finite(label, *values)
+
+
+def _parse_json(text: str):
+    """json.loads, with nesting too deep for the parser as a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def _json_float(value, label: str) -> float:

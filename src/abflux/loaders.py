@@ -1,17 +1,16 @@
-"""Closed paths read from CSV and JSON text, and the JSON parsing the
-CLI's config file shares.  A JSON object's shape follows
-fields._require_known, and its numbers fields._json_float and _json_int.
-Malformed input is a ValueError that says what is wrong.
+"""Closed paths read from CSV and JSON text.  JSON text is decoded by
+fields._parse_json, an object's shape follows fields._require_known, and
+its numbers fields._json_float and _json_int.  Malformed input is a
+ValueError that says what is wrong.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from pathlib import Path
 
-from .fields import Point, _json_float, _json_int, _require_known
+from .fields import Point, _json_float, _json_int, _parse_json, _require_known
 from .geometry import Circle, Polyline
 
 
@@ -19,14 +18,6 @@ def _read_text(source: str | Path | io.TextIOBase) -> str:
     if hasattr(source, "read"):
         return source.read()
     return Path(source).read_text(encoding="utf-8")
-
-
-def _parse_json(text: str):
-    """json.loads, with nesting too deep for the parser as a ValueError."""
-    try:
-        return json.loads(text)
-    except RecursionError:
-        raise ValueError("JSON nested too deeply") from None
 
 
 def _is_number(cell: str) -> bool:

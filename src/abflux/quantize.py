@@ -50,6 +50,8 @@ class RationalCharge(Record):
     __slots__ = _fields = ("numerator", "denominator")
 
     def __init__(self, numerator: int, denominator: int = 1):
+        if isinstance(numerator, bool) or isinstance(denominator, bool):
+            raise TypeError("expected an exact rational, got bool")
         if denominator == 0:
             raise ValueError("denominator must be nonzero")
         frac = Fraction(numerator, denominator)
@@ -156,7 +158,11 @@ def charge_allowed(q: RationalLike, lattice: ChargeSpectrum) -> bool:
 
 
 def spectrum(lattice: ChargeSpectrum, n_min: int, n_max: int) -> list[RationalCharge]:
-    """Charges n/N for n in [n_min, n_max], ascending; at most 10**6 of them."""
+    """Charges n/N for n in [n_min, n_max], ascending; at most 10**6 of them.
+    A bound that is not an int, or is a bool, is a ValueError."""
+    for label, bound in (("n_min", n_min), ("n_max", n_max)):
+        if isinstance(bound, bool) or not isinstance(bound, int):
+            raise ValueError(f"{label} must be an integer, got {bound!r}")
     if n_min > n_max:
         raise ValueError(f"empty index range [{n_min}, {n_max}]")
     if n_max - n_min >= _MAX_CHARGES:

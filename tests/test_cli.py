@@ -13,6 +13,7 @@ from abflux.cli import (
     _parse_circle_inline,
     _resolve_field,
     _resolve_quadrature,
+    _settings,
     build_parser,
     main,
 )
@@ -373,6 +374,26 @@ class TestPhaseCommand:
         assert (code, out) == (2, "")
         assert err.startswith("ValueError: specify exactly one of")
 
+    def test_closed_form_winds_once_by_default(self, capsys):
+        assert run_cli(capsys, "phase", "--q", "1", "--gamma", "0.5") == (
+            0, "3.14159265359\n", "")
+
+    @pytest.mark.parametrize("flag, text", [
+        ("--circle", None),
+        ("--circle-json", '{"center": [0, 0, 0], "radius": 2}'),
+        ("--polyline", "2,-2,0\n2,2,0\n-2,2,0\n-2,-2,0\n"),
+    ])
+    def test_winding_flag_with_path_exit_2(self, capsys, tmp_path, flag, text):
+        # a path gives its own winding: --w is refused, not ignored
+        value = "r=2"
+        if text is not None:
+            value = str(tmp_path / "path")
+            Path(value).write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "phase", "--q", "1", "--gamma", "0.5", "--w", "2",
+                                 flag, value)
+        assert (code, out) == (2, "")
+        assert err == "ValueError: --w applies to the closed form, not to a path\n"
+
 
 class TestInterfereCommand:
     def test_csv_shape(self, capsys):
@@ -595,6 +616,12 @@ class TestDeterminism:
 _flag_floats = st.none() | st.floats()
 
 
+@pytest.fixture(scope="module")
+def config_file(tmp_path_factory):
+    """A config file path that each example of a property rewrites."""
+    return tmp_path_factory.mktemp("config") / "run.json"
+
+
 class TestParserProperties:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -612,7 +639,7 @@ class TestParserProperties:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        config=st.dictionaries(
+        config=st.none() | st.dictionaries(
             st.sampled_from(("field", "quadrature", "format")),
             json_values | st.fixed_dictionaries({}, optional={
                 key: json_numbers | json_values
@@ -623,9 +650,35 @@ class TestParserProperties:
         rel_tol=_flag_floats, abs_tol=_flag_floats,
         max_subdivisions=st.none() | st.integers(),
     )
-    def test_config_resolvers(self, config, **flags):
-        args = argparse.Namespace(**flags)
-        field = result_or_none(_resolve_field, args, config)
+    def test_config_resolvers(self, config_file, config, **flags):
+        if config is not None:
+            config_file.write_text(json.dumps(config), encoding="utf-8")
+        args = argparse.Namespace(config=config_file if config is not None else None, **flags)
+        settings = result_or_none(_settings, args)
+        if settings is None:
+            return
+        field = result_or_none(_resolve_field, args, settings)
         assert field is None or isinstance(field, SolenoidField)
-        spec = result_or_none(_resolve_quadrature, args, config)
+        spec = result_or_none(_resolve_quadrature, settings)
         assert spec is None or isinstance(spec, QuadratureSpec)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.fixed_dictionaries({}, optional={
+            **{key: st.floats() for key in ("B", "R", "gamma", "rel_tol", "abs_tol")},
+            "max_subdivisions": st.integers(),
+        }),
+    )
+    def test_config_file_equals_flags(self, config_file, values):
+        field = {key: values[key] for key in ("B", "R", "gamma") if key in values}
+        quadrature = {key: v for key, v in values.items() if key not in field}
+        config_file.write_text(json.dumps({"field": field, "quadrature": quadrature}),
+                               encoding="utf-8")
+        parser = build_parser()
+        from_file = parser.parse_args(["stokes", "--L", "2", "--config", str(config_file)])
+        from_flags = parser.parse_args(
+            ["stokes", "--L", "2",
+             *(f"--{key.replace('_', '-')}={value!r}" for key, value in values.items())])
+        for resolve in (lambda args: _resolve_field(args, _settings(args)),
+                        lambda args: _resolve_quadrature(_settings(args))):
+            assert result_or_none(resolve, from_file) == result_or_none(resolve, from_flags)

@@ -58,8 +58,12 @@ print(json.dumps([code, sorted(sys.modules)]))
 #: records (abflux._record), so no other subcommand imports them
 DATACLASSES = {"dataclasses", "inspect"}
 
-#: loaded only to read a path file or a config file, which no call below gives
+#: loaded only to read a path file, which no call below gives; a config
+#: file is read through the JSON rules in abflux.fields
 LOADERS = {"abflux.loaders", "csv"}
+
+#: stands for a config file in an argv below
+CONFIG = "<config>"
 
 #: (argv, modules its process must not load)
 FOOTPRINTS = [
@@ -78,20 +82,34 @@ FOOTPRINTS = [
     (("interfere", "--q", "1", "--samples", "3"), {"abflux.geometry", *DATACLASSES, *LOADERS}),
     (("stokes", "--B", "1", "--R", "1", "--L", "2"),
      {"abflux.quantize", "abflux.phase", *LOADERS}),
+    (("flux", "--config", CONFIG, "--L", "2"), DATACLASSES | LOADERS),
+    (("interfere", "--config", CONFIG, "--q", "1", "--samples", "3"),
+     {"abflux.geometry", *DATACLASSES, *LOADERS}),
 ]
 
 
+def footprint(tmp_path, argv, *options):
+    """[exit code, sorted module names] of a fresh interpreter, run with
+    options, that runs argv through cli.main; CONFIG in argv is a config
+    file giving both sections."""
+    config = tmp_path / "config.json"
+    config.write_text('{"field": {"B": 1, "gamma": 0.5}, "quadrature": {"rel_tol": 1e-8}}',
+                      encoding="utf-8")
+    argv = [str(config) if arg == CONFIG else arg for arg in argv]
+    return json.loads(run_python(*options, "-c", FOOTPRINT, *argv))
+
+
 @pytest.mark.parametrize("argv, absent", FOOTPRINTS)
-def test_subcommand_import_footprint(argv, absent):
-    code, loaded = json.loads(run_python("-c", FOOTPRINT, *argv))
+def test_subcommand_import_footprint(tmp_path, argv, absent):
+    code, loaded = footprint(tmp_path, argv)
     assert code == 0
     assert absent.isdisjoint(loaded)
 
 
 @pytest.mark.parametrize("argv", [argv for argv, _ in FOOTPRINTS])
-def test_subcommand_loads_no_typing_without_site(argv):
+def test_subcommand_loads_no_typing_without_site(tmp_path, argv):
     # -S: a site .pth file may import typing before abflux runs
-    code, loaded = json.loads(run_python("-S", "-c", FOOTPRINT, *argv))
+    code, loaded = footprint(tmp_path, argv, "-S")
     assert code == 0
     assert "typing" not in loaded
 

@@ -121,7 +121,8 @@ class TestKappaAllowed:
     def test_rejects_bools(self):
         # a bool is an int subclass; like a float it is refused, not read as 1 or 0
         for call in (kappa_allowed, lambda x: infer_minimal_N([x, False]),
-                     lambda x: charge_allowed(x, ChargeSpectrum(3))):
+                     lambda x: charge_allowed(x, ChargeSpectrum(3)),
+                     lambda x: RationalCharge(x, 2), lambda x: RationalCharge(1, x)):
             with pytest.raises(TypeError, match="expected an exact rational, got bool"):
                 call(True)
 
@@ -163,6 +164,17 @@ class TestSpectrum:
             spectrum(ChargeSpectrum(3), 0, 10**6)
         with pytest.raises(ValueError):
             spectrum(ChargeSpectrum(3), -10**30, 10**30)
+
+    @pytest.mark.parametrize("n_min, n_max, message", [
+        (True, 2, "n_min must be an integer, got True"),
+        (0.5, 2, "n_min must be an integer, got 0.5"),
+        (0, 2.0, "n_max must be an integer, got 2.0"),
+        (0, False, "n_max must be an integer, got False"),
+    ])
+    def test_non_integer_bound_rejected(self, n_min, n_max, message):
+        with pytest.raises(ValueError) as info:
+            spectrum(ChargeSpectrum(3), n_min, n_max)
+        assert str(info.value) == message
 
     @given(st.integers(min_value=1, max_value=60), st.integers(min_value=-30, max_value=0),
            st.integers(min_value=0, max_value=30))

@@ -19,7 +19,7 @@ from abflux.geometry import (
     sector_flux,
 )
 from abflux.phase import InterferometerGeometry, PhaseFactor, holonomy, phases_equivalent
-from abflux.quantize import ChargeSpectrum, RationalCharge
+from abflux.quantize import ChargeSpectrum, RationalCharge, spectrum
 from abflux.stokes import chart_audit, verify_stokes
 
 SQUARE = (Point(2.0, -2.0), Point(2.0, 2.0), Point(-2.0, 2.0), Point(-2.0, -2.0))
@@ -157,7 +157,15 @@ def test_normalizing_constructors():
     (lambda: InterferometerGeometry(1.0, 1.0, 1.0, 1.0, 1), ValueError,
      "samples must be between 2 and 1000000, got 1"),
     (lambda: RationalCharge(1, 0), ValueError, "denominator must be nonzero"),
+    (lambda: RationalCharge(True, 2), TypeError, "expected an exact rational, got bool"),
+    (lambda: RationalCharge(1, False), TypeError, "expected an exact rational, got bool"),
     (lambda: ChargeSpectrum(0), ValueError, "N must be a positive integer, got 0"),
+    (lambda: spectrum(ChargeSpectrum(3), True, 2), ValueError,
+     "n_min must be an integer, got True"),
+    (lambda: spectrum(ChargeSpectrum(3), 0.5, 2), ValueError,
+     "n_min must be an integer, got 0.5"),
+    (lambda: spectrum(ChargeSpectrum(3), 0, 2.0), ValueError,
+     "n_max must be an integer, got 2.0"),
 ])
 def test_validation_errors(build, error, message):
     with pytest.raises(error) as info:
