@@ -43,7 +43,6 @@ _EXPORTS = {
         "ClosedPath",
         "Polyline",
         "QuadratureSpec",
-        "arc_integral",
         "circulation",
         "flux_direct",
         "sector_flux",

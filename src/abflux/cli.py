@@ -177,13 +177,17 @@ def _parse_circle_inline(text: str, turns_flag: int | None) -> Circle:
         raise ValueError(f"circle spec {text!r} is missing r=<radius>")
     if "turns" in fields and turns_flag is not None:
         raise ValueError("give the turn count once: inline turns= or --turns, not both")
-    turns = int(fields["turns"]) if "turns" in fields else (turns_flag if turns_flag is not None else 1)
-    center = Point(
-        float(fields.get("cx", 0.0)),
-        float(fields.get("cy", 0.0)),
-        float(fields.get("cz", 0.0)),
-    )
-    return Circle(center=center, radius=float(fields["r"]), turns=turns)
+
+    def value(key: str, convert, default):
+        try:
+            return convert(fields[key]) if key in fields else default
+        except ValueError:
+            kind = "an integer" if convert is int else "a number"
+            raise ValueError(f"circle {key} must be {kind}, got {fields[key]!r}") from None
+
+    turns = value("turns", int, turns_flag if turns_flag is not None else 1)
+    center = Point(value("cx", float, 0.0), value("cy", float, 0.0), value("cz", float, 0.0))
+    return Circle(center=center, radius=value("r", float, None), turns=turns)
 
 
 def _resolve_path(args: argparse.Namespace):

@@ -24,10 +24,10 @@ all its seed panels (every edge of a polyline at the same 15 nodes of
 [0, 1]), a split on both halves of the panel it bisects.  The 60 seed
 nodes of one turn, four quarter-turn panels of [0, 1], are a module
 constant, and so is the cos/sin table of their angles 0.0 + sweep*t,
-for sweeps of 2*pi and -2*pi.  The seed pass of a whole turn from
-azimuth 0 (every circle and split-disc ring) reads its trig from that
-table; splits and all other arcs compute it per node with the function
-that built the table, so the values are the same bit for bit.  Both
+for sweeps of 2*pi and -2*pi.  Every arc is one whole turn from azimuth
+0 (a circle or a split-disc ring), so every seed pass reads its trig
+from that table; splits compute it per node with the function that
+built the table, so the values are the same bit for bit.  Both
 constants are built once at import and never changed.  Inputs are
 validated once, when the path is built and cleared of the solenoid
 surface, not on every quadrature node.  The clearance check takes one
@@ -206,7 +206,7 @@ def _trig(phi0: float, sweep: float, ts: Iterable[float]) -> list[tuple[float, f
 #: 60 nodes
 _TURN_BOUNDS, _TURN_NODES = _tiles(0.0, 1.0, 4)
 #: _trig at _TURN_NODES from azimuth 0, for sweep = -tau at index 0 and
-#: +tau at index 1: the seed pass of every whole turn from azimuth 0
+#: +tau at index 1: the seed pass of every arc
 _TURN_TRIG = (tuple(_trig(0.0, -math.tau, _TURN_NODES)),
               tuple(_trig(0.0, math.tau, _TURN_NODES)))
 
@@ -318,13 +318,12 @@ def _require_finite_integral(value: float) -> float:
 
 
 def _arc(coef: float, inside: bool, cx: float, cy: float, radius: float,
-         phi0: float, sweep: float, spec: QuadratureSpec) -> float:
-    """Integral along the arc about (cx, cy) from azimuth phi0 through
-    sweep, t in [0, 1], seeded with one panel per quarter turn.
+         sweep: float, spec: QuadratureSpec) -> float:
+    """Integral along one whole turn about (cx, cy) from azimuth 0, sweep
+    = 2*pi or -2*pi, t in [0, 1], seeded with one panel per quarter turn.
 
-    The seed pass of a whole turn from azimuth 0 reads its cos and sin
-    from _TURN_TRIG, built by the same _trig at the same nodes; every
-    other pass computes them at its nodes.
+    The seed pass reads its cos and sin from _TURN_TRIG, built by the
+    same _trig at the same nodes; every split computes them at its nodes.
 
     The caller passes the arc's side of rho = R, from _require_clearance,
     or for a circle on rho = R itself the side whose limit it takes
@@ -336,20 +335,18 @@ def _arc(coef: float, inside: bool, cx: float, cy: float, radius: float,
     """
     k = radius * sweep
     nk = -k
-    seed = max(1, math.ceil(abs(sweep) / (0.5 * math.pi)))
-    turn_nodes = _TURN_NODES if phi0 == 0.0 and abs(sweep) == math.tau else None
     turn_trig = _TURN_TRIG[sweep > 0.0]
 
     if inside:
         bx, by = -0.5 * coef, 0.5 * coef
 
         def fn(cs: Sequence[int], ts: Sequence[float]) -> list[float]:
-            pairs = turn_trig if ts is turn_nodes else _trig(phi0, sweep, ts)
+            pairs = turn_trig if ts is _TURN_NODES else _trig(0.0, sweep, ts)
             return [bx * (cy + radius * s) * (nk * s) + by * (cx + radius * c) * (k * c)
                     for c, s in pairs]
     else:
         def fn(cs: Sequence[int], ts: Sequence[float]) -> list[float]:
-            pairs = turn_trig if ts is turn_nodes else _trig(phi0, sweep, ts)
+            pairs = turn_trig if ts is _TURN_NODES else _trig(0.0, sweep, ts)
             out = []
             for c, s in pairs:
                 x, y = cx + radius * c, cy + radius * s
@@ -358,7 +355,7 @@ def _arc(coef: float, inside: bool, cx: float, cy: float, radius: float,
                 out.append(-scale * y * (nk * s) + scale * x * (k * c))
             return out
 
-    return _integrate_pieces([(fn, 0.0, 1.0, seed, 1)], spec)
+    return _integrate_pieces([(fn, 0.0, 1.0, 4, 1)], spec)
 
 
 def _edges(f: SolenoidField, points: Sequence[Point], spec: QuadratureSpec) -> float:
@@ -437,7 +434,7 @@ def _whole_turn(kind: str, coef: float, rho: float, spec: QuadratureSpec) -> flo
     """
     if kind == "disc":
         return _disc_flux(coef, 0.0, rho, 0.0, math.tau, spec)
-    return _arc(coef, kind == "interior", 0.0, 0.0, rho, 0.0, math.tau, spec)
+    return _arc(coef, kind == "interior", 0.0, 0.0, rho, math.tau, spec)
 
 
 class Circle(Record):
@@ -577,7 +574,7 @@ def circulation(
         c = path.center
         d = math.hypot(c.x, c.y)
         inside = _require_clearance(abs(d - path.radius), d + path.radius, f)
-        turn = _arc(f.B if inside else f.gamma, inside, c.x, c.y, path.radius, 0.0,
+        turn = _arc(f.B if inside else f.gamma, inside, c.x, c.y, path.radius,
                     math.copysign(math.tau, path.turns), spec)
         value = _require_finite_integral(turn * abs(path.turns))
     else:
@@ -591,36 +588,6 @@ def segment_integral(
 ) -> float:
     """Line integral of the vector potential along one straight segment."""
     return _edges(f, (start, end), spec if spec is not None else _DEFAULT_SPEC)
-
-
-def arc_integral(
-    f: SolenoidField,
-    rho: float,
-    phi_start: float,
-    phi_end: float,
-    spec: QuadratureSpec | None = None,
-) -> float:
-    """Line integral of the potential along a circular arc at fixed rho.
-
-    Whole turns of the sweep are integrated once and scaled by their
-    count, like the turns of a circle, and the remainder arc is added.
-    """
-    spec = spec if spec is not None else _DEFAULT_SPEC
-    _require_positive("arc radius", rho, error=InvalidRadius)
-    _require_finite("angle", phi_start, phi_end)
-    inside = _require_clearance(rho, rho, f)
-    coef = f.B if inside else f.gamma
-    sweep = phi_end - phi_start
-    _require_finite("arc sweep", sweep)
-    rest = math.fmod(sweep, math.tau)
-    turns = round(abs(sweep - rest) / math.tau)
-    if turns == 0:
-        return _arc(coef, inside, 0.0, 0.0, rho, phi_start, sweep, spec)
-    total = _arc(coef, inside, 0.0, 0.0, rho, phi_start, math.copysign(math.tau, sweep),
-                 spec) * turns
-    if rest:
-        total += _arc(coef, inside, 0.0, 0.0, rho, phi_start, rest, spec)
-    return _require_finite_integral(total)
 
 
 def sector_flux(

@@ -29,8 +29,8 @@ _MAX_SAMPLES = 10**6
 class PhaseFactor(Record):
     """Angle theta of a unit phase factor exp(-i*theta), kept in [0, 2*pi).
 
-    Equality on the circle is tolerance-based and wrap-aware: angles just
-    above 0 and just below 2*pi compare close.
+    Equality is exact, field by field; distance is the wrap-aware
+    comparison, in which angles just above 0 and just below 2*pi are close.
     """
 
     __slots__ = _fields = ("angle",)
@@ -56,13 +56,6 @@ class PhaseFactor(Record):
         """Shortest angular distance on the circle."""
         d = abs(self.angle - other.angle)
         return min(d, math.tau - d)
-
-    def isclose(self, other: "PhaseFactor", tol: float = 1e-9) -> bool:
-        _require_positive("tolerance", tol)
-        return self.distance(other) <= tol
-
-    def as_complex(self) -> complex:
-        return complex(math.cos(self.angle), -math.sin(self.angle))
 
 
 def holonomy(

@@ -21,6 +21,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 from functools import total_ordering
 from math import lcm
+from numbers import Rational
 
 from ._record import Record
 from .errors import EmptyChargeSet
@@ -50,8 +51,9 @@ class RationalCharge(Record):
     __slots__ = _fields = ("numerator", "denominator")
 
     def __init__(self, numerator: int, denominator: int = 1):
-        if isinstance(numerator, bool) or isinstance(denominator, bool):
-            raise TypeError("expected an exact rational, got bool")
+        for value in (numerator, denominator):
+            if isinstance(value, bool) or not isinstance(value, Rational):
+                raise TypeError(f"expected an exact rational, got {type(value).__name__}")
         if denominator == 0:
             raise ValueError("denominator must be nonzero")
         frac = Fraction(numerator, denominator)

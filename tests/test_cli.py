@@ -208,6 +208,15 @@ class TestCirculationCommand:
         assert code == 2 and out == ""
         assert err.startswith("ValueError: bad circle spec item 'radius=3'")
 
+    @pytest.mark.parametrize("spec, message", [
+        ("r=2,turns=2.5", "circle turns must be an integer, got '2.5'"),
+        ("r=2,cx=abc", "circle cx must be a number, got 'abc'"),
+    ])
+    def test_inline_value_names_its_key_exit_2(self, capsys, spec, message):
+        code, out, err = run_cli(capsys, "circulation", "--gamma", "1", "--circle", spec)
+        assert code == 2 and out == ""
+        assert err.startswith(f"ValueError: {message}")
+
     def test_circle_json_unknown_key_exit_2(self, capsys, tmp_path):
         # a mistyped "turns" is refused, not read as the default one turn
         circle_path = tmp_path / "circle.json"

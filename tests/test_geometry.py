@@ -39,7 +39,6 @@ from abflux.geometry import (
     _gk15,
     _integrate_pieces,
     _nodes,
-    arc_integral,
     circulation,
     flux_direct,
     sector_flux,
@@ -343,8 +342,6 @@ class TestCirculation:
         with pytest.raises(ValueError, match="underflow"):
             circulation(SolenoidField(B=1.0, R=1e-160, gamma=0.5), triangle)
         with pytest.raises(ValueError, match="underflow"):
-            arc_integral(f, 2e-300, 0.0, 1.0)
-        with pytest.raises(ValueError, match="underflow"):
             eval_A(f, Point(2e-300, 0.0))
 
     def test_overflowing_rho_squared_raises_before_quadrature(self, monkeypatch):
@@ -359,8 +356,6 @@ class TestCirculation:
                      Circle(Point(3e154, 0.0), 1e154, 1)):
             with pytest.raises(ValueError, match="overflow"):
                 circulation(f, path)
-        with pytest.raises(ValueError, match="overflow"):
-            arc_integral(f, 1e155, 0.0, 1.0)
         with pytest.raises(ValueError, match="overflow"):
             segment_integral(f, Point(1.0, 0.0), Point(1.0, 1e155))
 
@@ -440,7 +435,6 @@ class TestCirculation:
         for loop in loops:
             circulation(f, loop)
         segment_integral(f, start, end)
-        arc_integral(f, 2.0, 0.0, math.pi)
         flux_direct(f, 2.0)
 
 
@@ -449,36 +443,6 @@ class TestOpenIntegrals:
         # the potential is purely azimuthal, so radial segments contribute 0
         f = SolenoidField(B=2.0, R=1.0, gamma=1.3)
         assert segment_integral(f, Point(1.5, 0.0), Point(4.0, 0.0)) == 0.0
-
-    def test_arc_matches_closed_circle(self):
-        f = SolenoidField(B=2.0, R=1.0, gamma=1.3)
-        full = arc_integral(f, 2.0, 0.0, TWO_PI)
-        assert full == pytest.approx(circulation(f, Circle(ORIGIN, 2.0, 1)), rel=1e-12)
-
-    def test_half_arc_is_half_circulation(self):
-        f = SolenoidField(B=2.0, R=1.0, gamma=1.3)
-        assert arc_integral(f, 3.0, 0.0, math.pi) == pytest.approx(math.pi * f.gamma, rel=1e-12)
-
-    def test_arc_turns_cost_one_revolution(self, monkeypatch):
-        # whole turns are integrated once and scaled; only the remainder is added
-        f = SolenoidField(B=2.0, R=1.0, gamma=1.3)
-        panels = []
-        gk15 = geometry._gk15
-
-        def counting(*args):
-            panels[-1] += 1
-            return gk15(*args)
-
-        monkeypatch.setattr(geometry, "_gk15", counting)
-        sweep = 1e5
-        for rho, expected in ((3.0, f.gamma * sweep), (0.5, 0.5 * f.B * 0.5**2 * sweep)):
-            panels.append(0)
-            value = arc_integral(f, rho, 0.0, sweep)
-            assert value == pytest.approx(expected, rel=1e-12)
-            panels.append(0)
-            arc_integral(f, rho, 0.0, TWO_PI)
-            arc_integral(f, rho, 0.0, math.fmod(sweep, TWO_PI))
-            assert panels[-2] == panels[-1]
 
     def test_polygon_assembles_from_segments(self):
         f = SolenoidField(B=2.0, R=1.0, gamma=0.8)
@@ -783,21 +747,6 @@ class TestBatchedKernelMatchesReference:
                                           math.copysign(TWO_PI, circle.turns))
                 want = self.expected([arc], spec, abs(circle.turns))
                 assert self.counted(monkeypatch, lambda: circulation(f, circle, spec)) == want
-            rho, start = rng.uniform(1.5, 4.0) * f.R, rng.uniform(-1.0, 1.0)
-            sweep = rng.uniform(-5.0, 5.0)
-            sign = rng.choice((-1.0, 1.0))
-            # arcs off the turn table compute their trig at every node: a
-            # sweep short of a whole turn, from azimuth 0 and over four seed
-            # panels too, and a whole turn from another azimuth
-            for inside, r in ((False, rho), (True, rng.uniform(0.1, 0.9) * f.R)):
-                for phi0, phi1 in ((start, start + sweep),
-                                   (0.0, sign * rng.uniform(4.8, 6.2)),
-                                   (0.5, 0.5 + sign * TWO_PI)):
-                    assert abs(phi1 - phi0) <= TWO_PI
-                    arc = reference.arc_piece(f, inside, 0.0, 0.0, r, phi0, phi1 - phi0)
-                    want = self.expected([arc], spec)
-                    assert self.counted(
-                        monkeypatch, lambda: arc_integral(f, r, phi0, phi1, spec=spec)) == want
 
     def test_segments(self, monkeypatch):
         rng = random.Random(73)
@@ -1007,8 +956,8 @@ class TestCirculationMemo:
 
 
 class TestTurnTrigTable:
-    """The seed pass of every whole turn from azimuth 0 reads cos and sin
-    from one table built at import; nothing else does."""
+    """The seed pass of every arc, a whole turn from azimuth 0, reads cos
+    and sin from one table built at import; only splits compute them."""
 
     def test_table_is_the_integrands_own_expression(self):
         nodes = geometry._TURN_NODES
@@ -1030,15 +979,13 @@ class TestTurnTrigTable:
             chart_audit(f, rng.uniform(1.2, 8.0) * f.R)
             circulation(f, Circle(ORIGIN, rng.uniform(1.5, 4.0) * f.R, rng.choice((-3, 1))))
             circulation(f, Circle(Point(3.0 * f.R, 0.0), f.R, 2))
-            arc_integral(f, rng.uniform(0.1, 0.9) * f.R, 0.0, TWO_PI)
-            arc_integral(f, rng.uniform(1.5, 4.0) * f.R, 0.5, 4.0)
+            circulation(f, Circle(Point(0.2 * f.R, -0.1 * f.R), 0.5 * f.R, -3))
         assert all(now is then for now, then in zip(tables(), before, strict=True))
         assert repr(before) == snapshot
         assert [len(pairs) for pairs in geometry._TURN_TRIG] == [60, 60]
 
-    def test_only_whole_turns_from_azimuth_0_skip_the_seed_trig(self, monkeypatch):
+    def test_every_arcs_seed_pass_reads_the_table(self, monkeypatch):
         # cos runs once per node the table does not cover: on every split
-        # of a table arc, and on every panel of any other arc
         f = SolenoidField(B=2.0, R=1.0, gamma=1.3)
         fine = QuadratureSpec(rel_tol=1e-12)
         cos_calls = [0]
@@ -1055,21 +1002,21 @@ class TestTurnTrigTable:
 
         monkeypatch.setattr(geometry, "cos", counting_cos)
         monkeypatch.setattr(geometry, "_gk15", counting_gk15)
-        # (call, panels whose nodes need no cos: table seeds and the area flux)
-        cases = ((lambda: verify_stokes(f, 3.0), 13),
-                 (lambda: circulation(f, Circle(Point(3.0, 0.0), 1.0, -2), fine), 4),
-                 (lambda: arc_integral(f, 2.0, 0.0, -TWO_PI, spec=fine), 4),
-                 (lambda: arc_integral(f, 2.0, 0.5, 0.5 + TWO_PI, spec=fine), 0),
-                 (lambda: arc_integral(f, 2.0, 0.0, 6.0, spec=fine), 0))
-        counts = []
-        for call, no_cos in cases:
-            cos_calls[0] = panels[0] = 0
-            call()
-            assert cos_calls[0] == 15 * (panels[0] - no_cos)
-            counts.append(cos_calls[0])
-        # the split disc's rings do not split; the off-centre circle does,
-        # and its splits compute their trig
-        assert counts[0] == 0 and counts[1] > 0
+        # the split disc's 13 panels are table seeds and the area flux
+        cos_calls[0] = panels[0] = 0
+        verify_stokes(f, 3.0)
+        assert (cos_calls[0], panels[0]) == (0, 13)
+        split = 0
+        # on- and off-axis circles, exterior and interior, both orientations
+        for centre, radius in ((ORIGIN, 2.0), (Point(3.0, 0.0), 1.0),
+                               (ORIGIN, 0.5), (Point(0.2, -0.1), 0.5)):
+            for turns in (1, -2):
+                cos_calls[0] = panels[0] = 0
+                circulation(f, Circle(centre, radius, turns), fine)
+                assert cos_calls[0] == 15 * (panels[0] - 4)
+                split += panels[0] > 4
+        # the off-centre exterior circle splits, and its splits compute their trig
+        assert split > 0
 
 
 class TestNearAxisAccuracy:
@@ -1133,7 +1080,7 @@ class TestTracerContract:
             circulation(f, star_loop(rng, 2, 1.5 * f.R, 4.0 * f.R), fine)
             circulation(f, Circle(Point(3.0 * f.R, 0.0), f.R, 2), fine)
             segment_integral(f, Point(2.0 * f.R, 0.0), Point(0.0, 3.0 * f.R), fine)
-            arc_integral(f, 0.5 * f.R, 0.0, 1e3, spec=fine)
+            circulation(f, Circle(Point(0.2 * f.R, -0.1 * f.R), 0.5 * f.R, -3), fine)
             flux_direct(f, 3.0 * f.R)
         # every pass is one integrand call: the seed pass of each piece, then
         # one per split, which evaluates both halves of one panel

@@ -125,6 +125,10 @@ class TestKappaAllowed:
                      lambda x: RationalCharge(x, 2), lambda x: RationalCharge(1, x)):
             with pytest.raises(TypeError, match="expected an exact rational, got bool"):
                 call(True)
+        # and RationalCharge refuses a float or a string as the others do
+        for args, kind in (((0.5, 1), "float"), (("1", 2), "str"), ((1, 0.5), "float")):
+            with pytest.raises(TypeError, match=f"expected an exact rational, got {kind}$"):
+                RationalCharge(*args)
 
 
 class TestChargeAllowed:

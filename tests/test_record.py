@@ -14,7 +14,6 @@ from abflux.geometry import (
     Circle,
     Polyline,
     QuadratureSpec,
-    arc_integral,
     flux_direct,
     sector_flux,
 )
@@ -184,7 +183,6 @@ POSITIVE_INPUTS = {
     "curl_fd h": (lambda x: curl_fd(F, Point(3.0, 0.0), x), (ValueError,) * 4),
     "QuadratureSpec abs_tol": (lambda x: QuadratureSpec(abs_tol=x), (ValueError,) * 4),
     "Circle radius": (lambda x: Circle(Point(0.0, 0.0), x), (ValueError,) * 4),
-    "arc_integral rho": (lambda x: arc_integral(F, x, 0.0, 1.0), (InvalidRadius,) * 4),
     "flux_direct L": (lambda x: flux_direct(F, x), (InvalidRadius,) * 4),
     "sector_flux rho_max": (lambda x: sector_flux(F, 0.0, x, 0.0, 1.0), (ValueError,) * 4),
     "verify_stokes L": (lambda x: verify_stokes(F, x), (InvalidRadius,) * 4),
@@ -198,8 +196,6 @@ POSITIVE_INPUTS = {
                                    (ValueError, ValueError, None, None)),
     "phases_equivalent tol": (lambda x: phases_equivalent(1.0, 0.0, 0.5, tol=x),
                               (ValueError,) * 4),
-    "PhaseFactor.isclose tol": (lambda x: PhaseFactor(1.0).isclose(PhaseFactor(1.0), tol=x),
-                                (ValueError,) * 4),
 }
 
 
