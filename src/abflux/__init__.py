@@ -45,7 +45,6 @@ _EXPORTS = {
         "QuadratureSpec",
         "circulation",
         "flux_direct",
-        "sector_flux",
         "segment_integral",
         "winding_number",
     ),

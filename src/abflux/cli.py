@@ -157,6 +157,18 @@ def _resolve_quadrature(settings: dict) -> QuadratureSpec:
 _CIRCLE_KEYS = {"r", "turns", "cx", "cy", "cz"}
 
 
+def _inline_int(text: str) -> int:
+    """An int, or an integral float ("2.0") as a circle file's turns may
+    be; int() goes first, so a long integer keeps every digit."""
+    try:
+        return int(text)
+    except ValueError:
+        number = float(text)
+        if number.is_integer():
+            return int(number)
+        raise
+
+
 def _parse_circle_inline(text: str, turns_flag: int | None) -> Circle:
     from .fields import Point
     from .geometry import Circle
@@ -182,10 +194,10 @@ def _parse_circle_inline(text: str, turns_flag: int | None) -> Circle:
         try:
             return convert(fields[key]) if key in fields else default
         except ValueError:
-            kind = "an integer" if convert is int else "a number"
+            kind = "a number" if convert is float else "an integer"
             raise ValueError(f"circle {key} must be {kind}, got {fields[key]!r}") from None
 
-    turns = value("turns", int, turns_flag if turns_flag is not None else 1)
+    turns = value("turns", _inline_int, turns_flag if turns_flag is not None else 1)
     center = Point(value("cx", float, 0.0), value("cy", float, 0.0), value("cz", float, 0.0))
     return Circle(center=center, radius=value("r", float, None), turns=turns)
 

@@ -18,7 +18,7 @@ concentrates nodes there on its own.
 Every curve is integrated by one of two functions, _arc for a circular
 arc and _edges for a run of straight edges.  Each builds its piece,
 whose integrand returns A.dr/dt as plain floats, and integrates it, as
-_disc_flux does for a sector; no other function calls _integrate_pieces.
+_whole_turn does for the disc; no other function calls _integrate_pieces.
 Each pass calls a piece's integrand once: the seed pass on the nodes of
 all its seed panels (every edge of a polyline at the same 15 nodes of
 [0, 1]), a split on both halves of the panel it bisects.  The 60 seed
@@ -48,23 +48,20 @@ result scaled by n: rel_tol carries over exactly, while abs_tol applies
 per revolution.  An integral that overflows floating point raises
 ValueError.
 
-Disc fluxes integrate the same radial scheme in polar form.  The band
-check puts each radial range on one side of rho = R, where B_z is one
-constant, so the azimuthal integral is the sector's angle times B_z.
-
 Three whole turns about the axis are memoized: a ring of the interior
-or of the exterior formula, and the disc [0, rho] (_whole_turn).  The
-split disc asks for the same ones from verify_stokes, chart_audit and
-flux_direct, and each is integrated once.  The memo is an lru_cache of
-8 entries keyed on the kind, its coefficient (B, or gamma for the
-exterior ring), rho and the spec, so its values are those of computing
-again.  A split disc looks the memo up seven times per verify_stokes,
-flux_direct and chart_audit, so a spec computes its hash once, when it
-is built (QuadratureSpec), not on every lookup; equal specs still share
-entries.  circulation keeps its last result too (_last_circulation),
-keyed on the identity of its field, path and spec, so a holonomy of the
-path just integrated integrates nothing.  These two bounded memos are
-the only state that changes after import.
+or of the exterior formula, and the flux through the disc [0, rho] in
+polar form (_whole_turn).  The split disc asks for the same ones from
+verify_stokes, chart_audit and flux_direct, and each is integrated
+once.  The memo is an lru_cache of 8 entries keyed on the kind, its
+coefficient (B, or gamma for the exterior ring), rho and the spec, so
+its values are those of computing again.  A split disc looks the memo
+up seven times per verify_stokes, flux_direct and chart_audit, so a
+spec computes its hash once, when it is built (QuadratureSpec), not on
+every lookup; equal specs still share entries.  circulation keeps its
+last result too (_last_circulation), keyed on the identity of its
+field, path and spec, so a holonomy of the path just integrated
+integrates nothing.  These two bounded memos are the only state that
+changes after import.
 """
 
 from __future__ import annotations
@@ -79,7 +76,6 @@ from math import cos, hypot, sin
 
 from ._record import Record
 from .errors import (
-    FieldUndefinedOnSolenoid,
     InvalidRadius,
     PathCrossesSolenoid,
     PathTouchesAxis,
@@ -99,9 +95,10 @@ from .fields import (
 PATH_CLEARANCE = 1e-6
 
 # A quadrature piece is a tuple (fn, a, b, seed, curves): integrate each
-# of `curves` curves over [a, b], pre-split into seed // curves equal
-# panels, and sum them all; fn(cs, ts) maps curve indices and nodes to
-# the integrand values at every node on every listed curve, in order.
+# of `curves` curves over [a, b] and sum them all, seeded with one panel
+# [a, b] per curve (seed == curves: edges, the disc) or with an arc's
+# four quarter turns of [0, 1]; fn(cs, ts) maps curve indices and nodes
+# to the integrand values at each node of each listed curve, in order.
 
 
 class QuadratureSpec(Record):
@@ -109,7 +106,7 @@ class QuadratureSpec(Record):
 
     ``max_subdivisions`` counts bisections only.  The seed panels every
     integration starts from are not counted against it: one per polyline
-    edge, one per quarter turn of an arc and one per sector.  That work
+    edge, one per quarter turn of an arc and one for a disc.  That work
     grows linearly with the size of the path.
 
     The spec is part of every _whole_turn memo key, so its hash is
@@ -183,20 +180,6 @@ def _nodes(a: float, b: float) -> list[float]:
             center + d4, center + d5, center + d6]
 
 
-def _tiles(a: float, b: float, tiles: int) -> tuple[tuple, tuple]:
-    """[a, b] split into tiles equal panels: their bounds, and the
-    Kronrod nodes of every panel in order."""
-    width = (b - a) / tiles
-    bounds = []
-    nodes = []
-    for k in range(tiles):
-        lo = a + k * width
-        hi = b if k == tiles - 1 else a + (k + 1) * width
-        bounds.append((lo, hi))
-        nodes += _nodes(lo, hi)
-    return tuple(bounds), tuple(nodes)
-
-
 def _trig(phi0: float, sweep: float, ts: Iterable[float]) -> list[tuple[float, float]]:
     """(cos(th), sin(th)) at th = phi0 + sweep*t for each node t."""
     return [(cos(th := phi0 + sweep * t), sin(th)) for t in ts]
@@ -204,7 +187,8 @@ def _trig(phi0: float, sweep: float, ts: Iterable[float]) -> list[tuple[float, f
 
 #: The seed panels of one turn, four quarter turns of [0, 1], and their
 #: 60 nodes
-_TURN_BOUNDS, _TURN_NODES = _tiles(0.0, 1.0, 4)
+_TURN_BOUNDS = tuple((k / 4, (k + 1) / 4) for k in range(4))
+_TURN_NODES = tuple(t for lo, hi in _TURN_BOUNDS for t in _nodes(lo, hi))
 #: _trig at _TURN_NODES from azimuth 0, for sweep = -tau at index 0 and
 #: +tau at index 1: the seed pass of every arc
 _TURN_TRIG = (tuple(_trig(0.0, -math.tau, _TURN_NODES)),
@@ -242,10 +226,10 @@ def _integrate_pieces(pieces: list[tuple], spec: QuadratureSpec) -> float:
     it and counts each listed piece's seed panels, piece[3].  Both passes
     call _gk15 by its module name, so the tracer's wrapper sees each panel.
 
-    Each curve of the piece is pre-split into equal panels so the error
-    estimator starts below one oscillation per panel.  Every pass calls
-    the integrand once: the seed pass on all its panels, each split on
-    both halves of the worst panel.  Convergence is judged on the total:
+    An arc is seeded with four quarter turns so the error estimator
+    starts below one oscillation per panel.  Every pass calls the
+    integrand once: the seed pass on all its panels, each split on both
+    halves of the worst panel.  Convergence is judged on the total:
     sum of estimates <= max(abs_tol, rel_tol*|sum|).
 
     eps2 * drift bounds the rounding the running total and err have
@@ -256,11 +240,10 @@ def _integrate_pieces(pieces: list[tuple], spec: QuadratureSpec) -> float:
     err is within it of the tolerance, both are summed again exactly.
     """
     (fn, a, b, seed, curves), = pieces
-    tiles = seed // curves
-    if tiles == 4 and a == 0.0 and b == 1.0:
-        bounds, nodes = _TURN_BOUNDS, _TURN_NODES
+    if seed == curves:
+        bounds, nodes = ((a, b),), _nodes(a, b)
     else:
-        bounds, nodes = _tiles(a, b, tiles)
+        bounds, nodes = _TURN_BOUNDS, _TURN_NODES
     y = fn(range(curves), nodes)
     # (-err, seed or split order, curve, a, b, value): the heap keys
     # (-err, order) are unique, so no comparison reaches the rest
@@ -433,7 +416,12 @@ def _whole_turn(kind: str, coef: float, rho: float, spec: QuadratureSpec) -> flo
     that raises is not stored.  The caller validates rho.
     """
     if kind == "disc":
-        return _disc_flux(coef, 0.0, rho, 0.0, math.tau, spec)
+        azimuthal = math.tau * coef
+
+        def radial(cs: Sequence[int], rhos: Sequence[float]) -> list[float]:
+            return [r * azimuthal for r in rhos]
+
+        return _integrate_pieces([(radial, 0.0, rho, 1, 1)], spec)
     return _arc(coef, kind == "interior", 0.0, 0.0, rho, math.tau, spec)
 
 
@@ -588,55 +576,6 @@ def segment_integral(
 ) -> float:
     """Line integral of the vector potential along one straight segment."""
     return _edges(f, (start, end), spec if spec is not None else _DEFAULT_SPEC)
-
-
-def sector_flux(
-    f: SolenoidField,
-    rho_min: float,
-    rho_max: float,
-    phi_min: float,
-    phi_max: float,
-    spec: QuadratureSpec | None = None,
-) -> float:
-    """Flux of the magnetic field through a polar sector at z = 0.
-
-    The sector is rho in [rho_min, rho_max], phi in [phi_min, phi_max].
-    Radial integration is adaptive.  The radial range must stay clear of
-    the undefined band at rho = R; it may end on the band's edge, since
-    no quadrature node lies on an endpoint.  So the range lies on one
-    side of rho = R, B_z is taken once from that side, and the radial
-    integrand is rho times (phi_max - phi_min) * B_z, the exact
-    azimuthal integral of that constant.
-    """
-    spec = spec if spec is not None else _DEFAULT_SPEC
-    _require_finite("radial range", rho_min, rho_max)
-    if not 0.0 <= rho_min < rho_max:
-        raise ValueError(f"bad radial range [{rho_min!r}, {rho_max!r}]")
-    _require_finite("angle", phi_min, phi_max)
-    if not phi_min < phi_max:
-        raise ValueError(f"bad azimuthal range [{phi_min!r}, {phi_max!r}]")
-    band = f.boundary_band
-    if rho_min < f.R + band and rho_max > f.R - band:
-        raise FieldUndefinedOnSolenoid(
-            f"radial range [{rho_min!r}, {rho_max!r}] meets the undefined band "
-            f"at rho = R = {f.R!r}"
-        )
-
-    # the band check puts the whole radial range on one side of rho = R
-    b_z = f.B if rho_max <= f.R - band else 0.0
-    return _disc_flux(b_z, rho_min, rho_max, phi_min, phi_max, spec)
-
-
-def _disc_flux(b_z: float, rho_min: float, rho_max: float, phi_min: float, phi_max: float,
-               spec: QuadratureSpec) -> float:
-    """Flux of the constant B_z = b_z through the polar sector, whose ranges
-    the caller validates; its azimuthal integral is the angle times b_z."""
-    azimuthal = (phi_max - phi_min) * b_z
-
-    def radial(cs: Sequence[int], rhos: Sequence[float]) -> list[float]:
-        return [rho * azimuthal for rho in rhos]
-
-    return _integrate_pieces([(radial, rho_min, rho_max, 1, 1)], spec)
 
 
 def flux_direct(f: SolenoidField, L: float, spec: QuadratureSpec | None = None) -> float:

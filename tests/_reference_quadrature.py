@@ -139,8 +139,8 @@ def edge_piece(f: SolenoidField, inside: bool, p: Point, q: Point):
     return exterior, 0.0, 1.0, 1
 
 
-def disc_piece(b_z: float, rho_min: float, rho_max: float, phi_min: float, phi_max: float):
-    """The polar sector of constant B_z = b_z as a radial piece with one
-    seed panel: rho times the sector's angle times b_z."""
-    azimuthal = (phi_max - phi_min) * b_z
-    return (lambda rhos: [rho * azimuthal for rho in rhos]), rho_min, rho_max, 1
+def disc_piece(b_z: float, rho_max: float):
+    """The disc [0, rho_max] of constant B_z = b_z as a radial piece with
+    one seed panel: rho times a whole turn times b_z."""
+    azimuthal = math.tau * b_z
+    return (lambda rhos: [rho * azimuthal for rho in rhos]), 0.0, rho_max, 1

@@ -217,6 +217,17 @@ class TestCirculationCommand:
         assert code == 2 and out == ""
         assert err.startswith(f"ValueError: {message}")
 
+    def test_inline_integral_float_turns_read_as_a_circle_file_does(self, capsys, tmp_path):
+        circle_path = tmp_path / "circle.json"
+        circle_path.write_text('{"center": [0, 0, 0], "radius": 2, "turns": 2.0}',
+                               encoding="utf-8")
+        runs = [run_cli(capsys, "circulation", "--gamma", "1", *path) for path in (
+            ("--circle", "r=2,turns=2"),
+            ("--circle", "r=2,turns=2.0"),
+            ("--circle-json", str(circle_path)),
+        )]
+        assert runs == [(0, "12.5663706144\n", "")] * 3
+
     def test_circle_json_unknown_key_exit_2(self, capsys, tmp_path):
         # a mistyped "turns" is refused, not read as the default one turn
         circle_path = tmp_path / "circle.json"

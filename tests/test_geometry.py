@@ -41,7 +41,6 @@ from abflux.geometry import (
     _nodes,
     circulation,
     flux_direct,
-    sector_flux,
     segment_integral,
     winding_number,
 )
@@ -489,21 +488,6 @@ class TestFluxDirect:
         with pytest.raises(InvalidRadius):
             flux_direct(f, -2.0)
 
-    def test_sector_validation(self):
-        f = SolenoidField(B=1.0, R=1.0, gamma=0.0)
-        with pytest.raises(ValueError):
-            sector_flux(f, 2.0, 1.0, 0.0, math.pi)
-        with pytest.raises(ValueError):
-            sector_flux(f, 1.5, 2.0, math.pi, 0.0)
-
-    def test_sector_across_band_rejected_at_entry(self, monkeypatch):
-        def no_quadrature(*args):
-            raise AssertionError("quadrature ran before the band check")
-
-        monkeypatch.setattr(geometry, "_gk15", no_quadrature)
-        with pytest.raises(FieldUndefinedOnSolenoid):
-            sector_flux(SolenoidField(B=1.0, R=1.0, gamma=0.0), 0.5, 1.7, 0.0, math.pi)
-
 
 class TestLoaders:
     def test_polyline_csv(self):
@@ -661,23 +645,21 @@ class TestIntegrandsMatchPointwiseFormulas:
                     batch += expected
                 assert fn(range(curves), ts) == batch
 
-    def test_sector_radial_values_equal_the_tensor_sum_of_eval_b(self, monkeypatch):
+    def test_disc_radial_values_equal_the_tensor_sum_of_eval_b(self, monkeypatch):
         rng = random.Random(61)
         for _ in range(12):
             f = random_field(rng)
-            band = f.boundary_band
-            phi_min = rng.uniform(-1.0, 1.0)
-            phi_max = phi_min + rng.uniform(0.1, TWO_PI)
-            mid = 0.5 * (phi_min + phi_max)
-            for lo, hi in ((0.0, f.R - band), (0.2 * f.R, 0.7 * f.R),
-                           (f.R + band, 3.0 * f.R), (1.5 * f.R, 2.5 * f.R)):
-                [(fn, a, b, _, _)] = self.pieces_of(
-                    monkeypatch, lambda: sector_flux(f, lo, hi, phi_min, phi_max))
-                rhos = [a + (b - a) * rng.uniform(0.01, 0.99) for _ in range(15)]
-                # B_z is one constant over the sector, so its azimuthal
-                # integral is the sector's angle times B_z at any azimuth
-                points = [Point(rho * math.cos(mid), rho * math.sin(mid)) for rho in rhos]
-                expected = [rho * ((phi_max - phi_min) * eval_B(f, point).z)
+            phi = rng.uniform(0.0, TWO_PI)
+            for L in (rng.uniform(0.1, 0.9) * f.R, rng.uniform(1.1, 4.0) * f.R):
+                # a warm memo would integrate nothing
+                geometry._whole_turn.cache_clear()
+                [(fn, a, b, seed, curves)] = self.pieces_of(monkeypatch, lambda: flux_direct(f, L))
+                assert (a, b, seed, curves) == (0.0, min(L, f.R), 1, 1)
+                rhos = [b * rng.uniform(0.01, 0.99) for _ in range(15)]
+                # B_z is one constant over the disc, so its azimuthal
+                # integral is a whole turn times B_z at any azimuth
+                points = [Point(rho * math.cos(phi), rho * math.sin(phi)) for rho in rhos]
+                expected = [rho * (math.tau * eval_B(f, point).z)
                             for rho, point in zip(rhos, points)]
                 assert fn([0], rhos) == expected
 
@@ -775,7 +757,7 @@ class TestBatchedKernelMatchesReference:
             (phi_1, n1), (inner, n2), (outer, n3) = [reference.integrate([ring], spec)
                                                      for ring in rings]
             area, n_area = reference.integrate(
-                [reference.disc_piece(f.B, 0.0, f.R, 0.0, TWO_PI)], spec)
+                [reference.disc_piece(f.B, f.R)], spec)
             phi_2 = outer - inner
             phi_total = phi_1 + phi_2
             want = repr((phi_1, phi_2, phi_total, outer, inner, outer - phi_total))

@@ -15,7 +15,6 @@ from abflux.geometry import (
     Polyline,
     QuadratureSpec,
     flux_direct,
-    sector_flux,
 )
 from abflux.phase import InterferometerGeometry, PhaseFactor, holonomy, phases_equivalent
 from abflux.quantize import ChargeSpectrum, RationalCharge, spectrum
@@ -184,7 +183,6 @@ POSITIVE_INPUTS = {
     "QuadratureSpec abs_tol": (lambda x: QuadratureSpec(abs_tol=x), (ValueError,) * 4),
     "Circle radius": (lambda x: Circle(Point(0.0, 0.0), x), (ValueError,) * 4),
     "flux_direct L": (lambda x: flux_direct(F, x), (InvalidRadius,) * 4),
-    "sector_flux rho_max": (lambda x: sector_flux(F, 0.0, x, 0.0, 1.0), (ValueError,) * 4),
     "verify_stokes L": (lambda x: verify_stokes(F, x), (InvalidRadius,) * 4),
     "chart_audit L": (lambda x: chart_audit(F, x), (InvalidRadius,) * 4),
     "InterferometerGeometry screen_distance": (
