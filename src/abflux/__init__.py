@@ -29,6 +29,7 @@ _EXPORTS = {
     "fields": (
         "BOUNDARY_BAND",
         "Point",
+        "QuadratureSpec",
         "SolenoidField",
         "Vec3",
         "ab_standard",
@@ -42,7 +43,6 @@ _EXPORTS = {
         "Circle",
         "ClosedPath",
         "Polyline",
-        "QuadratureSpec",
         "circulation",
         "flux_direct",
         "segment_integral",

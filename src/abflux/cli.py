@@ -20,13 +20,14 @@ Scalars print with 12 significant digits.  Domain errors exit nonzero
 with the error-class name on stderr; identical inputs always produce
 byte-identical output.
 
-Only the standard library and ``errors`` are imported at module level.
-Each command function and parsing helper imports the library layers it
-uses, so a process loads only what its subcommand needs: ``quantize``
-never loads the quadrature engine, and ``circulation`` never loads
-``fractions``.  A config file is read through ``fields``' JSON rules.
-Only path files load ``loaders``, so an inline circle or a config file
-never loads ``csv``.  The value types are immutable slotted records
+A process builds and loads only what its subcommand runs: ``main`` gives
+that command alone its arguments (build_parser), and each command
+function and parsing helper imports the library layers it uses; only the
+standard library and ``errors`` load with this module.  So ``quantize``
+and the closed-form ``phase`` never load the quadrature engine,
+``circulation`` never loads ``fractions``, only path files load
+``loaders``, ``csv`` and ``pathlib``, and only a command that reads or
+prints JSON loads ``json``.  The value types are immutable slotted records
 (``abflux._record``), not dataclasses, so only ``stokes`` and
 ``chart-audit``, whose report is a dataclass, load ``dataclasses`` and
 the ``inspect`` module it imports.
@@ -35,22 +36,23 @@ the ``inspect`` module it imports.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
-from pathlib import Path
 
 from .errors import AbfluxError
 
 TYPE_CHECKING = False
 
 if TYPE_CHECKING:
-    from .fields import SolenoidField
-    from .geometry import Circle, QuadratureSpec
+    from .fields import QuadratureSpec, SolenoidField
+    from .geometry import Circle
 
-# accept "-1/3" and friends as positional values, not option strings
-_NEGATIVE_TOKEN = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
+def _print_json(value, indent: int | None = None) -> None:
+    import json
+
+    print(json.dumps(value, indent=indent))
 
 
 def _fmt(value: float) -> str:
@@ -61,14 +63,11 @@ def _round12(value: float) -> float:
     return float(_fmt(value))
 
 
-def _field_command(sub, name: str, help: str, func, quad: bool = True,
-                   path: bool = False) -> argparse.ArgumentParser:
-    """Add subcommand ``name`` with --config and the field flags, then the
+def _field_args(parser, func, quad: bool = True, path: bool = False) -> None:
+    """Give a field command's parser --config and the field flags, then the
     quadrature flags and the path flags when asked, in that order."""
-    parser = sub.add_parser(name, help=help)
     parser.add_argument(
         "--config",
-        type=Path,
         default=None,
         metavar="FILE",
         help="JSON config {field, quadrature}; flags override it",
@@ -87,20 +86,19 @@ def _field_command(sub, name: str, help: str, func, quad: bool = True,
         group = parser.add_argument_group("quadrature")
         group.add_argument("--rel-tol", type=float, default=None)
         group.add_argument("--abs-tol", type=float, default=None)
-        group.add_argument("--max-subdivisions", type=int, default=None)
+        group.add_argument("--max-subdivisions", type=_inline_int, default=None)
     if path:
         group = parser.add_argument_group("path")
         group.add_argument("--circle", default=None, metavar="SPEC",
                            help='inline circle, e.g. "r=3" or "r=3,turns=2,cx=0,cy=0,cz=0"')
-        group.add_argument("--turns", type=int, default=None,
+        group.add_argument("--turns", type=_inline_int, default=None,
                            help="turn count for --circle (default 1); not with an "
                                 "inline turns=, --circle-json or --polyline")
-        group.add_argument("--circle-json", type=Path, default=None, metavar="FILE",
+        group.add_argument("--circle-json", default=None, metavar="FILE",
                            help='circle from JSON {"center":[x,y,z],"radius":r,"turns":n}')
-        group.add_argument("--polyline", type=Path, default=None, metavar="FILE",
+        group.add_argument("--polyline", default=None, metavar="FILE",
                            help='closed polyline from CSV rows "x,y,z"')
     parser.set_defaults(func=func)
-    return parser
 
 
 #: config section -> its keys, each also a flag of the field commands
@@ -116,7 +114,8 @@ def _settings(args: argparse.Namespace) -> dict:
 
     config = {}
     if args.config is not None:
-        config = _parse_json(args.config.read_text(encoding="utf-8"))
+        with open(args.config, encoding="utf-8") as file:
+            config = _parse_json(file.read())
         _require_known(config, tuple(_SECTIONS), "config")
     settings, flags = {}, vars(args)
     for key, names in _SECTIONS.items():
@@ -142,8 +141,7 @@ def _resolve_field(args: argparse.Namespace, settings: dict) -> SolenoidField:
 
 
 def _resolve_quadrature(settings: dict) -> QuadratureSpec:
-    from .fields import _json_float, _json_int
-    from .geometry import _DEFAULT_SPEC, QuadratureSpec
+    from .fields import _DEFAULT_SPEC, QuadratureSpec, _json_float, _json_int
 
     base = _DEFAULT_SPEC
     return QuadratureSpec(
@@ -158,8 +156,9 @@ _CIRCLE_KEYS = {"r", "turns", "cx", "cy", "cz"}
 
 
 def _inline_int(text: str) -> int:
-    """An int, or an integral float ("2.0") as a circle file's turns may
-    be; int() goes first, so a long integer keeps every digit."""
+    """An int, or an integral float ("2.0") as a circle file's turns and a
+    config's max_subdivisions may be; int() goes first, so a long integer
+    keeps every digit."""
     try:
         return int(text)
     except ValueError:
@@ -167,6 +166,9 @@ def _inline_int(text: str) -> int:
         if number.is_integer():
             return int(number)
         raise
+
+
+_inline_int.__name__ = "int"  # a flag's argparse error: "invalid int value: '2.5'"
 
 
 def _parse_circle_inline(text: str, turns_flag: int | None) -> Circle:
@@ -239,7 +241,7 @@ def _cmd_stokes(args: argparse.Namespace, field, spec) -> None:
 
     report = verify_stokes(field, args.L, spec).to_dict()
     data = {key: _round12(v) if isinstance(v, float) else v for key, v in report.items()}
-    print(json.dumps(data, indent=2))
+    _print_json(data, indent=2)
 
 
 def _cmd_chart_audit(args: argparse.Namespace, field, spec) -> None:
@@ -277,21 +279,21 @@ def _cmd_interfere(args: argparse.Namespace, field, spec) -> None:
     if args.format == "csv":
         sys.stdout.write(interference_csv(rows))
     else:
-        print(json.dumps([[_round12(x), _round12(i)] for x, i in rows]))
+        _print_json([[_round12(x), _round12(i)] for x, i in rows])
 
 
 def _cmd_quantize_check(args: argparse.Namespace) -> None:
     from .quantize import ChargeSpectrum, RationalCharge, charge_allowed
 
     ok = charge_allowed(RationalCharge.parse(args.charge), ChargeSpectrum(args.N))
-    print(json.dumps(ok))
+    _print_json(ok)
 
 
 def _cmd_quantize_spectrum(args: argparse.Namespace) -> None:
     from .quantize import ChargeSpectrum, spectrum
 
     charges = spectrum(ChargeSpectrum(args.N), args.n_min, args.n_max)
-    print(json.dumps([str(c) for c in charges]))
+    _print_json([str(c) for c in charges])
 
 
 def _cmd_quantize_infer(args: argparse.Namespace) -> None:
@@ -310,79 +312,92 @@ def _cmd_quantize_kappa(args: argparse.Namespace) -> None:
         ok = kappa_constraints([RationalCharge.parse(c) for c in args.charges], kappa_e)
     else:
         ok = kappa_allowed(kappa_e)
-    print(json.dumps(ok))
+    _print_json(ok)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The whole parser, or one in which only the named command has its
+    arguments: the others keep just their help, so usage, --help and
+    errors read the same.  A name that is no command gets them all."""
     parser = argparse.ArgumentParser(
         prog="abflux",
         description="Solenoid potentials: circulations, split-disc flux reports, "
                     "loop phases, fringe patterns, and exact charge lattices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    built = {name: sub.add_parser(name, help=help) for name, help in (
+        ("circulation", "circulation of the potential around a closed path"),
+        ("flux", "flux through a disc of radius L centered on the axis"),
+        ("stokes", "flux/circulation report for the disc split at rho = R"),
+        ("chart-audit", "two-sector recomputation error for the annulus flux"),
+        ("phase", "loop phase angle in [0, 2*pi)"),
+        ("interfere", "two-beam fringe pattern as x,intensity rows"),
+        ("quantize", "exact charge-lattice arithmetic"),
+    )}
+    built = {command: built[command]} if command in built else built
 
-    _field_command(sub, "circulation", "circulation of the potential around a closed path",
-                   _cmd_circulation, path=True)
-    p = _field_command(sub, "flux", "flux through a disc of radius L centered on the axis",
-                       _cmd_flux)
-    p.add_argument("--L", type=float, required=True, help="disc radius")
-    for name, help, func in (
-        ("stokes", "flux/circulation report for the disc split at rho = R", _cmd_stokes),
-        ("chart-audit", "two-sector recomputation error for the annulus flux",
-         _cmd_chart_audit),
-    ):
-        p = _field_command(sub, name, help, func)
-        p.add_argument("--L", type=float, required=True, help="outer disc radius (> R)")
+    if p := built.get("circulation"):
+        _field_args(p, _cmd_circulation, path=True)
+    if p := built.get("flux"):
+        _field_args(p, _cmd_flux)
+        p.add_argument("--L", type=float, required=True, help="disc radius")
+    for name, func in (("stokes", _cmd_stokes), ("chart-audit", _cmd_chart_audit)):
+        if p := built.get(name):
+            _field_args(p, func)
+            p.add_argument("--L", type=float, required=True, help="outer disc radius (> R)")
 
-    p = _field_command(sub, "phase", "loop phase angle in [0, 2*pi)", _cmd_phase, path=True)
-    p.add_argument("--q", type=float, required=True, help="charge of the transported wave function")
-    p.add_argument("--w", type=int, default=None,
-                   help="winding number for the closed form (default 1); not with a path")
+    if p := built.get("phase"):
+        _field_args(p, _cmd_phase, path=True)
+        p.add_argument("--q", type=float, required=True,
+                       help="charge of the transported wave function")
+        p.add_argument("--w", type=int, default=None,
+                       help="winding number for the closed form (default 1); not with a path")
 
-    p = _field_command(sub, "interfere", "two-beam fringe pattern as x,intensity rows",
-                       _cmd_interfere, quad=False)
-    p.add_argument("--q", type=float, required=True, help="charge of the interfering beam")
-    p.add_argument("--slit-separation", type=float, default=1.0)
-    p.add_argument("--screen-distance", type=float, default=1.0)
-    p.add_argument("--wavenumber", type=float, default=math.tau)
-    p.add_argument("--half-extent", type=float, default=2.5)
-    p.add_argument("--samples", type=int, default=201, help="screen samples, 2 to 1000000")
-    p.add_argument("--format", choices=("json", "csv"), default="csv",
-                   help="output format (default csv)")
+    if p := built.get("interfere"):
+        _field_args(p, _cmd_interfere, quad=False)
+        p.add_argument("--q", type=float, required=True, help="charge of the interfering beam")
+        p.add_argument("--slit-separation", type=float, default=1.0)
+        p.add_argument("--screen-distance", type=float, default=1.0)
+        p.add_argument("--wavenumber", type=float, default=math.tau)
+        p.add_argument("--half-extent", type=float, default=2.5)
+        p.add_argument("--samples", type=int, default=201, help="screen samples, 2 to 1000000")
+        p.add_argument("--format", choices=("json", "csv"), default="csv",
+                       help="output format (default csv)")
 
-    p = sub.add_parser("quantize", help="exact charge-lattice arithmetic")
-    qsub = p.add_subparsers(dest="quantize_command", required=True)
+    if p := built.get("quantize"):
+        # accept "-1/3" and friends as positional values, not option strings
+        negative = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+        qsub = p.add_subparsers(dest="quantize_command", required=True)
 
-    qp = qsub.add_parser("check", help="is charge p/d on the lattice with denominator N?")
-    qp.add_argument("charge", help='charge as "p/d" or "p", in units of e')
-    qp.add_argument("--N", type=int, required=True, help="lattice denominator")
-    qp._negative_number_matcher = _NEGATIVE_TOKEN
-    qp.set_defaults(func=_cmd_quantize_check)
+        qp = qsub.add_parser("check", help="is charge p/d on the lattice with denominator N?")
+        qp.add_argument("charge", help='charge as "p/d" or "p", in units of e')
+        qp.add_argument("--N", type=int, required=True, help="lattice denominator")
+        qp._negative_number_matcher = negative
+        qp.set_defaults(func=_cmd_quantize_check)
 
-    qp = qsub.add_parser("spectrum",
-                         help="list charges n/N for n in [n-min, n-max], at most 1000000")
-    qp.add_argument("--N", type=int, required=True)
-    qp.add_argument("--n-min", type=int, required=True)
-    qp.add_argument("--n-max", type=int, required=True)
-    qp.set_defaults(func=_cmd_quantize_spectrum)
+        qp = qsub.add_parser("spectrum",
+                             help="list charges n/N for n in [n-min, n-max], at most 1000000")
+        qp.add_argument("--N", type=int, required=True)
+        qp.add_argument("--n-min", type=int, required=True)
+        qp.add_argument("--n-max", type=int, required=True)
+        qp.set_defaults(func=_cmd_quantize_spectrum)
 
-    qp = qsub.add_parser("infer", help="smallest N accommodating all given charges")
-    qp.add_argument("charges", nargs="+", help='charges as "p/d" or "p"')
-    qp._negative_number_matcher = _NEGATIVE_TOKEN
-    qp.set_defaults(func=_cmd_quantize_infer)
+        qp = qsub.add_parser("infer", help="smallest N accommodating all given charges")
+        qp.add_argument("charges", nargs="+", help='charges as "p/d" or "p"')
+        qp._negative_number_matcher = negative
+        qp.set_defaults(func=_cmd_quantize_infer)
 
-    qp = qsub.add_parser("kappa", help="is kappa*e allowed (alone, or against a charge set)?")
-    qp.add_argument("kappa_e", help='kappa*e as "p/d" or "p"')
-    qp.add_argument("charges", nargs="*", help="optional charges to constrain against")
-    qp._negative_number_matcher = _NEGATIVE_TOKEN
-    qp.set_defaults(func=_cmd_quantize_kappa)
-
+        qp = qsub.add_parser("kappa", help="is kappa*e allowed (alone, or against a charge set)?")
+        qp.add_argument("kappa_e", help='kappa*e as "p/d" or "p"')
+        qp.add_argument("charges", nargs="*", help="optional charges to constrain against")
+        qp._negative_number_matcher = negative
+        qp.set_defaults(func=_cmd_quantize_kappa)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if "config" in args:  # a field command
             settings = _settings(args)

@@ -19,12 +19,14 @@ which is represented by a thin exclusion band around rho = R.
 
 The JSON rules live here too, so the CLI's config file and the path files
 are read alike: _parse_json decodes the text, _require_known checks an
-object's shape, and _json_float and _json_int its numbers.
+object's shape, and _json_float and _json_int its numbers; json loads
+only when _parse_json runs.  QuadratureSpec lives here too, so the
+closed-form phase checks its settings without loading geometry, which
+re-exports it.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 
@@ -69,6 +71,8 @@ def _require_positive(label: str, *values: float, error: type = ValueError) -> N
 
 def _parse_json(text: str):
     """json.loads, with nesting too deep for the parser as a ValueError."""
+    import json
+
     try:
         return json.loads(text)
     except RecursionError:
@@ -106,6 +110,41 @@ def _require_known(data, keys: tuple[str, ...], where: str,
     for key in required:
         if key not in data:
             raise ValueError(f"{where} is missing {key!r}")
+
+
+class QuadratureSpec(Record):
+    """Tolerances and budget for the adaptive integrator.
+
+    ``max_subdivisions`` counts bisections only.  The seed panels every
+    integration starts from are not counted against it: one per polyline
+    edge, one per quarter turn of an arc and one for a disc.  That work
+    grows linearly with the size of the path.
+
+    The spec is part of every geometry._whole_turn memo key, so its hash is
+    computed once, in __init__, and kept in a slot that is not a field;
+    it is the hash of the field values, as a frozen dataclass's is.
+    """
+
+    __slots__ = ("rel_tol", "abs_tol", "max_subdivisions", "_hash")
+    _fields = ("rel_tol", "abs_tol", "max_subdivisions")
+
+    def __init__(self, rel_tol: float = 1e-9, abs_tol: float = 1e-12,
+                 max_subdivisions: int = 2**20):
+        _require_positive("quadrature tolerance", rel_tol, abs_tol)
+        n = max_subdivisions
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise ValueError(f"max_subdivisions must be a nonnegative integer, got {n!r}")
+        object.__setattr__(self, "rel_tol", rel_tol)
+        object.__setattr__(self, "abs_tol", abs_tol)
+        object.__setattr__(self, "max_subdivisions", max_subdivisions)
+        object.__setattr__(self, "_hash", hash((rel_tol, abs_tol, max_subdivisions)))
+
+    def __hash__(self):
+        return self._hash
+
+
+#: The spec of every call that passes none
+_DEFAULT_SPEC = QuadratureSpec()
 
 
 class Vec3(Record):

@@ -83,7 +83,9 @@ from .errors import (
     WindingUnresolvable,
 )
 from .fields import (
+    _DEFAULT_SPEC,
     Point,
+    QuadratureSpec,
     SolenoidField,
     _require_exterior_range,
     _require_finite,
@@ -99,41 +101,6 @@ PATH_CLEARANCE = 1e-6
 # [a, b] per curve (seed == curves: edges, the disc) or with an arc's
 # four quarter turns of [0, 1]; fn(cs, ts) maps curve indices and nodes
 # to the integrand values at each node of each listed curve, in order.
-
-
-class QuadratureSpec(Record):
-    """Tolerances and budget for the adaptive integrator.
-
-    ``max_subdivisions`` counts bisections only.  The seed panels every
-    integration starts from are not counted against it: one per polyline
-    edge, one per quarter turn of an arc and one for a disc.  That work
-    grows linearly with the size of the path.
-
-    The spec is part of every _whole_turn memo key, so its hash is
-    computed once, in __init__, and kept in a slot that is not a field;
-    it is the hash of the field values, as a frozen dataclass's is.
-    """
-
-    __slots__ = ("rel_tol", "abs_tol", "max_subdivisions", "_hash")
-    _fields = ("rel_tol", "abs_tol", "max_subdivisions")
-
-    def __init__(self, rel_tol: float = 1e-9, abs_tol: float = 1e-12,
-                 max_subdivisions: int = 2**20):
-        _require_positive("quadrature tolerance", rel_tol, abs_tol)
-        n = max_subdivisions
-        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-            raise ValueError(f"max_subdivisions must be a nonnegative integer, got {n!r}")
-        object.__setattr__(self, "rel_tol", rel_tol)
-        object.__setattr__(self, "abs_tol", abs_tol)
-        object.__setattr__(self, "max_subdivisions", max_subdivisions)
-        object.__setattr__(self, "_hash", hash((rel_tol, abs_tol, max_subdivisions)))
-
-    def __hash__(self):
-        return self._hash
-
-
-#: The spec of every call that passes none
-_DEFAULT_SPEC = QuadratureSpec()
 
 
 # Gauss-Kronrod 7/15 pair: nonnegative Kronrod abscissae with their

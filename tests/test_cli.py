@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import json_numbers, json_values, result_or_none, run_python
+from abflux import cli
 from abflux.cli import (
     _parse_circle_inline,
     _resolve_field,
@@ -123,6 +124,79 @@ def test_parser_layout():
         assert layout[name] == expected, name
 
 
+@pytest.mark.parametrize("command", [name for name in PARSER_LAYOUT if " " not in name])
+def test_named_command_alone_has_arguments(command):
+    # the other commands are bare: their help only, no arguments
+    bare = ([_NO_POSITIONALS, ("options", ["-h --help"])], [])
+    layout = {name: _layout(sub) for name, sub in _subcommands(build_parser(command))}
+    assert layout == {
+        name: expected if name.split()[0] == command else bare
+        for name, expected in PARSER_LAYOUT.items()
+        if " " not in name or name.startswith(command + " ")
+    }
+
+
+#: stand for input files in an argv of EQUIVALENT_ARGVS
+_FILES = {"<config>": '{"field": {"B": 2, "R": 1, "gamma": 0.7}, '
+                      '"quadrature": {"rel_tol": 1e-10}}',
+          "<circle>": '{"center": [0.1, 0, 0.3], "radius": 0.4, "turns": -2}',
+          "<polyline>": "3,0,0\n0.4,1.1,0.5\n-2,1.5,0\n-1.2,-0.9,-0.5\n0.9,-1.3,0\n"}
+
+#: argvs that main, which gives only the named command its arguments, must
+#: answer as the whole parser does: no command, an option or a name that is
+#: no command first, every --help, argparse's own errors, then one call of
+#: each kind the benchmark's cli-mix runs
+EQUIVALENT_ARGVS = [
+    (), ("-h",), ("--help",), ("--",), ("--", "circulation", "--gamma", "1", "--circle", "r=2"),
+    ("bogus",), ("circ",), ("quantize",), ("quantize", "bogus"),
+    *((*name.split(), "--help") for name in PARSER_LAYOUT),
+    ("flux", "--B", "1"), ("interfere", "--q", "1", "--format", "xml"),
+    ("flux", "--L", "2", "--bogus"), ("quantize", "check", "1/3"),
+    ("circulation", "--B", "2", "--R", "1", "--gamma", "0.7", "--circle", "r=3,cz=0.5",
+     "--turns=-2"),
+    ("circulation", "--B", "2", "--R", "1", "--gamma", "0.7", "--polyline", "<polyline>"),
+    ("circulation", "--B", "2", "--R", "1", "--gamma", "0.7", "--circle-json", "<circle>"),
+    ("flux", "--B", "2", "--R", "1", "--gamma", "0.7", "--L=3"),
+    ("flux", "--config", "<config>", "--L=3"),
+    ("stokes", "--B", "2", "--R", "1", "--kappa", "0.3", "--L=3"),
+    ("stokes", "--config", "<config>", "--L=3"),
+    ("chart-audit", "--B", "2", "--R", "1", "--gamma", "0.7", "--L=3"),
+    ("phase", "--q=-0.3333333333333333", "--gamma=0.7", "--w=-2"),
+    ("phase", "--q=1.0", "--B", "2", "--R", "1", "--gamma", "0.7", "--circle", "r=3,turns=2"),
+    ("phase", "--q=1.0", "--B", "2", "--R", "1", "--gamma", "0.7", "--polyline", "<polyline>"),
+    ("interfere", "--q=1.0", "--gamma=0.7", "--slit-separation=1.5", "--samples=11"),
+    ("interfere", "--q=1.0", "--gamma=0.7", "--samples=11", "--format=json"),
+    ("quantize", "check", "-1/3", "--N=3"),
+    ("quantize", "spectrum", "--N=3", "--n-min=-2", "--n-max=2"),
+    ("quantize", "infer", "2/3", "-1/6"),
+    ("quantize", "kappa", "1/3", "2/3", "-1/3"),
+]
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), argparse's exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exit_info:
+        code = exit_info.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", EQUIVALENT_ARGVS, ids=lambda argv: " ".join(argv) or "-")
+def test_main_parses_as_the_whole_parser(monkeypatch, capsys, tmp_path, argv):
+    for index, (placeholder, text) in enumerate(_FILES.items()):
+        path = tmp_path / f"input-{index}"
+        path.write_text(text, encoding="utf-8")
+        argv = tuple(str(path) if arg == placeholder else arg for arg in argv)
+    lean = outcome(capsys, argv)
+    whole, commands = build_parser, []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None: commands.append(command) or whole())
+    assert outcome(capsys, argv) == lean
+    assert commands == [argv[0] if argv else None]
+
+
 class TestCirculationCommand:
     def test_circle(self, capsys):
         code, out, err = run_cli(
@@ -227,6 +301,25 @@ class TestCirculationCommand:
             ("--circle-json", str(circle_path)),
         )]
         assert runs == [(0, "12.5663706144\n", "")] * 3
+
+    def test_integral_float_turns_flag_reads_as_inline_turns(self, capsys):
+        runs = [run_cli(capsys, "circulation", "--gamma", "1", *path) for path in (
+            ("--circle", "r=2,turns=2.0"),
+            ("--circle", "r=2", "--turns", "2"),
+            ("--circle", "r=2", "--turns", "2.0"),
+            ("--circle", "r=2", "--turns=2e0"),
+        )]
+        assert runs == [(0, "12.5663706144\n", "")] * 4
+
+    @pytest.mark.parametrize("flag, value", [("--turns", "2.5"), ("--turns", "abc"),
+                                             ("--max-subdivisions", "2.5"),
+                                             ("--max-subdivisions", "abc")])
+    def test_non_integral_count_flag_exit_2(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["circulation", "--gamma", "1", "--circle", "r=2", flag, value])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {flag}: invalid int value: {value!r}\n")
 
     def test_circle_json_unknown_key_exit_2(self, capsys, tmp_path):
         # a mistyped "turns" is refused, not read as the default one turn
@@ -606,6 +699,18 @@ class TestConfigHandling:
             outs.append(run_cli(capsys, "circulation", "--config", str(cfg), "--B", "2",
                                 "--R", "1", "--gamma", "0.7", "--circle", "r=2,cx=0.5"))
         assert outs[0] == outs[1] == (0, "4.39822971503\n", "")
+
+    def test_integral_float_budget_flag(self, capsys, tmp_path):
+        # the flag reads 1000.0 as the config does, and 0.0 as a budget of 0
+        square = tmp_path / "square.csv"
+        square.write_text("2,-2,0\n2,2,0\n-2,2,0\n-2,-2,0\n", encoding="utf-8")
+        argv = ("circulation", "--B", "2", "--R", "1", "--gamma", "0.7")
+        runs = [run_cli(capsys, *argv, "--circle", "r=2,cx=0.5", "--max-subdivisions", budget)
+                for budget in ("1000", "1000.0")]
+        assert runs == [(0, "4.39822971503\n", "")] * 2
+        code, out, err = run_cli(capsys, *argv, "--polyline", str(square),
+                                 "--max-subdivisions", "0.0")
+        assert (code, out) == (1, "") and err.startswith("QuadratureNotConverged")
 
     def test_unknown_config_key_named(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"

@@ -44,13 +44,30 @@ class TestLazySurface:
         )
         assert json.loads(out) == [[], "circulation"]
 
+    def test_quadrature_spec_loads_no_integrator(self):
+        from abflux import fields, geometry
 
+        assert geometry.QuadratureSpec is fields.QuadratureSpec
+        assert geometry._DEFAULT_SPEC is fields._DEFAULT_SPEC
+        out = run_python(
+            "-c",
+            "import sys\n"
+            "from abflux import QuadratureSpec\n"
+            "print(QuadratureSpec(), 'abflux.geometry' in sys.modules, 'json' in sys.modules)\n"
+        )
+        assert out == "QuadratureSpec(rel_tol=1e-09, abs_tol=1e-12, max_subdivisions=1048576)" \
+                      " False False\n"
+
+
+#: the module list is taken before json is imported to print it
 FOOTPRINT = """\
-import contextlib, io, json, sys
+import contextlib, io, sys
 from abflux import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(sys.modules)]))
+loaded = sorted(sys.modules)
+import json
+print(json.dumps([code, loaded]))
 """
 
 
@@ -58,12 +75,17 @@ print(json.dumps([code, sorted(sys.modules)]))
 #: records (abflux._record), so no other subcommand imports them
 DATACLASSES = {"dataclasses", "inspect"}
 
-#: loaded only to read a path file, which no call below gives; a config
-#: file is read through the JSON rules in abflux.fields
+#: loaded only to read a path file, which only the POLYLINE call below
+#: gives; a config file is read through the JSON rules in abflux.fields
 LOADERS = {"abflux.loaders", "csv"}
 
-#: stands for a config file in an argv below
-CONFIG = "<config>"
+#: stand for a config file and a polyline file in an argv below
+CONFIG, POLYLINE = "<config>", "<polyline>"
+
+#: loaded only by a call that reads or prints JSON: a config or circle
+#: file, the stokes report, interfere --format json, quantize check,
+#: spectrum and kappa
+JSON = {"json"}
 
 #: (argv, modules its process must not load)
 FOOTPRINTS = [
@@ -72,14 +94,20 @@ FOOTPRINTS = [
       *LOADERS}),
     (("quantize", "spectrum", "--N", "3", "--n-min", "-1", "--n-max", "1"),
      DATACLASSES | LOADERS),
-    (("quantize", "infer", "2/3", "-1/3"), DATACLASSES | LOADERS),
+    (("quantize", "infer", "2/3", "-1/3"), DATACLASSES | LOADERS | JSON),
     (("quantize", "kappa", "3", "2/3"), DATACLASSES | LOADERS),
     (("circulation", "--gamma", "1", "--circle", "r=3"),
-     {"abflux.quantize", "abflux.stokes", "fractions", *DATACLASSES, *LOADERS}),
-    (("flux", "--B", "1", "--L", "2"), DATACLASSES | LOADERS),
-    (("phase", "--q", "1", "--gamma", "0.5"), DATACLASSES | LOADERS),
-    (("phase", "--q", "1", "--gamma", "0.5", "--circle", "r=2"), DATACLASSES | LOADERS),
-    (("interfere", "--q", "1", "--samples", "3"), {"abflux.geometry", *DATACLASSES, *LOADERS}),
+     {"abflux.quantize", "abflux.stokes", "fractions", *DATACLASSES, *LOADERS, *JSON}),
+    (("circulation", "--gamma", "1", "--polyline", POLYLINE),
+     {"abflux.quantize", "abflux.stokes", "fractions", *DATACLASSES, *JSON}),
+    (("flux", "--B", "1", "--L", "2"), DATACLASSES | LOADERS | JSON),
+    (("chart-audit", "--B", "1", "--L", "2"),
+     {"abflux.quantize", "abflux.phase", *LOADERS, *JSON}),
+    # the closed form checks the quadrature flags with no integrator loaded
+    (("phase", "--q", "1", "--gamma", "0.5"), {"abflux.geometry", *DATACLASSES, *LOADERS, *JSON}),
+    (("phase", "--q", "1", "--gamma", "0.5", "--circle", "r=2"), DATACLASSES | LOADERS | JSON),
+    (("interfere", "--q", "1", "--samples", "3"),
+     {"abflux.geometry", *DATACLASSES, *LOADERS, *JSON}),
     (("stokes", "--B", "1", "--R", "1", "--L", "2"),
      {"abflux.quantize", "abflux.phase", *LOADERS}),
     (("flux", "--config", CONFIG, "--L", "2"), DATACLASSES | LOADERS),
@@ -91,11 +119,12 @@ FOOTPRINTS = [
 def footprint(tmp_path, argv, *options):
     """[exit code, sorted module names] of a fresh interpreter, run with
     options, that runs argv through cli.main; CONFIG in argv is a config
-    file giving both sections."""
-    config = tmp_path / "config.json"
-    config.write_text('{"field": {"B": 1, "gamma": 0.5}, "quadrature": {"rel_tol": 1e-8}}',
-                      encoding="utf-8")
-    argv = [str(config) if arg == CONFIG else arg for arg in argv]
+    file giving both sections, POLYLINE a square about the axis."""
+    files = {CONFIG: tmp_path / "config.json", POLYLINE: tmp_path / "square.csv"}
+    files[CONFIG].write_text('{"field": {"B": 1, "gamma": 0.5}, "quadrature": {"rel_tol": 1e-8}}',
+                             encoding="utf-8")
+    files[POLYLINE].write_text("2,-2,0\n2,2,0\n-2,2,0\n-2,-2,0\n", encoding="utf-8")
+    argv = [str(files.get(arg, arg)) for arg in argv]
     return json.loads(run_python(*options, "-c", FOOTPRINT, *argv))
 
 
@@ -112,6 +141,15 @@ def test_subcommand_loads_no_typing_without_site(tmp_path, argv):
     code, loaded = footprint(tmp_path, argv, "-S")
     assert code == 0
     assert "typing" not in loaded
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in FOOTPRINTS if POLYLINE not in argv])
+def test_subcommand_without_a_path_file_loads_no_pathlib(tmp_path, argv):
+    # -S: a site .pth file may import pathlib before abflux runs; a config
+    # file is read with open()
+    code, loaded = footprint(tmp_path, argv, "-S")
+    assert code == 0
+    assert "pathlib" not in loaded
 
 
 #: the subcommands that integrate a closed path, whose circulation memo
