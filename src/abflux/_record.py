@@ -4,12 +4,9 @@ A record lists its fields, in order, as both ``__slots__`` and
 ``_fields``; its own ``__init__`` validates the arguments and then
 stores them with ``object.__setattr__``.  Equality, hashing and repr
 follow the fields as a frozen dataclass's do, and the repr text is the
-same.  A subclass may also store its hash, computed once in
-``__init__``, in a slot that is not a field (QuadratureSpec does, as the
-whole-turn memo hashes it on every lookup); equality, hashing and repr
-still follow the fields.  Records are built without the ``dataclasses``
-module: its import (it loads ``inspect``, ``ast`` and ``tokenize``) and
-its per-class code generation take about a seventh of a short CLI call.
+same.  Records are built without the ``dataclasses`` module: its import
+(it loads ``inspect``, ``ast`` and ``tokenize``) and its per-class code
+generation take about a seventh of a short CLI call.
 """
 
 

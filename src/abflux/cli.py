@@ -26,11 +26,11 @@ function and parsing helper imports the library layers it uses; only the
 standard library and ``errors`` load with this module.  So ``quantize``
 and the closed-form ``phase`` never load the quadrature engine,
 ``circulation`` never loads ``fractions``, only path files load
-``loaders``, ``csv`` and ``pathlib``, and only a command that reads or
-prints JSON loads ``json``.  The value types are immutable slotted records
-(``abflux._record``), not dataclasses, so only ``stokes`` and
-``chart-audit``, whose report is a dataclass, load ``dataclasses`` and
-the ``inspect`` module it imports.
+``loaders`` and ``csv``, no command loads ``pathlib``, and ``json``
+loads only to read JSON or print a JSON object or list.  The value
+types are immutable slotted records (``abflux._record``), not
+dataclasses, so only ``stokes`` and ``chart-audit``, whose report is a
+dataclass, load ``dataclasses`` and the ``inspect`` module it imports.
 """
 
 from __future__ import annotations
@@ -286,7 +286,7 @@ def _cmd_quantize_check(args: argparse.Namespace) -> None:
     from .quantize import ChargeSpectrum, RationalCharge, charge_allowed
 
     ok = charge_allowed(RationalCharge.parse(args.charge), ChargeSpectrum(args.N))
-    _print_json(ok)
+    print("true" if ok else "false")
 
 
 def _cmd_quantize_spectrum(args: argparse.Namespace) -> None:
@@ -312,7 +312,7 @@ def _cmd_quantize_kappa(args: argparse.Namespace) -> None:
         ok = kappa_constraints([RationalCharge.parse(c) for c in args.charges], kappa_e)
     else:
         ok = kappa_allowed(kappa_e)
-    _print_json(ok)
+    print("true" if ok else "false")
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:

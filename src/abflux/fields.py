@@ -119,14 +119,9 @@ class QuadratureSpec(Record):
     integration starts from are not counted against it: one per polyline
     edge, one per quarter turn of an arc and one for a disc.  That work
     grows linearly with the size of the path.
-
-    The spec is part of every geometry._whole_turn memo key, so its hash is
-    computed once, in __init__, and kept in a slot that is not a field;
-    it is the hash of the field values, as a frozen dataclass's is.
     """
 
-    __slots__ = ("rel_tol", "abs_tol", "max_subdivisions", "_hash")
-    _fields = ("rel_tol", "abs_tol", "max_subdivisions")
+    __slots__ = _fields = ("rel_tol", "abs_tol", "max_subdivisions")
 
     def __init__(self, rel_tol: float = 1e-9, abs_tol: float = 1e-12,
                  max_subdivisions: int = 2**20):
@@ -137,10 +132,6 @@ class QuadratureSpec(Record):
         object.__setattr__(self, "rel_tol", rel_tol)
         object.__setattr__(self, "abs_tol", abs_tol)
         object.__setattr__(self, "max_subdivisions", max_subdivisions)
-        object.__setattr__(self, "_hash", hash((rel_tol, abs_tol, max_subdivisions)))
-
-    def __hash__(self):
-        return self._hash
 
 
 #: The spec of every call that passes none

@@ -18,17 +18,17 @@ concentrates nodes there on its own.
 Every curve is integrated by one of two functions, _arc for a circular
 arc and _edges for a run of straight edges.  Each builds its piece,
 whose integrand returns A.dr/dt as plain floats, and integrates it, as
-_whole_turn does for the disc; no other function calls _integrate_pieces.
+_disc does for the disc; no other function calls _integrate_pieces.
 Each pass calls a piece's integrand once: the seed pass on the nodes of
 all its seed panels (every edge of a polyline at the same 15 nodes of
 [0, 1]), a split on both halves of the panel it bisects.  The 60 seed
 nodes of one turn, four quarter-turn panels of [0, 1], are a module
-constant, and so is the cos/sin table of their angles 0.0 + sweep*t,
-for sweeps of 2*pi and -2*pi.  Every arc is one whole turn from azimuth
-0 (a circle or a split-disc ring), so every seed pass reads its trig
-from that table; splits compute it per node with the function that
-built the table, so the values are the same bit for bit.  Both
-constants are built once at import and never changed.  Inputs are
+constant, and so is the cos/sin table of their angles sweep*t, for
+sweeps of 2*pi and -2*pi.  Every arc is one whole turn from azimuth 0
+(a circle or a split-disc ring), so every seed pass reads its trig from
+that table; splits compute it per node with the function that built the
+table, so the values are the same bit for bit.  Both constants are
+built once at import and never changed.  Inputs are
 validated once, when the path is built and cleared of the solenoid
 surface, not on every quadrature node.  The clearance check takes one
 rho range per path: a polyline's comes from one hypot per vertex and
@@ -48,20 +48,13 @@ result scaled by n: rel_tol carries over exactly, while abs_tol applies
 per revolution.  An integral that overflows floating point raises
 ValueError.
 
-Three whole turns about the axis are memoized: a ring of the interior
-or of the exterior formula, and the flux through the disc [0, rho] in
-polar form (_whole_turn).  The split disc asks for the same ones from
-verify_stokes, chart_audit and flux_direct, and each is integrated
-once.  The memo is an lru_cache of 8 entries keyed on the kind, its
-coefficient (B, or gamma for the exterior ring), rho and the spec, so
-its values are those of computing again.  A split disc looks the memo
-up seven times per verify_stokes, flux_direct and chart_audit, so a
-spec computes its hash once, when it is built (QuadratureSpec), not on
-every lookup; equal specs still share entries.  circulation keeps its
-last result too (_last_circulation), keyed on the identity of its
-field, path and spec, so a holonomy of the path just integrated
-integrates nothing.  These two bounded memos are the only state that
-changes after import.
+The split disc keeps its last four integrals (_split_disc), keyed on
+the identity of its field, outer radius and spec, as circulation keeps
+its last value keyed on the identity of its field, path and spec.
+flux_direct and chart_audit, asked after verify_stokes about the same
+objects, read them; asked about others, they integrate only what they
+return and store nothing.  These two one-entry memos are the only state
+that changes after import.
 """
 
 from __future__ import annotations
@@ -70,7 +63,6 @@ import heapq
 import math
 import sys
 from collections.abc import Iterable, Sequence
-from functools import lru_cache
 from itertools import count
 from math import cos, hypot, sin
 
@@ -147,9 +139,9 @@ def _nodes(a: float, b: float) -> list[float]:
             center + d4, center + d5, center + d6]
 
 
-def _trig(phi0: float, sweep: float, ts: Iterable[float]) -> list[tuple[float, float]]:
-    """(cos(th), sin(th)) at th = phi0 + sweep*t for each node t."""
-    return [(cos(th := phi0 + sweep * t), sin(th)) for t in ts]
+def _trig(sweep: float, ts: Iterable[float]) -> list[tuple[float, float]]:
+    """(cos(th), sin(th)) at th = sweep*t for each node t."""
+    return [(cos(th := sweep * t), sin(th)) for t in ts]
 
 
 #: The seed panels of one turn, four quarter turns of [0, 1], and their
@@ -158,8 +150,7 @@ _TURN_BOUNDS = tuple((k / 4, (k + 1) / 4) for k in range(4))
 _TURN_NODES = tuple(t for lo, hi in _TURN_BOUNDS for t in _nodes(lo, hi))
 #: _trig at _TURN_NODES from azimuth 0, for sweep = -tau at index 0 and
 #: +tau at index 1: the seed pass of every arc
-_TURN_TRIG = (tuple(_trig(0.0, -math.tau, _TURN_NODES)),
-              tuple(_trig(0.0, math.tau, _TURN_NODES)))
+_TURN_TRIG = (tuple(_trig(-math.tau, _TURN_NODES)), tuple(_trig(math.tau, _TURN_NODES)))
 
 
 #: the weights as scalars, so the rule reads no tuple per panel
@@ -277,7 +268,7 @@ def _arc(coef: float, inside: bool, cx: float, cy: float, radius: float,
 
     The caller passes the arc's side of rho = R, from _require_clearance,
     or for a circle on rho = R itself the side whose limit it takes
-    (_whole_turn), and that side's coefficient coef: B inside, gamma outside.
+    (_split_disc), and that side's coefficient coef: B inside, gamma outside.
     The integrand holds only that side's formula of fields.eval_A:
     the linear field (-B*y/2, B*x/2) inside, gamma*(-y, x)/rho**2
     outside, in the same floating-point operations as eval_A, so every
@@ -291,12 +282,12 @@ def _arc(coef: float, inside: bool, cx: float, cy: float, radius: float,
         bx, by = -0.5 * coef, 0.5 * coef
 
         def fn(cs: Sequence[int], ts: Sequence[float]) -> list[float]:
-            pairs = turn_trig if ts is _TURN_NODES else _trig(0.0, sweep, ts)
+            pairs = turn_trig if ts is _TURN_NODES else _trig(sweep, ts)
             return [bx * (cy + radius * s) * (nk * s) + by * (cx + radius * c) * (k * c)
                     for c, s in pairs]
     else:
         def fn(cs: Sequence[int], ts: Sequence[float]) -> list[float]:
-            pairs = turn_trig if ts is _TURN_NODES else _trig(0.0, sweep, ts)
+            pairs = turn_trig if ts is _TURN_NODES else _trig(sweep, ts)
             out = []
             for c, s in pairs:
                 x, y = cx + radius * c, cy + radius * s
@@ -367,29 +358,14 @@ def _edges(f: SolenoidField, points: Sequence[Point], spec: QuadratureSpec) -> f
     return _integrate_pieces([(fn, 0.0, 1.0, len(coords), len(coords))], spec)
 
 
-@lru_cache(maxsize=8)
-def _whole_turn(kind: str, coef: float, rho: float, spec: QuadratureSpec) -> float:
-    """One whole turn about the axis at radius rho: the counterclockwise
-    ring of eval_A's "interior" formula (coef = B) or of its "exterior"
-    one (coef = gamma), or the flux of B_z = coef through the "disc"
-    [0, rho].  On rho = R a ring is that side's one-sided limit.
+def _disc(coef: float, rho: float, spec: QuadratureSpec) -> float:
+    """Flux of B_z = coef through the disc [0, rho], validated by the caller."""
+    azimuthal = math.tau * coef
 
-    Memoized, so each split disc integrates each of these once although
-    verify_stokes, chart_audit and flux_direct all ask for them.  The key
-    is everything the value depends on, and keys that compare equal give
-    the same value bit for bit: an int computes as the float it equals,
-    and a coef of -0.0 gives 0.0 as +0.0 does (fsum of zeros is +0.0).
-    The bound holds one split disc's four integrals twice over; a call
-    that raises is not stored.  The caller validates rho.
-    """
-    if kind == "disc":
-        azimuthal = math.tau * coef
+    def radial(cs: Sequence[int], rhos: Sequence[float]) -> list[float]:
+        return [r * azimuthal for r in rhos]
 
-        def radial(cs: Sequence[int], rhos: Sequence[float]) -> list[float]:
-            return [r * azimuthal for r in rhos]
-
-        return _integrate_pieces([(radial, 0.0, rho, 1, 1)], spec)
-    return _arc(coef, kind == "interior", 0.0, 0.0, rho, math.tau, spec)
+    return _integrate_pieces([(radial, 0.0, rho, 1, 1)], spec)
 
 
 class Circle(Record):
@@ -556,5 +532,42 @@ def flux_direct(f: SolenoidField, L: float, spec: QuadratureSpec | None = None) 
     spec = spec if spec is not None else _DEFAULT_SPEC
     _require_positive("disc radius", L, error=InvalidRadius)
     _require_off_surface(f, L)
-    return _whole_turn("disc", f.B, min(L, f.R), spec)
+    values = _stored_split_disc(f, L, spec)
+    return values[1] if values is not None else _disc(f.B, min(L, f.R), spec)
 
+
+#: the last split disc as (f, L, spec, _split_disc's four values), or None
+_last_split_disc: tuple | None = None
+
+
+def _stored_split_disc(f: SolenoidField, L: float, spec: QuadratureSpec) -> tuple | None:
+    """The last split disc's values if its f, L and spec are these
+    objects, else None: identity, as in circulation."""
+    last = _last_split_disc
+    if last is not None and last[0] is f and last[1] is L and last[2] is spec:
+        return last[3]
+    return None
+
+
+def _exterior_rings(f: SolenoidField, L: float, spec: QuadratureSpec) -> tuple[float, float]:
+    """Whole turns of the exterior formula at rho = R, its one-sided
+    limit, and at rho = L: the last split disc's if it was about these
+    objects, else integrated and stored nowhere.  The caller validates L."""
+    values = _stored_split_disc(f, L, spec)
+    if values is not None:
+        return values[2:]
+    return tuple(_arc(f.gamma, False, 0.0, 0.0, rho, math.tau, spec) for rho in (f.R, L))
+
+
+def _split_disc(f: SolenoidField, L: float, spec: QuadratureSpec) -> tuple:
+    """(phi_1, phi_1_area, circ_inner, circ_outer): the interior formula's
+    whole turn at rho = R, its one-sided limit, the flux of B through
+    [0, R] and the exterior rings; kept for the next call about the same
+    objects unless it raises.  The caller validates L."""
+    global _last_split_disc
+    values = _stored_split_disc(f, L, spec)
+    if values is None:
+        values = (_arc(f.B, True, 0.0, 0.0, f.R, math.tau, spec), _disc(f.B, f.R, spec),
+                  *_exterior_rings(f, L, spec))
+        _last_split_disc = (f, L, spec, values)
+    return values

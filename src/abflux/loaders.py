@@ -8,16 +8,17 @@ from __future__ import annotations
 
 import csv
 import io
-from pathlib import Path
+import os
 
 from .fields import Point, _json_float, _json_int, _parse_json, _require_known
 from .geometry import Circle, Polyline
 
 
-def _read_text(source: str | Path | io.TextIOBase) -> str:
+def _read_text(source: str | os.PathLike | io.TextIOBase) -> str:
     if hasattr(source, "read"):
         return source.read()
-    return Path(source).read_text(encoding="utf-8")
+    with open(source, encoding="utf-8") as file:
+        return file.read()
 
 
 def _is_number(cell: str) -> bool:
@@ -28,7 +29,7 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def load_polyline_csv(source: str | Path | io.TextIOBase) -> Polyline:
+def load_polyline_csv(source: str | os.PathLike | io.TextIOBase) -> Polyline:
     """Read a closed polyline from CSV rows "x,y,z".
 
     A first row in which no cell is a number is a header and is skipped;
@@ -49,7 +50,7 @@ def load_polyline_csv(source: str | Path | io.TextIOBase) -> Polyline:
     return Polyline(tuple(vertices))
 
 
-def load_circle_json(source: str | Path | io.TextIOBase) -> Circle:
+def load_circle_json(source: str | os.PathLike | io.TextIOBase) -> Circle:
     """Read a circle path from JSON {"center": [x, y, z], "radius": r, "turns": n}."""
     data = _parse_json(_read_text(source))
     _require_known(data, ("center", "radius", "turns"), "circle JSON",

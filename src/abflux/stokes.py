@@ -25,10 +25,11 @@ a quadrature piece whose side is known, so the inputs are validated
 once, by the outer-radius check.
 
 The chart audit's two-sector assembly of D2's flux is zero by
-construction (see chart_audit), so it needs only the rings of D2.  The
-three rings and the disc go through geometry's memo of whole turns, so
-chart_audit and flux_direct, run after verify_stokes on the same disc,
-read their integrals from it and integrate nothing again.
+construction (see chart_audit), so it needs only the rings of D2.
+geometry keeps the last split disc's three rings and disc, so
+chart_audit and flux_direct, run after verify_stokes on the same field,
+L and spec objects, read their integrals from it and integrate nothing
+again.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidRadius, QuadratureNotConverged
 from .fields import SolenoidField, _require_exterior_range, _require_positive
-from .geometry import _DEFAULT_SPEC, QuadratureSpec, _whole_turn
+from .geometry import _DEFAULT_SPEC, QuadratureSpec, _exterior_rings, _split_disc
 
 @dataclass(frozen=True)
 class StokesReport:
@@ -94,17 +95,13 @@ def verify_stokes(
     spec = spec if spec is not None else _DEFAULT_SPEC
     _require_outer_radius(f, L)
 
-    phi_1 = _whole_turn("interior", f.B, f.R, spec)
-    phi_1_area = _whole_turn("disc", f.B, f.R, spec)
+    phi_1, phi_1_area, circ_inner, circ_outer = _split_disc(f, L, spec)
     scale = max(1.0, abs(phi_1), abs(phi_1_area))
     if abs(phi_1 - phi_1_area) > 1e-7 * scale:
         raise QuadratureNotConverged(
             "interior flux cross-check failed: boundary circulation "
             f"{phi_1!r} vs area quadrature {phi_1_area!r}"
         )
-
-    circ_inner = _whole_turn("exterior", f.gamma, f.R, spec)
-    circ_outer = _whole_turn("exterior", f.gamma, L, spec)
     phi_2 = circ_outer - circ_inner
     phi_total = phi_1 + phi_2
     return StokesReport(
@@ -131,12 +128,12 @@ def chart_audit(f: SolenoidField, L: float, spec: QuadratureSpec | None = None) 
     That is the seam statement.  Returns the absolute difference between
     that assembly and phi_2 from the two-boundary route, which is
     |circ(L) - circ(R+)|; a value at roundoff scale shows the seam
-    contributes nothing.  Both rings are memoized (geometry._whole_turn):
-    after verify_stokes on the same field, L and spec, the audit
-    integrates neither again and returns the same value bit for bit.
+    contributes nothing.  After verify_stokes on the same field, L and
+    spec objects the audit reads both rings from that split disc
+    (geometry._split_disc) and returns the same value bit for bit;
+    otherwise it integrates the two rings alone, never the interior.
     """
     spec = spec if spec is not None else _DEFAULT_SPEC
     _require_outer_radius(f, L)
-    circ_inner = _whole_turn("exterior", f.gamma, f.R, spec)
-    circ_outer = _whole_turn("exterior", f.gamma, L, spec)
+    circ_inner, circ_outer = _exterior_rings(f, L, spec)
     return abs(circ_outer - circ_inner)

@@ -726,6 +726,13 @@ class TestConfigHandling:
         assert code == 2
         assert "Error" in err or "No such file" in err
 
+    @pytest.mark.parametrize("flag", ["--polyline", "--circle-json"])
+    def test_empty_path_file_named(self, capsys, flag):
+        # the path the user gave, not the directory "" would resolve to
+        code, out, err = run_cli(capsys, "circulation", "--gamma", "1", flag, "")
+        assert (code, out) == (2, "")
+        assert err == "FileNotFoundError: [Errno 2] No such file or directory: ''\n"
+
 
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self, capsys):

@@ -651,8 +651,6 @@ class TestIntegrandsMatchPointwiseFormulas:
             f = random_field(rng)
             phi = rng.uniform(0.0, TWO_PI)
             for L in (rng.uniform(0.1, 0.9) * f.R, rng.uniform(1.1, 4.0) * f.R):
-                # a warm memo would integrate nothing
-                geometry._whole_turn.cache_clear()
                 [(fn, a, b, seed, curves)] = self.pieces_of(monkeypatch, lambda: flux_direct(f, L))
                 assert (a, b, seed, curves) == (0.0, min(L, f.R), 1, 1)
                 rhos = [b * rng.uniform(0.01, 0.99) for _ in range(15)]
@@ -690,8 +688,8 @@ class TestBatchedKernelMatchesReference:
 
     @classmethod
     def cold(cls, monkeypatch, call):
-        """counted, from an empty whole-turn memo"""
-        geometry._whole_turn.cache_clear()
+        """counted, from no memoized split disc"""
+        geometry._last_split_disc = None
         return cls.counted(monkeypatch, call)
 
     @pytest.mark.parametrize("spec", [QuadratureSpec(), QuadratureSpec(rel_tol=1e-12)])
@@ -772,7 +770,7 @@ class TestBatchedKernelMatchesReference:
             assert [self.cold(monkeypatch, call) for call in calls] == cold
             # in call order, flux_direct and chart_audit find every integral
             # verify_stokes has just memoized
-            geometry._whole_turn.cache_clear()
+            geometry._last_split_disc = None
             warm = [cold[0], (repr(area), 0), (repr(abs(outer - inner)), 0)]
             assert [self.counted(monkeypatch, call) for call in calls] == warm
 
@@ -787,7 +785,7 @@ class TestBatchedKernelMatchesReference:
             calls = (lambda: verify_stokes(f, L), lambda: flux_direct(f, L),
                      lambda: chart_audit(f, L))
             assert [self.cold(monkeypatch, call)[1] for call in calls] == [13, 1, 8]
-            geometry._whole_turn.cache_clear()
+            geometry._last_split_disc = None
             assert [self.counted(monkeypatch, call)[1] for call in calls] == [13, 0, 0]
 
     @pytest.mark.parametrize("spec, want", [(QuadratureSpec(), 1161),

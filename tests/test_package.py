@@ -82,20 +82,20 @@ LOADERS = {"abflux.loaders", "csv"}
 #: stand for a config file and a polyline file in an argv below
 CONFIG, POLYLINE = "<config>", "<polyline>"
 
-#: loaded only by a call that reads or prints JSON: a config or circle
-#: file, the stokes report, interfere --format json, quantize check,
-#: spectrum and kappa
+#: loaded only by a call that reads JSON or prints a JSON object or list:
+#: a config or circle file, the stokes report, interfere --format json and
+#: quantize spectrum; quantize check and kappa print true or false alone
 JSON = {"json"}
 
 #: (argv, modules its process must not load)
 FOOTPRINTS = [
     (("quantize", "check", "1/3", "--N", "3"),
      {"abflux.fields", "abflux.geometry", "abflux.stokes", "abflux.phase", *DATACLASSES,
-      *LOADERS}),
+      *LOADERS, *JSON}),
     (("quantize", "spectrum", "--N", "3", "--n-min", "-1", "--n-max", "1"),
      DATACLASSES | LOADERS),
     (("quantize", "infer", "2/3", "-1/3"), DATACLASSES | LOADERS | JSON),
-    (("quantize", "kappa", "3", "2/3"), DATACLASSES | LOADERS),
+    (("quantize", "kappa", "3", "2/3"), DATACLASSES | LOADERS | JSON),
     (("circulation", "--gamma", "1", "--circle", "r=3"),
      {"abflux.quantize", "abflux.stokes", "fractions", *DATACLASSES, *LOADERS, *JSON}),
     (("circulation", "--gamma", "1", "--polyline", POLYLINE),
@@ -147,6 +147,14 @@ def test_subcommand_loads_no_typing_without_site(tmp_path, argv):
 def test_subcommand_without_a_path_file_loads_no_pathlib(tmp_path, argv):
     # -S: a site .pth file may import pathlib before abflux runs; a config
     # file is read with open()
+    code, loaded = footprint(tmp_path, argv, "-S")
+    assert code == 0
+    assert "pathlib" not in loaded
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in FOOTPRINTS if POLYLINE in argv])
+def test_path_file_loads_no_pathlib(tmp_path, argv):
+    # -S, as above: a path file is read with open()
     code, loaded = footprint(tmp_path, argv, "-S")
     assert code == 0
     assert "pathlib" not in loaded

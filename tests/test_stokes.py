@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from _helpers import random_field
-from abflux import cli, geometry, stokes
+from abflux import cli, geometry
 from abflux.errors import InvalidRadius, QuadratureNotConverged
 from abflux.fields import SolenoidField, ab_standard, gauge_shift
 from abflux.geometry import QuadratureSpec, flux_direct
@@ -104,13 +104,12 @@ class TestVerifyStokes:
             verify_stokes(f, 0.5)
 
     def test_cross_check_failure_raises(self, monkeypatch, capsys):
-        whole_turn = stokes._whole_turn
+        disc = geometry._disc
 
-        def disc_off(kind, coef, rho, spec):
-            value = whole_turn(kind, coef, rho, spec)
-            return value * (1.0 + 1e-6) if kind == "disc" else value
+        def disc_off(coef, rho, spec):
+            return disc(coef, rho, spec) * (1.0 + 1e-6)
 
-        monkeypatch.setattr(stokes, "_whole_turn", disc_off)
+        monkeypatch.setattr(geometry, "_disc", disc_off)
         with pytest.raises(QuadratureNotConverged, match="interior flux cross-check failed"):
             verify_stokes(SolenoidField(B=2.0, R=1.0, gamma=1.0), 3.0)
         code = cli.main(["stokes", "--B", "2", "--R", "1", "--gamma", "1", "--L", "3"])
@@ -159,6 +158,14 @@ class TestChartAudit:
     def test_outer_radius_too_small(self):
         with pytest.raises(InvalidRadius):
             chart_audit(ab_standard(2.0, 1.0), 0.9)
+
+    def test_integrates_no_interior(self):
+        # B enters only the interior ring and the disc, whose integrals
+        # overflow here: the audit integrates neither
+        f = SolenoidField(B=1e308, R=2.0, gamma=1.0)
+        with pytest.raises(ValueError, match="overflow"):
+            verify_stokes(f, 3.0)
+        assert chart_audit(f, 3.0) <= 1e-8
 
     @pytest.mark.parametrize("spec", [QuadratureSpec(), QuadratureSpec(rel_tol=1e-12)])
     def test_is_the_annulus_flux_magnitude(self, spec):
@@ -227,10 +234,10 @@ class TestSplitDiscPieces:
         calls = (verify_stokes, chart_audit, flux_direct)
         cold = []
         for call in calls:
-            geometry._whole_turn.cache_clear()
+            geometry._last_split_disc = None
             cold.append(count(call))
         assert cold == [13, 8, 1]
-        geometry._whole_turn.cache_clear()
+        geometry._last_split_disc = None
         assert [count(call) for call in calls] == [13, 0, 0]
 
     def test_flux_direct_exactly_independent_of_outer_radius(self):
@@ -298,8 +305,9 @@ def split_disc(f: SolenoidField, L: float, spec: QuadratureSpec | None = None) -
 
 
 class TestWholeTurnMemo:
-    """Each whole turn is integrated once: a memo hit returns the cold
-    value bit for bit, and the memo stores nothing it should not."""
+    """The split disc keeps its last whole turns by identity: a call about
+    the same field, L and spec objects integrates nothing and reads the
+    cold values bit for bit, and the memo stores nothing it should not."""
 
     @staticmethod
     def integrations(monkeypatch, call):
@@ -318,18 +326,35 @@ class TestWholeTurnMemo:
 
     @staticmethod
     def cold(call):
-        geometry._whole_turn.cache_clear()
+        geometry._last_split_disc = None
         return call()
 
     def test_hit_equals_cold_call(self, monkeypatch):
-        # each pair has equal keys: the second call of a pair hits every
-        # entry the first stored, and must read what it reads cold
+        # the same objects again: every call reads what it read cold
+        rng = random.Random(131)
+        cases = []
+        for _ in range(12):
+            f = random_field(rng)
+            cases.append((f, f.R * rng.uniform(1.2, 8.0), None))
+        cases += [(SolenoidField(2.0, 1.0, 1.5), 2.0, QuadratureSpec(rel_tol=1e-12)),
+                  (SolenoidField(-3, 2, 5), 7, None),
+                  (SolenoidField(-0.0, 1.0, -0.0), 3.0, None)]
+        for case in cases:
+            want = self.cold(lambda: split_disc(*case))
+            assert self.integrations(monkeypatch, lambda: split_disc(*case)) == (want, 0)
+
+    def test_equal_objects_integrate_again(self, monkeypatch):
+        # each pair is equal but not the same objects: the second call of a
+        # pair integrates all four whole turns again, to the first's bits
         rng = random.Random(131)
         pairs = []
         for _ in range(12):
             f = random_field(rng)
             L = f.R * rng.uniform(1.2, 8.0)
             pairs.append(((f, L, None), (SolenoidField(f.B, f.R, f.gamma), L, QuadratureSpec())))
+        f = SolenoidField(2.0, 1.0, 1.5)
+        pairs += [((f, 2.0, None), (f, float("2.0"), None)),
+                  ((f, 2.0, None), (f, 2.0, QuadratureSpec()))]
         for zero in (0.0, -0.0):
             pairs += [((SolenoidField(0.0, 1.0, 0.0), 3.0, None),
                        (SolenoidField(zero, 1.0, -zero), 3.0, None)),
@@ -344,49 +369,38 @@ class TestWholeTurnMemo:
                   ((SolenoidField(2.0, 1.0, 1.5), 2.0, QuadratureSpec(1e-9, 1e-12, 2**20)),
                    (SolenoidField(2.0, 1.0, 1.5), 2.0, None))]
         for first, second in pairs:
-            want = self.cold(lambda: split_disc(*second))
-            self.cold(lambda: split_disc(*first))
-            assert self.integrations(monkeypatch, lambda: split_disc(*second)) == (want, 0)
+            want = self.cold(lambda: split_disc(*first))
+            assert self.integrations(monkeypatch, lambda: split_disc(*second)) == (want, 4)
 
     def test_specs_that_differ_never_share(self, monkeypatch):
         f = SolenoidField(B=2.0, R=1.0, gamma=1.5)
         specs = (QuadratureSpec(rel_tol=1e-9), QuadratureSpec(rel_tol=1e-12))
         want = [self.cold(lambda: split_disc(f, 2.0, spec)) for spec in specs]
-        geometry._whole_turn.cache_clear()
+        geometry._last_split_disc = None
         for spec, value in zip(specs, want):
             assert self.integrations(monkeypatch, lambda: split_disc(f, 2.0, spec)) == (value, 4)
 
     def test_call_that_raises_is_not_stored(self, monkeypatch):
+        # the first or the last of the four whole turns raises
         f = SolenoidField(B=2.0, R=1.0, gamma=1.5)
         want = self.cold(lambda: split_disc(f, 2.0))
-        geometry._whole_turn.cache_clear()
         integrate = geometry._integrate_pieces
-        runs = [0]
+        for fails in (1, 4):
+            geometry._last_split_disc = None
+            runs = [0]
 
-        def once(pieces, spec):
-            runs[0] += 1
-            if runs[0] == 1:
-                raise QuadratureNotConverged("injected")
-            return integrate(pieces, spec)
+            def once(pieces, spec):
+                runs[0] += 1
+                if runs[0] == fails:
+                    raise QuadratureNotConverged("injected")
+                return integrate(pieces, spec)
 
-        with monkeypatch.context() as m:
-            m.setattr(geometry, "_integrate_pieces", once)
-            with pytest.raises(QuadratureNotConverged, match="injected"):
-                verify_stokes(f, 2.0)
-        assert geometry._whole_turn.cache_info().currsize == 0
-        assert self.integrations(monkeypatch, lambda: split_disc(f, 2.0)) == (want, 4)
-
-    def test_bound_evicts_the_oldest_ring(self, monkeypatch):
-        spec = QuadratureSpec()
-        rhos = [1.5 + 0.25 * k for k in range(9)]
-        for rho in rhos:
-            geometry._whole_turn("exterior", 1.0, rho, spec)
-
-        def ring(rho):
-            return lambda: geometry._whole_turn("exterior", 1.0, rho, spec)
-
-        assert self.integrations(monkeypatch, ring(rhos[-1]))[1] == 0
-        assert self.integrations(monkeypatch, ring(rhos[0]))[1] == 1
+            with monkeypatch.context() as m:
+                m.setattr(geometry, "_integrate_pieces", once)
+                with pytest.raises(QuadratureNotConverged, match="injected"):
+                    verify_stokes(f, 2.0)
+            assert geometry._last_split_disc is None
+            assert self.integrations(monkeypatch, lambda: split_disc(f, 2.0)) == (want, 4)
 
     def test_threads_read_serial_cold_values(self):
         rng = random.Random(137)
@@ -395,11 +409,11 @@ class TestWholeTurnMemo:
             f = random_field(rng)
             cases.append((f, f.R * rng.uniform(1.2, 8.0)))
         want = [self.cold(lambda: split_disc(f, L)) for f, L in cases]
-        geometry._whole_turn.cache_clear()
+        geometry._last_split_disc = None
 
         def run(offset):
-            # each thread starts at another case, so they share and evict
-            # one another's entries
+            # each thread starts at another case, so they read and replace
+            # one another's split discs
             order = [(k + 16 * offset) % len(cases) for k in range(len(cases))]
             return {k: split_disc(*cases[k]) for k in order}
 
