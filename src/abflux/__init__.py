@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": (
         "AbfluxError",
-        "AxisSingularity",
         "EmptyChargeSet",
         "FieldUndefinedOnSolenoid",
         "InvalidRadius",

@@ -36,7 +36,6 @@ dataclass, load ``dataclasses`` and the ``inspect`` module it imports.
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 
@@ -271,7 +270,6 @@ def _cmd_interfere(args: argparse.Namespace, field, spec) -> None:
     geom = InterferometerGeometry(
         slit_separation=args.slit_separation,
         screen_distance=args.screen_distance,
-        wavenumber=args.wavenumber,
         half_extent=args.half_extent,
         samples=args.samples,
     )
@@ -356,10 +354,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if p := built.get("interfere"):
         _field_args(p, _cmd_interfere, quad=False)
         p.add_argument("--q", type=float, required=True, help="charge of the interfering beam")
-        p.add_argument("--slit-separation", type=float, default=1.0)
-        p.add_argument("--screen-distance", type=float, default=1.0)
-        p.add_argument("--wavenumber", type=float, default=math.tau)
-        p.add_argument("--half-extent", type=float, default=2.5)
+        p.add_argument("--slit-separation", type=float, default=1.0, help="in wavelengths")
+        p.add_argument("--screen-distance", type=float, default=1.0, help="in wavelengths")
+        p.add_argument("--half-extent", type=float, default=2.5, help="in wavelengths")
         p.add_argument("--samples", type=int, default=201, help="screen samples, 2 to 1000000")
         p.add_argument("--format", choices=("json", "csv"), default="csv",
                        help="output format (default csv)")

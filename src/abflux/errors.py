@@ -18,10 +18,6 @@ class FieldUndefinedOnSolenoid(AbfluxError):
     """Evaluation was requested inside the undefined band at rho = R."""
 
 
-class AxisSingularity(AbfluxError):
-    """The azimuth of a point on the z-axis was requested."""
-
-
 class StencilCrossesSolenoid(AbfluxError):
     """A finite-difference stencil straddles the solenoid surface."""
 

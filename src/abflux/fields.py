@@ -12,9 +12,9 @@ measures how far the exterior choice sits from the one whose one-turn
 circulation reproduces the enclosed flux; classically kappa is
 unobservable, quantum mechanically it shifts loop phases.
 
-Points are stored in Cartesian coordinates; cylindrical values are
-derived views, so the multivaluedness of the azimuth never enters the
-data model.  On the solenoid surface itself the field carries no value,
+Points are stored in Cartesian coordinates; their one cylindrical view
+is rho, so the multivaluedness of the azimuth never enters the data
+model.  On the solenoid surface itself the field carries no value,
 which is represented by a thin exclusion band around rho = R.
 
 The JSON rules live here too, so the CLI's config file and the path files
@@ -31,12 +31,7 @@ import math
 import sys
 
 from ._record import Record
-from .errors import (
-    AxisSingularity,
-    FieldUndefinedOnSolenoid,
-    InvalidRadius,
-    StencilCrossesSolenoid,
-)
+from .errors import FieldUndefinedOnSolenoid, InvalidRadius, StencilCrossesSolenoid
 
 #: Relative half-width of the band around rho = R inside which evaluation
 #: raises FieldUndefinedOnSolenoid.  A finite band makes the pointwise
@@ -149,20 +144,9 @@ class Vec3(Record):
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "z", z)
 
-    def dot(self, other: "Vec3") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def norm(self) -> float:
-        return math.sqrt(self.dot(self))
-
-    def __iter__(self):
-        yield self.x
-        yield self.y
-        yield self.z
-
 
 class Point(Record):
-    """Point stored Cartesian; cylindrical coordinates are derived."""
+    """Point stored Cartesian; its distance rho from the axis is derived."""
 
     __slots__ = _fields = ("x", "y", "z")
 
@@ -172,22 +156,9 @@ class Point(Record):
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "z", z)
 
-    @classmethod
-    def from_cylindrical(cls, rho: float, phi: float, z: float = 0.0) -> "Point":
-        _require_finite("Point coordinate", rho, phi)
-        return cls(rho * math.cos(phi), rho * math.sin(phi), z)
-
     @property
     def rho(self) -> float:
         return math.hypot(self.x, self.y)
-
-    @property
-    def phi(self) -> float:
-        """Azimuth in [0, 2*pi).  Raises on the z-axis, where it is undefined."""
-        if self.x == 0.0 and self.y == 0.0:
-            raise AxisSingularity("azimuth is undefined at rho = 0")
-        angle = math.atan2(self.y, self.x)
-        return angle + math.tau if angle < 0.0 else angle
 
 
 class SolenoidField(Record):
@@ -219,13 +190,6 @@ class SolenoidField(Record):
 
     def to_dict(self) -> dict:
         return {"B": self.B, "R": self.R, "gamma": self.gamma}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SolenoidField":
-        """Inverse of to_dict; each value must be a JSON number (_json_float).
-        ValueError for a non-object, or one that names a missing or unknown key."""
-        _require_known(data, cls._fields, "field", required=cls._fields)
-        return cls(*(_json_float(data[key], f"field {key}") for key in cls._fields))
 
 
 def _require_off_surface(f: SolenoidField, rho: float) -> None:

@@ -254,8 +254,17 @@ def _integrate_pieces(pieces: list[tuple], spec: QuadratureSpec) -> float:
 
 def _require_finite_integral(value: float) -> float:
     if not math.isfinite(value):
-        raise ValueError(f"line integral is not finite ({value!r}): the inputs overflow")
+        raise ValueError(f"integral is not finite ({value!r}): the inputs overflow")
     return value
+
+
+def _require_finite_flux(f: SolenoidField, rho: float) -> None:
+    """ValueError naming B and rho when the flux pi*B*rho**2 through the
+    disc [0, rho] overflows; checked before B is integrated."""
+    if not math.isfinite(math.pi * f.B * rho * rho):
+        raise ValueError(
+            f"flux pi*B*rho**2 overflows at B = {f.B!r}, rho = {rho!r}: the inputs overflow"
+        )
 
 
 def _arc(coef: float, inside: bool, cx: float, cy: float, radius: float,
@@ -527,13 +536,16 @@ def flux_direct(f: SolenoidField, L: float, spec: QuadratureSpec | None = None) 
     Only the disc [0, min(L, R)] is integrated in polar form, with the
     interior B_z = B up to rho = R itself: for L > R the annulus [R, L]
     carries the exterior B_z = 0 and adds nothing.  Analytic value:
-    pi * B * min(L, R)**2, independent of L for all L > R.
+    pi * B * min(L, R)**2, independent of L for all L > R; a value that
+    overflows is a ValueError naming B and min(L, R).
     """
     spec = spec if spec is not None else _DEFAULT_SPEC
     _require_positive("disc radius", L, error=InvalidRadius)
     _require_off_surface(f, L)
+    rho = min(L, f.R)
+    _require_finite_flux(f, rho)
     values = _stored_split_disc(f, L, spec)
-    return values[1] if values is not None else _disc(f.B, min(L, f.R), spec)
+    return values[1] if values is not None else _disc(f.B, rho, spec)
 
 
 #: the last split disc as (f, L, spec, _split_disc's four values), or None
@@ -563,10 +575,12 @@ def _split_disc(f: SolenoidField, L: float, spec: QuadratureSpec) -> tuple:
     """(phi_1, phi_1_area, circ_inner, circ_outer): the interior formula's
     whole turn at rho = R, its one-sided limit, the flux of B through
     [0, R] and the exterior rings; kept for the next call about the same
-    objects unless it raises.  The caller validates L."""
+    objects unless it raises.  The caller validates L; a flux pi*B*R**2
+    that overflows is refused here, before any integral runs."""
     global _last_split_disc
     values = _stored_split_disc(f, L, spec)
     if values is None:
+        _require_finite_flux(f, f.R)
         values = (_arc(f.B, True, 0.0, 0.0, f.R, math.tau, spec), _disc(f.B, f.R, spec),
                   *_exterior_rings(f, L, spec))
         _last_split_disc = (f, L, spec, values)

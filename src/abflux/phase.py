@@ -112,16 +112,15 @@ def phases_equivalent(q: float, gamma1: float, gamma2: float, tol: float = 1e-9)
 
 
 class InterferometerGeometry(Record):
-    """Two-beam far-field fringe geometry."""
+    """Two-beam far-field fringe geometry, lengths in wavelengths: the
+    wavenumber is 2*pi."""
 
-    __slots__ = _fields = (
-        "slit_separation", "screen_distance", "wavenumber", "half_extent", "samples",
-    )
+    __slots__ = _fields = ("slit_separation", "screen_distance", "half_extent", "samples")
 
-    def __init__(self, slit_separation: float, screen_distance: float, wavenumber: float,
-                 half_extent: float, samples: int = 201):
-        values = (slit_separation, screen_distance, wavenumber, half_extent, samples)
-        for name, v in zip(self._fields[:4], values):
+    def __init__(self, slit_separation: float, screen_distance: float, half_extent: float,
+                 samples: int = 201):
+        values = (slit_separation, screen_distance, half_extent, samples)
+        for name, v in zip(self._fields[:3], values):
             _require_positive(name, v)
         if isinstance(samples, bool) or not isinstance(samples, int):
             raise ValueError(f"samples must be an integer, got {samples!r}")
@@ -134,7 +133,8 @@ class InterferometerGeometry(Record):
 def interference(
     f: SolenoidField, q: float, geom: InterferometerGeometry
 ) -> list[tuple[float, float]]:
-    """Screen intensity 1 + cos(k*d*x/D - dphi), sampled uniformly.
+    """Screen intensity 1 + cos(k*d*x/D - dphi), sampled uniformly, with
+    k = 2*pi: d, D and x are in wavelengths.
 
     dphi = 2*pi*((q*gamma) mod 1) is the one-turn loop phase, so the
     pattern is the gamma = 0 pattern rigidly shifted by (q*gamma mod 1)
@@ -145,7 +145,7 @@ def interference(
     them: a bool, non-finite or out-of-range value raises ValueError.
     """
     dphi = phase_closed_form(q, f.gamma, 1).angle
-    k_eff = geom.wavenumber * geom.slit_separation / geom.screen_distance
+    k_eff = math.tau * geom.slit_separation / geom.screen_distance
     n = geom.samples
     extent = geom.half_extent
     step = 2.0 * extent / (n - 1)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable
 from fractions import Fraction
-from functools import total_ordering
 from math import lcm
 from numbers import Rational
 
@@ -44,7 +43,6 @@ _MAX_DIGITS = 4300
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
-@total_ordering
 class RationalCharge(Record):
     """Charge q/e as an exact rational, normalized to lowest terms."""
 
@@ -87,17 +85,6 @@ class RationalCharge(Record):
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
-
-    def __neg__(self) -> "RationalCharge":
-        return RationalCharge(-self.numerator, self.denominator)
-
-    def __lt__(self, other: "RationalCharge") -> bool:
-        if not isinstance(other, RationalCharge):
-            return NotImplemented
-        return self.as_fraction() < other.as_fraction()
-
-    def __float__(self) -> float:
-        return self.numerator / self.denominator
 
     def __str__(self) -> str:
         if self.denominator == 1:

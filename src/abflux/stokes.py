@@ -22,7 +22,8 @@ limits.  Each side's formula is smooth up to the surface, so each limit
 is that formula integrated on rho = R itself, and D1's area flux is
 integrated on [0, R] the same way.  Every circle and disc is built from
 a quadrature piece whose side is known, so the inputs are validated
-once, by the outer-radius check.
+once, by the outer-radius check, and B by the interior flux pi*B*R**2,
+which must not overflow.
 
 The chart audit's two-sector assembly of D2's flux is zero by
 construction (see chart_audit), so it needs only the rings of D2.
@@ -90,7 +91,8 @@ def verify_stokes(
     the interior potential and as a direct area quadrature of the field;
     the two must agree (the integral theorem holds on each smooth part)
     or the computation is rejected.  The reported phi_1 is the
-    circulation value.
+    circulation value.  An interior flux pi*B*R**2 that overflows is a
+    ValueError naming B and R, raised before any integral runs.
     """
     spec = spec if spec is not None else _DEFAULT_SPEC
     _require_outer_radius(f, L)

@@ -26,6 +26,11 @@ def random_field(rng: random.Random, B: float | None = None,
     return SolenoidField(B=B, R=R, gamma=gamma)
 
 
+def cylindrical(rho: float, phi: float, z: float = 0.0) -> Point:
+    """The point at distance rho from the axis, azimuth phi and height z."""
+    return Point(rho * math.cos(phi), rho * math.sin(phi), z)
+
+
 def star_loop(rng: random.Random, winding: int, rho_lo: float, rho_hi: float,
               z_jitter: float = 0.0) -> Polyline:
     """Closed polyline with the given nonzero winding about the z-axis.

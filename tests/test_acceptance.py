@@ -18,7 +18,7 @@ import math
 import random
 from fractions import Fraction
 
-from _helpers import exterior_circle, random_exterior_loop, random_field, star_loop
+from _helpers import cylindrical, exterior_circle, random_exterior_loop, random_field, star_loop
 from abflux.fields import Point, SolenoidField, Vec3, ab_standard, curl_fd, eval_B, gauge_shift
 from abflux.geometry import Circle, circulation, flux_direct
 from abflux.phase import InterferometerGeometry, holonomy, interference, phases_equivalent
@@ -35,8 +35,7 @@ TWO_PI = 2.0 * math.pi
 ORIGIN = Point(0.0, 0.0, 0.0)
 
 GEOM = InterferometerGeometry(
-    slit_separation=1.0, screen_distance=1.0, wavenumber=math.tau,
-    half_extent=2.5, samples=101,
+    slit_separation=1.0, screen_distance=1.0, half_extent=2.5, samples=101,
 )
 
 
@@ -150,12 +149,10 @@ def test_criterion_06_curl_check():
         R = rng.uniform(0.7, 1.4)
         f = SolenoidField(B=rng.choice((-1, 1)) * rng.uniform(0.5, 3.0), R=R,
                           gamma=rng.choice((-1, 1)) * rng.uniform(0.5, 3.0))
-        inside = Point.from_cylindrical(rng.uniform(0.1, 0.6) * R,
-                                        rng.uniform(0.0, TWO_PI))
+        inside = cylindrical(rng.uniform(0.1, 0.6) * R, rng.uniform(0.0, TWO_PI))
         assert vec_err(curl_fd(f, inside, 1e-4), eval_B(f, inside)) <= 1e-6
 
-        outside = Point.from_cylindrical(rng.uniform(1.2, 2.5) * R,
-                                         rng.uniform(0.0, TWO_PI))
+        outside = cylindrical(rng.uniform(1.2, 2.5) * R, rng.uniform(0.0, TWO_PI))
         err_h = vec_err(curl_fd(f, outside, 1e-4), zero)
         err_half = vec_err(curl_fd(f, outside, 5e-5), zero)
         assert err_h <= 1e-6

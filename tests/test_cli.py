@@ -101,7 +101,7 @@ PARSER_LAYOUT = {
                _FIELD, _QUAD, _PATH], _GAMMA_OR_KAPPA),
     "interfere": ([_NO_POSITIONALS,
                    ("options", ["-h --help", "--config", "--q", "--slit-separation",
-                                "--screen-distance", "--wavenumber", "--half-extent",
+                                "--screen-distance", "--half-extent",
                                 "--samples", "--format"]),
                    _FIELD], _GAMMA_OR_KAPPA),
     "quantize": ([("positional arguments", ["quantize_command"]), ("options", ["-h --help"])],
@@ -534,6 +534,16 @@ class TestInterfereCommand:
         )
         assert code == 2 and out == ""
         assert err.startswith("ValueError")
+
+    def test_wavenumber_is_no_flag(self, capsys):
+        # lengths are in wavelengths, so the wavenumber is 2*pi: argparse
+        # refuses the flag with its usage error
+        with pytest.raises(SystemExit) as info:
+            main(["interfere", "--q", "1", "--wavenumber", "3"])
+        captured = capsys.readouterr()
+        assert (info.value.code, captured.out) == (2, "")
+        assert captured.err.startswith("usage: abflux")
+        assert "unrecognized arguments: --wavenumber 3" in captured.err
 
     @pytest.mark.parametrize("q", ["nan", "inf"])
     def test_nonfinite_charge_exit_2(self, capsys, q):

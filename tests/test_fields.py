@@ -3,12 +3,8 @@ import random
 
 import pytest
 
-from abflux.errors import (
-    AxisSingularity,
-    FieldUndefinedOnSolenoid,
-    InvalidRadius,
-    StencilCrossesSolenoid,
-)
+from _helpers import cylindrical
+from abflux.errors import FieldUndefinedOnSolenoid, InvalidRadius, StencilCrossesSolenoid
 from abflux.fields import (
     Point,
     SolenoidField,
@@ -29,28 +25,7 @@ class TestPoint:
     def test_cylindrical_views(self):
         p = Point(1.0, 1.0, 2.0)
         assert p.rho == pytest.approx(math.sqrt(2.0), rel=1e-15)
-        assert p.phi == pytest.approx(math.pi / 4.0, rel=1e-15)
         assert p.z == 2.0
-
-    def test_phi_covers_all_quadrants(self):
-        assert Point(-1.0, 0.0).phi == pytest.approx(math.pi)
-        assert Point(0.0, -1.0).phi == pytest.approx(1.5 * math.pi)
-        assert Point(1.0, -1e-12).phi == pytest.approx(2.0 * math.pi, abs=1e-11)
-
-    def test_phi_undefined_on_axis(self):
-        with pytest.raises(AxisSingularity):
-            Point(0.0, 0.0, 5.0).phi
-
-    def test_from_cylindrical_round_trip(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            rho = rng.uniform(0.1, 10.0)
-            phi = rng.uniform(0.0, 2.0 * math.pi)
-            p = Point.from_cylindrical(rho, phi, 1.0)
-            assert p.rho == pytest.approx(rho, rel=1e-14)
-            assert p.phi == pytest.approx(phi, abs=1e-12) or p.phi == pytest.approx(
-                phi - 2.0 * math.pi, abs=1e-12
-            )
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
@@ -73,42 +48,22 @@ class TestSolenoidField:
 
     def test_dict_round_trip(self):
         f = SolenoidField(B=2.0, R=1.5, gamma=0.25)
-        assert SolenoidField.from_dict(f.to_dict()) == f
-        assert SolenoidField.from_dict({"B": 2, "R": 1, "gamma": 0}) == SolenoidField(2.0, 1.0, 0.0)
-
-    @pytest.mark.parametrize("key, value", [
-        ("B", True), ("R", "2"), ("gamma", None), ("B", [1.0]), ("gamma", 10**400),
-    ])
-    def test_from_dict_reads_json_numbers_only(self, key, value):
-        data = {"B": 2.0, "R": 1.5, "gamma": 0.25, key: value}
-        with pytest.raises(ValueError, match=f"field {key}"):
-            SolenoidField.from_dict(data)
-
-    @pytest.mark.parametrize("data, message", [
-        ({"B": 2, "R": 1, "gama": 5}, "unknown field key 'gama'"),
-        ({"B": 2, "R": 1, "gamma": 5, "extra": 1}, "unknown field key 'extra'"),
-        ({"B": 2, "R": 1}, "field is missing 'gamma'"),
-        (["B", "R", "gamma"], "^field must be a JSON object, got list$"),
-        (None, "^field must be a JSON object, got NoneType$"),
-        ("BRg", "^field must be a JSON object, got str$"),
-    ])
-    def test_from_dict_refuses_unknown_and_missing_keys(self, data, message):
-        with pytest.raises(ValueError, match=message):
-            SolenoidField.from_dict(data)
+        assert f.to_dict() == {"B": 2.0, "R": 1.5, "gamma": 0.25}
+        assert SolenoidField(**f.to_dict()) == f
 
 
 class TestEvalB:
     def test_interior(self):
         f = SolenoidField(B=2.0, R=1.0, gamma=1.0)
-        assert tuple(eval_B(f, Point(0.5, 0.0, 0.0))) == (0.0, 0.0, 2.0)
+        assert eval_B(f, Point(0.5, 0.0, 0.0)) == Vec3(0.0, 0.0, 2.0)
 
     def test_exterior(self):
         f = SolenoidField(B=2.0, R=1.0, gamma=1.0)
-        assert tuple(eval_B(f, Point(3.0, 0.0, 0.0))) == (0.0, 0.0, 0.0)
+        assert eval_B(f, Point(3.0, 0.0, 0.0)) == Vec3(0.0, 0.0, 0.0)
 
     def test_zero_field(self):
         f = SolenoidField(B=0.0, R=1.0, gamma=1.0)
-        assert tuple(eval_B(f, Point(0.2, 0.3, -4.0))) == (0.0, 0.0, 0.0)
+        assert eval_B(f, Point(0.2, 0.3, -4.0)) == Vec3(0.0, 0.0, 0.0)
 
     def test_undefined_on_surface(self):
         f = SolenoidField(B=2.0, R=1.0, gamma=1.0)
@@ -121,7 +76,7 @@ class TestEvalB:
 class TestEvalA:
     def test_interior_magnitude(self):
         f = SolenoidField(B=2.0, R=1.0, gamma=1.0)
-        assert tuple(eval_A(f, Point(0.5, 0.0, 0.0))) == (0.0, 0.5, 0.0)
+        assert eval_A(f, Point(0.5, 0.0, 0.0)) == Vec3(0.0, 0.5, 0.0)
 
     def test_exterior_magnitude(self):
         f = SolenoidField(B=2.0, R=1.0, gamma=1.0)
@@ -130,7 +85,7 @@ class TestEvalA:
 
     def test_zero_on_axis(self):
         f = SolenoidField(B=2.0, R=1.0, gamma=1.0)
-        assert tuple(eval_A(f, Point(0.0, 0.0, 3.0))) == (0.0, 0.0, 0.0)
+        assert eval_A(f, Point(0.0, 0.0, 3.0)) == Vec3(0.0, 0.0, 0.0)
 
     def test_undefined_on_surface(self):
         f = SolenoidField(B=2.0, R=1.0, gamma=1.0)
@@ -163,17 +118,19 @@ class TestEvalA:
                 R=rng.uniform(0.3, 2.0),
                 gamma=rng.uniform(-2.0, 2.0),
             )
-            p = Point.from_cylindrical(
+            p = cylindrical(
                 f.R * rng.uniform(1.01, 10.0), rng.uniform(0.0, 2.0 * math.pi),
                 rng.uniform(-5.0, 5.0),
             )
-            assert eval_A(f, p).norm() * p.rho == pytest.approx(abs(f.gamma), rel=1e-13, abs=1e-15)
+            a = eval_A(f, p)
+            magnitude = math.hypot(a.x, a.y, a.z)
+            assert magnitude * p.rho == pytest.approx(abs(f.gamma), rel=1e-13, abs=1e-15)
 
     def test_azimuthal_direction(self):
         # A is everywhere perpendicular to the radial direction
         f = SolenoidField(B=1.5, R=1.0, gamma=0.7)
         for rho in (0.5, 2.0):
-            p = Point.from_cylindrical(rho, 1.1)
+            p = cylindrical(rho, 1.1)
             a = eval_A(f, p)
             assert a.x * p.x + a.y * p.y == pytest.approx(0.0, abs=1e-15)
             assert a.z == 0.0
@@ -215,15 +172,15 @@ class TestGaugeShift:
         f = ab_standard(1.3, 0.8)
         g = gauge_shift(f, 2.7)
         for p in (Point(0.2, 0.1), Point(3.0, -1.0, 2.0)):
-            assert tuple(eval_B(f, p)) == tuple(eval_B(g, p))
+            assert eval_B(f, p) == eval_B(g, p)
 
     def test_interior_potential_unchanged(self):
         f = ab_standard(1.3, 0.8)
         g = gauge_shift(f, 2.7)
         p = Point(0.3, -0.2, 1.0)
-        assert tuple(eval_A(f, p)) == tuple(eval_A(g, p))
+        assert eval_A(f, p) == eval_A(g, p)
         q = Point(2.0, 0.5, 0.0)
-        assert tuple(eval_A(f, q)) != tuple(eval_A(g, q))
+        assert eval_A(f, q) != eval_A(g, q)
 
 
 class TestCurlFd:
@@ -240,7 +197,8 @@ class TestCurlFd:
     def test_gauge_shift_leaves_exterior_curl_zero(self):
         f = gauge_shift(ab_standard(2.0, 1.0), 1.7)
         for p in (Point(2.0, 0.0), Point(-1.5, 1.5, 3.0)):
-            assert curl_fd(f, p, 1e-4).norm() < 1e-6
+            c = curl_fd(f, p, 1e-4)
+            assert math.hypot(c.x, c.y, c.z) < 1e-6
 
     def test_second_order_convergence_exterior(self):
         # The interior potential is linear, so central differences are
@@ -251,8 +209,7 @@ class TestCurlFd:
             R = rng.uniform(0.7, 1.4)
             f = SolenoidField(B=rng.uniform(-2.0, 2.0), R=R,
                               gamma=rng.choice((-1, 1)) * rng.uniform(0.5, 3.0))
-            p = Point.from_cylindrical(rng.uniform(1.2, 2.5) * R,
-                                       rng.uniform(0.0, 2.0 * math.pi))
+            p = cylindrical(rng.uniform(1.2, 2.5) * R, rng.uniform(0.0, 2.0 * math.pi))
             zero = Vec3(0.0, 0.0, 0.0)
             errs = [vec_max_err(curl_fd(f, p, h), zero) for h in (1e-3, 5e-4, 1e-4, 5e-5)]
             assert 2.0 < errs[0] / errs[1] < 8.0

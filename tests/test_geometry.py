@@ -488,6 +488,19 @@ class TestFluxDirect:
         with pytest.raises(InvalidRadius):
             flux_direct(f, -2.0)
 
+    def test_flux_that_overflows_is_named(self, monkeypatch):
+        # pi*B*rho**2 overflows on the disc [0, min(L, R)]: a ValueError
+        # naming B and that radius, before any quadrature
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran before the overflow check")
+
+        monkeypatch.setattr(geometry, "_gk15", no_quadrature)
+        f = SolenoidField(B=1e308, R=2.0, gamma=1.0)
+        for L, rho in ((3.0, "2.0"), (1.5, "1.5")):
+            with pytest.raises(ValueError, match=rf"^flux pi\*B\*rho\*\*2 overflows at "
+                                                 rf"B = 1e\+308, rho = {rho}: "):
+                flux_direct(f, L)
+
 
 class TestLoaders:
     def test_polyline_csv(self):
@@ -593,6 +606,10 @@ class TestIntegrandsMatchPointwiseFormulas:
             call()
         return pieces
 
+    @staticmethod
+    def dot(a: Vec3, b: Vec3) -> float:
+        return a.x * b.x + a.y * b.y + a.z * b.z
+
     def test_arcs_and_edges_equal_eval_a_along_the_tangent(self, monkeypatch):
         rng = random.Random(59)
         for _ in range(12):
@@ -614,7 +631,7 @@ class TestIntegrandsMatchPointwiseFormulas:
                 for t in ts:
                     c, s = math.cos(sweep * t), math.sin(sweep * t)
                     point = Point(c0.x + r * c, c0.y + r * s)
-                    expected.append(eval_A(f, point).dot(Vec3(-k * s, k * c, 0.0)))
+                    expected.append(self.dot(eval_A(f, point), Vec3(-k * s, k * c, 0.0)))
                 assert fn([0], ts) == expected
 
             inner = star_loop(rng, 1, 0.3 * f.R, 0.6 * f.R, z_jitter=0.2)
@@ -628,7 +645,7 @@ class TestIntegrandsMatchPointwiseFormulas:
                 for c, (p, q) in enumerate(zip(v, v[1:] + v[:1])):
                     d = Vec3(q.x - p.x, q.y - p.y, q.z - p.z)
                     nodes = [(p.x + t * d.x, p.y + t * d.y) for t in ts]
-                    dotted = [eval_A(f, Point(x, y)).dot(d) for x, y in nodes]
+                    dotted = [self.dot(eval_A(f, Point(x, y)), d) for x, y in nodes]
                     if loop is inner:
                         assert fn([c], ts) == dotted
                         batch += dotted

@@ -2,6 +2,8 @@
 
 import importlib
 import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +36,12 @@ class TestLazySurface:
         with pytest.raises(AttributeError, match="no_such_name"):
             abflux.no_such_name
 
+    def test_axis_singularity_is_gone(self):
+        # only Point.phi raised it, and Point has no azimuth now
+        with pytest.raises(AttributeError, match="AxisSingularity"):
+            abflux.AxisSingularity
+        assert not hasattr(abflux.errors, "AxisSingularity")
+
     def test_import_loads_no_layer(self):
         out = run_python(
             "-c",
@@ -57,6 +65,17 @@ class TestLazySurface:
         )
         assert out == "QuadratureSpec(rel_tol=1e-09, abs_tol=1e-12, max_subdivisions=1048576)" \
                       " False False\n"
+
+
+def test_readme_library_quick_start():
+    # the README's "Library quick start" block, run as it is written
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Library quick start\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    assert abs(namespace["report"].discrepancy - math.pi) <= 1e-12
+    assert namespace["phases_equivalent"](2.0, 1.0, 1.5) is True
 
 
 #: the module list is taken before json is imported to print it

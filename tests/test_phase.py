@@ -22,8 +22,7 @@ TWO_PI = 2.0 * math.pi
 ORIGIN = Point(0.0, 0.0, 0.0)
 
 GEOM = InterferometerGeometry(
-    slit_separation=1.0, screen_distance=1.0, wavenumber=math.tau,
-    half_extent=2.5, samples=101,
+    slit_separation=1.0, screen_distance=1.0, half_extent=2.5, samples=101,
 )
 
 
@@ -262,15 +261,15 @@ class TestInterference:
 
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
-            InterferometerGeometry(0.0, 1.0, 1.0, 1.0)
+            InterferometerGeometry(0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            InterferometerGeometry(1.0, 1.0, 1.0, 1.0, samples=1)
+            InterferometerGeometry(1.0, 1.0, 1.0, samples=1)
 
     def test_sample_count_bounded(self):
         for samples in (10**6 + 1, 2.5, 2.0, True, "201"):
             with pytest.raises(ValueError):
-                InterferometerGeometry(1.0, 1.0, 1.0, 1.0, samples=samples)
-        InterferometerGeometry(1.0, 1.0, 1.0, 1.0, samples=10**6)
+                InterferometerGeometry(1.0, 1.0, 1.0, samples=samples)
+        InterferometerGeometry(1.0, 1.0, 1.0, samples=10**6)
 
     def test_nonfinite_charge_rejected(self):
         for q, gamma in ((math.nan, 1.0), (math.inf, 1.0), (-math.inf, 0.0),

@@ -31,8 +31,8 @@ RECORDS = [
     (Circle(Point(0.5, 0.0, 1.0), 3.0, -2), ("center", "radius", "turns")),
     (Polyline(SQUARE), ("vertices",)),
     (PhaseFactor(1.25), ("angle",)),
-    (InterferometerGeometry(1.0, 2.0, 3.0, 4.0, 11),
-     ("slit_separation", "screen_distance", "wavenumber", "half_extent", "samples")),
+    (InterferometerGeometry(1.0, 2.0, 4.0, 11),
+     ("slit_separation", "screen_distance", "half_extent", "samples")),
     (RationalCharge(-1, 3), ("numerator", "denominator")),
     (ChargeSpectrum(3), ("N",)),
 ]
@@ -104,7 +104,7 @@ def test_defaults_and_positional_construction():
     assert QuadratureSpec(1e-6, 1e-8, 5) == QuadratureSpec(
         rel_tol=1e-6, abs_tol=1e-8, max_subdivisions=5)
     assert Circle(Point(0.0, 0.0), 2.0).turns == 1
-    assert InterferometerGeometry(1.0, 2.0, 3.0, 4.0).samples == 201
+    assert InterferometerGeometry(1.0, 2.0, 4.0).samples == 201
     assert RationalCharge(5) == RationalCharge(5, 1)
 
 
@@ -148,11 +148,11 @@ def test_normalizing_constructors():
     (lambda: PhaseFactor(10**400), ValueError, "phase angle is beyond floating-point range"),
     (lambda: PhaseFactor.from_turns(10**400), ValueError,
      "turn count is beyond floating-point range"),
-    (lambda: InterferometerGeometry(1.0, 0.0, 1.0, 1.0), ValueError,
+    (lambda: InterferometerGeometry(1.0, 0.0, 1.0), ValueError,
      "screen_distance must be positive, got 0.0"),
-    (lambda: InterferometerGeometry(1.0, 1.0, 1.0, 1.0, 2.0), ValueError,
+    (lambda: InterferometerGeometry(1.0, 1.0, 1.0, 2.0), ValueError,
      "samples must be an integer, got 2.0"),
-    (lambda: InterferometerGeometry(1.0, 1.0, 1.0, 1.0, 1), ValueError,
+    (lambda: InterferometerGeometry(1.0, 1.0, 1.0, 1), ValueError,
      "samples must be between 2 and 1000000, got 1"),
     (lambda: RationalCharge(1, 0), ValueError, "denominator must be nonzero"),
     (lambda: RationalCharge(True, 2), TypeError, "expected an exact rational, got bool"),
@@ -186,12 +186,10 @@ POSITIVE_INPUTS = {
     "verify_stokes L": (lambda x: verify_stokes(F, x), (InvalidRadius,) * 4),
     "chart_audit L": (lambda x: chart_audit(F, x), (InvalidRadius,) * 4),
     "InterferometerGeometry screen_distance": (
-        lambda x: InterferometerGeometry(1.0, x, 1.0, 1.0), (ValueError,) * 4),
+        lambda x: InterferometerGeometry(1.0, x, 1.0), (ValueError,) * 4),
     "ab_standard R": (lambda x: ab_standard(2.0, x), (InvalidRadius,) * 4),
     "holonomy q": (lambda x: holonomy(F, Circle(Point(0.0, 0.0), 2.0), x),
                    (ValueError, ValueError, None, None)),
-    "Point.from_cylindrical rho": (lambda x: Point.from_cylindrical(x, 0.0),
-                                   (ValueError, ValueError, None, None)),
     "phases_equivalent tol": (lambda x: phases_equivalent(1.0, 0.0, 0.5, tol=x),
                               (ValueError,) * 4),
 }

@@ -289,6 +289,18 @@ class TestSplitDiscPieces:
             with pytest.raises(ValueError, match="overflow"):
                 call(f, 2e155)
 
+    def test_interior_flux_that_overflows_is_named(self, monkeypatch):
+        # pi*B*R**2 overflows: a ValueError naming B and R, before any
+        # quadrature, not the kernel's non-finite integral
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran before the overflow check")
+
+        monkeypatch.setattr(geometry, "_gk15", no_quadrature)
+        f = SolenoidField(B=1e308, R=2.0, gamma=1.0)
+        with pytest.raises(ValueError, match=r"^flux pi\*B\*rho\*\*2 overflows at "
+                                             r"B = 1e\+308, rho = 2\.0: the inputs overflow$"):
+            verify_stokes(f, 3.0)
+
     def test_extreme_radius_flux(self):
         # the disc flux needs no rho*rho below the solenoid radius: at a
         # subnormal R it underflows to within abs_tol of its true value
