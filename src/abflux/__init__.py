@@ -26,7 +26,6 @@ _EXPORTS = {
         "WindingUnresolvable",
     ),
     "fields": (
-        "BOUNDARY_BAND",
         "Point",
         "QuadratureSpec",
         "SolenoidField",
@@ -38,7 +37,6 @@ _EXPORTS = {
         "gauge_shift",
     ),
     "geometry": (
-        "PATH_CLEARANCE",
         "Circle",
         "ClosedPath",
         "Polyline",

@@ -36,6 +36,7 @@ dataclass, load ``dataclasses`` and the ``inspect`` module it imports.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
@@ -403,6 +404,11 @@ def main(argv: list[str] | None = None) -> int:
             args.func(args, field, spec)
         else:
             args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout closed early (`| head`): exit as SIGPIPE would, flush to null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (AbfluxError, ValueError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, AbfluxError) else 2

@@ -11,11 +11,11 @@ class AbfluxError(Exception):
 
 
 class InvalidRadius(AbfluxError):
-    """A radius that must be positive (or clear of the solenoid) is not."""
+    """A radius that must be positive (or above the solenoid's R) is not."""
 
 
 class FieldUndefinedOnSolenoid(AbfluxError):
-    """Evaluation was requested inside the undefined band at rho = R."""
+    """Evaluation was requested at a point that rounding cannot keep off rho = R."""
 
 
 class StencilCrossesSolenoid(AbfluxError):
@@ -23,7 +23,7 @@ class StencilCrossesSolenoid(AbfluxError):
 
 
 class PathCrossesSolenoid(AbfluxError):
-    """An integration path comes too close to the solenoid surface."""
+    """An integration path meets the solenoid surface, up to its rounding."""
 
 
 class PathTouchesAxis(AbfluxError):

@@ -14,8 +14,23 @@ unobservable, quantum mechanically it shifts loop phases.
 
 Points are stored in Cartesian coordinates; their one cylindrical view
 is rho, so the multivaluedness of the azimuth never enters the data
-model.  On the solenoid surface itself the field carries no value,
-which is represented by a thin exclusion band around rho = R.
+model.  On the surface rho = R itself the field has no value; each
+side's formula is smooth up to it.  One rule, _side, tells the side of
+a point, a stencil or a path from an enclosure [lo, hi] of its true rho
+range: inside if hi < R, outside if lo > R, refused if it meets R.  It
+is the computed range widened, where computed, by _ROUND = 8*eps times
+its own inputs' scale.  A rounding errs by at most eps/2 of its result
+and hypot by under eps, so a point's rho = hypot(x, y) errs by under
+eps*rho, a circle's [|d - r|, d + r], d = hypot(cx, cy), by under
+2*eps*(d + r).  An edge p + t*d, d = q - p, has its largest rho at an
+end and its least at an end or at t = -(p.d)/(d.d); rounding moves t*|d|
+by under 4*eps*rho_p, as |p.d|/|d| <= rho_p.  For 0 < t < 1 the exact
+rho there exceeds the least by under 3*eps*rho_p, and forming the point
+and its hypot add 2*eps*rho_p; for t >= 1 the least lies within
+4*eps*rho_p of q, and rho_q <= rho_p up to eps**2, so rho_q exceeds it
+by under 5*eps*rho_p, the edge's scale.  For t <= 0 the least is below
+rho_p by 16*eps**2*rho_p at most, inside p's bound.  A far edge thus
+widens its own closest approach alone.  All this assumes normal numbers.
 
 The JSON rules live here too, so the CLI's config file and the path files
 are read alike: _parse_json decodes the text, _require_known checks an
@@ -33,10 +48,8 @@ import sys
 from ._record import Record
 from .errors import FieldUndefinedOnSolenoid, InvalidRadius, StencilCrossesSolenoid
 
-#: Relative half-width of the band around rho = R inside which evaluation
-#: raises FieldUndefinedOnSolenoid.  A finite band makes the pointwise
-#: undefinedness of the surface testable in floating point.
-BOUNDARY_BAND = 1e-9
+#: Rounding bound of a computed rho, relative to its inputs' scale
+_ROUND = 8.0 * sys.float_info.epsilon
 
 
 def _require_finite(label: str, *values: float) -> None:
@@ -183,20 +196,26 @@ class SolenoidField(Record):
     def kappa(self) -> float:
         return self.gamma - 0.5 * self.B * self.R * self.R
 
-    @property
-    def boundary_band(self) -> float:
-        """Half-width of the undefined band around rho = R."""
-        return BOUNDARY_BAND * self.R
-
     def to_dict(self) -> dict:
         return {"B": self.B, "R": self.R, "gamma": self.gamma}
 
 
-def _require_off_surface(f: SolenoidField, rho: float) -> None:
-    if abs(rho - f.R) <= f.boundary_band:
-        raise FieldUndefinedOnSolenoid(
-            f"field undefined on the solenoid surface (rho = {rho!r}, R = {f.R!r})"
-        )
+def _side(f: SolenoidField, lo: float, hi: float) -> bool | None:
+    """The side of an enclosure [lo, hi] of rho: True inside, False outside, None on R."""
+    if hi < f.R:
+        return True
+    if lo > f.R:
+        return False
+    return None
+
+
+def _require_side(f: SolenoidField, rho: float, error: type = FieldUndefinedOnSolenoid) -> bool:
+    """The side of the point whose computed rho is rho, True inside; error
+    when its rounding bound meets R."""
+    inside = _side(f, rho - _ROUND * rho, rho + _ROUND * rho)
+    if inside is None:
+        raise error(f"field undefined on the solenoid surface (rho = {rho!r}, R = {f.R!r})")
+    return inside
 
 
 #: Largest rho the exterior formulas take: up to it, rho*rho is at most
@@ -218,9 +237,7 @@ def _require_exterior_range(lo: float, hi: float) -> None:
 
 def eval_B(f: SolenoidField, p: Point) -> Vec3:
     """Magnetic field at p: (0, 0, B) inside the solenoid, zero outside."""
-    rho = p.rho
-    _require_off_surface(f, rho)
-    return Vec3(0.0, 0.0, f.B if rho < f.R else 0.0)
+    return Vec3(0.0, 0.0, f.B if _require_side(f, p.rho) else 0.0)
 
 
 def eval_A(f: SolenoidField, p: Point) -> Vec3:
@@ -237,8 +254,7 @@ def eval_A(f: SolenoidField, p: Point) -> Vec3:
     naming the underflow or overflow, as does a potential that overflows.
     """
     rho = p.rho
-    _require_off_surface(f, rho)
-    if rho < f.R:
+    if _require_side(f, rho):
         a_x, a_y = -0.5 * f.B * p.y, 0.5 * f.B * p.x
     else:
         _require_exterior_range(rho, rho)
@@ -255,9 +271,9 @@ def curl_fd(f: SolenoidField, p: Point, h: float) -> Vec3:
     """Central-difference curl of eval_A at p with step h.
 
     Independent consistency check on the potential: away from rho = R the
-    result approaches eval_B(f, p) at second order in h.  All six stencil
-    points p +- h along each axis must lie strictly on one side of the
-    solenoid surface, clear of the undefined band.
+    result approaches eval_B(f, p) at second order in h.  p and the six
+    stencil points p +- h along each axis must all lie on one side of the
+    solenoid surface, each by more than its rounding bound (_side).
     """
     _require_positive("step h", h)
     xp = Point(p.x + h, p.y, p.z)
@@ -268,16 +284,7 @@ def curl_fd(f: SolenoidField, p: Point, h: float) -> Vec3:
     zm = Point(p.x, p.y, p.z - h)
     stencil = (p, xp, xm, yp, ym, zp, zm)
 
-    band = f.boundary_band
-    sides = set()
-    for q in stencil:
-        d = q.rho - f.R
-        if abs(d) <= band:
-            raise StencilCrossesSolenoid(
-                f"stencil point at rho = {q.rho!r} lies in the undefined band"
-            )
-        sides.add(d > 0.0)
-    if len(sides) > 1:
+    if len({_require_side(f, q.rho, StencilCrossesSolenoid) for q in stencil}) > 1:
         raise StencilCrossesSolenoid(
             f"stencil with h = {h!r} straddles the solenoid surface at R = {f.R!r}"
         )

@@ -29,20 +29,13 @@ sweeps of 2*pi and -2*pi.  Every arc is one whole turn from azimuth 0
 that table; splits compute it per node with the function that built the
 table, so the values are the same bit for bit.  Both constants are
 built once at import and never changed.  Inputs are
-validated once, when the path is built and cleared of the solenoid
-surface, not on every quadrature node.  The clearance check takes one
-rho range per path: a polyline's comes from one hypot per vertex and
-one per edge whose closest approach to the axis lies between its ends,
-computed with its (px, py, dx, dy) edge table, so the band, underflow
-and overflow checks each run once per path, not per edge.  It puts a
-connected path wholly on one side of rho = R, so the side, and with it
-the formula, is fixed once per piece: B*rho/2 inside, gamma/rho
-outside.  Along a straight exterior edge the potential dotted with the
-tangent is gamma*dphi/dt = gamma*(x*dy - y*dx)/(x*x + y*y), which is
-what its integrand computes, with no square root.  The clearance check
-raises ValueError for an exterior path whose rho*rho leaves the normal
-floating-point range (fields._require_exterior_range, the one range the
-split disc's exterior rings and eval_A keep too).  The integrand is
+validated once per path, not per quadrature node: _require_clearance
+takes one enclosure of the path's rho range (fields._side), which puts
+it on one side of rho = R and so fixes the formula once per piece,
+B*rho/2 inside, gamma/rho outside, and checks the exterior range
+(fields._require_exterior_range) once.  Along a straight exterior edge
+the potential dotted with the tangent, gamma*dphi/dt, is computed as
+gamma*(x*dy - y*dx)/(x*x + y*y), with no square root.  The integrand is
 periodic, so an n-turn circle is integrated over one revolution and the
 result scaled by n: rel_tol carries over exactly, while abs_tol applies
 per revolution.  An integral that overflows floating point raises
@@ -76,17 +69,15 @@ from .errors import (
 )
 from .fields import (
     _DEFAULT_SPEC,
+    _ROUND,
     Point,
     QuadratureSpec,
     SolenoidField,
     _require_exterior_range,
     _require_finite,
-    _require_off_surface,
     _require_positive,
+    _side,
 )
-
-#: Relative clearance every integration path must keep from rho = R.
-PATH_CLEARANCE = 1e-6
 
 # A quadrature piece is a tuple (fn, a, b, seed, curves): integrate each
 # of `curves` curves over [a, b] and sum them all, seeded with one panel
@@ -317,7 +308,7 @@ def _edges(f: SolenoidField, points: Sequence[Point], spec: QuadratureSpec) -> f
     potential has no z-component, so only the xy-projection enters.  The
     clearance check takes the rho range of the whole run: every point's
     rho once, plus each edge's closest approach to the axis where it lies
-    between the edge's ends (0 < t < 1).
+    between the edge's ends (0 < t < 1), widened by its bound (fields._side).
 
     As for arcs, the integrand holds only the formula of the edges' side
     of rho = R.  Inside it is eval_A's linear field dotted with the edge
@@ -333,15 +324,21 @@ def _edges(f: SolenoidField, points: Sequence[Point], spec: QuadratureSpec) -> f
     ys = [p.y for p in points]
     rhos = list(map(hypot, xs, ys))
     lo, hi = min(rhos), max(rhos)
+    low = lo - _ROUND * lo
     coords = []
-    for px, py, qx, qy in zip(xs, ys, xs[1:], ys[1:]):
+    for px, py, qx, qy, rho_p, rho_q in zip(xs, ys, xs[1:], ys[1:], rhos, rhos[1:]):
         dx, dy = qx - px, qy - py
         coords.append((px, py, dx, dy))
         dd = dx * dx + dy * dy
-        if dd != 0.0 and 0.0 < (t := -(px * dx + py * dy) / dd) < 1.0:
-            lo = min(lo, hypot(px + t * dx, py + t * dy))
+        if dd != 0.0 and (t := -(px * dx + py * dy) / dd) > 0.0:
+            if t < 1.0:
+                lo = min(lo, near := hypot(px + t * dx, py + t * dy))
+            else:
+                near = rho_q
+            if (edge := near - _ROUND * rho_p) < low:
+                low = edge
 
-    if _require_clearance(lo, hi, f):
+    if _require_clearance(f, lo, hi, low):
         bx, by = -0.5 * f.B, 0.5 * f.B
 
         def fn(cs: Sequence[int], ts: Sequence[float]) -> list[float]:
@@ -421,23 +418,16 @@ class Polyline(Record):
 ClosedPath = Circle | Polyline
 
 
-def _require_clearance(lo: float, hi: float, f: SolenoidField) -> bool:
-    """Check the range [lo, hi] of rho along one connected path and return
-    the path's side of rho = R: True inside the solenoid, False outside.
-
-    The range must clear the band around rho = R.  A connected path
-    moves rho continuously, so one range for the whole path decides
-    exactly what a range per piece would: a path with no piece in the
-    band has all its pieces on one side.  Outside, [lo, hi] must lie in
-    the exterior range (fields._require_exterior_range), checked once per
-    path.
-    """
-    margin = PATH_CLEARANCE * f.R
-    inside = hi < f.R - margin
-    if not (inside or lo > f.R + margin):
+def _require_clearance(f: SolenoidField, lo: float, hi: float, low: float) -> bool:
+    """The side of one connected path, True inside, from its computed rho
+    range [lo, hi] and enclosure [low, hi + _ROUND*hi] (fields._side): rho
+    moves continuously, so one per path decides what one per piece would.
+    Outside, [lo, hi] must lie in the exterior range."""
+    inside = _side(f, low, hi + _ROUND * hi)
+    if inside is None:
         raise PathCrossesSolenoid(
-            f"path sweeps rho in [{lo:.6g}, {hi:.6g}], inside the "
-            f"clearance band {margin:.3g} around R = {f.R:.6g}"
+            f"path sweeps rho in [{lo!r}, {hi!r}], which meets the solenoid "
+            f"surface R = {f.R!r} within its rounding bound"
         )
     if not inside:
         _require_exterior_range(lo, hi)
@@ -453,7 +443,7 @@ def winding_number(path: ClosedPath) -> int:
     """
     if isinstance(path, Circle):
         d = math.hypot(path.center.x, path.center.y)
-        if abs(d - path.radius) <= 1e-12 * max(path.radius, d):
+        if abs(d - path.radius) <= _ROUND * (d + path.radius):
             raise PathTouchesAxis("circle passes through the z-axis")
         return path.turns if d < path.radius else 0
 
@@ -513,7 +503,8 @@ def circulation(
     if isinstance(path, Circle):
         c = path.center
         d = math.hypot(c.x, c.y)
-        inside = _require_clearance(abs(d - path.radius), d + path.radius, f)
+        lo, hi = abs(d - path.radius), d + path.radius
+        inside = _require_clearance(f, lo, hi, lo - _ROUND * hi)
         turn = _arc(f.B if inside else f.gamma, inside, c.x, c.y, path.radius,
                     math.copysign(math.tau, path.turns), spec)
         value = _require_finite_integral(turn * abs(path.turns))
@@ -535,13 +526,12 @@ def flux_direct(f: SolenoidField, L: float, spec: QuadratureSpec | None = None) 
 
     Only the disc [0, min(L, R)] is integrated in polar form, with the
     interior B_z = B up to rho = R itself: for L > R the annulus [R, L]
-    carries the exterior B_z = 0 and adds nothing.  Analytic value:
-    pi * B * min(L, R)**2, independent of L for all L > R; a value that
-    overflows is a ValueError naming B and min(L, R).
+    carries the exterior B_z = 0 and adds nothing.  Analytic value, for
+    any L > 0: pi * B * min(L, R)**2; an overflow is a ValueError naming
+    B and min(L, R).
     """
     spec = spec if spec is not None else _DEFAULT_SPEC
     _require_positive("disc radius", L, error=InvalidRadius)
-    _require_off_surface(f, L)
     rho = min(L, f.R)
     _require_finite_flux(f, rho)
     values = _stored_split_disc(f, L, spec)

@@ -22,8 +22,8 @@ limits.  Each side's formula is smooth up to the surface, so each limit
 is that formula integrated on rho = R itself, and D1's area flux is
 integrated on [0, R] the same way.  Every circle and disc is built from
 a quadrature piece whose side is known, so the inputs are validated
-once, by the outer-radius check, and B by the interior flux pi*B*R**2,
-which must not overflow.
+once, by the outer-radius check L > R, and B by the interior flux
+pi*B*R**2, which must not overflow.
 
 The chart audit's two-sector assembly of D2's flux is zero by
 construction (see chart_audit), so it needs only the rings of D2.
@@ -71,14 +71,12 @@ class StokesReport:
 
 
 def _require_outer_radius(f: SolenoidField, L: float) -> None:
-    """The split disc's one input check: L clears rho = R, and the
-    exterior rings' radii [R, L] lie in the exterior range that every
+    """The split disc's one input check: L > R, exact, as its rings lie
+    at exactly R and L, and [R, L] lies in the exterior range that every
     exterior path keeps (fields._require_exterior_range)."""
     _require_positive("outer radius", L, error=InvalidRadius)
-    if not L > f.R + 10.0 * f.boundary_band:
-        raise InvalidRadius(
-            f"outer radius must exceed R = {f.R!r} with clearance, got {L!r}"
-        )
+    if not L > f.R:
+        raise InvalidRadius(f"outer radius must exceed R = {f.R!r}, got {L!r}")
     _require_exterior_range(f.R, L)
 
 

@@ -106,11 +106,15 @@ def result_or_none(call, *args):
         return None
 
 
-def run_python(*args):
-    """Stdout of a fresh interpreter, run with args, that imports the
-    abflux package this process imported."""
+def python_env() -> dict:
+    """The environment of a fresh interpreter that imports the abflux
+    package this process imported."""
     paths = (str(Path(abflux.__file__).parent.parent), os.environ.get("PYTHONPATH"))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
+def run_python(*args):
+    """Stdout of a fresh interpreter, run with args, in python_env()."""
     result = subprocess.run([sys.executable, *args],
-                            capture_output=True, text=True, check=True, env=env)
+                            capture_output=True, text=True, check=True, env=python_env())
     return result.stdout

@@ -1,14 +1,17 @@
 import argparse
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import json_numbers, json_values, result_or_none, run_python
+from _helpers import json_numbers, json_values, python_env, result_or_none, run_python
 from abflux import cli
 from abflux.cli import (
     _parse_circle_inline,
@@ -61,6 +64,26 @@ def test_readme_example(capsys, argv, value):
 def test_module_entry_point():
     out = run_python("-m", "abflux", "phase", "--q", "1", "--gamma", "0.5", "--w", "1")
     assert out.strip() == f"{math.pi:.12g}"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_141_quietly(unbuffered):
+    # a reader that stops early, as `| head -1` does, is not bad input:
+    # the exit status is SIGPIPE's, 128 + 13, and stderr stays empty.  The
+    # pipe's read end is closed before the call, so its first write fails:
+    # in print when stdout is unbuffered, else in the flush at the end
+    env = {k: v for k, v in python_env().items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = ("stokes", "--B", "0", "--R", "1", "--kappa", "0.3333333333333333", "--L", "2")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run([sys.executable, "-m", "abflux", *argv], env=env,
+                                stdout=write, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (141, b"")
 
 
 def _subcommands(parser, prefix=""):

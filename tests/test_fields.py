@@ -69,8 +69,9 @@ class TestEvalB:
         f = SolenoidField(B=2.0, R=1.0, gamma=1.0)
         with pytest.raises(FieldUndefinedOnSolenoid):
             eval_B(f, Point(1.0, 0.0, 0.0))
-        with pytest.raises(FieldUndefinedOnSolenoid):
-            eval_B(f, Point(1.0 + 0.5e-9, 0.0, 0.0))
+        # 5e-10 off R is far beyond rho's rounding bound: each side's value
+        assert eval_B(f, Point(1.0 + 0.5e-9, 0.0, 0.0)) == Vec3(0.0, 0.0, 0.0)
+        assert eval_B(f, Point(1.0 - 0.5e-9, 0.0, 0.0)) == Vec3(0.0, 0.0, 2.0)
 
 
 class TestEvalA:
@@ -91,6 +92,16 @@ class TestEvalA:
         f = SolenoidField(B=2.0, R=1.0, gamma=1.0)
         with pytest.raises(FieldUndefinedOnSolenoid):
             eval_A(f, Point(0.0, 1.0, 0.0))
+
+    def test_side_from_rounding(self):
+        # a point one ulp off R is within rho's rounding bound of it; one
+        # 1e-12 off has that side's formula
+        f = SolenoidField(B=2.0, R=1.0, gamma=1.0)
+        with pytest.raises(FieldUndefinedOnSolenoid, match=r"rho = 1\.0000000000000002"):
+            eval_A(f, Point(math.nextafter(1.0, 2.0), 0.0))
+        x = 1.0 + 1e-12
+        assert eval_A(f, Point(x, 0.0)) == Vec3(-0.0, 1.0 / (x * x) * x, 0.0)
+        assert eval_A(f, Point(1.0 - 1e-12, 0.0)) == Vec3(-0.0, 1.0 - 1e-12, 0.0)
 
     @pytest.mark.parametrize("f, p", [
         (SolenoidField(B=1.0, R=1e-300, gamma=1.0), Point(2e-160, 0.0)),

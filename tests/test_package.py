@@ -42,6 +42,14 @@ class TestLazySurface:
             abflux.AxisSingularity
         assert not hasattr(abflux.errors, "AxisSingularity")
 
+    def test_fixed_bands_are_gone(self):
+        # one rounding rule (fields._side) tells a point's or a path's side
+        for name, module in (("BOUNDARY_BAND", "fields"), ("PATH_CLEARANCE", "geometry")):
+            with pytest.raises(AttributeError, match=name):
+                getattr(abflux, name)
+            assert not hasattr(getattr(abflux, module), name)
+        assert not hasattr(abflux.SolenoidField(1.0, 1.0, 0.0), "boundary_band")
+
     def test_import_loads_no_layer(self):
         out = run_python(
             "-c",

@@ -103,6 +103,15 @@ class TestVerifyStokes:
         with pytest.raises(InvalidRadius):
             verify_stokes(f, 0.5)
 
+    def test_outer_radius_just_above_R(self):
+        # the rings lie at exactly R and L, so L > R is the whole check
+        f = SolenoidField(B=2.0, R=1.0, gamma=0.7)
+        for L in (1.0 + 1e-10, 1.0 + 5e-9, math.nextafter(1.0, 2.0)):
+            report = verify_stokes(f, L)
+            assert report.discrepancy == pytest.approx(TWO_PI * f.kappa, abs=LIMIT_TOL * scaled(f))
+            assert abs(report.phi_2) <= 1e-12
+            assert chart_audit(f, L) <= 1e-12
+
     def test_cross_check_failure_raises(self, monkeypatch, capsys):
         disc = geometry._disc
 
@@ -249,7 +258,7 @@ class TestSplitDiscPieces:
             assert len(values) == 1
 
     def test_outer_radius_just_clear_of_the_band(self):
-        # inside the path clearance margin of 1e-6*R, outside 10 bands
+        # the split disc needs only L > R
         L = self.F.R * (1.0 + 5e-7)
         report = verify_stokes(self.F, L)
         assert abs(report.discrepancy - TWO_PI * self.F.kappa) <= LIMIT_TOL * scaled(self.F)
