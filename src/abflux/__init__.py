@@ -57,7 +57,6 @@ _EXPORTS = {
     ),
     "quantize": (
         "ChargeSpectrum",
-        "RationalCharge",
         "charge_allowed",
         "infer_minimal_N",
         "kappa_allowed",

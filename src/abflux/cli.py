@@ -282,9 +282,9 @@ def _cmd_interfere(args: argparse.Namespace, field, spec) -> None:
 
 
 def _cmd_quantize_check(args: argparse.Namespace) -> None:
-    from .quantize import ChargeSpectrum, RationalCharge, charge_allowed
+    from .quantize import ChargeSpectrum, charge_allowed
 
-    ok = charge_allowed(RationalCharge.parse(args.charge), ChargeSpectrum(args.N))
+    ok = charge_allowed(args.charge, ChargeSpectrum(args.N))
     print("true" if ok else "false")
 
 
@@ -296,21 +296,20 @@ def _cmd_quantize_spectrum(args: argparse.Namespace) -> None:
 
 
 def _cmd_quantize_infer(args: argparse.Namespace) -> None:
-    from .quantize import RationalCharge, _require_printable, infer_minimal_N
+    from .quantize import _require_printable, infer_minimal_N
 
-    lattice = infer_minimal_N([RationalCharge.parse(c) for c in args.charges])
+    lattice = infer_minimal_N(args.charges)
     _require_printable(lattice.N, f"N inferred from {' '.join(args.charges)}")
     print(lattice.N)
 
 
 def _cmd_quantize_kappa(args: argparse.Namespace) -> None:
-    from .quantize import RationalCharge, kappa_allowed, kappa_constraints
+    from .quantize import kappa_allowed, kappa_constraints
 
-    kappa_e = RationalCharge.parse(args.kappa_e)
     if args.charges:
-        ok = kappa_constraints([RationalCharge.parse(c) for c in args.charges], kappa_e)
+        ok = kappa_constraints(args.charges, args.kappa_e)
     else:
-        ok = kappa_allowed(kappa_e)
+        ok = kappa_allowed(args.kappa_e)
     print("true" if ok else "false")
 
 

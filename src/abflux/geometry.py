@@ -251,11 +251,14 @@ def _require_finite_integral(value: float) -> float:
 
 def _require_finite_flux(f: SolenoidField, rho: float) -> None:
     """ValueError naming B and rho when the flux pi*B*rho**2 through the
-    disc [0, rho] overflows; checked before B is integrated."""
+    disc [0, rho] overflows, or naming B when _disc's 2*pi*B does, which
+    makes its integrand inf at every node; checked before B is integrated."""
     if not math.isfinite(math.pi * f.B * rho * rho):
         raise ValueError(
             f"flux pi*B*rho**2 overflows at B = {f.B!r}, rho = {rho!r}: the inputs overflow"
         )
+    if not math.isfinite(math.tau * f.B):
+        raise ValueError(f"2*pi*B overflows at B = {f.B!r}: the inputs overflow")
 
 
 def _arc(coef: float, inside: bool, cx: float, cy: float, radius: float,
@@ -528,7 +531,7 @@ def flux_direct(f: SolenoidField, L: float, spec: QuadratureSpec | None = None) 
     interior B_z = B up to rho = R itself: for L > R the annulus [R, L]
     carries the exterior B_z = 0 and adds nothing.  Analytic value, for
     any L > 0: pi * B * min(L, R)**2; an overflow is a ValueError naming
-    B and min(L, R).
+    B and min(L, R), and a 2*pi*B that overflows one naming B.
     """
     spec = spec if spec is not None else _DEFAULT_SPEC
     _require_positive("disc radius", L, error=InvalidRadius)
@@ -566,7 +569,7 @@ def _split_disc(f: SolenoidField, L: float, spec: QuadratureSpec) -> tuple:
     whole turn at rho = R, its one-sided limit, the flux of B through
     [0, R] and the exterior rings; kept for the next call about the same
     objects unless it raises.  The caller validates L; a flux pi*B*R**2
-    that overflows is refused here, before any integral runs."""
+    or a 2*pi*B that overflows is refused here, before any integral runs."""
     global _last_split_disc
     values = _stored_split_disc(f, L, spec)
     if values is None:

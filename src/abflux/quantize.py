@@ -3,8 +3,8 @@
 Charges are measured in units of the reference charge e (the electron's)
 and kappa in units of 1/e, so every condition below is a statement about
 exact rationals.  No floating point enters this module; denominators may
-be arbitrarily large, except that RationalCharge.parse bounds the ones it
-reads from text.
+be arbitrarily large, except that _parse_charge bounds the ones it reads
+from text.
 
 The chain of conditions: a loop phase is unobservable iff q*kappa is an
 integer for every realizable charge q.  Applying that to the reference
@@ -20,7 +20,6 @@ import re
 from collections.abc import Iterable
 from fractions import Fraction
 from math import lcm
-from numbers import Rational
 
 from ._record import Record
 from .errors import EmptyChargeSet
@@ -29,70 +28,47 @@ from .errors import EmptyChargeSet
 #: bound caps the memory a spectrum call uses.
 _MAX_CHARGES = 10**6
 
-#: Largest decimal exponent magnitude parse accepts: Fraction builds
-#: 10**exponent.  In lowest terms a parsed numerator or denominator may
-#: have one digit more, as 10**_MAX_EXPONENT does.
+#: Largest decimal exponent magnitude _parse_charge accepts: Fraction
+#: builds 10**exponent.  In lowest terms a parsed numerator or denominator
+#: may have one digit more, as 10**_MAX_EXPONENT does.
 _MAX_EXPONENT = 4300
 
 #: Most decimal digits an int may have to print under the interpreter's
-#: default int-string limit.  parse reads at most twice as many digits
-#: from one text (a numerator and a denominator), whatever that limit is
-#: set to, since reading a digit string takes time quadratic in its length.
+#: default int-string limit.  _parse_charge reads at most twice as many
+#: digits from one text (a numerator and a denominator), whatever that
+#: limit is set to, since reading a digit string takes time quadratic in
+#: its length.
 _MAX_DIGITS = 4300
 
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
-class RationalCharge(Record):
-    """Charge q/e as an exact rational, normalized to lowest terms."""
+def _parse_charge(text: str) -> Fraction:
+    """Parse "p/d", "p" or a decimal such as "-1.5e3".
 
-    __slots__ = _fields = ("numerator", "denominator")
-
-    def __init__(self, numerator: int, denominator: int = 1):
-        for value in (numerator, denominator):
-            if isinstance(value, bool) or not isinstance(value, Rational):
-                raise TypeError(f"expected an exact rational, got {type(value).__name__}")
-        if denominator == 0:
-            raise ValueError("denominator must be nonzero")
-        frac = Fraction(numerator, denominator)
-        object.__setattr__(self, "numerator", frac.numerator)
-        object.__setattr__(self, "denominator", frac.denominator)
-
-    @classmethod
-    def parse(cls, text: str) -> "RationalCharge":
-        """Parse "p/d", "p" or a decimal such as "-1.5e3".
-
-        A text of more than 8600 digits, a decimal exponent beyond 4300
-        in magnitude, or a numerator or denominator of more than 4301
-        digits in lowest terms is a ValueError.
-        """
-        if sum(map(str.isdecimal, text)) > 2 * _MAX_DIGITS:
-            raise ValueError(f"charge text holds more than {2 * _MAX_DIGITS} digits")
-        exponent = _EXPONENT.search(text)
-        if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
-            raise ValueError(f"exponent of {text!r} exceeds {_MAX_EXPONENT} in magnitude")
-        try:
-            frac = Fraction(text.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational charge: {text!r}") from exc
-        most = _MAX_EXPONENT + 1
-        if _too_long(frac.numerator, most) or _too_long(frac.denominator, most):
-            raise ValueError(
-                f"{text!r} in lowest terms has a numerator or denominator of more than "
-                f"{most} digits"
-            )
-        return cls(frac.numerator, frac.denominator)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-    def __str__(self) -> str:
-        if self.denominator == 1:
-            return str(self.numerator)
-        return f"{self.numerator}/{self.denominator}"
+    A text of more than 8600 digits, a decimal exponent beyond 4300
+    in magnitude, or a numerator or denominator of more than 4301
+    digits in lowest terms is a ValueError.
+    """
+    if sum(map(str.isdecimal, text)) > 2 * _MAX_DIGITS:
+        raise ValueError(f"charge text holds more than {2 * _MAX_DIGITS} digits")
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
+        raise ValueError(f"exponent of {text!r} exceeds {_MAX_EXPONENT} in magnitude")
+    try:
+        frac = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational charge: {text!r}") from exc
+    most = _MAX_EXPONENT + 1
+    if _too_long(frac.numerator, most) or _too_long(frac.denominator, most):
+        raise ValueError(
+            f"{text!r} in lowest terms has a numerator or denominator of more than "
+            f"{most} digits"
+        )
+    return frac
 
 
-RationalLike = RationalCharge | Fraction | int | str
+RationalLike = Fraction | int | str
 
 
 def _too_long(value: int, digits: int) -> bool:
@@ -120,15 +96,15 @@ class ChargeSpectrum(Record):
 
 
 def _as_fraction(value: RationalLike) -> Fraction:
-    """Coerce exact inputs to Fraction; floats and bools are rejected on purpose."""
-    if isinstance(value, RationalCharge):
-        return value.as_fraction()
+    """The one conversion of a charge or kappa*e: a Fraction as it is, an
+    int as a Fraction, a str through _parse_charge; anything else, a
+    float or a bool among them, is a TypeError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return RationalCharge.parse(value).as_fraction()
+        return _parse_charge(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
@@ -146,7 +122,7 @@ def charge_allowed(q: RationalLike, lattice: ChargeSpectrum) -> bool:
     return (_as_fraction(q) * lattice.N).denominator == 1
 
 
-def spectrum(lattice: ChargeSpectrum, n_min: int, n_max: int) -> list[RationalCharge]:
+def spectrum(lattice: ChargeSpectrum, n_min: int, n_max: int) -> list[Fraction]:
     """Charges n/N for n in [n_min, n_max], ascending; at most 10**6 of them.
     A bound that is not an int, or is a bool, is a ValueError."""
     for label, bound in (("n_min", n_min), ("n_max", n_max)):
@@ -158,7 +134,7 @@ def spectrum(lattice: ChargeSpectrum, n_min: int, n_max: int) -> list[RationalCh
         raise ValueError(
             f"index range [{n_min}, {n_max}] holds more than {_MAX_CHARGES} charges"
         )
-    return [RationalCharge(n, lattice.N) for n in range(n_min, n_max + 1)]
+    return [Fraction(n, lattice.N) for n in range(n_min, n_max + 1)]
 
 
 def infer_minimal_N(charges: Iterable[RationalLike]) -> ChargeSpectrum:
@@ -178,8 +154,10 @@ def kappa_constraints(charges: Iterable[RationalLike], kappa_times_e: RationalLi
 
     In e-units this is (q/e) * (kappa*e) integral per charge, the
     condition for the shifted exterior potential to change nothing
-    observable for any of them.
+    observable for any of them.  Every charge is converted, and so
+    checked, before any is tested.
     """
     ke = _as_fraction(kappa_times_e)
-    return all((_as_fraction(q) * ke).denominator == 1 for q in charges)
+    charges = [_as_fraction(q) for q in charges]
+    return all((q * ke).denominator == 1 for q in charges)
 

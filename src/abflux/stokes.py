@@ -23,7 +23,7 @@ is that formula integrated on rho = R itself, and D1's area flux is
 integrated on [0, R] the same way.  Every circle and disc is built from
 a quadrature piece whose side is known, so the inputs are validated
 once, by the outer-radius check L > R, and B by the interior flux
-pi*B*R**2, which must not overflow.
+pi*B*R**2 and by 2*pi*B, neither of which may overflow.
 
 The chart audit's two-sector assembly of D2's flux is zero by
 construction (see chart_audit), so it needs only the rings of D2.
@@ -90,7 +90,8 @@ def verify_stokes(
     the two must agree (the integral theorem holds on each smooth part)
     or the computation is rejected.  The reported phi_1 is the
     circulation value.  An interior flux pi*B*R**2 that overflows is a
-    ValueError naming B and R, raised before any integral runs.
+    ValueError naming B and R, and a 2*pi*B that does one naming B,
+    raised before any integral runs.
     """
     spec = spec if spec is not None else _DEFAULT_SPEC
     _require_outer_radius(f, L)

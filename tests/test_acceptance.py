@@ -24,7 +24,6 @@ from abflux.geometry import Circle, circulation, flux_direct
 from abflux.phase import InterferometerGeometry, holonomy, interference, phases_equivalent
 from abflux.quantize import (
     ChargeSpectrum,
-    RationalCharge,
     charge_allowed,
     infer_minimal_N,
     spectrum,
@@ -227,12 +226,11 @@ def test_criterion_09_equivalence_theorem():
 
 
 def test_criterion_10_quantization():
-    assert infer_minimal_N([RationalCharge(2, 3), RationalCharge(-1, 3),
-                            RationalCharge(1)]).N == 3
+    assert infer_minimal_N([Fraction(2, 3), Fraction(-1, 3), Fraction(1)]).N == 3
 
-    values = [c.as_fraction() for c in spectrum(ChargeSpectrum(3), -3, 3)]
-    assert values == [Fraction(-1), Fraction(-2, 3), Fraction(-1, 3), Fraction(0),
-                      Fraction(1, 3), Fraction(2, 3), Fraction(1)]
+    assert spectrum(ChargeSpectrum(3), -3, 3) == [
+        Fraction(-1), Fraction(-2, 3), Fraction(-1, 3), Fraction(0),
+        Fraction(1, 3), Fraction(2, 3), Fraction(1)]
 
     for charges in ([Fraction(2, 3), Fraction(-1, 3), Fraction(1)],
                     [Fraction(1, 2), Fraction(1, 3)],

@@ -611,6 +611,21 @@ class TestFluxDirect:
                                                  rf"B = 1e\+308, rho = {rho}: "):
                 flux_direct(f, L)
 
+    def test_disc_integrand_that_overflows_is_named(self, monkeypatch):
+        # pi*B*rho**2 is finite, but the disc's integrand r*(2*pi*B) is inf
+        # at every node: a ValueError naming B, before any quadrature
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran before the overflow check")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(geometry, "_gk15", no_quadrature)
+            for B in (4e307, -4e307):
+                message = rf"^2\*pi\*B overflows at B = {re.escape(repr(B))}: "
+                with pytest.raises(ValueError, match=message + "the inputs overflow$"):
+                    flux_direct(SolenoidField(B=B, R=0.5, gamma=1.0), 3.0)
+        f = SolenoidField(B=2e307, R=0.5, gamma=1.0)
+        assert flux_direct(f, 3.0) == pytest.approx(math.pi * f.B * 0.25, rel=1e-12)
+
 
 class TestLoaders:
     def test_polyline_csv(self):

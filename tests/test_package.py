@@ -42,6 +42,13 @@ class TestLazySurface:
             abflux.AxisSingularity
         assert not hasattr(abflux.errors, "AxisSingularity")
 
+    def test_rational_charge_is_gone(self):
+        # a charge is a fractions.Fraction: the wrapper record added no rule
+        with pytest.raises(AttributeError, match="RationalCharge"):
+            abflux.RationalCharge
+        assert not hasattr(abflux.quantize, "RationalCharge")
+        assert "RationalCharge" not in abflux.__all__
+
     def test_fixed_bands_are_gone(self):
         # one rounding rule (fields._side) tells a point's or a path's side
         for name, module in (("BOUNDARY_BAND", "fields"), ("PATH_CLEARANCE", "geometry")):

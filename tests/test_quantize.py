@@ -11,7 +11,7 @@ from abflux.errors import EmptyChargeSet
 from abflux.phase import phases_equivalent
 from abflux.quantize import (
     ChargeSpectrum,
-    RationalCharge,
+    _parse_charge,
     charge_allowed,
     infer_minimal_N,
     kappa_allowed,
@@ -39,62 +39,58 @@ def prime_factors(n: int) -> set[int]:
 
 
 class TestRationalCharge:
-    def test_lowest_terms(self):
-        q = RationalCharge(4, 6)
-        assert (q.numerator, q.denominator) == (2, 3)
-        assert RationalCharge(3, -6) == RationalCharge(-1, 2)
-
-    def test_integer_normal_form(self):
-        assert RationalCharge(6, 3) == RationalCharge(2)
-        assert RationalCharge(2).denominator == 1
+    """A charge's text read into a Fraction, the one rational type."""
 
     def test_parse_and_str(self):
-        assert RationalCharge.parse("2/3") == RationalCharge(2, 3)
-        assert RationalCharge.parse("-1/3") == RationalCharge(-1, 3)
-        assert RationalCharge.parse(" 5 ") == RationalCharge(5)
-        assert str(RationalCharge(-2, 3)) == "-2/3"
-        assert str(RationalCharge(7)) == "7"
+        assert _parse_charge("2/3") == Fraction(2, 3)
+        assert _parse_charge("-1/3") == Fraction(-1, 3)
+        assert _parse_charge(" 5 ") == Fraction(5)
+        # quantize spectrum prints each charge with str: "p/d", or "p" for d = 1
+        assert str(Fraction(-2, 3)) == "-2/3"
+        assert str(Fraction(7)) == "7"
 
     def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            RationalCharge.parse("two thirds")
-        with pytest.raises(ValueError):
-            RationalCharge.parse("1/0")
+        for text in ("two thirds", "1/0"):
+            with pytest.raises(ValueError, match="not a rational charge"):
+                _parse_charge(text)
+            with pytest.raises(ValueError, match="not a rational charge"):
+                charge_allowed(text, ChargeSpectrum(3))
 
     def test_parse_bounds_the_exponent(self):
         # Fraction builds 10**exponent, so an unbounded exponent is an
         # unbounded cost
         for text in ("1e5000", "1e-5000", "2.5E+4301"):
             with pytest.raises(ValueError, match="exponent"):
-                RationalCharge.parse(text)
-        assert RationalCharge.parse("1e4300") == RationalCharge(10**4300)
-        assert RationalCharge.parse("-1.5e-3") == RationalCharge(-3, 2000)
+                _parse_charge(text)
+            with pytest.raises(ValueError, match="exponent"):
+                infer_minimal_N([text])
+        assert _parse_charge("1e4300") == Fraction(10**4300)
+        assert _parse_charge("-1.5e-3") == Fraction(-3, 2000)
 
     @pytest.mark.parametrize("int_max_str_digits", [0, 4300])
     def test_parse_bounds_digits_whatever_the_int_limit(self, int_max_str_digits):
         # with the interpreter's limit lifted, reading a digit string takes
-        # time quadratic in its length, and only parse's own bound is left
+        # time quadratic in its length, and only _parse_charge's own bound
+        # is left
         saved = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(int_max_str_digits)
         try:
             with pytest.raises(ValueError, match="more than 8600 digits"):
-                RationalCharge.parse("1" * 200_000)
+                _parse_charge("1" * 200_000)
+            with pytest.raises(ValueError, match="more than 8600 digits"):
+                kappa_allowed("1" * 200_000)
             for text in ("1" * 4302, "1/" + "3" * 4302, "9" * 4300 + "e2"):
                 with pytest.raises(ValueError):
-                    RationalCharge.parse(text)
-            assert RationalCharge.parse("1e-4300") == RationalCharge(1, 10**4300)
-            assert RationalCharge.parse("6" * 4300 + "/" + "3" * 4300) == RationalCharge(2)
+                    _parse_charge(text)
+            assert _parse_charge("1e-4300") == Fraction(1, 10**4300)
+            assert _parse_charge("6" * 4300 + "/" + "3" * 4300) == Fraction(2)
         finally:
             sys.set_int_max_str_digits(saved)
-
-    def test_zero_denominator(self):
-        with pytest.raises(ValueError):
-            RationalCharge(1, 0)
 
 
 class TestKappaAllowed:
     def test_integer_allowed(self):
-        assert kappa_allowed(RationalCharge(3))
+        assert kappa_allowed(Fraction(3))
         assert kappa_allowed(0)
 
     def test_half_rejected(self):
@@ -109,24 +105,22 @@ class TestKappaAllowed:
             kappa_allowed(0.5)
 
     def test_rejects_bools(self):
-        # a bool is an int subclass; like a float it is refused, not read as 1 or 0
+        # a bool is an int subclass; like a float it is refused, not read as
+        # 1 or 0, by every function that takes a charge or kappa*e
         for call in (kappa_allowed, lambda x: infer_minimal_N([x, False]),
                      lambda x: charge_allowed(x, ChargeSpectrum(3)),
-                     lambda x: RationalCharge(x, 2), lambda x: RationalCharge(1, x)):
-            with pytest.raises(TypeError, match="expected an exact rational, got bool"):
-                call(True)
-        # and RationalCharge refuses a float or a string as the others do
-        for args, kind in (((0.5, 1), "float"), (("1", 2), "str"), ((1, 0.5), "float")):
-            with pytest.raises(TypeError, match=f"expected an exact rational, got {kind}$"):
-                RationalCharge(*args)
+                     lambda x: kappa_constraints([x], 1), lambda x: kappa_constraints([1], x)):
+            for value, kind in ((True, "bool"), (0.5, "float")):
+                with pytest.raises(TypeError, match=f"expected an exact rational, got {kind}$"):
+                    call(value)
 
 
 class TestChargeAllowed:
     def test_quark_like_charges(self):
         lattice = ChargeSpectrum(3)
-        assert charge_allowed(RationalCharge(2, 3), lattice)
-        assert charge_allowed(RationalCharge(-1, 3), lattice)
-        assert not charge_allowed(RationalCharge(1, 2), lattice)
+        assert charge_allowed(Fraction(2, 3), lattice)
+        assert charge_allowed(Fraction(-1, 3), lattice)
+        assert not charge_allowed(Fraction(1, 2), lattice)
 
     def test_spectrum_validation(self):
         with pytest.raises(ValueError):
@@ -175,14 +169,14 @@ class TestSpectrum:
     def test_sorted_and_on_lattice(self, N, lo, hi):
         lattice = ChargeSpectrum(N)
         values = spectrum(lattice, lo, hi)
-        fractions = [v.as_fraction() for v in values]
-        assert fractions == sorted(fractions)
+        assert all(type(v) is Fraction for v in values)
+        assert values == sorted(values)
         assert all(charge_allowed(v, lattice) for v in values)
 
 
 class TestInferMinimalN:
     def test_integers_only(self):
-        assert infer_minimal_N([RationalCharge(1)]).N == 1
+        assert infer_minimal_N([Fraction(1)]).N == 1
 
     def test_quark_set(self):
         assert infer_minimal_N(["2/3", "-1/3", "1"]).N == 3
@@ -215,6 +209,17 @@ class TestKappaConstraints:
         assert not kappa_constraints(["2/3"], 1)
         assert kappa_constraints(["2/3", "1/7", "-5"], 0)
 
+    def test_every_charge_is_checked_before_any_is_tested(self):
+        # the first charge already fails the test with kappa*e = 1, yet a
+        # later one that is no exact rational is still refused, in either order
+        for charges in (["1/2", "garbage"], ["garbage", "1/2"]):
+            with pytest.raises(ValueError, match="not a rational charge: 'garbage'"):
+                kappa_constraints(charges, 1)
+        for charges in (["1/2", 1.5], [1.5, "1/2"]):
+            with pytest.raises(TypeError, match="expected an exact rational, got float$"):
+                kappa_constraints(charges, 1)
+        assert not kappa_constraints(iter(["1/2", 1]), 1)
+
     @given(st.lists(small_fractions, min_size=1, max_size=6),
            st.integers(min_value=-60, max_value=60))
     def test_integer_kappa_oracle(self, charges, ke):
@@ -230,7 +235,7 @@ class TestAntiparticleClosure:
         # a sign-symmetric range lists each charge's antiparticle, on the lattice
         lattice = ChargeSpectrum(N)
         charges = spectrum(lattice, -3 * N, 3 * N)
-        negated = [RationalCharge(-c.numerator, c.denominator) for c in reversed(charges)]
+        negated = [-c for c in reversed(charges)]
         assert negated == charges
         assert all(charge_allowed(c, lattice) for c in negated)
 
@@ -238,8 +243,8 @@ class TestAntiparticleClosure:
 class TestExactness:
     def test_no_precision_loss_round_trip(self):
         big = 10**9 + 7
-        q = RationalCharge(big - 1, big)
-        assert RationalCharge.parse(str(q)) == q
+        q = Fraction(big - 1, big)
+        assert _parse_charge(str(q)) == q
         assert not charge_allowed(q, ChargeSpectrum(big - 1))
         assert charge_allowed(q, ChargeSpectrum(big))
 
@@ -253,7 +258,7 @@ class TestBridgeToPhases:
             d = rng.randint(1, 12)
             p = rng.choice([n for n in range(-12, 13) if n != 0])
             N = d * rng.randint(1, 3)
-            q = RationalCharge(p, d)
+            q = Fraction(p, d)
             assert charge_allowed(q, ChargeSpectrum(N))
             gamma = rng.uniform(-2.0, 2.0)
             assert phases_equivalent(q.numerator / q.denominator, gamma, gamma + float(N),

@@ -17,7 +17,7 @@ from abflux.geometry import (
     flux_direct,
 )
 from abflux.phase import InterferometerGeometry, PhaseFactor, holonomy, phases_equivalent
-from abflux.quantize import ChargeSpectrum, RationalCharge, spectrum
+from abflux.quantize import ChargeSpectrum, spectrum
 from abflux.stokes import chart_audit, verify_stokes
 
 SQUARE = (Point(2.0, -2.0), Point(2.0, 2.0), Point(-2.0, 2.0), Point(-2.0, -2.0))
@@ -33,7 +33,6 @@ RECORDS = [
     (PhaseFactor(1.25), ("angle",)),
     (InterferometerGeometry(1.0, 2.0, 4.0, 11),
      ("slit_separation", "screen_distance", "half_extent", "samples")),
-    (RationalCharge(-1, 3), ("numerator", "denominator")),
     (ChargeSpectrum(3), ("N",)),
 ]
 IDS = [type(record).__name__ for record, _ in RECORDS]
@@ -105,11 +104,9 @@ def test_defaults_and_positional_construction():
         rel_tol=1e-6, abs_tol=1e-8, max_subdivisions=5)
     assert Circle(Point(0.0, 0.0), 2.0).turns == 1
     assert InterferometerGeometry(1.0, 2.0, 4.0).samples == 201
-    assert RationalCharge(5) == RationalCharge(5, 1)
 
 
 def test_normalizing_constructors():
-    assert values(RationalCharge(4, -6), ("numerator", "denominator")) == (-2, 3)
     assert PhaseFactor(-1.0).angle == -1.0 % math.tau
     assert Polyline(list(SQUARE)).vertices == SQUARE
 
@@ -154,9 +151,6 @@ def test_normalizing_constructors():
      "samples must be an integer, got 2.0"),
     (lambda: InterferometerGeometry(1.0, 1.0, 1.0, 1), ValueError,
      "samples must be between 2 and 1000000, got 1"),
-    (lambda: RationalCharge(1, 0), ValueError, "denominator must be nonzero"),
-    (lambda: RationalCharge(True, 2), TypeError, "expected an exact rational, got bool"),
-    (lambda: RationalCharge(1, False), TypeError, "expected an exact rational, got bool"),
     (lambda: ChargeSpectrum(0), ValueError, "N must be a positive integer, got 0"),
     (lambda: spectrum(ChargeSpectrum(3), True, 2), ValueError,
      "n_min must be an integer, got True"),

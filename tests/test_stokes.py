@@ -310,6 +310,20 @@ class TestSplitDiscPieces:
                                              r"B = 1e\+308, rho = 2\.0: the inputs overflow$"):
             verify_stokes(f, 3.0)
 
+    def test_interior_integrand_that_overflows_is_named(self, monkeypatch):
+        # pi*B*R**2 is finite, but the disc's integrand r*(2*pi*B) is inf:
+        # a ValueError naming B, before any quadrature; chart_audit reads no B
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran before the overflow check")
+
+        f = SolenoidField(B=4e307, R=0.5, gamma=1.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(geometry, "_gk15", no_quadrature)
+            with pytest.raises(ValueError, match=r"^2\*pi\*B overflows at B = 4e\+307: "
+                                                 r"the inputs overflow$"):
+                verify_stokes(f, 3.0)
+        assert math.isfinite(chart_audit(f, 3.0))
+
     def test_extreme_radius_flux(self):
         # the disc flux needs no rho*rho below the solenoid radius: at a
         # subnormal R it underflows to within abs_tol of its true value
