@@ -27,8 +27,10 @@ constant, and so is the cos/sin table of their angles sweep*t, for
 sweeps of 2*pi and -2*pi.  Every arc is one whole turn from azimuth 0
 (a circle or a split-disc ring), so every seed pass reads its trig from
 that table; splits compute it per node with the function that built the
-table, so the values are the same bit for bit.  Both constants are
-built once at import and never changed.  Inputs are
+table, so the values are the same bit for bit.  A turn centred on the
+axis, as every split-disc ring is, leaves the centre's zero out of its
+node coordinates: adding a zero changes no bit there (_arc says why).
+Both constants are built once at import and never changed.  Inputs are
 validated once per path, not per quadrature node: _require_clearance
 takes one enclosure of the path's rho range (fields._side), which puts
 it on one side of rho = R and so fixes the formula once per piece,
@@ -39,7 +41,8 @@ gamma*(x*dy - y*dx)/(x*x + y*y), with no square root.  The integrand is
 periodic, so an n-turn circle is integrated over one revolution and the
 result scaled by n: rel_tol carries over exactly, while abs_tol applies
 per revolution.  An integral that overflows floating point raises
-ValueError.
+ValueError naming the inputs it came from (B or gamma, with turns or
+the disc's radius), once the kernel has found it not finite.
 
 The split disc keeps its last four integrals (_split_disc), keyed on
 the identity of its field, outer radius and spec, as circulation keeps
@@ -236,17 +239,24 @@ def _integrate_pieces(pieces: list[tuple], spec: QuadratureSpec) -> float:
             heapq.heappush(heap, (-e1, next(tie), c, lo, mid, v1))
             heapq.heappush(heap, (-e2, next(tie), c, mid, hi, v2))
             splits += 1
-    # checked on the running sum: fsum raises OverflowError, not
-    # ValueError, on finite terms whose sum overflows.  fsum is exactly
-    # rounded, so the order of the panels does not change the result.
-    _require_finite_integral(total)
+    # a running sum that is not finite is returned as it is, for the
+    # piece's builder to name the inputs that overflow; it is checked
+    # before fsum, which raises OverflowError, not ValueError, on finite
+    # terms whose sum overflows.  fsum is exactly rounded, so the order of
+    # the panels does not change the result.
+    if not math.isfinite(total):
+        return total
     return math.fsum([item[5] for item in heap])
 
 
-def _require_finite_integral(value: float) -> float:
-    if not math.isfinite(value):
-        raise ValueError(f"integral is not finite ({value!r}): the inputs overflow")
-    return value
+def _not_finite(value: float, *inputs: tuple[str, float]) -> ValueError:
+    """The error for an integral that is not finite, naming the (name,
+    value) inputs it was computed from.  Raised after the kernel, which
+    alone can tell whether the integral overflows: a bound on the inputs
+    would refuse finite integrals, such as a large gamma on a circle that
+    does not wind."""
+    named = ", ".join(f"{name} = {v!r}" for name, v in inputs)
+    return ValueError(f"integral is not finite ({value!r}) at {named}: the inputs overflow")
 
 
 def _require_finite_flux(f: SolenoidField, rho: float) -> None:
@@ -276,18 +286,44 @@ def _arc(coef: float, inside: bool, cx: float, cy: float, radius: float,
     the linear field (-B*y/2, B*x/2) inside, gamma*(-y, x)/rho**2
     outside, in the same floating-point operations as eval_A, so every
     value equals eval_A's dotted with dr/dt.
+
+    A turn centred on the axis, cx and cy both zero of either sign (the
+    split disc's rings, a circle about the origin), drops the centre from
+    x = cx + radius*cos and y = cy + radius*sin, and no bit changes.
+    v + -0.0 is v for every v, and v + 0.0 is v for every v but -0.0,
+    which radius*cos or radius*sin is only where it underflows.  There
+    the node's value sums that term with the other, which keeps the
+    sign of its zero only if it is a zero too, and a zero's sign reaches
+    the integral only if every value summed is a zero.
+
+    A turn whose integral is not finite is a ValueError naming coef.
     """
     k = radius * sweep
     nk = -k
     turn_trig = _TURN_TRIG[sweep > 0.0]
-
+    centred = cx == 0.0 and cy == 0.0
     if inside:
         bx, by = -0.5 * coef, 0.5 * coef
-
+        if centred:
+            def fn(cs: Sequence[int], ts: Sequence[float]) -> list[float]:
+                pairs = turn_trig if ts is _TURN_NODES else _trig(sweep, ts)
+                return [bx * (radius * s) * (nk * s) + by * (radius * c) * (k * c)
+                        for c, s in pairs]
+        else:
+            def fn(cs: Sequence[int], ts: Sequence[float]) -> list[float]:
+                pairs = turn_trig if ts is _TURN_NODES else _trig(sweep, ts)
+                return [bx * (cy + radius * s) * (nk * s) + by * (cx + radius * c) * (k * c)
+                        for c, s in pairs]
+    elif centred:
         def fn(cs: Sequence[int], ts: Sequence[float]) -> list[float]:
             pairs = turn_trig if ts is _TURN_NODES else _trig(sweep, ts)
-            return [bx * (cy + radius * s) * (nk * s) + by * (cx + radius * c) * (k * c)
-                    for c, s in pairs]
+            out = []
+            for c, s in pairs:
+                x, y = radius * c, radius * s
+                rho = hypot(x, y)
+                scale = coef / (rho * rho)
+                out.append(-scale * y * (nk * s) + scale * x * (k * c))
+            return out
     else:
         def fn(cs: Sequence[int], ts: Sequence[float]) -> list[float]:
             pairs = turn_trig if ts is _TURN_NODES else _trig(sweep, ts)
@@ -299,7 +335,10 @@ def _arc(coef: float, inside: bool, cx: float, cy: float, radius: float,
                 out.append(-scale * y * (nk * s) + scale * x * (k * c))
             return out
 
-    return _integrate_pieces([(fn, 0.0, 1.0, 4, 1)], spec)
+    value = _integrate_pieces([(fn, 0.0, 1.0, 4, 1)], spec)
+    if not math.isfinite(value):
+        raise _not_finite(value, ("B" if inside else "gamma", coef))
+    return value
 
 
 def _edges(f: SolenoidField, points: Sequence[Point], spec: QuadratureSpec) -> float:
@@ -341,7 +380,8 @@ def _edges(f: SolenoidField, points: Sequence[Point], spec: QuadratureSpec) -> f
             if (edge := near - _ROUND * rho_p) < low:
                 low = edge
 
-    if _require_clearance(f, lo, hi, low):
+    inside = _require_clearance(f, lo, hi, low)
+    if inside:
         bx, by = -0.5 * f.B, 0.5 * f.B
 
         def fn(cs: Sequence[int], ts: Sequence[float]) -> list[float]:
@@ -364,17 +404,25 @@ def _edges(f: SolenoidField, points: Sequence[Point], spec: QuadratureSpec) -> f
                     out.append(gamma * ((x * dy - y * dx) / (x * x + y * y)))
             return out
 
-    return _integrate_pieces([(fn, 0.0, 1.0, len(coords), len(coords))], spec)
+    value = _integrate_pieces([(fn, 0.0, 1.0, len(coords), len(coords))], spec)
+    if not math.isfinite(value):
+        raise _not_finite(value, ("B", f.B) if inside else ("gamma", f.gamma))
+    return value
 
 
 def _disc(coef: float, rho: float, spec: QuadratureSpec) -> float:
-    """Flux of B_z = coef through the disc [0, rho], validated by the caller."""
+    """Flux of B_z = coef through the disc [0, rho], validated by the
+    caller; a ValueError naming B and rho if its integrand r*(2*pi*B)
+    overflows near r = rho, although the flux itself may be finite."""
     azimuthal = math.tau * coef
 
     def radial(cs: Sequence[int], rhos: Sequence[float]) -> list[float]:
         return [r * azimuthal for r in rhos]
 
-    return _integrate_pieces([(radial, 0.0, rho, 1, 1)], spec)
+    value = _integrate_pieces([(radial, 0.0, rho, 1, 1)], spec)
+    if not math.isfinite(value):
+        raise _not_finite(value, ("B", coef), ("rho", rho))
+    return value
 
 
 class Circle(Record):
@@ -508,9 +556,12 @@ def circulation(
         d = math.hypot(c.x, c.y)
         lo, hi = abs(d - path.radius), d + path.radius
         inside = _require_clearance(f, lo, hi, lo - _ROUND * hi)
-        turn = _arc(f.B if inside else f.gamma, inside, c.x, c.y, path.radius,
-                    math.copysign(math.tau, path.turns), spec)
-        value = _require_finite_integral(turn * abs(path.turns))
+        name, coef = ("B", f.B) if inside else ("gamma", f.gamma)
+        turn = _arc(coef, inside, c.x, c.y, path.radius, math.copysign(math.tau, path.turns),
+                    spec)
+        value = turn * abs(path.turns)
+        if not math.isfinite(value):
+            raise _not_finite(value, (name, coef), ("turns", path.turns))
     else:
         value = _edges(f, path.vertices + path.vertices[:1], spec)
     _last_circulation = (f, path, spec, value)
@@ -569,12 +620,15 @@ def _split_disc(f: SolenoidField, L: float, spec: QuadratureSpec) -> tuple:
     whole turn at rho = R, its one-sided limit, the flux of B through
     [0, R] and the exterior rings; kept for the next call about the same
     objects unless it raises.  The caller validates L; a flux pi*B*R**2
-    or a 2*pi*B that overflows is refused here, before any integral runs."""
+    or a 2*pi*B that overflows is refused here, before any integral runs.
+    The area flux is integrated first, so a B that overflows its
+    integrand is named with R, as flux_direct names it."""
     global _last_split_disc
     values = _stored_split_disc(f, L, spec)
     if values is None:
         _require_finite_flux(f, f.R)
-        values = (_arc(f.B, True, 0.0, 0.0, f.R, math.tau, spec), _disc(f.B, f.R, spec),
+        area = _disc(f.B, f.R, spec)
+        values = (_arc(f.B, True, 0.0, 0.0, f.R, math.tau, spec), area,
                   *_exterior_rings(f, L, spec))
         _last_split_disc = (f, L, spec, values)
     return values

@@ -399,6 +399,17 @@ class TestCirculationCommand:
         assert code == 1
         assert err.startswith("PathCrossesSolenoid")
 
+    @pytest.mark.parametrize("argv, inputs", [
+        ("--gamma 1e308 --circle r=3", "gamma = 1e+308"),
+        ("--gamma 3e307 --circle r=3", "gamma = 3e+307"),
+        ("--B 1e308 --R 10 --gamma 1 --circle r=3", "B = 1e+308"),
+        ("--gamma 1e307 --circle r=3,turns=3", "gamma = 1e+307, turns = 3"),
+    ])
+    def test_overflow_names_its_inputs(self, capsys, argv, inputs):
+        code, out, err = run_cli(capsys, "circulation", *argv.split())
+        assert code == 2 and out == ""
+        assert err == f"ValueError: integral is not finite (inf) at {inputs}: the inputs overflow\n"
+
 
 class TestFluxCommand:
     def test_value(self, capsys):

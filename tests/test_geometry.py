@@ -324,15 +324,42 @@ class TestCirculation:
             circulation(f, square, QuadratureSpec(max_subdivisions=0))
 
     def test_overflowing_integral_raises(self):
-        # the integrand overflows to inf on the square's nodes
+        # named once the kernel finds the integral not finite, with the
+        # coefficient of the path's side and, past one turn, the turns
         square = Polyline((Point(2, -2), Point(2, 2), Point(-2, 2), Point(-2, -2)))
-        with pytest.raises(ValueError):
-            circulation(SolenoidField(B=0.0, R=1.0, gamma=1e308), square)
-        with pytest.raises(ValueError):
-            circulation(SolenoidField(B=1e308, R=10.0, gamma=0.0), Circle(ORIGIN, 5.0, 1))
-        # finite one-turn value, overflowing once scaled by the turn count
-        with pytest.raises(ValueError):
-            circulation(SolenoidField(B=0.0, R=1.0, gamma=1e306), Circle(ORIGIN, 3.0, 1000))
+        cases = [
+            # the integrand overflows to inf on the square's nodes
+            (SolenoidField(B=0.0, R=1.0, gamma=1e308), square, r"gamma = 1e\+308"),
+            (SolenoidField(B=1e308, R=10.0, gamma=0.0), square, r"B = 1e\+308"),
+            (SolenoidField(B=1e308, R=10.0, gamma=0.0), Circle(ORIGIN, 5.0, 1), r"B = 1e\+308"),
+            (SolenoidField(B=1e308, R=10.0, gamma=1.0), Circle(Point(1.0, 0.5), 3.0, -2),
+             r"B = 1e\+308"),
+            (SolenoidField(B=0.0, R=1.0, gamma=1e308), Circle(ORIGIN, 3.0), r"gamma = 1e\+308"),
+            # 2*pi*gamma, the one turn's value, overflows though gamma*2*pi*r
+            # does not
+            (SolenoidField(B=0.0, R=1.0, gamma=3e307), Circle(ORIGIN, 3.0), r"gamma = 3e\+307"),
+            # finite one-turn value, overflowing once scaled by the turn count
+            (SolenoidField(B=0.0, R=1.0, gamma=1e306), Circle(ORIGIN, 3.0, 1000),
+             r"gamma = 1e\+306, turns = 1000"),
+            (SolenoidField(B=0.0, R=1.0, gamma=1e307), Circle(ORIGIN, 3.0, 3),
+             r"gamma = 1e\+307, turns = 3"),
+            (SolenoidField(B=0.0, R=1.0, gamma=-1e306), Circle(ORIGIN, 3.0, -1000),
+             r"gamma = -1e\+306, turns = -1000"),
+        ]
+        for f, path, inputs in cases:
+            with pytest.raises(ValueError, match=rf"^integral is not finite \(-?inf\) at "
+                                                 rf"{inputs}: the inputs overflow$"):
+                circulation(f, path)
+
+    def test_large_gamma_on_a_far_circle_returns_its_value(self):
+        # 2*pi*gamma overflows, but this circle does not wind: its integral
+        # is finite and returned, as the reference kernel computes it
+        f = SolenoidField(B=0.0, R=1.0, gamma=1e308)
+        circle = Circle(Point(10.0, 0.0), 0.001)
+        arc = reference.arc_piece(f, False, 10.0, 0.0, 0.001, 0.0, TWO_PI)
+        value = circulation(f, circle)
+        assert math.isfinite(value)
+        assert repr(value) == repr(reference.integrate([arc], QuadratureSpec())[0])
 
     def test_large_gamma_with_a_finite_integral_returns_it(self):
         # gamma*(x*dy - y*dx) alone would overflow on this square's nodes
@@ -626,6 +653,18 @@ class TestFluxDirect:
         f = SolenoidField(B=2e307, R=0.5, gamma=1.0)
         assert flux_direct(f, 3.0) == pytest.approx(math.pi * f.B * 0.25, rel=1e-12)
 
+    @pytest.mark.parametrize("B", [2.5e307, -2.5e307])
+    def test_disc_integrand_that_overflows_near_its_rim_is_named(self, B):
+        # pi*B*rho**2 and 2*pi*B are finite, but r*(2*pi*B) overflows on
+        # the nodes near r = rho: named with rho once the kernel finds it
+        f = SolenoidField(B=B, R=1.5, gamma=1.0)
+        for L, rho in ((3.0, "1.5"), (1.2, "1.2")):
+            assert math.isfinite(math.pi * B * float(rho) ** 2)
+            with pytest.raises(ValueError, match=rf"^integral is not finite \(-?inf\) at "
+                                                 rf"B = {re.escape(repr(B))}, rho = {rho}: "
+                                                 r"the inputs overflow$"):
+                flux_direct(f, L)
+
 
 class TestLoaders:
     def test_polyline_csv(self):
@@ -869,6 +908,39 @@ class TestBatchedKernelMatchesReference:
                                           math.copysign(TWO_PI, circle.turns))
                 want = self.expected([arc], spec, abs(circle.turns))
                 assert self.counted(monkeypatch, lambda: circulation(f, circle, spec)) == want
+
+    @pytest.mark.parametrize("spec", [QuadratureSpec(), QuadratureSpec(rel_tol=1e-12)])
+    @pytest.mark.parametrize("center", [Point(0.0, 0.0), Point(-0.0, 0.0), Point(0.0, -0.0),
+                                        Point(-0.0, -0.0), Point(5e-324, 0.0)])
+    def test_centred_arcs(self, center, spec, monkeypatch):
+        # a turn about the axis leaves out the centre's adds of a zero of
+        # either sign; the reference adds them, and keeps every bit.  The
+        # smallest centre off the axis takes the general integrand
+        rng = random.Random(79)
+        for _ in range(6):
+            f = random_field(rng)
+            for turns in (1, -1, 3, -3):
+                for lo, hi, inside in ((0.1, 0.9, True), (1.1, 4.0, False)):
+                    circle = Circle(center, rng.uniform(lo, hi) * f.R, turns)
+                    arc = reference.arc_piece(f, inside, center.x, center.y, circle.radius,
+                                              0.0, math.copysign(TWO_PI, turns))
+                    want = self.expected([arc], spec, abs(turns))
+                    assert self.counted(monkeypatch, lambda: circulation(f, circle, spec)) == want
+
+    @pytest.mark.parametrize("radius", [5e-324, 1e-320, 1e-310, 1e-200, 1e-160])
+    def test_centred_arcs_at_tiny_radii(self, radius, monkeypatch):
+        # radius*cos and radius*sin underflow to zeros of either sign,
+        # which adding a +0.0 centre would make +0.0: the values, zeros
+        # with their signs, are still the reference's
+        for center in (Point(0.0, 0.0), Point(-0.0, -0.0)):
+            for B in (2.0, -2.0, 0.0, -0.0, 1e300):
+                f = SolenoidField(B=B, R=1.0, gamma=0.5)
+                for turns in (1, -1, 3):
+                    circle = Circle(center, radius, turns)
+                    arc = reference.arc_piece(f, True, center.x, center.y, radius, 0.0,
+                                              math.copysign(TWO_PI, turns))
+                    want = self.expected([arc], QuadratureSpec(), abs(turns))
+                    assert self.counted(monkeypatch, lambda: circulation(f, circle)) == want
 
     def test_segments(self, monkeypatch):
         rng = random.Random(73)

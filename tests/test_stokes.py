@@ -324,6 +324,24 @@ class TestSplitDiscPieces:
                 verify_stokes(f, 3.0)
         assert math.isfinite(chart_audit(f, 3.0))
 
+    def test_interior_integrand_that_overflows_near_the_rim_is_named(self):
+        # pi*B*R**2 and 2*pi*B are finite, but r*(2*pi*B) overflows near
+        # r = R: the area flux, integrated first, names B and R as
+        # flux_direct does
+        f = SolenoidField(B=2.5e307, R=1.5, gamma=1.0)
+        message = r"^integral is not finite \(inf\) at B = 2\.5e\+307, rho = 1\.5: "
+        for call in (verify_stokes, flux_direct):
+            with pytest.raises(ValueError, match=message + "the inputs overflow$"):
+                call(f, 3.0)
+
+    def test_exterior_rings_that_overflow_are_named(self):
+        # 2*pi*gamma overflows on both exterior rings
+        f = SolenoidField(B=1.0, R=1.0, gamma=1e308)
+        for call in (verify_stokes, chart_audit):
+            with pytest.raises(ValueError, match=r"^integral is not finite \(inf\) at "
+                                                 r"gamma = 1e\+308: the inputs overflow$"):
+                call(f, 3.0)
+
     def test_extreme_radius_flux(self):
         # the disc flux needs no rho*rho below the solenoid radius: at a
         # subnormal R it underflows to within abs_tol of its true value
