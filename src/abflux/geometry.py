@@ -259,18 +259,6 @@ def _not_finite(value: float, *inputs: tuple[str, float]) -> ValueError:
     return ValueError(f"integral is not finite ({value!r}) at {named}: the inputs overflow")
 
 
-def _require_finite_flux(f: SolenoidField, rho: float) -> None:
-    """ValueError naming B and rho when the flux pi*B*rho**2 through the
-    disc [0, rho] overflows, or naming B when _disc's 2*pi*B does, which
-    makes its integrand inf at every node; checked before B is integrated."""
-    if not math.isfinite(math.pi * f.B * rho * rho):
-        raise ValueError(
-            f"flux pi*B*rho**2 overflows at B = {f.B!r}, rho = {rho!r}: the inputs overflow"
-        )
-    if not math.isfinite(math.tau * f.B):
-        raise ValueError(f"2*pi*B overflows at B = {f.B!r}: the inputs overflow")
-
-
 def _arc(coef: float, inside: bool, cx: float, cy: float, radius: float,
          sweep: float, spec: QuadratureSpec) -> float:
     """Integral along one whole turn about (cx, cy) from azimuth 0, sweep
@@ -412,8 +400,8 @@ def _edges(f: SolenoidField, points: Sequence[Point], spec: QuadratureSpec) -> f
 
 def _disc(coef: float, rho: float, spec: QuadratureSpec) -> float:
     """Flux of B_z = coef through the disc [0, rho], validated by the
-    caller; a ValueError naming B and rho if its integrand r*(2*pi*B)
-    overflows near r = rho, although the flux itself may be finite."""
+    caller; a ValueError naming B and rho if the kernel finds it not
+    finite, whether the flux or only its integrand r*(2*pi*B) overflows."""
     azimuthal = math.tau * coef
 
     def radial(cs: Sequence[int], rhos: Sequence[float]) -> list[float]:
@@ -581,15 +569,13 @@ def flux_direct(f: SolenoidField, L: float, spec: QuadratureSpec | None = None) 
     Only the disc [0, min(L, R)] is integrated in polar form, with the
     interior B_z = B up to rho = R itself: for L > R the annulus [R, L]
     carries the exterior B_z = 0 and adds nothing.  Analytic value, for
-    any L > 0: pi * B * min(L, R)**2; an overflow is a ValueError naming
-    B and min(L, R), and a 2*pi*B that overflows one naming B.
+    any L > 0: pi * B * min(L, R)**2; a flux that overflows is a
+    ValueError naming B and min(L, R).
     """
     spec = spec if spec is not None else _DEFAULT_SPEC
     _require_positive("disc radius", L, error=InvalidRadius)
-    rho = min(L, f.R)
-    _require_finite_flux(f, rho)
     values = _stored_split_disc(f, L, spec)
-    return values[1] if values is not None else _disc(f.B, rho, spec)
+    return values[1] if values is not None else _disc(f.B, min(L, f.R), spec)
 
 
 #: the last split disc as (f, L, spec, _split_disc's four values), or None
@@ -619,14 +605,12 @@ def _split_disc(f: SolenoidField, L: float, spec: QuadratureSpec) -> tuple:
     """(phi_1, phi_1_area, circ_inner, circ_outer): the interior formula's
     whole turn at rho = R, its one-sided limit, the flux of B through
     [0, R] and the exterior rings; kept for the next call about the same
-    objects unless it raises.  The caller validates L; a flux pi*B*R**2
-    or a 2*pi*B that overflows is refused here, before any integral runs.
-    The area flux is integrated first, so a B that overflows its
-    integrand is named with R, as flux_direct names it."""
+    objects unless it raises.  The caller validates L.  The area flux is
+    integrated first, so a flux that overflows is named with B and R, as
+    flux_direct names it."""
     global _last_split_disc
     values = _stored_split_disc(f, L, spec)
     if values is None:
-        _require_finite_flux(f, f.R)
         area = _disc(f.B, f.R, spec)
         values = (_arc(f.B, True, 0.0, 0.0, f.R, math.tau, spec), area,
                   *_exterior_rings(f, L, spec))

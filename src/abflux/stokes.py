@@ -22,8 +22,7 @@ limits.  Each side's formula is smooth up to the surface, so each limit
 is that formula integrated on rho = R itself, and D1's area flux is
 integrated on [0, R] the same way.  Every circle and disc is built from
 a quadrature piece whose side is known, so the inputs are validated
-once, by the outer-radius check L > R, and B by the interior flux
-pi*B*R**2 and by 2*pi*B, neither of which may overflow.
+once, by the outer-radius check L > R.
 
 The chart audit's two-sector assembly of D2's flux is zero by
 construction (see chart_audit), so it needs only the rings of D2.
@@ -89,9 +88,8 @@ def verify_stokes(
     the interior potential and as a direct area quadrature of the field;
     the two must agree (the integral theorem holds on each smooth part)
     or the computation is rejected.  The reported phi_1 is the
-    circulation value.  An interior flux pi*B*R**2 that overflows is a
-    ValueError naming B and R, and a 2*pi*B that does one naming B,
-    raised before any integral runs.
+    circulation value.  An interior flux that the kernel finds not
+    finite is a ValueError naming B and R.
     """
     spec = spec if spec is not None else _DEFAULT_SPEC
     _require_outer_radius(f, L)

@@ -14,6 +14,10 @@ from abflux.errors import AbfluxError
 from abflux.fields import Point, SolenoidField
 from abflux.geometry import Circle, Polyline
 
+#: (B, R) whose disc flux overflows near the top of the float range: only
+#: r*(2*pi*B) near r = R (2.5e307), 2*pi*B itself (4e307), or pi*B*R**2 (1e308)
+DISC_OVERFLOWS = ((2.5e307, 1.5), (-2.5e307, 1.5), (1e308, 2.0), (4e307, 0.5), (-4e307, 0.5))
+
 
 def random_field(rng: random.Random, B: float | None = None,
                  gamma: float | None = None) -> SolenoidField:

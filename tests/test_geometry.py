@@ -9,11 +9,12 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import _reference_quadrature as reference
 from _helpers import (
+    DISC_OVERFLOWS,
     cylindrical,
     json_numbers,
     json_values,
@@ -600,6 +601,10 @@ class TestFluxDirect:
     def test_interior_disc(self):
         f = SolenoidField(B=2.0, R=1.0, gamma=1.0)
         assert flux_direct(f, 0.5) == pytest.approx(math.pi / 2.0, rel=1e-9)
+        # near the top of the range, a disc whose integrand r*(2*pi*B)
+        # stays finite returns its flux
+        f = SolenoidField(B=2e307, R=0.5, gamma=1.0)
+        assert flux_direct(f, 3.0) == pytest.approx(math.pi * f.B * 0.25, rel=1e-12)
 
     def test_zero_field(self):
         f = SolenoidField(B=0.0, R=1.0, gamma=1.0)
@@ -625,45 +630,51 @@ class TestFluxDirect:
         with pytest.raises(InvalidRadius):
             flux_direct(f, -2.0)
 
-    def test_flux_that_overflows_is_named(self, monkeypatch):
-        # pi*B*rho**2 overflows on the disc [0, min(L, R)]: a ValueError
-        # naming B and that radius, before any quadrature
-        def no_quadrature(*args):
-            raise AssertionError("quadrature ran before the overflow check")
+    @settings(max_examples=300, deadline=None)
+    @given(B=st.floats(-1.79e308, 1.79e308), R=st.floats(1e-150, 1e150),
+           scale=st.sampled_from((0.5, 1.0, 2.0)))
+    # the exact flux is 1.79769313486231569e308, at most the largest float,
+    # though pi*B*R**2 rounds to inf
+    @example(B=1.4933147795069277e+58, R=6.190235362880833e+124, scale=1.0)
+    def test_returns_the_flux_or_names_the_overflow(self, B, R, scale):
+        # the disc [0, min(L, R)] is refused only where the kernel finds its
+        # integral not finite, and always where 2*pi*B overflows
+        f = SolenoidField(B=B, R=R, gamma=0.0)
+        L = scale * R
+        rho = min(L, R)
+        try:
+            value = flux_direct(f, L)
+        except ValueError as error:
+            assert str(error).startswith("integral is not finite (")
+            assert f"at B = {B!r}, rho = {rho!r}: the inputs overflow" in str(error)
+            return
+        assert math.isfinite(math.tau * B)
+        exact = Fraction(math.pi) * Fraction(B) * Fraction(rho) ** 2
+        spec = QuadratureSpec()
+        assert abs(Fraction(value) - exact) <= max(spec.abs_tol, spec.rel_tol * abs(exact))
 
-        monkeypatch.setattr(geometry, "_gk15", no_quadrature)
-        f = SolenoidField(B=1e308, R=2.0, gamma=1.0)
-        for L, rho in ((3.0, "2.0"), (1.5, "1.5")):
-            with pytest.raises(ValueError, match=rf"^flux pi\*B\*rho\*\*2 overflows at "
-                                                 rf"B = 1e\+308, rho = {rho}: "):
-                flux_direct(f, L)
+    @pytest.mark.parametrize("B, R", DISC_OVERFLOWS, ids=[repr(B) for B, _ in DISC_OVERFLOWS])
+    def test_disc_integrand_that_overflows_near_its_rim_is_named(self, B, R, monkeypatch):
+        # the flux pi*B*rho**2, 2*pi*B, or only r*(2*pi*B) on the nodes
+        # near r = rho overflows: named with rho once the kernel finds it,
+        # after the one seed panel
+        panels = [0]
+        gk15 = geometry._gk15
 
-    def test_disc_integrand_that_overflows_is_named(self, monkeypatch):
-        # pi*B*rho**2 is finite, but the disc's integrand r*(2*pi*B) is inf
-        # at every node: a ValueError naming B, before any quadrature
-        def no_quadrature(*args):
-            raise AssertionError("quadrature ran before the overflow check")
+        def counting(*args):
+            panels[0] += 1
+            return gk15(*args)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(geometry, "_gk15", no_quadrature)
-            for B in (4e307, -4e307):
-                message = rf"^2\*pi\*B overflows at B = {re.escape(repr(B))}: "
-                with pytest.raises(ValueError, match=message + "the inputs overflow$"):
-                    flux_direct(SolenoidField(B=B, R=0.5, gamma=1.0), 3.0)
-        f = SolenoidField(B=2e307, R=0.5, gamma=1.0)
-        assert flux_direct(f, 3.0) == pytest.approx(math.pi * f.B * 0.25, rel=1e-12)
-
-    @pytest.mark.parametrize("B", [2.5e307, -2.5e307])
-    def test_disc_integrand_that_overflows_near_its_rim_is_named(self, B):
-        # pi*B*rho**2 and 2*pi*B are finite, but r*(2*pi*B) overflows on
-        # the nodes near r = rho: named with rho once the kernel finds it
-        f = SolenoidField(B=B, R=1.5, gamma=1.0)
-        for L, rho in ((3.0, "1.5"), (1.2, "1.2")):
-            assert math.isfinite(math.pi * B * float(rho) ** 2)
+        monkeypatch.setattr(geometry, "_gk15", counting)
+        f = SolenoidField(B=B, R=R, gamma=1.0)
+        for L in (3.0, 0.8 * R):
+            panels[0] = 0
+            rho = re.escape(repr(min(L, R)))
             with pytest.raises(ValueError, match=rf"^integral is not finite \(-?inf\) at "
                                                  rf"B = {re.escape(repr(B))}, rho = {rho}: "
                                                  r"the inputs overflow$"):
                 flux_direct(f, L)
+            assert panels[0] == 1
 
 
 class TestLoaders:

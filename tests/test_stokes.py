@@ -1,12 +1,13 @@
 import json
 import math
 import random
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from _helpers import random_field
+from _helpers import DISC_OVERFLOWS, random_field
 from abflux import cli, geometry
 from abflux.errors import InvalidRadius, QuadratureNotConverged
 from abflux.fields import SolenoidField, ab_standard, gauge_shift
@@ -298,41 +299,29 @@ class TestSplitDiscPieces:
             with pytest.raises(ValueError, match="overflow"):
                 call(f, 2e155)
 
-    def test_interior_flux_that_overflows_is_named(self, monkeypatch):
-        # pi*B*R**2 overflows: a ValueError naming B and R, before any
-        # quadrature, not the kernel's non-finite integral
-        def no_quadrature(*args):
-            raise AssertionError("quadrature ran before the overflow check")
+    def test_interior_integrand_that_overflows_near_the_rim_is_named(self, monkeypatch):
+        # the flux pi*B*R**2, 2*pi*B, or only r*(2*pi*B) near r = R
+        # overflows: the area flux, integrated first, names B and R as
+        # flux_direct does, once the kernel finds it not finite;
+        # chart_audit reads no B
+        panels = [0]
+        gk15 = geometry._gk15
 
-        monkeypatch.setattr(geometry, "_gk15", no_quadrature)
-        f = SolenoidField(B=1e308, R=2.0, gamma=1.0)
-        with pytest.raises(ValueError, match=r"^flux pi\*B\*rho\*\*2 overflows at "
-                                             r"B = 1e\+308, rho = 2\.0: the inputs overflow$"):
-            verify_stokes(f, 3.0)
+        def counting(*args):
+            panels[0] += 1
+            return gk15(*args)
 
-    def test_interior_integrand_that_overflows_is_named(self, monkeypatch):
-        # pi*B*R**2 is finite, but the disc's integrand r*(2*pi*B) is inf:
-        # a ValueError naming B, before any quadrature; chart_audit reads no B
-        def no_quadrature(*args):
-            raise AssertionError("quadrature ran before the overflow check")
-
-        f = SolenoidField(B=4e307, R=0.5, gamma=1.0)
-        with monkeypatch.context() as patch:
-            patch.setattr(geometry, "_gk15", no_quadrature)
-            with pytest.raises(ValueError, match=r"^2\*pi\*B overflows at B = 4e\+307: "
-                                                 r"the inputs overflow$"):
-                verify_stokes(f, 3.0)
-        assert math.isfinite(chart_audit(f, 3.0))
-
-    def test_interior_integrand_that_overflows_near_the_rim_is_named(self):
-        # pi*B*R**2 and 2*pi*B are finite, but r*(2*pi*B) overflows near
-        # r = R: the area flux, integrated first, names B and R as
-        # flux_direct does
-        f = SolenoidField(B=2.5e307, R=1.5, gamma=1.0)
-        message = r"^integral is not finite \(inf\) at B = 2\.5e\+307, rho = 1\.5: "
-        for call in (verify_stokes, flux_direct):
-            with pytest.raises(ValueError, match=message + "the inputs overflow$"):
-                call(f, 3.0)
+        monkeypatch.setattr(geometry, "_gk15", counting)
+        for B, R in DISC_OVERFLOWS:
+            f = SolenoidField(B=B, R=R, gamma=1.0)
+            message = (rf"^integral is not finite \(-?inf\) at B = {re.escape(repr(B))}, "
+                       rf"rho = {re.escape(repr(R))}: the inputs overflow$")
+            for call, most in ((verify_stokes, 5), (flux_direct, 1)):
+                panels[0] = 0
+                with pytest.raises(ValueError, match=message):
+                    call(f, 3.0)
+                assert 1 <= panels[0] <= most
+            assert math.isfinite(chart_audit(f, 3.0))
 
     def test_exterior_rings_that_overflow_are_named(self):
         # 2*pi*gamma overflows on both exterior rings
