@@ -126,7 +126,11 @@ class QuadratureSpec(Record):
     ``max_subdivisions`` counts bisections only.  The seed panels every
     integration starts from are not counted against it: one per polyline
     edge, one per quarter turn of an arc and one for a disc.  That work
-    grows linearly with the size of the path.
+    grows linearly with the size of the path.  A certification, which
+    replaces a panel's error estimate with its proven bound
+    (geometry._integrate_pieces), is not a subdivision and is not
+    counted either; it needs budget left, as a split does, and each
+    panel is certified at most once, so the work stays bounded.
     """
 
     __slots__ = _fields = ("rel_tol", "abs_tol", "max_subdivisions")

@@ -5,15 +5,26 @@ function, _integrate_pieces, owns its seed pass, bisection and exact
 re-sum, as QUADPACK's dqagse does; it takes a list of one path piece,
 which the benchmark's tracer wraps and reads.  The piece seeds a
 worklist with its embedded error estimate; the worst interval is
-bisected until the summed estimate meets the requested tolerance
-(absolute or relative, whichever is slacker) or the subdivision budget
-runs out.  The running sums of values and estimates drift by rounding,
-so once the estimate could be within that drift of the tolerance, both
-are summed again exactly and convergence is judged on the exact sums.
+certified or bisected until the summed error meets the requested
+tolerance (absolute or relative, whichever is slacker) or the
+subdivision budget runs out.  The running sums of values and errors
+drift by rounding, so once the error could be within that drift of the
+tolerance, both are summed again exactly and convergence is judged on
+the exact sums.
 The result is the exactly rounded sum (math.fsum) of the panel values,
 so repeated runs are bit-identical.  The 1/rho falloff of the exterior
 potential near the solenoid needs no special casing: the adaptive loop
 concentrates nodes there on its own.
+
+A panel can be certified instead of split.  Exterior edges carry a
+closed-form bound on each panel's error (_edge_bound): their integrand
+is a Lorentzian whose poles are known, so the Gauss-Kronrod truncation
+error has an a-priori bound (Trefethen, Approximation Theory and
+Approximation Practice, SIAM 2013, Thms 8.2 and 19.3), to which a bound
+on the rounding of nodes, values and the rule's sum is added.  When the
+worst panel's bound is below its estimate |K15 - G7|, the bound becomes
+its error and it is not split.  Arcs, interior edges and the disc carry
+no bound and are only ever split.
 
 Every curve is integrated by one of two functions, _arc for a circular
 arc and _edges for a run of straight edges.  Each builds its piece,
@@ -82,11 +93,13 @@ from .fields import (
     _side,
 )
 
-# A quadrature piece is a tuple (fn, a, b, seed, curves): integrate each
-# of `curves` curves over [a, b] and sum them all, seeded with one panel
-# [a, b] per curve (seed == curves: edges, the disc) or with an arc's
-# four quarter turns of [0, 1]; fn(cs, ts) maps curve indices and nodes
-# to the integrand values at each node of each listed curve, in order.
+# A quadrature piece is a tuple (fn, a, b, seed, curves, bound):
+# integrate each of `curves` curves over [a, b] and sum them all, seeded
+# with one panel [a, b] per curve (seed == curves: edges, the disc) or
+# with an arc's four quarter turns of [0, 1]; fn(cs, ts) maps curve
+# indices and nodes to the integrand values at each node of each listed
+# curve, in order; bound is None or bound(c, lo, hi), a proven bound on
+# the error of curve c's panel [lo, hi], which certifies it.
 
 
 # Gauss-Kronrod 7/15 pair: nonnegative Kronrod abscissae with their
@@ -151,6 +164,8 @@ _TURN_TRIG = (tuple(_trig(-math.tau, _TURN_NODES)), tuple(_trig(math.tau, _TURN_
 _WGK0, _WGK1, _WGK2, _WGK3, _WGK4, _WGK5, _WGK6, _WGK7 = _WGK
 _WG0, _WG1, _WG2, _WG3 = _WG
 
+_EPS = sys.float_info.epsilon
+
 
 def _gk15(y: list[float], i: int, a: float, b: float) -> tuple[float, float]:
     """15-point Kronrod estimate on [a, b] and |K15 - G7| error estimate.
@@ -172,17 +187,30 @@ def _gk15(y: list[float], i: int, a: float, b: float) -> tuple[float, float]:
 
 
 def _integrate_pieces(pieces: list[tuple], spec: QuadratureSpec) -> float:
-    """Adaptively integrate the one (fn, a, b, seed, curves) piece in
-    pieces: the seed pass, the bisection and the exact re-sum.  It takes
-    a list because the benchmark's tracer (perfbench/tracing.py) wraps
-    it and counts each listed piece's seed panels, piece[3].  Both passes
-    call _gk15 by its module name, so the tracer's wrapper sees each panel.
+    """Adaptively integrate the one (fn, a, b, seed, curves, bound) piece
+    in pieces: the seed pass, the bisection and the exact re-sum.  It
+    takes a list because the benchmark's tracer (perfbench/tracing.py)
+    wraps it and counts each listed piece's seed panels, piece[3].  Both
+    passes call _gk15 by its module name, so the tracer's wrapper sees
+    each panel.
 
     An arc is seeded with four quarter turns so the error estimator
     starts below one oscillation per panel.  Every pass calls the
     integrand once: the seed pass on all its panels, each split on both
     halves of the worst panel.  Convergence is judged on the total:
-    sum of estimates <= max(abs_tol, rel_tol*|sum|).
+    sum of errors <= max(abs_tol, rel_tol*|sum|).
+
+    A panel's error is its estimate |K15 - G7| until it is certified.
+    bound is None or bound(curve, lo, hi), a proven bound on |K15 -
+    integral| of that panel (_edge_bound for exterior edges).  The worst
+    panel, popped, is certified before it would be split: if its bound
+    is below its estimate, the bound becomes its error, err drops by the
+    difference and the panel goes back on the heap, marked so that it is
+    never certified again; otherwise it is split.  A certification calls
+    neither the integrand nor _gk15, so the tracer's panels are still its
+    seeds plus two per split.  It needs the subdivision budget not yet
+    spent, as a split does, but does not spend it; each panel is
+    certified at most once, so the work stays bounded.
 
     eps2 * drift bounds the rounding the running total and err have
     gathered since they were last exact: each add rounds by at most eps/2
@@ -191,30 +219,31 @@ def _integrate_pieces(pieces: list[tuple], spec: QuadratureSpec) -> float:
     a tight tolerance, which the running err then never meets; so once
     err is within it of the tolerance, both are summed again exactly.
     """
-    (fn, a, b, seed, curves), = pieces
+    (fn, a, b, seed, curves, bound), = pieces
     if seed == curves:
-        bounds, nodes = ((a, b),), _nodes(a, b)
+        panels, nodes = ((a, b),), _nodes(a, b)
     else:
-        bounds, nodes = _TURN_BOUNDS, _TURN_NODES
+        panels, nodes = _TURN_BOUNDS, _TURN_NODES
     y = fn(range(curves), nodes)
-    # (-err, seed or split order, curve, a, b, value): the heap keys
-    # (-err, order) are unique, so no comparison reaches the rest
+    # (-err, seed, split or certification order, curve, a, b, value,
+    # certified): the heap keys (-err, order) are unique, so no comparison
+    # reaches the rest
     heap: list[tuple] = []
     tie = count()
     total = 0.0
     err = 0.0
     i = 0
     for c in range(curves):
-        for lo, hi in bounds:
+        for lo, hi in panels:
             v, e = _gk15(y, i, lo, hi)
-            heap.append((-e, next(tie), c, lo, hi, v))
+            heap.append((-e, next(tie), c, lo, hi, v, False))
             total += v
             err += e
             i += 15
 
     if err > max(spec.abs_tol, spec.rel_tol * abs(total)):
         heapq.heapify(heap)
-        eps2 = 2.0 * sys.float_info.epsilon
+        eps2 = 2.0 * _EPS
         drift = len(heap) * (err + spec.rel_tol * sum(abs(item[5]) for item in heap))
         splits = 0
         while err > (tol := max(spec.abs_tol, spec.rel_tol * abs(total))):
@@ -228,7 +257,12 @@ def _integrate_pieces(pieces: list[tuple], spec: QuadratureSpec) -> float:
                     f"error estimate {err:.3e} still above tolerance after "
                     f"{splits} subdivisions"
                 )
-            neg_e, _, c, lo, hi, v = heapq.heappop(heap)
+            neg_e, _, c, lo, hi, v, certified = heapq.heappop(heap)
+            if bound is not None and not certified and (e := bound(c, lo, hi)) < -neg_e:
+                drift += err + e
+                err = max(err + e - (-neg_e), 0.0)
+                heapq.heappush(heap, (-e, next(tie), c, lo, hi, v, True))
+                continue
             mid = 0.5 * (lo + hi)
             y = fn((c,), _nodes(lo, mid) + _nodes(mid, hi))
             v1, e1 = _gk15(y, 0, lo, mid)
@@ -236,8 +270,8 @@ def _integrate_pieces(pieces: list[tuple], spec: QuadratureSpec) -> float:
             drift += err + e1 + e2 + spec.rel_tol * (abs(total) + abs(v1) + abs(v2) + abs(v))
             total += (v1 + v2) - v
             err = max(err + (e1 + e2) - (-neg_e), 0.0)
-            heapq.heappush(heap, (-e1, next(tie), c, lo, mid, v1))
-            heapq.heappush(heap, (-e2, next(tie), c, mid, hi, v2))
+            heapq.heappush(heap, (-e1, next(tie), c, lo, mid, v1, False))
+            heapq.heappush(heap, (-e2, next(tie), c, mid, hi, v2, False))
             splits += 1
     # a running sum that is not finite is returned as it is, for the
     # piece's builder to name the inputs that overflow; it is checked
@@ -323,10 +357,91 @@ def _arc(coef: float, inside: bool, cx: float, cy: float, radius: float,
                 out.append(-scale * y * (nk * s) + scale * x * (k * c))
             return out
 
-    value = _integrate_pieces([(fn, 0.0, 1.0, 4, 1)], spec)
+    value = _integrate_pieces([(fn, 0.0, 1.0, 4, 1, None)], spec)
     if not math.isfinite(value):
         raise _not_finite(value, ("B" if inside else "gamma", coef))
     return value
+
+
+def _edge_bound(gamma: float, px: float, py: float, dx: float, dy: float,
+                lo: float, hi: float) -> float:
+    """A bound on |K15 - integral| of the exterior integrand of the edge
+    p + t*d, d = (dx, dy), on its panel [lo, hi], or inf where none is
+    found: a truncation term plus a rounding term.  eps is the machine
+    epsilon; panels are dyadic parts of [0, 1], so s = (hi - lo)/2 and
+    the midpoint m are exact.
+
+    Truncation.  The integrand is gamma*(p x d)/|p + t*d|**2 = +-K/((t -
+    t0)**2 + h*h), t0 = -(p.d)/(d.d), h = |p x d|/(d.d), K = |gamma|*h;
+    on u in [-1, 1], t = m + s*u, its poles are a +- i*b, a = (t0 - m)/s,
+    b = h/s.  GK15 is exact to degree 23 with positive weights summing
+    to 2, so its error is at most 4 times the Chebyshev truncation
+    error 2*M*r**-23/(r - 1) of an f bounded by M on the Bernstein
+    ellipse E_r (Trefethen, Approximation Theory and Approximation
+    Practice, SIAM 2013, Thm 8.2; as in Thm 19.3): 8*s*M*r**-23/(r - 1)
+    on [lo, hi].  Both poles lie on the confocal ellipse of semi-major
+    axis A = (|w - 1| + |w + 1|)/2, w = a + i*b, which is E_rho for rho
+    = A + sqrt(A*A - 1).  A point z of E_r, r < rho, has |z - 1| + |z +
+    1| = r + 1/r, so |z - w| >= g = A - (r + 1/r)/2 by the triangle
+    inequality, and M = K/(s*s*g*g).  With r = rho**0.9 the term is
+    8*K*r**-23/(s*(r - 1)*g*g).  The computed t0 and h err by under
+    4*eps*|p|/|d|, so a and b by under 4*eps*|p|/(s*|d|), a by
+    eps*|a|/2 more; A moves by at most the sum, and forming A, g and the
+    term errs by under 7*eps*A more.  So A is lowered by
+    16*eps*(span/(s*|d|) + A), span = |px| + |py|, and h raised by
+    16*eps*span/|d|, which keeps the computed term an upper bound.
+
+    Rounding.  This term bounds |K15 - Q|, Q the exact rule at the exact
+    nodes on the exact integrand; scale = |px| + |py| + |dx| + |dy|.
+    The _XGK constants lie within 0.41*eps of the exact nodes, so a
+    computed node lies within eps*(s + 1/2) of its exact node t_k, and
+    forming x = px + t*dx, y = py + t*dy moves the point by under
+    eps*scale more: it lies within 2.01*eps*scale of p + t_k*d (s <=
+    1/2, |d| <= scale).  As a function of the point, the integrand has a
+    gradient under 3*|gamma|*|d|/rho**2, and its own eight roundings err
+    by under 3.01*eps*|gamma|*|d|/rho.  With rho >= nu = near -
+    2.01*eps*scale, near the panel's closest approach to the axis, and nu
+    <= scale, each value errs by under 9.04*eps*|gamma|*|d|*scale/nu**2,
+    and the rule, whose exact weights sum to 2, by 2*s times that.  Each
+    term of the K15 sum passes through at most 10 roundings, and the
+    _WGK constants differ from the exact weights by 1.64*eps in all,
+    which adds under 11.65*eps*s*max|f|, with |f| <= |gamma|*|d|/rho <=
+    |gamma|*|d|*scale/nu**2.  In all, under
+    29.8*eps*s*|gamma|*|d|*scale/nu**2; the term is
+    32*eps*s*|gamma|*width*scale/nu**2, width = |dx| + |dy| >= |d|.  The
+    computed near errs by under 12*eps*scale, so it is lowered by
+    16*eps*scale to give nu.  The factor 32 covers the rounding of the
+    term and of the sum of the two.
+
+    No bound is found where nu or g is not positive, or the poles'
+    ellipse does not lie past [-1, 1].  All this assumes normal numbers
+    (fields._require_exterior_range keeps rho*rho normal): a d.d outside
+    the normal range, or a bound below it, gives inf.
+    """
+    dd = dx * dx + dy * dy
+    if not sys.float_info.min <= dd < math.inf:
+        return math.inf
+    length = math.sqrt(dd)
+    span = abs(px) + abs(py)
+    width = abs(dx) + abs(dy)
+    scale = span + width
+    s = 0.5 * (hi - lo)
+    a = (-(px * dx + py * dy) / dd - 0.5 * (lo + hi)) / s
+    h = abs(px * dy - py * dx) / dd
+    b = h / s
+    nu = s * length * hypot(max(abs(a) - 1.0, 0.0), b) - 16.0 * _EPS * scale
+    ellipse = 0.5 * (hypot(a - 1.0, b) + hypot(a + 1.0, b))
+    ellipse -= 16.0 * _EPS * (span / (s * length) + ellipse)
+    if not (nu > 0.0 and ellipse > 1.0):
+        return math.inf
+    r = (ellipse + math.sqrt((ellipse - 1.0) * (ellipse + 1.0))) ** 0.9
+    g = ellipse - 0.5 * (r + 1.0 / r)
+    if not g > 0.0:
+        return math.inf
+    k = abs(gamma) * (h + 16.0 * _EPS * span / length)
+    bound = (8.0 * k * r ** -23 / (s * (r - 1.0) * g * g)
+             + 32.0 * _EPS * s * abs(gamma) * (width / nu) * (scale / nu))
+    return bound if bound >= sys.float_info.min else math.inf
 
 
 def _edges(f: SolenoidField, points: Sequence[Point], spec: QuadratureSpec) -> float:
@@ -392,7 +507,11 @@ def _edges(f: SolenoidField, points: Sequence[Point], spec: QuadratureSpec) -> f
                     out.append(gamma * ((x * dy - y * dx) / (x * x + y * y)))
             return out
 
-    value = _integrate_pieces([(fn, 0.0, 1.0, len(coords), len(coords))], spec)
+        def bound(c: int, lo: float, hi: float) -> float:
+            return _edge_bound(gamma, *coords[c], lo, hi)
+
+    value = _integrate_pieces([(fn, 0.0, 1.0, len(coords), len(coords),
+                                None if inside else bound)], spec)
     if not math.isfinite(value):
         raise _not_finite(value, ("B", f.B) if inside else ("gamma", f.gamma))
     return value
@@ -407,7 +526,7 @@ def _disc(coef: float, rho: float, spec: QuadratureSpec) -> float:
     def radial(cs: Sequence[int], rhos: Sequence[float]) -> list[float]:
         return [r * azimuthal for r in rhos]
 
-    value = _integrate_pieces([(radial, 0.0, rho, 1, 1)], spec)
+    value = _integrate_pieces([(radial, 0.0, rho, 1, 1, None)], spec)
     if not math.isfinite(value):
         raise _not_finite(value, ("B", coef), ("rho", rho))
     return value

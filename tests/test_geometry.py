@@ -36,6 +36,7 @@ from abflux.fields import Point, SolenoidField, Vec3, ab_standard, eval_A, eval_
 from abflux.geometry import (
     _WG,
     _WGK,
+    _XGK,
     Circle,
     Polyline,
     QuadratureSpec,
@@ -121,13 +122,36 @@ class TestQuadratureEngine:
     def test_adaptive_oscillatory_integral(self):
         expected = (1.0 - math.cos(40.0)) / 40.0
         value = _integrate_pieces(
-            [(lambda cs, ts: [math.sin(40.0 * t) for t in ts], 0.0, 1.0, 1, 1)], QuadratureSpec())
+            [(lambda cs, ts: [math.sin(40.0 * t) for t in ts], 0.0, 1.0, 1, 1, None)],
+            QuadratureSpec())
         assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_each_panel_is_asked_for_its_bound_at_most_once(self):
+        # a bound that falls with every call would certify a panel again
+        # each time it is popped; a certified panel is split instead, so
+        # no panel is asked twice.  No bound, or an infinite one,
+        # certifies nothing
+        def fn(cs, ts):
+            return [math.sin(40.0 * t) for t in ts]
+
+        asked = []
+
+        def bound(c, lo, hi):
+            asked.append((lo, hi))
+            return 1e-6 / len(asked)
+
+        spec = QuadratureSpec()
+        _integrate_pieces([(fn, 0.0, 1.0, 1, 1, bound)], spec)
+        assert len(asked) == len(set(asked)) > 1
+        plain = _integrate_pieces([(fn, 0.0, 1.0, 1, 1, None)], spec)
+        assert _integrate_pieces([(fn, 0.0, 1.0, 1, 1, lambda c, lo, hi: math.inf)],
+                                 spec) == plain
 
     def test_subdivision_budget_enforced(self):
         tight = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12, max_subdivisions=0)
         with pytest.raises(QuadratureNotConverged):
-            _integrate_pieces([(lambda cs, ts: [math.sin(40.0 * t) for t in ts], 0.0, 1.0, 1, 1)],
+            _integrate_pieces([(lambda cs, ts: [math.sin(40.0 * t) for t in ts], 0.0, 1.0, 1, 1,
+                                None)],
                               tight)
 
     def test_spec_validation(self):
@@ -798,7 +822,10 @@ class TestIntegrandsMatchPointwiseFormulas:
                 Circle(Point(3.0 * f.R * math.cos(a), 3.0 * f.R * math.sin(a)), f.R, 2),
             ]
             for circle in arcs:
-                [(fn, _, _, _, _)] = self.pieces_of(monkeypatch, lambda: circulation(f, circle))
+                [(fn, _, _, _, _, bound)] = self.pieces_of(monkeypatch,
+                                                           lambda: circulation(f, circle))
+                # only exterior edges are certified (geometry._edge_bound)
+                assert bound is None
                 c0, r = circle.center, circle.radius
                 sweep = math.copysign(TWO_PI, circle.turns)
                 k = r * sweep
@@ -812,9 +839,10 @@ class TestIntegrandsMatchPointwiseFormulas:
             inner = star_loop(rng, 1, 0.3 * f.R, 0.6 * f.R, z_jitter=0.2)
             outer = star_loop(rng, -2, 1.5 * f.R, 4.0 * f.R, z_jitter=0.2)
             for loop in (inner, outer):
-                [(fn, _, _, seed, curves)] = self.pieces_of(
+                [(fn, _, _, seed, curves, bound)] = self.pieces_of(
                     monkeypatch, lambda: circulation(f, loop))
                 assert seed == curves == len(loop.vertices)
+                assert (bound is None) == (loop is inner)
                 batch = []
                 v = loop.vertices
                 for c, (p, q) in enumerate(zip(v, v[1:] + v[:1])):
@@ -843,8 +871,9 @@ class TestIntegrandsMatchPointwiseFormulas:
             f = random_field(rng)
             phi = rng.uniform(0.0, TWO_PI)
             for L in (rng.uniform(0.1, 0.9) * f.R, rng.uniform(1.1, 4.0) * f.R):
-                [(fn, a, b, seed, curves)] = self.pieces_of(monkeypatch, lambda: flux_direct(f, L))
-                assert (a, b, seed, curves) == (0.0, min(L, f.R), 1, 1)
+                [(fn, a, b, seed, curves, bound)] = self.pieces_of(
+                    monkeypatch, lambda: flux_direct(f, L))
+                assert (a, b, seed, curves, bound) == (0.0, min(L, f.R), 1, 1, None)
                 rhos = [b * rng.uniform(0.01, 0.99) for _ in range(15)]
                 # B_z is one constant over the disc, so its azimuthal
                 # integral is a whole turn times B_z at any azimuth
@@ -886,8 +915,18 @@ class TestBatchedKernelMatchesReference:
 
     @pytest.mark.parametrize("spec", [QuadratureSpec(), QuadratureSpec(rel_tol=1e-12)])
     def test_polylines(self, spec, monkeypatch):
+        # exterior panels are popped at both tolerances: the default one
+        # certifies every one it pops, 1e-12 splits some as well
         rng = random.Random(67)
         splits = 0
+        popped = [0]
+        edge_bound = geometry._edge_bound
+
+        def counting(*args):
+            popped[0] += 1
+            return edge_bound(*args)
+
+        monkeypatch.setattr(geometry, "_edge_bound", counting)
         for _ in range(8):
             f = random_field(rng)
             loops = ((star_loop(rng, 1, 0.3 * f.R, 0.6 * f.R, z_jitter=0.2), True),
@@ -899,7 +938,8 @@ class TestBatchedKernelMatchesReference:
                 want = self.expected(edges, spec)
                 assert self.counted(monkeypatch, lambda: circulation(f, loop, spec)) == want
                 splits += want[1] - len(edges)
-        assert splits > 0
+        assert popped[0] > 0
+        assert (splits > 0) == (spec.rel_tol < 1e-9)
 
     @pytest.mark.parametrize("spec", [QuadratureSpec(), QuadratureSpec(rel_tol=1e-12)])
     def test_arcs(self, spec, monkeypatch):
@@ -1013,8 +1053,8 @@ class TestBatchedKernelMatchesReference:
             geometry._last_split_disc = None
             assert [self.counted(monkeypatch, call)[1] for call in calls] == [13, 0, 0]
 
-    @pytest.mark.parametrize("spec, want", [(QuadratureSpec(), 1161),
-                                            (QuadratureSpec(rel_tol=1e-12), 1749)])
+    @pytest.mark.parametrize("spec, want", [(QuadratureSpec(), 1007),
+                                            (QuadratureSpec(rel_tol=1e-12), 1447)])
     def test_polyline_panel_count(self, spec, want, monkeypatch):
         # the work of a fixed set of polylines, pinned: a kernel change that
         # moves convergence shows as a changed count
@@ -1258,6 +1298,143 @@ class TestNearAxisAccuracy:
         circle = Circle(Point(1.0, 0.0), 1.0 + 1e-12, 1)
         assert winding_number(circle) == 1
         assert circulation(f, circle) == pytest.approx(TWO_PI * f.gamma, rel=1e-9)
+
+
+def edge_through(length: float, gap: float, t0: float, angle: float) -> tuple[float, ...]:
+    """(px, py, qx, qy) of the edge of the given length and direction
+    whose line passes the axis at distance gap, at t = t0 along it."""
+    ux, uy = math.cos(angle), math.sin(angle)
+    px, py = -gap * uy - t0 * length * ux, gap * ux - t0 * length * uy
+    return px, py, px + length * ux, py + length * uy
+
+
+@st.composite
+def exterior_edges(draw, gaps=(-9.0, 2.0)):
+    """(gamma, px, py, qx, qy): edges from 1e-3 to 1e3 long whose line
+    passes the axis at 10**gaps times their length, at t0 in [-2, 3]"""
+    length = 10.0 ** draw(st.floats(-3.0, 3.0))
+    gap = length * 10.0 ** draw(st.floats(*gaps))
+    t0 = draw(st.floats(-2.0, 3.0))
+    angle = draw(st.floats(0.0, TWO_PI))
+    gamma = draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-2.0, 2.0))
+    return (gamma, *edge_through(length, gap, t0, angle))
+
+
+class TestCertifiedEdges:
+    """An exterior edge's panel is certified by geometry._edge_bound, a
+    proven bound on |K15 - integral|: it must hold on every panel, and
+    the results it certifies must meet their tolerance."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(edge=exterior_edges(), level=st.integers(0, 40), data=st.data())
+    @example(edge=(1.0, *edge_through(1.0, 1e-9, 0.5, 0.3)), level=0, data=None)
+    @example(edge=(-2.0, *edge_through(50.0, 1e-9 * 50.0, 0.3, 2.0)), level=12, data=None)
+    def test_bound_holds_per_panel(self, edge, level, data):
+        # the closed form of the panel, gamma times the angle it sweeps,
+        # is exact up to a few ulps of itself
+        gamma, px, py, qx, qy = edge
+        j = data.draw(st.integers(0, 2**level - 1)) if data is not None else 2**level // 3
+        lo, hi = j / 2**level, (j + 1) / 2**level
+        fn, _, _, _, bound = reference.edge_piece(SolenoidField(1.0, 1.0, gamma), False,
+                                                  Point(px, py), Point(qx, qy))
+        value, _ = reference.gk15(fn, lo, hi)
+        exact = reference.edge_panel_exact(gamma, px, py, qx - px, qy - py, lo, hi)
+        assert abs(value - exact) <= bound(lo, hi) + 4.0 * EPS * abs(exact)
+
+    @staticmethod
+    def adversarial_edges(rng):
+        """(gamma, px, py, qx, qy, lo, hi): panels of edges whose rounding
+        is hardest to bound"""
+        def panel(deepest=45):
+            level = rng.randrange(0, deepest)
+            j = rng.randrange(2**level)
+            return j / 2**level, (j + 1) / 2**level
+
+        for _ in range(40):
+            gamma = rng.choice((-1, 1)) * rng.uniform(0.2, 3.0)
+            a = rng.uniform(0.0, TWO_PI)
+            # radial: p x d is zero or rounding, so are the values
+            r0, length = rng.uniform(0.5, 2.0), rng.uniform(0.1, 10.0)
+            yield (gamma, *edge_through(length, 0.0, -r0 / length, a), *panel())
+            # far from the axis: x = px + t*dx rounds off most of t*dx
+            px, py = rng.uniform(-1e6, 1e6), rng.uniform(-1e6, 1e6)
+            yield gamma, px, py, px + rng.uniform(-1, 1), py + rng.uniform(-1, 1), *panel()
+            # past the axis at 1e-9 to 1e-3 of the length
+            length = rng.uniform(1.0, 100.0)
+            yield (gamma, *edge_through(length, length * 10.0 ** rng.uniform(-9.0, -3.0),
+                                        rng.random(), a), *panel())
+            # deep panels near t = 1, whose nodes round by more than the panel's eps
+            level = rng.randrange(30, 50)
+            j = rng.randrange(2**level - 2**(level - 3), 2**level)
+            yield (gamma, *edge_through(length, rng.uniform(0.5, 2.0), rng.uniform(-1.0, 2.0), a),
+                   j / 2**level, (j + 1) / 2**level)
+            # a start point close to the axis against a long edge
+            b = a + rng.uniform(0.2, 1.4)
+            length = 10.0 ** rng.uniform(0.0, 3.0)
+            px, py = 1e-3 * math.cos(b), 1e-3 * math.sin(b)
+            yield (gamma, px, py, px + length * math.cos(a), py + length * math.sin(a), *panel())
+            # the extremes of the exterior range
+            scale = 10.0 ** rng.choice((-140, 140))
+            edge = edge_through(length, length * 10.0 ** rng.uniform(-6.0, 0.0), rng.random(), a)
+            yield (gamma, *(x * scale for x in edge), *panel())
+
+    def test_rule_constants_are_as_close_as_the_rounding_term_assumes(self):
+        # the 33-digit rule is exact to degree 23 and not 24; the float
+        # nodes lie within 0.41*eps of it, the 15 weights 1.64*eps in all
+        nodes = [(x, w) for x, w in zip(reference.XGK_33[:7], reference.WGK_33[:7])]
+        nodes += [(-x, w) for x, w in nodes] + [(Fraction(0), reference.WGK_33[7])]
+        for k in range(25):
+            error = abs(sum(w * x**k for x, w in nodes) - Fraction(1 + (-1)**k, k + 1))
+            assert (error < Fraction(1, 10**26)) == (k <= 23)
+        assert max(abs(Fraction(x) - e) for x, e in zip(_XGK, reference.XGK_33)) <= 0.41 * EPS
+        weights = [abs(Fraction(w) - e) for w, e in zip(_WGK, reference.WGK_33)]
+        assert 2 * sum(weights[:7]) + weights[7] <= 1.64 * EPS
+
+    def test_rounding_term_bounds_the_exact_rule(self):
+        # geometry._edge_bound's rounding term, with the exact closest
+        # approach: the computed K15 against the rule in exact arithmetic
+        # at the 33-digit nodes and weights.  The kernel lowers near by
+        # more, 16*eps*scale, for the rounding of its own near
+        worst = 0.0
+        for gamma, px, py, qx, qy, lo, hi in self.adversarial_edges(random.Random(157)):
+            dx, dy = qx - px, qy - py
+            scale = abs(px) + abs(py) + abs(dx) + abs(dy)
+            nu = reference.edge_near(px, py, dx, dy, lo, hi) - 2.0 * EPS * scale
+            if not nu > 0.0:
+                continue
+            s = 0.5 * (hi - lo)
+            term = 32.0 * EPS * s * abs(gamma) * (abs(dx) + abs(dy)) * scale / nu**2
+            fn, *_ = reference.edge_piece(SolenoidField(1.0, 1.0, gamma), False,
+                                          Point(px, py), Point(qx, qy))
+            value, _ = reference.gk15(fn, lo, hi)
+            exact = reference.edge_panel_rule(gamma, px, py, dx, dy, lo, hi)
+            worst = max(worst, float(abs(Fraction(value) - exact)) / term)
+        assert 0.0 < worst <= 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rel_tol=st.sampled_from((1e-6, 1e-9, 1e-12)))
+    def test_certified_polylines_meet_their_tolerance(self, seed, rel_tol):
+        rng = random.Random(seed)
+        f = random_field(rng)
+        loop = star_loop(rng, rng.choice((-2, -1, 1, 3)), 1.5 * f.R, 6.0 * f.R)
+        spec = QuadratureSpec(rel_tol=rel_tol)
+        exact = TWO_PI * f.gamma * winding_number(loop)
+        value = circulation(f, loop, spec)
+        assert abs(value - exact) <= max(spec.abs_tol, spec.rel_tol * abs(exact))
+
+    @settings(max_examples=200, deadline=None)
+    @given(edge=exterior_edges(gaps=(-4.0, 2.0)), rel_tol=st.sampled_from((1e-6, 1e-9, 1e-12)),
+           clearance=st.floats(1.1, 10.0))
+    def test_certified_segments_meet_their_tolerance(self, edge, rel_tol, clearance):
+        gamma, px, py, qx, qy = edge
+        p, q = Point(px, py), Point(qx, qy)
+        dx, dy = qx - px, qy - py
+        near = reference.edge_near(px, py, dx, dy, 0.0, 1.0)
+        f = SolenoidField(B=1.0, R=near / clearance, gamma=gamma)
+        spec = QuadratureSpec(rel_tol=rel_tol)
+        exact = reference.edge_panel_exact(gamma, px, py, dx, dy, 0.0, 1.0)
+        value = segment_integral(f, p, q, spec)
+        assert abs(value - exact) <= max(spec.abs_tol, spec.rel_tol * abs(exact))
 
 
 class TestTracerContract:
