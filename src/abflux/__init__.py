@@ -23,7 +23,6 @@ _EXPORTS = {
         "PathTouchesAxis",
         "QuadratureNotConverged",
         "StencilCrossesSolenoid",
-        "WindingUnresolvable",
     ),
     "fields": (
         "Point",

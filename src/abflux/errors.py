@@ -27,11 +27,7 @@ class PathCrossesSolenoid(AbfluxError):
 
 
 class PathTouchesAxis(AbfluxError):
-    """A path passes through the z-axis, where the azimuth is undefined."""
-
-
-class WindingUnresolvable(AbfluxError):
-    """Consecutive path vertices subtend an azimuthal step of pi or more."""
+    """A path passes through the z-axis, so it has no winding number."""
 
 
 class QuadratureNotConverged(AbfluxError):

@@ -55,6 +55,10 @@ per revolution.  An integral that overflows floating point raises
 ValueError naming the inputs it came from (B or gamma, with turns or
 the disc's radius), once the kernel has found it not finite.
 
+A winding number is counted, not integrated, and is exact: a
+polyline's signed crossings of the ray y = 0, x > 0, or a circle's
+comparison of cx**2 + cy**2 with r**2 (winding_number).
+
 The split disc keeps its last four integrals (_split_disc), keyed on
 the identity of its field, outer radius and spec, as circulation keeps
 its last value keyed on the identity of its field, path and spec.
@@ -79,7 +83,6 @@ from .errors import (
     PathCrossesSolenoid,
     PathTouchesAxis,
     QuadratureNotConverged,
-    WindingUnresolvable,
 )
 from .fields import (
     _DEFAULT_SPEC,
@@ -165,6 +168,7 @@ _WGK0, _WGK1, _WGK2, _WGK3, _WGK4, _WGK5, _WGK6, _WGK7 = _WGK
 _WG0, _WG1, _WG2, _WG3 = _WG
 
 _EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min
 
 
 def _gk15(y: list[float], i: int, a: float, b: float) -> tuple[float, float]:
@@ -208,9 +212,10 @@ def _integrate_pieces(pieces: list[tuple], spec: QuadratureSpec) -> float:
     difference and the panel goes back on the heap, marked so that it is
     never certified again; otherwise it is split.  A certification calls
     neither the integrand nor _gk15, so the tracer's panels are still its
-    seeds plus two per split.  It needs the subdivision budget not yet
-    spent, as a split does, but does not spend it; each panel is
-    certified at most once, so the work stays bounded.
+    seeds plus two per split.  It does not spend the subdivision budget
+    and runs after the budget is spent, so only a panel that must be
+    split finds the budget gone and raises; each panel is certified at
+    most once, so the work stays bounded.
 
     eps2 * drift bounds the rounding the running total and err have
     gathered since they were last exact: each add rounds by at most eps/2
@@ -252,17 +257,17 @@ def _integrate_pieces(pieces: list[tuple], spec: QuadratureSpec) -> float:
                 err = math.fsum(-item[0] for item in heap)
                 drift = 0.0
                 continue
-            if splits >= spec.max_subdivisions:
-                raise QuadratureNotConverged(
-                    f"error estimate {err:.3e} still above tolerance after "
-                    f"{splits} subdivisions"
-                )
             neg_e, _, c, lo, hi, v, certified = heapq.heappop(heap)
             if bound is not None and not certified and (e := bound(c, lo, hi)) < -neg_e:
                 drift += err + e
                 err = max(err + e - (-neg_e), 0.0)
                 heapq.heappush(heap, (-e, next(tie), c, lo, hi, v, True))
                 continue
+            if splits >= spec.max_subdivisions:
+                raise QuadratureNotConverged(
+                    f"error estimate {err:.3e} still above tolerance after "
+                    f"{splits} subdivisions"
+                )
             mid = 0.5 * (lo + hi)
             y = fn((c,), _nodes(lo, mid) + _nodes(mid, hi))
             v1, e1 = _gk15(y, 0, lo, mid)
@@ -419,7 +424,7 @@ def _edge_bound(gamma: float, px: float, py: float, dx: float, dy: float,
     the normal range, or a bound below it, gives inf.
     """
     dd = dx * dx + dy * dy
-    if not sys.float_info.min <= dd < math.inf:
+    if not _TINY <= dd < math.inf:
         return math.inf
     length = math.sqrt(dd)
     span = abs(px) + abs(py)
@@ -441,7 +446,7 @@ def _edge_bound(gamma: float, px: float, py: float, dx: float, dy: float,
     k = abs(gamma) * (h + 16.0 * _EPS * span / length)
     bound = (8.0 * k * r ** -23 / (s * (r - 1.0) * g * g)
              + 32.0 * _EPS * s * abs(gamma) * (width / nu) * (scale / nu))
-    return bound if bound >= sys.float_info.min else math.inf
+    return bound if bound >= _TINY else math.inf
 
 
 def _edges(f: SolenoidField, points: Sequence[Point], spec: QuadratureSpec) -> float:
@@ -592,41 +597,81 @@ def _require_clearance(f: SolenoidField, lo: float, hi: float, low: float) -> bo
     return inside
 
 
-def winding_number(path: ClosedPath) -> int:
-    """Signed number of times the closed path encircles the z-axis.
+def _orientation(px: float, py: float, qx: float, qy: float) -> int:
+    """The exact sign of the cross product px*qy - py*qx: 1, -1 or 0, of
+    the coordinates as floats, as the integrals take them.
 
-    Computed by accumulating unwrapped azimuth increments, which is robust
-    to tangency; it requires every increment to stay strictly below pi in
-    magnitude (antipodal consecutive vertices are rejected).
+    Rounding is monotone, overflow and underflow included, so rounded
+    products can tie where the exact ones differ but never swap, and a
+    difference of floats is zero only where they are equal.  So the
+    float d = px*qy - py*qx has the exact sign unless it is 0 or nan
+    (both products overflow alike); those are decided in integers, from
+    as_integer_ratio().  Shewchuk's orient2d (Discrete Comput. Geom. 18
+    (1997) 305-363) needs an error bound for the rounding of its
+    translations; about the origin there is none.
+    """
+    px, py, qx, qy = float(px), float(py), float(qx), float(qy)
+    d = px * qy - py * qx
+    if d > 0.0:
+        return 1
+    if d < 0.0:
+        return -1
+    (n1, m1), (n2, m2), (n3, m3), (n4, m4) = (
+        v.as_integer_ratio() for v in (px, qy, py, qx))
+    exact = n1 * n2 * m3 * m4 - n3 * n4 * m1 * m2
+    return (exact > 0) - (exact < 0)
+
+
+def winding_number(path: ClosedPath) -> int:
+    """Signed number of times the closed path encircles the z-axis, exact;
+    PathTouchesAxis if the path passes through the axis.
+
+    A polyline's winding is its signed count of crossings of the ray y =
+    0, x > 0 (Hormann and Agathos, Comput. Geom. 20 (2001) 131-144).  An
+    edge p -> q crosses the line y = 0 where (p.y > 0) != (q.y > 0), a
+    half-open test that counts a vertex on the line once, and it meets
+    it at x = (p x q)/(q.y - p.y), p x q = p.x*q.y - p.y*q.x.  So an
+    upward edge crosses the ray where p x q > 0 and adds 1, a downward
+    one where p x q < 0 and adds -1, and where p x q = 0 it passes
+    through the axis; _orientation gives that sign exactly.  The path
+    meets the axis only at a vertex there, on such an edge, or on an edge
+    along y = 0 whose ends lie on opposite sides of x = 0.
+
+    A circle winds turns times if its centre lies nearer the axis than
+    its radius, else not at all, and meets the axis where cx**2 + cy**2
+    == r**2.  The band |d - r| <= _ROUND*(d + r), d = hypot(cx, cy),
+    holds the rounding of d - r (the fields docstring), so outside it,
+    where it is normal and finite, the float comparison is exact; the
+    rest compare the squares in integers.
     """
     if isinstance(path, Circle):
-        d = math.hypot(path.center.x, path.center.y)
-        if abs(d - path.radius) <= _ROUND * (d + path.radius):
+        c, r = path.center, path.radius
+        d = hypot(c.x, c.y)
+        if abs(d - r) > _ROUND * (d + r) >= _TINY:
+            return path.turns if d < r else 0
+        (a, m), (b, n), (s, k) = (float(v).as_integer_ratio() for v in (c.x, c.y, r))
+        gap = (a * n * k) ** 2 + (b * m * k) ** 2 - (s * m * n) ** 2
+        if gap == 0:
             raise PathTouchesAxis("circle passes through the z-axis")
-        return path.turns if d < path.radius else 0
+        return path.turns if gap < 0 else 0
 
-    azimuths = []
-    for p in path.vertices:
-        if p.x == 0.0 and p.y == 0.0:
+    winding = 0
+    p = path.vertices[-1]
+    px, py = p.x, p.y
+    for q in path.vertices:
+        qx, qy = q.x, q.y
+        if qx == 0.0 and qy == 0.0:
             raise PathTouchesAxis("polyline vertex lies on the z-axis")
-        azimuths.append(math.atan2(p.y, p.x))
-    n = len(azimuths)
-    increments = []
-    for i in range(n):
-        step = math.remainder(azimuths[(i + 1) % n] - azimuths[i], math.tau)
-        if abs(step) >= math.pi:
-            raise WindingUnresolvable(
-                "consecutive vertices are azimuthally antipodal; insert an "
-                "intermediate vertex to resolve the winding"
-            )
-        increments.append(step)
-    turns = math.fsum(increments) / math.tau
-    nearest = round(turns)
-    if abs(turns - nearest) > 1e-9:
-        raise WindingUnresolvable(
-            f"accumulated azimuth is {turns!r} turns, not an integer"
-        )
-    return int(nearest)
+        if (py > 0.0) != (up := qy > 0.0):
+            side = _orientation(px, py, qx, qy)
+            if side == 0:
+                raise PathTouchesAxis("polyline edge passes through the z-axis")
+            if (side > 0) == up:
+                winding += side
+        elif qy == 0.0 and py == 0.0 and (px > 0.0) != (qx > 0.0):
+            raise PathTouchesAxis("polyline edge passes through the z-axis")
+        px, py = qx, qy
+    return winding
 
 
 #: circulation's last result as (f, path, spec, value), or None

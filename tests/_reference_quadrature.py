@@ -48,7 +48,8 @@ def integrate(pieces, spec: QuadratureSpec) -> tuple[float, int]:
     """Integrate (fn, a, b, seed, bound) pieces panel by panel; return the
     value and the number of panels evaluated.  A popped panel whose piece
     has a bound and that is not yet certified takes the bound as its
-    error if it is below its estimate, and goes back on the heap."""
+    error if it is below its estimate, and goes back on the heap; that
+    spends no budget, so only a panel to be split checks the budget."""
     heap = []
     tie = count()
     fns = []
@@ -72,14 +73,14 @@ def integrate(pieces, spec: QuadratureSpec) -> tuple[float, int]:
 
     splits = 0
     while err > max(spec.abs_tol, spec.rel_tol * abs(total)):
-        if splits >= spec.max_subdivisions:
-            raise QuadratureNotConverged(f"{splits} subdivisions")
         neg_e, _, idx, lo, hi, v, certified = heapq.heappop(heap)
         bound = bounds[idx]
         if bound is not None and not certified and (e := bound(lo, hi)) < -neg_e:
             err = max(err + e - (-neg_e), 0.0)
             heapq.heappush(heap, (-e, next(tie), idx, lo, hi, v, True))
             continue
+        if splits >= spec.max_subdivisions:
+            raise QuadratureNotConverged(f"{splits} subdivisions")
         fn = fns[idx]
         mid = 0.5 * (lo + hi)
         v1, e1 = gk15(fn, lo, mid)

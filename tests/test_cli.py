@@ -756,6 +756,16 @@ class TestConfigHandling:
                                  "--max-subdivisions", "0.0")
         assert (code, out) == (1, "") and err.startswith("QuadratureNotConverged")
 
+    def test_budget_above_its_cap_exit_2(self, capsys, tmp_path):
+        # 2**30 splits would hold about 250 GB of heap
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"quadrature": {"max_subdivisions": 1073741824}}', encoding="utf-8")
+        argv = ("circulation", "--gamma", "1", "--circle", "r=2")
+        for extra in (("--max-subdivisions", "1073741824"), ("--config", str(cfg))):
+            code, out, err = run_cli(capsys, *argv, *extra)
+            assert (code, out) == (2, "")
+            assert err.startswith("ValueError: max_subdivisions must be at most 1048576")
+
     def test_unknown_config_key_named(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text('{"field": {"B": 2, "R": 1, "gama": 3}}', encoding="utf-8")

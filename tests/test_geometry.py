@@ -30,7 +30,6 @@ from abflux.errors import (
     PathCrossesSolenoid,
     PathTouchesAxis,
     QuadratureNotConverged,
-    WindingUnresolvable,
 )
 from abflux.fields import Point, SolenoidField, Vec3, ab_standard, eval_A, eval_B, gauge_shift
 from abflux.geometry import (
@@ -104,6 +103,34 @@ def crossing_number_winding(polyline: Polyline) -> int:
     return total
 
 
+def exact_winding(polyline: Polyline) -> int | None:
+    """Exact winding oracle: crossing_number_winding's count in Fractions
+    of the float coordinates, or None if the path passes through the axis.
+
+    An edge p -> q holds the origin exactly when p x q = 0 and p.q <= 0,
+    a test apart from the crossings; on a path that misses the origin,
+    every crossing of y = 0 lies at x != 0.
+    """
+    verts = [(Fraction(v.x), Fraction(v.y)) for v in polyline.vertices]
+    total = 0
+    for (px, py), (qx, qy) in zip(verts, verts[1:] + verts[:1]):
+        if px * qy == py * qx and px * qx + py * qy <= 0:
+            return None
+        if py < 0 <= qy or qy < 0 <= py:
+            if px + (-py / (qy - py)) * (qx - px) > 0:
+                total += 1 if qy > py else -1
+    return total
+
+
+#: coordinates +-10**U(-300, 300), and a few small exact values that put
+#: vertices and edges on the axis and on y = 0
+_winding_coordinates = st.one_of(
+    st.builds(lambda sign, u: sign * 10.0 ** u, st.sampled_from((1.0, -1.0)),
+              st.floats(min_value=-300.0, max_value=300.0)),
+    st.sampled_from((0.0, -0.0, 1.0, -1.0, 2.0)),
+)
+
+
 class TestQuadratureEngine:
     def test_weight_sums(self):
         assert math.fsum(_WGK) * 2.0 - _WGK[7] == pytest.approx(2.0, abs=1e-14)
@@ -159,9 +186,10 @@ class TestQuadratureEngine:
             QuadratureSpec(rel_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(abs_tol=-1.0)
-        for bad in (-1, 2.5, 2.0, True, math.inf, "8"):
+        for bad in (-1, 2.5, 2.0, True, math.inf, "8", 2**20 + 1, 2**30):
             with pytest.raises(ValueError):
                 QuadratureSpec(max_subdivisions=bad)
+        assert QuadratureSpec().max_subdivisions == 2**20
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError):
                 QuadratureSpec(rel_tol=bad)
@@ -217,9 +245,78 @@ class TestWindingNumber:
         with pytest.raises(PathTouchesAxis):
             winding_number(Polyline((Point(0, 0), Point(1, 0), Point(0, 1))))
 
-    def test_antipodal_vertices_unresolvable(self):
-        with pytest.raises(WindingUnresolvable):
+    def test_edge_along_y_0_through_axis_touches_it(self):
+        # the edge (1, 0) -> (-1, 0) passes through the axis
+        with pytest.raises(PathTouchesAxis):
             winding_number(Polyline((Point(1, 0), Point(-1, 0), Point(0, 1))))
+
+    @pytest.mark.parametrize("vertices", [
+        ((1.0, 1.0), (-1.0, -1.0), (2.0, -1.0)),
+        # both cross products overflow to inf, or underflow to 0
+        ((1e300, -1e300), (-1e300, 1e300), (1.0, 5.0)),
+        ((1e-300, -1e-300), (-1e-300, 1e-300), (1.0, 5.0)),
+    ])
+    def test_crossing_edge_through_axis_touches_it(self, vertices):
+        loop = Polyline(tuple(Point(x, y) for x, y in vertices))
+        assert exact_winding(loop) is None
+        with pytest.raises(PathTouchesAxis):
+            winding_number(loop)
+
+    @pytest.mark.parametrize("vertices, winding", [
+        (((1e-200, 1.0), (-2e-200, -1.0), (1.0, 0.0)), 1),
+        (((1e-200, 1.0), (-2e-200, -1.0), (-1.0, 0.0)), 0),
+        (((1.0, 0.0), (-1.0, 1e-300), (0.0, -1.0)), 1),
+        # cross products that overflow, underflow, or round to a tie
+        (((1e300, -1e300), (-2e300, 1e300), (1.0, 5.0), (3e300, -2e300)), -1),
+        (((1e-300, -1e-300), (-2e-300, 1e-300), (1.0, 5.0), (3e-300, -2e-300)), -1),
+        (((1e-200, -1e-200), (-1e-200, 2e-200), (-1.0, -1.0)), 1),
+        (((1.0000000000000002, -1.0), (-1.0, 0.9999999999999999), (-1.0, -1.0)), 1),
+    ])
+    def test_edges_that_pass_the_axis_within_rounding(self, vertices, winding):
+        # each edge misses the axis by far less than a float step of its
+        # ends' azimuth, or than its products' range, but misses it: the
+        # winding is exact
+        loop = Polyline(tuple(Point(x, y) for x, y in vertices))
+        assert exact_winding(loop) == winding
+        assert winding_number(loop) == winding
+        reverse = Polyline(loop.vertices[::-1])
+        assert winding_number(reverse) == -winding
+
+    def test_circles_within_ulps_of_the_axis(self):
+        # the radius is a few ulps from the centre's hypot, which rounds
+        rng = random.Random(167)
+        for _ in range(3000):
+            cx, cy = (rng.uniform(-10.0, 10.0) * 10.0 ** rng.randint(-150, 150)
+                      for _ in range(2))
+            r = math.hypot(cx, cy)
+            for _ in range(rng.randint(0, 3)):
+                r = math.nextafter(r, rng.choice((0.0, math.inf)))
+            gap = Fraction(cx) ** 2 + Fraction(cy) ** 2 - Fraction(r) ** 2
+            circle = Circle(Point(cx, cy), r, 3)
+            if gap == 0:
+                with pytest.raises(PathTouchesAxis):
+                    winding_number(circle)
+            else:
+                assert winding_number(circle) == (3 if gap < 0 else 0)
+
+    def test_circle_within_an_ulp_of_the_axis(self):
+        # 3**2 + 4**2 == 5**2: only the radius's last bit tells the side
+        with pytest.raises(PathTouchesAxis):
+            winding_number(Circle(Point(3, 4), 5))
+        assert winding_number(Circle(Point(3.0, 4.0), math.nextafter(5.0, math.inf), -2)) == -2
+        assert winding_number(Circle(Point(3.0, 4.0), math.nextafter(5.0, 0.0), -2)) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(coords=st.lists(st.tuples(_winding_coordinates, _winding_coordinates),
+                           min_size=3, max_size=5))
+    def test_polyline_winding_is_exact(self, coords):
+        loop = Polyline(tuple(Point(x, y) for x, y in coords))
+        winding = exact_winding(loop)
+        if winding is None:
+            with pytest.raises(PathTouchesAxis):
+                winding_number(loop)
+        else:
+            assert winding_number(loop) == winding
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -347,6 +444,15 @@ class TestCirculation:
         square = Polyline((Point(2, -2), Point(2, 2), Point(-2, 2), Point(-2, -2)))
         with pytest.raises(QuadratureNotConverged):
             circulation(f, square, QuadratureSpec(max_subdivisions=0))
+
+    def test_certification_needs_no_budget(self):
+        # this star's bounds alone certify it, so no budget is asked for
+        # and the value is the one computed with the whole budget
+        rng = random.Random(151)
+        f = random_field(rng)
+        loop = star_loop(rng, 2, 1.5 * f.R, 4.0 * f.R)
+        want = circulation(f, loop, QuadratureSpec(rel_tol=1e-12))
+        assert circulation(f, loop, QuadratureSpec(rel_tol=1e-12, max_subdivisions=0)) == want
 
     def test_overflowing_integral_raises(self):
         # named once the kernel finds the integral not finite, with the
@@ -1129,9 +1235,9 @@ class TestCirculationMemo:
             assert self.counted(monkeypatch, lambda: circulation(*twin)) == want
 
     def test_call_that_raises_is_not_stored(self, monkeypatch):
-        rng = random.Random(151)
-        f = random_field(rng)
-        loop = star_loop(rng, 2, 1.5 * f.R, 4.0 * f.R)
+        # the square needs a split that no budget is left for
+        f = SolenoidField(B=2.0, R=1.0, gamma=1.0)
+        loop = centred_square(2.0)
         no_split = QuadratureSpec(rel_tol=1e-12, max_subdivisions=0)
         crossing = Circle(ORIGIN, f.R)
         for path, spec, error in ((loop, no_split, QuadratureNotConverged),
