@@ -262,7 +262,7 @@ def eval_A(f: SolenoidField, p: Point) -> Vec3:
     Inside, B*rho/2 along phi_hat is the linear field (-B*y/2, B*x/2),
     which vanishes on the axis.  Outside, gamma/rho along phi_hat is
     gamma * (-y, x) / rho**2.  Arcs and interior edges inline the same
-    formulas (geometry._arc, _edges); exterior edges integrate gamma*dphi,
+    formulas (geometry._turn, _edge_run); exterior edges integrate gamma*dphi,
     the same potential dotted with the edge in fewer operations.
 
     Outside the solenoid, a rho beyond the exterior range that paths and

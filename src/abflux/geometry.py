@@ -16,20 +16,24 @@ so repeated runs are bit-identical.  The 1/rho falloff of the exterior
 potential near the solenoid needs no special casing: the adaptive loop
 concentrates nodes there on its own.
 
-A panel can be certified instead of split.  Exterior edges carry a
-closed-form bound on each panel's error (_edge_bound): their integrand
-is a Lorentzian whose poles are known, so the Gauss-Kronrod truncation
-error has an a-priori bound (Trefethen, Approximation Theory and
-Approximation Practice, SIAM 2013, Thms 8.2 and 19.3), to which a bound
-on the rounding of nodes, values and the rule's sum is added.  When the
-worst panel's bound is below its estimate |K15 - G7|, the bound becomes
-its error and it is not split.  Arcs, interior edges and the disc carry
-no bound and are only ever split.
+A panel can be certified instead of split.  Exterior edges and
+exterior turns whose centre is off the axis carry a closed-form bound on
+each panel's error (_edge_bound, _arc_bound): an edge's integrand is a
+Lorentzian and a turn's a constant plus two cotangent kernels, whose
+poles are known, so the Gauss-Kronrod truncation error has an a-priori
+bound (Trefethen, Approximation Theory and Approximation Practice, SIAM
+2013, Thms 8.2 and 19.3), to which a bound on the rounding of nodes,
+values and the rule's sum is added.  When the worst panel's bound is
+below its estimate |K15 - G7|, the bound becomes its error and it is
+not split.  A turn about the axis has a constant exterior integrand;
+interior arcs and edges and the disc carry no bound and are only ever
+split.
 
 Every curve is integrated by one of two functions, _arc for a circular
-arc and _edges for a run of straight edges.  Each builds its piece,
-whose integrand returns A.dr/dt as plain floats, and integrates it, as
-_disc does for the disc; no other function calls _integrate_pieces.
+arc and _edges for a run of straight edges.  Each has its piece, whose
+integrand returns A.dr/dt as plain floats, built from the coefficient
+of its side and integrated by _turn or _edge_run, as _disc has the
+disc's by _radial; no other function calls _integrate_pieces.
 Each pass calls a piece's integrand once: the seed pass on the nodes of
 all its seed panels (every edge of a polyline at the same 15 nodes of
 [0, 1]), a split on both halves of the panel it bisects.  The 60 seed
@@ -40,7 +44,7 @@ sweeps of 2*pi and -2*pi.  Every arc is one whole turn from azimuth 0
 that table; splits compute it per node with the function that built the
 table, so the values are the same bit for bit.  A turn centred on the
 axis, as every split-disc ring is, leaves the centre's zero out of its
-node coordinates: adding a zero changes no bit there (_arc says why).
+node coordinates: adding a zero changes no bit there (_turn says why).
 Both constants are built once at import and never changed.  Inputs are
 validated once per path, not per quadrature node: _require_clearance
 takes one enclosure of the path's rho range (fields._side), which puts
@@ -53,7 +57,8 @@ periodic, so an n-turn circle is integrated over one revolution and the
 result scaled by n: rel_tol carries over exactly, while abs_tol applies
 per revolution.  An integral that overflows floating point raises
 ValueError naming the inputs it came from (B or gamma, with turns or
-the disc's radius), once the kernel has found it not finite.
+the disc's radius), once the kernel has found it not finite at its
+coefficient and at half of it (_second_pass).
 
 A winding number is counted, not integrated, and is exact: a
 polyline's signed crossings of the ray y = 0, x > 0, or a circle's
@@ -73,7 +78,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from itertools import count
 from math import cos, hypot, sin
 
@@ -206,7 +211,8 @@ def _integrate_pieces(pieces: list[tuple], spec: QuadratureSpec) -> float:
 
     A panel's error is its estimate |K15 - G7| until it is certified.
     bound is None or bound(curve, lo, hi), a proven bound on |K15 -
-    integral| of that panel (_edge_bound for exterior edges).  The worst
+    integral| of that panel (_edge_bound for exterior edges, _arc_bound
+    for exterior turns off the axis).  The worst
     panel, popped, is certified before it would be split: if its bound
     is below its estimate, the bound becomes its error, err drops by the
     difference and the panel goes back on the heap, marked so that it is
@@ -298,10 +304,50 @@ def _not_finite(value: float, *inputs: tuple[str, float]) -> ValueError:
     return ValueError(f"integral is not finite ({value!r}) at {named}: the inputs overflow")
 
 
+def _second_pass(integrate: Callable[..., float], coef: float, args: tuple,
+                 spec: QuadratureSpec, value: float, *inputs: tuple[str, float]) -> float:
+    """For value = integrate(coef, *args, spec), an integral the kernel
+    has found not finite: twice integrate(coef/2, *args, spec with
+    abs_tol halved), or a ValueError naming inputs, the caller's own,
+    where that is not finite either.
+
+    _gk15 adds node pairs before it weights them and a panel's weights
+    sum to 2, so an integral above about half the float range overflows
+    inside the kernel though it is finite.  Every value, estimate, bound,
+    running sum and tolerance of the kernel is linear in coef, and
+    halving a float is exact wherever the half is normal.  So the second
+    pass forms exactly half of each quantity the first would have formed
+    with no limit on the exponent, takes each of its decisions (certify,
+    split, stop) and returns half of its result; twice that is the
+    result, or not finite where it overflows.  Only a subnormal value
+    would round when halved, by at most 2**-1075.  A coef or abs_tol
+    below twice the smallest normal float could round when halved, so
+    with one there is no second pass.
+    """
+    if min(abs(coef), spec.abs_tol) >= 2.0 * _TINY:
+        half = QuadratureSpec(spec.rel_tol, 0.5 * spec.abs_tol, spec.max_subdivisions)
+        value = 2.0 * integrate(0.5 * coef, *args, half)
+    if not math.isfinite(value):
+        raise _not_finite(value, *inputs)
+    return value
+
+
 def _arc(coef: float, inside: bool, cx: float, cy: float, radius: float,
          sweep: float, spec: QuadratureSpec) -> float:
+    """_turn's integral, or where the kernel finds it not finite,
+    _second_pass's, which names coef if that is not finite either."""
+    value = _turn(coef, inside, cx, cy, radius, sweep, spec)
+    if math.isfinite(value):
+        return value
+    return _second_pass(_turn, coef, (inside, cx, cy, radius, sweep), spec, value,
+                        ("B" if inside else "gamma", coef))
+
+
+def _turn(coef: float, inside: bool, cx: float, cy: float, radius: float,
+          sweep: float, spec: QuadratureSpec) -> float:
     """Integral along one whole turn about (cx, cy) from azimuth 0, sweep
-    = 2*pi or -2*pi, t in [0, 1], seeded with one panel per quarter turn.
+    = 2*pi or -2*pi, t in [0, 1], seeded with one panel per quarter turn,
+    as the kernel returns it, finite or not.
 
     The seed pass reads its cos and sin from _TURN_TRIG, built by the
     same _trig at the same nodes; every split computes them at its nodes.
@@ -312,7 +358,9 @@ def _arc(coef: float, inside: bool, cx: float, cy: float, radius: float,
     The integrand holds only that side's formula of fields.eval_A:
     the linear field (-B*y/2, B*x/2) inside, gamma*(-y, x)/rho**2
     outside, in the same floating-point operations as eval_A, so every
-    value equals eval_A's dotted with dr/dt.
+    value equals eval_A's dotted with dr/dt.  An exterior turn whose
+    centre is off the axis carries _arc_bound, which certifies its
+    panels; the others are polynomials in cos and sin, or constant.
 
     A turn centred on the axis, cx and cy both zero of either sign (the
     split disc's rings, a circle about the origin), drops the centre from
@@ -322,13 +370,12 @@ def _arc(coef: float, inside: bool, cx: float, cy: float, radius: float,
     the node's value sums that term with the other, which keeps the
     sign of its zero only if it is a zero too, and a zero's sign reaches
     the integral only if every value summed is a zero.
-
-    A turn whose integral is not finite is a ValueError naming coef.
     """
     k = radius * sweep
     nk = -k
     turn_trig = _TURN_TRIG[sweep > 0.0]
     centred = cx == 0.0 and cy == 0.0
+    bound = None
     if inside:
         bx, by = -0.5 * coef, 0.5 * coef
         if centred:
@@ -362,10 +409,10 @@ def _arc(coef: float, inside: bool, cx: float, cy: float, radius: float,
                 out.append(-scale * y * (nk * s) + scale * x * (k * c))
             return out
 
-    value = _integrate_pieces([(fn, 0.0, 1.0, 4, 1, None)], spec)
-    if not math.isfinite(value):
-        raise _not_finite(value, ("B" if inside else "gamma", coef))
-    return value
+        def bound(c: int, lo: float, hi: float) -> float:
+            return _arc_bound(coef, cx, cy, radius, sweep, lo, hi)
+
+    return _integrate_pieces([(fn, 0.0, 1.0, 4, 1, bound)], spec)
 
 
 def _edge_bound(gamma: float, px: float, py: float, dx: float, dy: float,
@@ -449,6 +496,94 @@ def _edge_bound(gamma: float, px: float, py: float, dx: float, dy: float,
     return bound if bound >= _TINY else math.inf
 
 
+def _arc_bound(gamma: float, cx: float, cy: float, radius: float, sweep: float,
+               lo: float, hi: float) -> float:
+    """A bound on |K15 - integral| of the exterior integrand of the turn
+    c + radius*e**(i*sweep*t), c = cx + i*cy off the axis, on its panel
+    [lo, hi], or inf where none is found: a truncation term plus a
+    rounding term, in the form of _edge_bound's.  eps is the machine
+    epsilon; panels are dyadic parts of the quarter turns, so s = (hi -
+    lo)/2 <= 1/8 and the midpoint m are exact.  The exact integrand has
+    sweep = +-2*pi exactly, the float sweep is rounded.
+
+    Truncation.  With z = e**(i*sweep*t), r = radius and q = |c|/r, the
+    integrand is gamma*sweep*Re(r*z/(c + r*z)) = (gamma*sweep/2)*(r*z/(c +
+    r*z) + r/(r + conj(c)*z)).  It has period 1 in t, one simple pole of
+    each term per period, at t0 = (arg(-c) -+ i*ln q)/sweep and at its
+    conjugate t1, each of residue modulus |gamma|/2, and it tends to 0
+    and gamma*sweep as Im t tends to +-inf.  So it is
+    gamma*sweep/2 plus the two kernels res*pi*cot(pi*(t - t_j)).  On the
+    strip |Re w| <= 1/2, pi*cot(pi*w) - 1/w is analytic and bounded, and
+    on its edges it is -i*pi*tanh(pi*y) - 1/(1/2 + i*y), of modulus at
+    most pi; so by Phragmen-Lindelof |pi*cot(pi*w)| <= pi + 1/|w| there,
+    and |f(t)| <= |gamma|*(2*pi + (1/d0 + 1/d1)/2), d_j the distance from
+    t to the nearest pole t_j + k.  On u in [-1, 1], t = m + s*u, the
+    nearest period's poles are a +- i*b, a = (Re t0 - m)/s reduced so
+    that |a*s| <= 1/2, b = |ln q|/(2*pi*s); others lie further out, on
+    larger ellipses.  As for edges, a point of E_r, r < rho, lies at least
+    g = A - (r + 1/r)/2 from both, in units of s, so M = |gamma|*(2*pi +
+    1/(s*g)) on E_r, and with r = rho**0.9 the term is 8*s*M*r**-23/(r -
+    1) = 8*|gamma|*(2*pi*s + 1/g)*r**-23/(r - 1).  The computed a errs by
+    under 4.3*eps/s, from atan2, the division and the reduction; ln q by
+    under eps*(1 + 1.5*L), L = |ln|c|| + |ln r|, from hypot and the two
+    logs, so b by eps*(1 + 1.5*L)/(2*pi*s) plus 1.5*eps*b; forming A, g
+    and the term errs by under 7*eps*A more.  So A is lowered by
+    16*eps*((1 + L)/s + A), which keeps the computed term an upper bound.
+
+    Rounding.  This term bounds |K15 - Q|, Q the exact rule at the exact
+    nodes on the exact integrand; scale = |c| + r.  A computed node t
+    lies within eps*(s + 1/2) of its exact node (_edge_bound), so the
+    computed angle sweep*t lies within 8.1*eps of the exact one, with the
+    rounded sweep and the product; libm's cos and sin, within an ulp,
+    then err by under 9.1*eps each, and x = cx + r*cos, y = cy + r*sin
+    put the point within 14.3*eps*scale of the exact one.  The exact
+    integrand f = gamma*sweep*r*(P.u)/|P|**2, P the point and u = (cos,
+    sin), has gradients under 3*|gamma*sweep*r|/|P|**2 in P and
+    |gamma*sweep*r|/|P| in u, and its own roundings (ten, and those of
+    k = r*sweep) err by under 5.8*eps*|gamma*sweep*r|/|P|.  With |P|
+    >= nu = near - 48*eps*scale, near the panel's closest approach to the
+    axis, and nu <= scale, each value errs by under
+    61.6*eps*|gamma*sweep*r|*scale/nu**2, and the rule, whose weights sum
+    to 2, by 2*s times that.  The K15 sum adds 11.65*eps*s*max|f| as for
+    edges, with |f| <= |gamma*sweep*r|/nu.  In all, under
+    848*eps*s*|gamma|*r*scale/nu**2 (|sweep| = 2*pi); the term is
+    880*eps*s*|gamma|*r*scale/nu**2, whose factor also covers the
+    rounding of the term and of the sum of the two.  A point of the turn
+    at angle phi from its nearest one, c*(1 - r/|c|), lies
+    sqrt((|c| - r)**2 + 4*|c|*r*sin(phi/2)**2) from the axis, and phi >=
+    2*pi*s*(|a| - 1) on the panel, so near >= hypot(|c| - r, 4*s*sqrt(|c|*r)*
+    max(|a| - 1, 0)) by sin(phi/2) >= phi/pi.  Computed, with the error of
+    a, that errs by under 15*eps*scale, which the 48 covers with the
+    14.3 of the moved point.
+
+    No bound is found where nu or g is not positive, or the poles'
+    ellipse does not lie past [-1, 1].  All this assumes normal numbers:
+    a |c| outside the normal range, or a bound below it, gives inf.
+    """
+    d = hypot(cx, cy)
+    if not _TINY <= d < math.inf:
+        return math.inf
+    ld, lr = math.log(d), math.log(radius)
+    s = 0.5 * (hi - lo)
+    t0 = math.atan2(-cy, -cx) / sweep - 0.5 * (lo + hi)
+    a = (t0 - round(t0)) / s
+    b = abs(ld - lr) / (math.tau * s)
+    scale = d + radius
+    nu = (hypot(d - radius, 4.0 * s * math.sqrt(d) * math.sqrt(radius) * max(abs(a) - 1.0, 0.0))
+          - 48.0 * _EPS * scale)
+    ellipse = 0.5 * (hypot(a - 1.0, b) + hypot(a + 1.0, b))
+    ellipse -= 16.0 * _EPS * ((1.0 + abs(ld) + abs(lr)) / s + ellipse)
+    if not (nu > 0.0 and ellipse > 1.0):
+        return math.inf
+    r = (ellipse + math.sqrt((ellipse - 1.0) * (ellipse + 1.0))) ** 0.9
+    g = ellipse - 0.5 * (r + 1.0 / r)
+    if not g > 0.0:
+        return math.inf
+    bound = (8.0 * abs(gamma) * (math.tau * s + 1.0 / g) * r ** -23 / (r - 1.0)
+             + 880.0 * _EPS * s * abs(gamma) * (radius / nu) * (scale / nu))
+    return bound if bound >= _TINY else math.inf
+
+
 def _edges(f: SolenoidField, points: Sequence[Point], spec: QuadratureSpec) -> float:
     """Integral along the straight edges joining points in order.
 
@@ -489,8 +624,21 @@ def _edges(f: SolenoidField, points: Sequence[Point], spec: QuadratureSpec) -> f
                 low = edge
 
     inside = _require_clearance(f, lo, hi, low)
+    coef = f.B if inside else f.gamma
+    value = _edge_run(coef, inside, coords, spec)
+    if math.isfinite(value):
+        return value
+    return _second_pass(_edge_run, coef, (inside, coords), spec, value,
+                        ("B" if inside else "gamma", coef))
+
+
+def _edge_run(coef: float, inside: bool, coords: list[tuple], spec: QuadratureSpec) -> float:
+    """Integral along the edges (px, py, dx, dy) of coords, on the side
+    inside and with its coefficient coef (_edges), as the kernel returns
+    it, finite or not."""
+    bound = None
     if inside:
-        bx, by = -0.5 * f.B, 0.5 * f.B
+        bx, by = -0.5 * coef, 0.5 * coef
 
         def fn(cs: Sequence[int], ts: Sequence[float]) -> list[float]:
             out = []
@@ -499,8 +647,6 @@ def _edges(f: SolenoidField, points: Sequence[Point], spec: QuadratureSpec) -> f
                 out += [bx * (py + t * dy) * dx + by * (px + t * dx) * dy for t in ts]
             return out
     else:
-        gamma = f.gamma
-
         def fn(cs: Sequence[int], ts: Sequence[float]) -> list[float]:
             out = []
             for c in cs:
@@ -509,32 +655,34 @@ def _edges(f: SolenoidField, points: Sequence[Point], spec: QuadratureSpec) -> f
                     x, y = px + t * dx, py + t * dy
                     # divided before gamma scales it, so a large gamma overflows
                     # only where the value itself does
-                    out.append(gamma * ((x * dy - y * dx) / (x * x + y * y)))
+                    out.append(coef * ((x * dy - y * dx) / (x * x + y * y)))
             return out
 
         def bound(c: int, lo: float, hi: float) -> float:
-            return _edge_bound(gamma, *coords[c], lo, hi)
+            return _edge_bound(coef, *coords[c], lo, hi)
 
-    value = _integrate_pieces([(fn, 0.0, 1.0, len(coords), len(coords),
-                                None if inside else bound)], spec)
-    if not math.isfinite(value):
-        raise _not_finite(value, ("B", f.B) if inside else ("gamma", f.gamma))
-    return value
+    return _integrate_pieces([(fn, 0.0, 1.0, len(coords), len(coords), bound)], spec)
 
 
 def _disc(coef: float, rho: float, spec: QuadratureSpec) -> float:
     """Flux of B_z = coef through the disc [0, rho], validated by the
-    caller; a ValueError naming B and rho if the kernel finds it not
-    finite, whether the flux or only its integrand r*(2*pi*B) overflows."""
+    caller; where the kernel finds it not finite, _second_pass's, which
+    names B and rho if that is not finite either."""
+    value = _radial(coef, rho, spec)
+    if math.isfinite(value):
+        return value
+    return _second_pass(_radial, coef, (rho,), spec, value, ("B", coef), ("rho", rho))
+
+
+def _radial(coef: float, rho: float, spec: QuadratureSpec) -> float:
+    """The disc's flux as the kernel returns it, finite or not: rho times
+    a whole turn times B_z over [0, rho]."""
     azimuthal = math.tau * coef
 
     def radial(cs: Sequence[int], rhos: Sequence[float]) -> list[float]:
         return [r * azimuthal for r in rhos]
 
-    value = _integrate_pieces([(radial, 0.0, rho, 1, 1, None)], spec)
-    if not math.isfinite(value):
-        raise _not_finite(value, ("B", coef), ("rho", rho))
-    return value
+    return _integrate_pieces([(radial, 0.0, rho, 1, 1, None)], spec)
 
 
 class Circle(Record):
@@ -639,15 +787,16 @@ def winding_number(path: ClosedPath) -> int:
 
     A circle winds turns times if its centre lies nearer the axis than
     its radius, else not at all, and meets the axis where cx**2 + cy**2
-    == r**2.  The band |d - r| <= _ROUND*(d + r), d = hypot(cx, cy),
-    holds the rounding of d - r (the fields docstring), so outside it,
-    where it is normal and finite, the float comparison is exact; the
-    rest compare the squares in integers.
+    == r**2.  math.hypot errs by under one ulp of its result (Python
+    3.10 and later), so d = hypot(cx, cy) is one of the two floats next
+    to the exact distance, and cannot pass the float r: d < r and d > r
+    hold of the exact distance too.  Where d == r, the squares are
+    compared in integers.
     """
     if isinstance(path, Circle):
         c, r = path.center, path.radius
         d = hypot(c.x, c.y)
-        if abs(d - r) > _ROUND * (d + r) >= _TINY:
+        if d != r:
             return path.turns if d < r else 0
         (a, m), (b, n), (s, k) = (float(v).as_integer_ratio() for v in (c.x, c.y, r))
         gap = (a * n * k) ** 2 + (b * m * k) ** 2 - (s * m * n) ** 2

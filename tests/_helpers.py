@@ -14,9 +14,12 @@ from abflux.errors import AbfluxError
 from abflux.fields import Point, SolenoidField
 from abflux.geometry import Circle, Polyline
 
-#: (B, R) whose disc flux overflows near the top of the float range: only
-#: r*(2*pi*B) near r = R (2.5e307), 2*pi*B itself (4e307), or pi*B*R**2 (1e308)
-DISC_OVERFLOWS = ((2.5e307, 1.5), (-2.5e307, 1.5), (1e308, 2.0), (4e307, 0.5), (-4e307, 0.5))
+#: (B, R) whose disc flux pi*B*R**2 overflows, and also pi*B*(0.8*R)**2:
+#: by 0.7% to 7 times, where 2*pi*B is finite (2.5e307) or not (4e307, 1e308)
+DISC_OVERFLOWS = ((2.5e307, 2.0), (-2.5e307, 2.0), (1e308, 2.0), (4e307, 1.5), (-4e307, 1.5))
+#: (B, R) whose disc flux is finite, though r*(2*pi*B) near r = R
+#: (2.5e307) or 2*pi*B itself (4e307) overflows
+DISC_NEAR_MAX = ((2.5e307, 1.5), (-2.5e307, 1.5), (4e307, 0.5), (-4e307, 0.5))
 
 
 def random_field(rng: random.Random, B: float | None = None,

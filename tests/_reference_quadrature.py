@@ -8,21 +8,23 @@ each of its nodes, with no table.  The batched kernel in abflux.geometry
 must give repr-identical values from the same number of panels.
 
 A piece carries the bound of its panels' errors, or None: an exterior
-edge certifies a popped panel with geometry._edge_bound once, in the
-same order as the batched kernel, before it would split it.
+edge certifies a popped panel with geometry._edge_bound once, and an
+exterior turn off the axis with geometry._arc_bound, in the same order
+as the batched kernel, before it would split it.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import count
 from math import cos, hypot, sin
 
 from abflux.errors import QuadratureNotConverged
 from abflux.fields import Point, SolenoidField
-from abflux.geometry import _WG, _WGK, _XGK, QuadratureSpec, _edge_bound
+from abflux.geometry import _WG, _WGK, _XGK, QuadratureSpec, _arc_bound, _edge_bound
 
 
 def gk15(fn, a: float, b: float) -> tuple[float, float]:
@@ -97,31 +99,31 @@ def integrate(pieces, spec: QuadratureSpec) -> tuple[float, int]:
 
 
 def arc_piece(f: SolenoidField, inside: bool, cx: float, cy: float, radius: float,
-              phi0: float, sweep: float):
-    """The arc about (cx, cy) from phi0 through sweep, one seed panel per
-    quarter turn, with the formula of the given side of rho = R."""
+              sweep: float):
+    """The whole turn about (cx, cy) from azimuth 0 through sweep = +-2*pi,
+    one seed panel per quarter turn, with the formula of the given side
+    of rho = R; outside and off the axis, its panels have a bound."""
     k = radius * sweep
     nk = -k
-    seed = max(1, math.ceil(abs(sweep) / (0.5 * math.pi)))
     if inside:
         bx, by = -0.5 * f.B, 0.5 * f.B
 
         def interior(ts):
             out = []
             for t in ts:
-                th = phi0 + sweep * t
+                th = sweep * t
                 c, s = cos(th), sin(th)
                 out.append(bx * (cy + radius * s) * (nk * s) + by * (cx + radius * c) * (k * c))
             return out
 
-        return interior, 0.0, 1.0, seed, None
+        return interior, 0.0, 1.0, 4, None
 
     gamma = f.gamma
 
     def exterior(ts):
         out = []
         for t in ts:
-            th = phi0 + sweep * t
+            th = sweep * t
             c, s = cos(th), sin(th)
             x, y = cx + radius * c, cy + radius * s
             rho = hypot(x, y)
@@ -129,7 +131,10 @@ def arc_piece(f: SolenoidField, inside: bool, cx: float, cy: float, radius: floa
             out.append(-scale * y * (nk * s) + scale * x * (k * c))
         return out
 
-    return exterior, 0.0, 1.0, seed, None
+    if cx == 0.0 and cy == 0.0:
+        return exterior, 0.0, 1.0, 4, None
+    return (exterior, 0.0, 1.0, 4,
+            lambda lo, hi: _arc_bound(gamma, cx, cy, radius, sweep, lo, hi))
 
 
 def edge_piece(f: SolenoidField, inside: bool, p: Point, q: Point):
@@ -213,3 +218,125 @@ def edge_near(px: float, py: float, dx: float, dy: float, lo: float, hi: float) 
     t = min(max(-(x0 * ex + y0 * ey) / (ex * ex + ey * ey), Fraction(lo)), Fraction(hi))
     x, y = x0 + t * ex, y0 + t * ey
     return math.sqrt(x * x + y * y)
+
+
+#: pi to 64 digits, for the arc's exact integrals at 60
+_PI = Decimal("3.141592653589793238462643383279502884197169399375105820974944592")
+
+
+def _cos_sin(x: Decimal) -> tuple[Decimal, Decimal]:
+    """cos x and sin x, by the Taylor series at x reduced to [-pi, pi],
+    whose terms are summed until they fall below 1e-70"""
+    x -= 2 * _PI * (x / (2 * _PI)).to_integral_value()
+    c = s = Decimal(0)
+    term, n = Decimal(1), 0
+    while abs(term) > Decimal("1e-70") or n < 8:
+        if n % 4 == 0:
+            c += term
+        elif n % 4 == 1:
+            s += term
+        elif n % 4 == 2:
+            c -= term
+        else:
+            s -= term
+        n += 1
+        term = term * x / n
+    return c, s
+
+
+def _atan2(y: Decimal, x: Decimal) -> Decimal:
+    """The angle of (x, y) in (-pi, pi]: its tangent or cotangent, of
+    modulus at most 1, is halved three times, to at most tan(pi/32), and
+    summed by the Taylor series of atan until a term falls below 1e-70"""
+    if abs(y) > abs(x):
+        return (_PI / 2 if y > 0 else -_PI / 2) - _atan2(x, abs(y)) * (1 if y > 0 else -1)
+    if x == 0:
+        return Decimal(0)
+    v = y / x
+    for _ in range(3):
+        v = v / (1 + (1 + v * v).sqrt())
+    total, power, n = Decimal(0), v, 1
+    while abs(power) > Decimal("1e-70"):
+        total += power / n if n % 4 == 1 else -power / n
+        power *= v * v
+        n += 2
+    angle = 8 * total
+    if x > 0:
+        return angle
+    return angle + _PI if y >= 0 else angle - _PI
+
+
+def arc_panel_exact(gamma: float, cx: float, cy: float, radius: float, sweep: float,
+                    lo: float, hi: float) -> Fraction:
+    """The integral over [lo, hi] of the exterior integrand of the turn c +
+    radius*e**(i*th), th = +-2*pi*t exactly, at 60 digits: gamma times
+    the azimuth P(t) sweeps about the axis.  Where |c| > r that is the
+    angle from P(lo) to P(hi), under pi; where |c| < r, P = e**(i*th)*V,
+    V = r + c*e**(-i*th), and it is th(hi) - th(lo) plus the angle from
+    V(lo) to V(hi), under pi since Re V > 0.  Each step errs by a few
+    units of 1e-60 of its operands, so the result lies within
+    1e-50*|gamma|*(1 + scale/near) of the integral, scale = |c| + r and
+    near the turn's closest approach to the axis."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x0, y0, r = Decimal(cx), Decimal(cy), Decimal(radius)
+        winds = x0 * x0 + y0 * y0 < r * r
+        turn = 2 * _PI if sweep > 0 else -2 * _PI
+        ends = []
+        for t in (lo, hi):
+            c, s = _cos_sin(turn * Decimal(t))
+            # V = r + c*e**(-i*th) where the turn winds, else P = c + r*e**(i*th)
+            ends.append((r + x0 * c + y0 * s, y0 * c - x0 * s) if winds
+                        else (x0 + r * c, y0 + r * s))
+        (ax, ay), (bx, by) = ends
+        angle = _atan2(ax * by - ay * bx, ax * bx + ay * by)
+        if winds:
+            angle += turn * (Decimal(hi) - Decimal(lo))
+        return Fraction(Decimal(gamma) * angle)
+
+
+def arc_panel_rule(gamma: float, cx: float, cy: float, radius: float, sweep: float,
+                   lo: float, hi: float) -> Fraction:
+    """GK15 on [lo, hi] of the exterior integrand of the turn,
+    gamma*sweep*r*(P.u)/|P|**2 with u = (cos th, sin th), th = sweep*t
+    and sweep = +-2*pi exactly, at the 33-digit nodes and weights and 60
+    digits"""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        g, x0, y0, r = map(Decimal, (gamma, cx, cy, radius))
+        turn = 2 * _PI if sweep > 0 else -2 * _PI
+        m = (Decimal(lo) + Decimal(hi)) / 2
+        s = (Decimal(hi) - Decimal(lo)) / 2
+
+        def f(t):
+            c, sn = _cos_sin(turn * t)
+            x, y = x0 + r * c, y0 + r * sn
+            return g * turn * r * (x * c + y * sn) / (x * x + y * y)
+
+        def dec(q: Fraction) -> Decimal:
+            return Decimal(q.numerator) / Decimal(q.denominator)
+
+        total = dec(WGK_33[7]) * f(m)
+        for x, w in zip(XGK_33[:7], WGK_33[:7]):
+            total += dec(w) * (f(m - s * dec(x)) + f(m + s * dec(x)))
+        return Fraction(s * total)
+
+
+def arc_near(cx: float, cy: float, radius: float, sweep: float, lo: float, hi: float) -> float:
+    """The closest approach of the turn's panel [lo, hi] to the axis, at
+    60 digits, rounded once: rho grows along the turn away from its
+    nearest point c*(1 - r/|c|), so it is least at an end of the panel
+    or at that point, where the panel holds it"""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x0, y0, r = Decimal(cx), Decimal(cy), Decimal(radius)
+        turn = 2 * _PI if sweep > 0 else -2 * _PI
+        nearest = _atan2(-y0, -x0) / turn
+        ts = [Decimal(lo), Decimal(hi)] + [nearest + k for k in (-1, 0, 1)
+                                           if lo <= nearest + k <= hi]
+
+        def rho(t):
+            c, s = _cos_sin(turn * t)
+            return ((x0 + r * c) ** 2 + (y0 + r * s) ** 2).sqrt()
+
+        return float(min(map(rho, ts)))

@@ -4,10 +4,11 @@ import random
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import pytest
 
-from _helpers import DISC_OVERFLOWS, random_field
+from _helpers import DISC_NEAR_MAX, DISC_OVERFLOWS, random_field
 from abflux import cli, geometry
 from abflux.errors import InvalidRadius, QuadratureNotConverged
 from abflux.fields import SolenoidField, ab_standard, gauge_shift
@@ -300,9 +301,9 @@ class TestSplitDiscPieces:
                 call(f, 2e155)
 
     def test_interior_integrand_that_overflows_near_the_rim_is_named(self, monkeypatch):
-        # the flux pi*B*R**2, 2*pi*B, or only r*(2*pi*B) near r = R
-        # overflows: the area flux, integrated first, names B and R as
-        # flux_direct does, once the kernel finds it not finite;
+        # the flux pi*B*R**2 overflows: the area flux, integrated first,
+        # names B and R as flux_direct does, once the kernel finds it not
+        # finite after the seed panel of each pass, at B and at B/2;
         # chart_audit reads no B
         panels = [0]
         gk15 = geometry._gk15
@@ -316,12 +317,25 @@ class TestSplitDiscPieces:
             f = SolenoidField(B=B, R=R, gamma=1.0)
             message = (rf"^integral is not finite \(-?inf\) at B = {re.escape(repr(B))}, "
                        rf"rho = {re.escape(repr(R))}: the inputs overflow$")
-            for call, most in ((verify_stokes, 5), (flux_direct, 1)):
+            for call in (verify_stokes, flux_direct):
                 panels[0] = 0
                 with pytest.raises(ValueError, match=message):
                     call(f, 3.0)
-                assert 1 <= panels[0] <= most
+                assert panels[0] == 2
             assert math.isfinite(chart_audit(f, 3.0))
+
+    def test_interior_values_above_half_the_float_range_are_returned(self):
+        # the interior ring's values or its disc integrand r*(2*pi*B)
+        # overflow inside the kernel, though both fluxes are finite: each
+        # is integrated at B/2 and doubled
+        spec = QuadratureSpec()
+        for B, R in DISC_NEAR_MAX:
+            f = SolenoidField(B=B, R=R, gamma=1.0)
+            report = verify_stokes(f, 3.0)
+            exact = Fraction(math.pi) * Fraction(B) * Fraction(R) ** 2
+            assert abs(Fraction(report.phi_1) - exact) <= spec.rel_tol * abs(exact)
+            assert report.phi_total == report.phi_1 + report.phi_2
+            assert report.circ_inner == pytest.approx(TWO_PI, rel=1e-9)
 
     def test_exterior_rings_that_overflow_are_named(self):
         # 2*pi*gamma overflows on both exterior rings
