@@ -30,10 +30,10 @@ interior arcs and edges and the disc carry no bound and are only ever
 split.
 
 Every curve is integrated by one of two functions, _arc for a circular
-arc and _edges for a run of straight edges.  Each has its piece, whose
-integrand returns A.dr/dt as plain floats, built from the coefficient
-of its side and integrated by _turn or _edge_run, as _disc has the
-disc's by _radial; no other function calls _integrate_pieces.
+arc and _edges for a run of straight edges, as the disc is by _disc.
+Each builds its piece as plain data, a module-level integrand of A.dr/dt
+with its side's coefficient and its curves' coordinates, for _integrate,
+the only caller of _integrate_pieces, to run.
 Each pass calls a piece's integrand once: the seed pass on the nodes of
 all its seed panels (every edge of a polyline at the same 15 nodes of
 [0, 1]), a split on both halves of the panel it bisects.  The 60 seed
@@ -44,7 +44,7 @@ sweeps of 2*pi and -2*pi.  Every arc is one whole turn from azimuth 0
 that table; splits compute it per node with the function that built the
 table, so the values are the same bit for bit.  A turn centred on the
 axis, as every split-disc ring is, leaves the centre's zero out of its
-node coordinates: adding a zero changes no bit there (_turn says why).
+node coordinates: adding a zero changes no bit there (_arc says why).
 Both constants are built once at import and never changed.  Inputs are
 validated once per path, not per quadrature node: _require_clearance
 takes one enclosure of the path's rho range (fields._side), which puts
@@ -58,7 +58,7 @@ result scaled by n: rel_tol carries over exactly, while abs_tol applies
 per revolution.  An integral that overflows floating point raises
 ValueError naming the inputs it came from (B or gamma, with turns or
 the disc's radius), once the kernel has found it not finite at its
-coefficient and at half of it (_second_pass).
+piece's coefficient and at half of it (_integrate).
 
 A winding number is counted, not integrated, and is exact: a
 polyline's signed crossings of the ray y = 0, x > 0, or a circle's
@@ -78,7 +78,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from itertools import count
 from math import cos, hypot, sin
 
@@ -101,13 +101,16 @@ from .fields import (
     _side,
 )
 
-# A quadrature piece is a tuple (fn, a, b, seed, curves, bound):
-# integrate each of `curves` curves over [a, b] and sum them all, seeded
-# with one panel [a, b] per curve (seed == curves: edges, the disc) or
-# with an arc's four quarter turns of [0, 1]; fn(cs, ts) maps curve
-# indices and nodes to the integrand values at each node of each listed
-# curve, in order; bound is None or bound(c, lo, hi), a proven bound on
-# the error of curve c's panel [lo, hi], which certifies it.
+# A quadrature piece is the plain tuple (fn, a, b, seed, curves, bound,
+# coef, args): integrate each of `curves` curves over [a, b] and sum them
+# all, seeded with one panel [a, b] per curve (seed == curves: edges, the
+# disc) or with an arc's four quarter turns of [0, 1].  coef is the
+# coefficient of the curves' side of rho = R, B inside and gamma
+# outside, and args[c] holds curve c's geometry.  fn(coef, args, cs, ts),
+# a module-level function, maps curve indices and nodes to the integrand
+# values at each node of each listed curve, in order; bound is None or
+# bound(coef, *args[c], lo, hi), a proven bound on the error of curve
+# c's panel [lo, hi], which certifies it.
 
 
 # Gauss-Kronrod 7/15 pair: nonnegative Kronrod abscissae with their
@@ -196,12 +199,12 @@ def _gk15(y: list[float], i: int, a: float, b: float) -> tuple[float, float]:
 
 
 def _integrate_pieces(pieces: list[tuple], spec: QuadratureSpec) -> float:
-    """Adaptively integrate the one (fn, a, b, seed, curves, bound) piece
-    in pieces: the seed pass, the bisection and the exact re-sum.  It
-    takes a list because the benchmark's tracer (perfbench/tracing.py)
-    wraps it and counts each listed piece's seed panels, piece[3].  Both
-    passes call _gk15 by its module name, so the tracer's wrapper sees
-    each panel.
+    """Adaptively integrate the one (fn, a, b, seed, curves, bound, coef,
+    args) piece in pieces: the seed pass, the bisection and the exact
+    re-sum.  It takes a list because the benchmark's tracer
+    (perfbench/tracing.py) wraps it and counts each listed piece's seed
+    panels, piece[3].  Both passes call _gk15 by its module name, so the
+    tracer's wrapper sees each panel.
 
     An arc is seeded with four quarter turns so the error estimator
     starts below one oscillation per panel.  Every pass calls the
@@ -210,8 +213,8 @@ def _integrate_pieces(pieces: list[tuple], spec: QuadratureSpec) -> float:
     sum of errors <= max(abs_tol, rel_tol*|sum|).
 
     A panel's error is its estimate |K15 - G7| until it is certified.
-    bound is None or bound(curve, lo, hi), a proven bound on |K15 -
-    integral| of that panel (_edge_bound for exterior edges, _arc_bound
+    bound is None or bound(coef, *args[curve], lo, hi), a proven bound on
+    |K15 - integral| of that panel (_edge_bound for exterior edges, _arc_bound
     for exterior turns off the axis).  The worst
     panel, popped, is certified before it would be split: if its bound
     is below its estimate, the bound becomes its error, err drops by the
@@ -230,12 +233,12 @@ def _integrate_pieces(pieces: list[tuple], spec: QuadratureSpec) -> float:
     a tight tolerance, which the running err then never meets; so once
     err is within it of the tolerance, both are summed again exactly.
     """
-    (fn, a, b, seed, curves, bound), = pieces
+    (fn, a, b, seed, curves, bound, coef, args), = pieces
     if seed == curves:
         panels, nodes = ((a, b),), _nodes(a, b)
     else:
         panels, nodes = _TURN_BOUNDS, _TURN_NODES
-    y = fn(range(curves), nodes)
+    y = fn(coef, args, range(curves), nodes)
     # (-err, seed, split or certification order, curve, a, b, value,
     # certified): the heap keys (-err, order) are unique, so no comparison
     # reaches the rest
@@ -264,7 +267,8 @@ def _integrate_pieces(pieces: list[tuple], spec: QuadratureSpec) -> float:
                 drift = 0.0
                 continue
             neg_e, _, c, lo, hi, v, certified = heapq.heappop(heap)
-            if bound is not None and not certified and (e := bound(c, lo, hi)) < -neg_e:
+            if (bound is not None and not certified
+                    and (e := bound(coef, *args[c], lo, hi)) < -neg_e):
                 drift += err + e
                 err = max(err + e - (-neg_e), 0.0)
                 heapq.heappush(heap, (-e, next(tie), c, lo, hi, v, True))
@@ -275,7 +279,7 @@ def _integrate_pieces(pieces: list[tuple], spec: QuadratureSpec) -> float:
                     f"{splits} subdivisions"
                 )
             mid = 0.5 * (lo + hi)
-            y = fn((c,), _nodes(lo, mid) + _nodes(mid, hi))
+            y = fn(coef, args, (c,), _nodes(lo, mid) + _nodes(mid, hi))
             v1, e1 = _gk15(y, 0, lo, mid)
             v2, e2 = _gk15(y, 15, mid, hi)
             drift += err + e1 + e2 + spec.rel_tol * (abs(total) + abs(v1) + abs(v2) + abs(v))
@@ -284,8 +288,8 @@ def _integrate_pieces(pieces: list[tuple], spec: QuadratureSpec) -> float:
             heapq.heappush(heap, (-e1, next(tie), c, lo, mid, v1, False))
             heapq.heappush(heap, (-e2, next(tie), c, mid, hi, v2, False))
             splits += 1
-    # a running sum that is not finite is returned as it is, for the
-    # piece's builder to name the inputs that overflow; it is checked
+    # a running sum that is not finite is returned as it is, for
+    # _integrate to retry at half the coefficient or name the inputs; it is checked
     # before fsum, which raises OverflowError, not ValueError, on finite
     # terms whose sum overflows.  fsum is exactly rounded, so the order of
     # the panels does not change the result.
@@ -304,12 +308,10 @@ def _not_finite(value: float, *inputs: tuple[str, float]) -> ValueError:
     return ValueError(f"integral is not finite ({value!r}) at {named}: the inputs overflow")
 
 
-def _second_pass(integrate: Callable[..., float], coef: float, args: tuple,
-                 spec: QuadratureSpec, value: float, *inputs: tuple[str, float]) -> float:
-    """For value = integrate(coef, *args, spec), an integral the kernel
-    has found not finite: twice integrate(coef/2, *args, spec with
-    abs_tol halved), or a ValueError naming inputs, the caller's own,
-    where that is not finite either.
+def _integrate(piece: tuple, spec: QuadratureSpec, *inputs: tuple[str, float]) -> float:
+    """The kernel's integral of piece; where that is not finite, twice
+    its integral at half its coef and abs_tol, or where that is not
+    finite either, a ValueError naming the caller's (name, value) inputs.
 
     _gk15 adds node pairs before it weights them and a panel's weights
     sum to 2, so an integral above about half the float range overflows
@@ -324,9 +326,13 @@ def _second_pass(integrate: Callable[..., float], coef: float, args: tuple,
     below twice the smallest normal float could round when halved, so
     with one there is no second pass.
     """
+    value = _integrate_pieces([piece], spec)
+    if math.isfinite(value):
+        return value
+    coef = piece[6]
     if min(abs(coef), spec.abs_tol) >= 2.0 * _TINY:
         half = QuadratureSpec(spec.rel_tol, 0.5 * spec.abs_tol, spec.max_subdivisions)
-        value = 2.0 * integrate(0.5 * coef, *args, half)
+        value = 2.0 * _integrate_pieces([(*piece[:6], 0.5 * coef, piece[7])], half)
     if not math.isfinite(value):
         raise _not_finite(value, *inputs)
     return value
@@ -334,32 +340,18 @@ def _second_pass(integrate: Callable[..., float], coef: float, args: tuple,
 
 def _arc(coef: float, inside: bool, cx: float, cy: float, radius: float,
          sweep: float, spec: QuadratureSpec) -> float:
-    """_turn's integral, or where the kernel finds it not finite,
-    _second_pass's, which names coef if that is not finite either."""
-    value = _turn(coef, inside, cx, cy, radius, sweep, spec)
-    if math.isfinite(value):
-        return value
-    return _second_pass(_turn, coef, (inside, cx, cy, radius, sweep), spec, value,
-                        ("B" if inside else "gamma", coef))
-
-
-def _turn(coef: float, inside: bool, cx: float, cy: float, radius: float,
-          sweep: float, spec: QuadratureSpec) -> float:
     """Integral along one whole turn about (cx, cy) from azimuth 0, sweep
-    = 2*pi or -2*pi, t in [0, 1], seeded with one panel per quarter turn,
-    as the kernel returns it, finite or not.
-
-    The seed pass reads its cos and sin from _TURN_TRIG, built by the
-    same _trig at the same nodes; every split computes them at its nodes.
+    = 2*pi or -2*pi, t in [0, 1], seeded with one panel per quarter turn
+    (_integrate, which names coef where it is not finite).
 
     The caller passes the arc's side of rho = R, from _require_clearance,
     or for a circle on rho = R itself the side whose limit it takes
-    (_split_disc), and that side's coefficient coef: B inside, gamma outside.
-    The integrand holds only that side's formula of fields.eval_A:
-    the linear field (-B*y/2, B*x/2) inside, gamma*(-y, x)/rho**2
-    outside, in the same floating-point operations as eval_A, so every
-    value equals eval_A's dotted with dr/dt.  An exterior turn whose
-    centre is off the axis carries _arc_bound, which certifies its
+    (_split_disc), and that side's coefficient coef: B inside, gamma
+    outside.  The integrand holds only that side's formula of
+    fields.eval_A: the linear field (-B*y/2, B*x/2) inside, gamma*(-y,
+    x)/rho**2 outside, in the same floating-point operations as eval_A,
+    so every value equals eval_A's dotted with dr/dt.  An exterior turn
+    whose centre is off the axis carries _arc_bound, which certifies its
     panels; the others are polynomials in cos and sin, or constant.
 
     A turn centred on the axis, cx and cy both zero of either sign (the
@@ -371,48 +363,65 @@ def _turn(coef: float, inside: bool, cx: float, cy: float, radius: float,
     sign of its zero only if it is a zero too, and a zero's sign reaches
     the integral only if every value summed is a zero.
     """
-    k = radius * sweep
-    nk = -k
-    turn_trig = _TURN_TRIG[sweep > 0.0]
-    centred = cx == 0.0 and cy == 0.0
-    bound = None
-    if inside:
-        bx, by = -0.5 * coef, 0.5 * coef
-        if centred:
-            def fn(cs: Sequence[int], ts: Sequence[float]) -> list[float]:
-                pairs = turn_trig if ts is _TURN_NODES else _trig(sweep, ts)
-                return [bx * (radius * s) * (nk * s) + by * (radius * c) * (k * c)
-                        for c, s in pairs]
-        else:
-            def fn(cs: Sequence[int], ts: Sequence[float]) -> list[float]:
-                pairs = turn_trig if ts is _TURN_NODES else _trig(sweep, ts)
-                return [bx * (cy + radius * s) * (nk * s) + by * (cx + radius * c) * (k * c)
-                        for c, s in pairs]
-    elif centred:
-        def fn(cs: Sequence[int], ts: Sequence[float]) -> list[float]:
-            pairs = turn_trig if ts is _TURN_NODES else _trig(sweep, ts)
-            out = []
-            for c, s in pairs:
-                x, y = radius * c, radius * s
-                rho = hypot(x, y)
-                scale = coef / (rho * rho)
-                out.append(-scale * y * (nk * s) + scale * x * (k * c))
-            return out
+    if cx == 0.0 and cy == 0.0:
+        fn, bound = (_interior_turn_centred if inside else _exterior_turn_centred), None
     else:
-        def fn(cs: Sequence[int], ts: Sequence[float]) -> list[float]:
-            pairs = turn_trig if ts is _TURN_NODES else _trig(sweep, ts)
-            out = []
-            for c, s in pairs:
-                x, y = cx + radius * c, cy + radius * s
-                rho = hypot(x, y)
-                scale = coef / (rho * rho)
-                out.append(-scale * y * (nk * s) + scale * x * (k * c))
-            return out
+        fn, bound = (_interior_turn, None) if inside else (_exterior_turn, _arc_bound)
+    return _integrate((fn, 0.0, 1.0, 4, 1, bound, coef, ((cx, cy, radius, sweep),)), spec,
+                      ("B" if inside else "gamma", coef))
 
-        def bound(c: int, lo: float, hi: float) -> float:
-            return _arc_bound(coef, cx, cy, radius, sweep, lo, hi)
 
-    return _integrate_pieces([(fn, 0.0, 1.0, 4, 1, bound)], spec)
+# The integrands of a turn args[0] = (cx, cy, radius, sweep) (_arc).  The
+# seed pass reads cos and sin from _TURN_TRIG, built by the same _trig at
+# the same nodes; a split computes them.  They append in a loop: on
+# CPython 3.11 a comprehension makes each local it reads a cell, which
+# every call would allocate.
+def _interior_turn(coef: float, args: tuple, cs: Sequence[int],
+                   ts: Sequence[float]) -> list[float]:
+    (cx, cy, radius, sweep), = args
+    k, nk = radius * sweep, -radius * sweep
+    bx, by = -0.5 * coef, 0.5 * coef
+    out = []
+    for c, s in _TURN_TRIG[sweep > 0.0] if ts is _TURN_NODES else _trig(sweep, ts):
+        out.append(bx * (cy + radius * s) * (nk * s) + by * (cx + radius * c) * (k * c))
+    return out
+
+
+def _interior_turn_centred(coef: float, args: tuple, cs: Sequence[int],
+                           ts: Sequence[float]) -> list[float]:
+    (_, _, radius, sweep), = args
+    k, nk = radius * sweep, -radius * sweep
+    bx, by = -0.5 * coef, 0.5 * coef
+    out = []
+    for c, s in _TURN_TRIG[sweep > 0.0] if ts is _TURN_NODES else _trig(sweep, ts):
+        out.append(bx * (radius * s) * (nk * s) + by * (radius * c) * (k * c))
+    return out
+
+
+def _exterior_turn(coef: float, args: tuple, cs: Sequence[int],
+                   ts: Sequence[float]) -> list[float]:
+    (cx, cy, radius, sweep), = args
+    k, nk = radius * sweep, -radius * sweep
+    out = []
+    for c, s in _TURN_TRIG[sweep > 0.0] if ts is _TURN_NODES else _trig(sweep, ts):
+        x, y = cx + radius * c, cy + radius * s
+        rho = hypot(x, y)
+        scale = coef / (rho * rho)
+        out.append(-scale * y * (nk * s) + scale * x * (k * c))
+    return out
+
+
+def _exterior_turn_centred(coef: float, args: tuple, cs: Sequence[int],
+                           ts: Sequence[float]) -> list[float]:
+    (_, _, radius, sweep), = args
+    k, nk = radius * sweep, -radius * sweep
+    out = []
+    for c, s in _TURN_TRIG[sweep > 0.0] if ts is _TURN_NODES else _trig(sweep, ts):
+        x, y = radius * c, radius * s
+        rho = hypot(x, y)
+        scale = coef / (rho * rho)
+        out.append(-scale * y * (nk * s) + scale * x * (k * c))
+    return out
 
 
 def _edge_bound(gamma: float, px: float, py: float, dx: float, dy: float,
@@ -624,65 +633,49 @@ def _edges(f: SolenoidField, points: Sequence[Point], spec: QuadratureSpec) -> f
                 low = edge
 
     inside = _require_clearance(f, lo, hi, low)
-    coef = f.B if inside else f.gamma
-    value = _edge_run(coef, inside, coords, spec)
-    if math.isfinite(value):
-        return value
-    return _second_pass(_edge_run, coef, (inside, coords), spec, value,
-                        ("B" if inside else "gamma", coef))
+    name, coef = ("B", f.B) if inside else ("gamma", f.gamma)
+    fn, bound = (_interior_edges, None) if inside else (_exterior_edges, _edge_bound)
+    return _integrate((fn, 0.0, 1.0, len(coords), len(coords), bound, coef, coords), spec,
+                      (name, coef))
 
 
-def _edge_run(coef: float, inside: bool, coords: list[tuple], spec: QuadratureSpec) -> float:
-    """Integral along the edges (px, py, dx, dy) of coords, on the side
-    inside and with its coefficient coef (_edges), as the kernel returns
-    it, finite or not."""
-    bound = None
-    if inside:
-        bx, by = -0.5 * coef, 0.5 * coef
+# The integrands of the edges args[c] = (px, py, dx, dy) (_edges)
+def _interior_edges(coef: float, args: list[tuple], cs: Sequence[int],
+                    ts: Sequence[float]) -> list[float]:
+    bx, by = -0.5 * coef, 0.5 * coef
+    out = []
+    for c in cs:
+        px, py, dx, dy = args[c]
+        for t in ts:
+            out.append(bx * (py + t * dy) * dx + by * (px + t * dx) * dy)
+    return out
 
-        def fn(cs: Sequence[int], ts: Sequence[float]) -> list[float]:
-            out = []
-            for c in cs:
-                px, py, dx, dy = coords[c]
-                out += [bx * (py + t * dy) * dx + by * (px + t * dx) * dy for t in ts]
-            return out
-    else:
-        def fn(cs: Sequence[int], ts: Sequence[float]) -> list[float]:
-            out = []
-            for c in cs:
-                px, py, dx, dy = coords[c]
-                for t in ts:
-                    x, y = px + t * dx, py + t * dy
-                    # divided before gamma scales it, so a large gamma overflows
-                    # only where the value itself does
-                    out.append(coef * ((x * dy - y * dx) / (x * x + y * y)))
-            return out
 
-        def bound(c: int, lo: float, hi: float) -> float:
-            return _edge_bound(coef, *coords[c], lo, hi)
-
-    return _integrate_pieces([(fn, 0.0, 1.0, len(coords), len(coords), bound)], spec)
+def _exterior_edges(coef: float, args: list[tuple], cs: Sequence[int],
+                    ts: Sequence[float]) -> list[float]:
+    out = []
+    for c in cs:
+        px, py, dx, dy = args[c]
+        for t in ts:
+            x, y = px + t * dx, py + t * dy
+            # divided before gamma scales it, so a large gamma overflows
+            # only where the value itself does
+            out.append(coef * ((x * dy - y * dx) / (x * x + y * y)))
+    return out
 
 
 def _disc(coef: float, rho: float, spec: QuadratureSpec) -> float:
     """Flux of B_z = coef through the disc [0, rho], validated by the
-    caller; where the kernel finds it not finite, _second_pass's, which
-    names B and rho if that is not finite either."""
-    value = _radial(coef, rho, spec)
-    if math.isfinite(value):
-        return value
-    return _second_pass(_radial, coef, (rho,), spec, value, ("B", coef), ("rho", rho))
+    caller (_integrate, which names B and rho where it is not finite)."""
+    return _integrate((_disc_radial, 0.0, rho, 1, 1, None, coef, ()), spec,
+                      ("B", coef), ("rho", rho))
 
 
-def _radial(coef: float, rho: float, spec: QuadratureSpec) -> float:
-    """The disc's flux as the kernel returns it, finite or not: rho times
-    a whole turn times B_z over [0, rho]."""
+def _disc_radial(coef: float, args: tuple, cs: Sequence[int],
+                 rhos: Sequence[float]) -> list[float]:
+    """The disc's integrand: rho times a whole turn times B_z = coef."""
     azimuthal = math.tau * coef
-
-    def radial(cs: Sequence[int], rhos: Sequence[float]) -> list[float]:
-        return [r * azimuthal for r in rhos]
-
-    return _integrate_pieces([(radial, 0.0, rho, 1, 1, None)], spec)
+    return [r * azimuthal for r in rhos]
 
 
 class Circle(Record):

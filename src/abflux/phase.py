@@ -83,14 +83,18 @@ def phase_closed_form(q: float, gamma: float, w: int) -> PhaseFactor:
 
     A q or gamma that is not finite, a w that is not an int (a bool
     included), or any of them an int past floating-point range raises a
-    ValueError naming it, as does the turn count q*gamma*w.
+    ValueError naming it, as does a turn count q*gamma*w that overflows.
+    The turn count is reduced mod 1 in integers, from q = a/b and gamma
+    = c/d, and rounded once: in floats, a large w rounds its fraction away.
     """
     _require_finite("q", q)
     _require_finite("gamma", gamma)
     if isinstance(w, bool) or not isinstance(w, int):
         raise ValueError(f"w must be an integer, got {w!r}")
     _require_finite("w", w)
-    return PhaseFactor.from_turns(q * gamma * w)
+    _require_finite("turn count", q * gamma * w)
+    (a, b), (c, d) = q.as_integer_ratio(), gamma.as_integer_ratio()
+    return PhaseFactor(math.tau * ((a * c * w % (b * d)) / (b * d)))
 
 
 def phases_equivalent(q: float, gamma1: float, gamma2: float, tol: float = 1e-9) -> bool:

@@ -55,7 +55,7 @@ STOKES_JSON = """\
 
 # a split disc whose interior values lie above half the float range:
 # the kernel integrates them at half of B and doubles the result
-# (geometry._second_pass)
+# (geometry._integrate)
 STOKES_NEAR_MAX = """\
 {
   "phi_1": %s,
@@ -160,6 +160,9 @@ CONTRACT = [
     # the closed form, which parses its quadrature flags without the
     # quadrature engine
     ("phase --q 1 --gamma 0.5", 0, "3.14159265359\n", ""),
+    # the turn count is reduced mod 1 in integers: the float 0.3*w rounds
+    # away its fraction 0.05 at this w
+    ("phase --q 1 --B 0 --R 1 --gamma 0.3 --w 4503599627370497", 0, "0.314159265359\n", ""),
     # quantize check and kappa print their JSON booleans without json
     ("quantize check 1/3 --N 3", 0, "true\n", ""),
     ("quantize kappa 1/2", 0, "false\n", ""),
@@ -195,7 +198,7 @@ CONTRACT = [
      "ValueError: integral is not finite (inf) at B = 1e+308, rho = 2.0:"),
     # a finite integral above half the float range, whose disc integrand
     # r*(2*pi*B) or Kronrod sum overflows, is integrated at half its
-    # coefficient and doubled (geometry._second_pass)
+    # coefficient and doubled (geometry._integrate)
     ("flux --B 4e307 --R 0.5 --gamma 1 --L 3", 0, "3.14159265359e+307\n", ""),
     ("stokes --B 4e307 --R 0.5 --gamma 1 --L 3", 0,
      STOKES_NEAR_MAX % ("3.14159265359e+307", "-8.881784197e-16", "3.14159265359e+307",

@@ -42,6 +42,7 @@ from abflux.geometry import (
     Polyline,
     QuadratureSpec,
     _gk15,
+    _integrate,
     _integrate_pieces,
     _nodes,
     circulation,
@@ -161,7 +162,8 @@ class TestQuadratureEngine:
     def test_adaptive_oscillatory_integral(self):
         expected = (1.0 - math.cos(40.0)) / 40.0
         value = _integrate_pieces(
-            [(lambda cs, ts: [math.sin(40.0 * t) for t in ts], 0.0, 1.0, 1, 1, None)],
+            [(lambda coef, args, cs, ts: [math.sin(40.0 * t) for t in ts], 0.0, 1.0, 1, 1, None,
+              1.0, ((),))],
             QuadratureSpec())
         assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
@@ -170,28 +172,68 @@ class TestQuadratureEngine:
         # each time it is popped; a certified panel is split instead, so
         # no panel is asked twice.  No bound, or an infinite one,
         # certifies nothing
-        def fn(cs, ts):
+        def fn(coef, args, cs, ts):
             return [math.sin(40.0 * t) for t in ts]
 
         asked = []
 
-        def bound(c, lo, hi):
+        def bound(coef, lo, hi):
             asked.append((lo, hi))
             return 1e-6 / len(asked)
 
         spec = QuadratureSpec()
-        _integrate_pieces([(fn, 0.0, 1.0, 1, 1, bound)], spec)
+        _integrate_pieces([(fn, 0.0, 1.0, 1, 1, bound, 1.0, ((),))], spec)
         assert len(asked) == len(set(asked)) > 1
-        plain = _integrate_pieces([(fn, 0.0, 1.0, 1, 1, None)], spec)
-        assert _integrate_pieces([(fn, 0.0, 1.0, 1, 1, lambda c, lo, hi: math.inf)],
-                                 spec) == plain
+        plain = _integrate_pieces([(fn, 0.0, 1.0, 1, 1, None, 1.0, ((),))], spec)
+        assert _integrate_pieces([(fn, 0.0, 1.0, 1, 1, lambda coef, lo, hi: math.inf, 1.0,
+                                   ((),))], spec) == plain
 
     def test_subdivision_budget_enforced(self):
         tight = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12, max_subdivisions=0)
         with pytest.raises(QuadratureNotConverged):
-            _integrate_pieces([(lambda cs, ts: [math.sin(40.0 * t) for t in ts], 0.0, 1.0, 1, 1,
-                                None)],
+            _integrate_pieces([(lambda coef, args, cs, ts: [math.sin(40.0 * t) for t in ts],
+                                0.0, 1.0, 1, 1, None, 1.0, ((),))],
                               tight)
+
+    @staticmethod
+    def constant(coef, args, cs, ts):
+        return [coef] * len(ts)
+
+    def test_integrate_retries_an_overflow_at_half_the_coefficient(self):
+        # the Kronrod sum of 1.5e308 overflows though the integral is finite
+        piece = (self.constant, 0.0, 1.0, 1, 1, None, 1.5e308, ((),))
+        assert _integrate_pieces([piece], QuadratureSpec()) == math.inf
+        assert _integrate(piece, QuadratureSpec(), ("c", 1.5e308)) == 1.5e308
+
+    def test_integrate_names_the_inputs_of_an_integral_that_overflows(self):
+        piece = (self.constant, 0.0, 2.0, 1, 1, None, 1e308, ((),))
+        with pytest.raises(ValueError) as info:
+            _integrate(piece, QuadratureSpec(), ("c", 1e308), ("n", 3))
+        assert str(info.value) == ("integral is not finite (inf) at c = 1e+308, n = 3: "
+                                   "the inputs overflow")
+
+    def test_integrate_runs_the_kernel_once_where_halving_could_round(self, monkeypatch):
+        # below twice the smallest normal float, half a coef or abs_tol
+        # could round, so an integral found not finite is not retried
+        def huge(coef, args, cs, ts):
+            return [coef * 1e308 * 1e308] * len(ts)
+
+        calls = []
+        integrate = geometry._integrate_pieces
+
+        def counting(pieces, spec):
+            calls.append(pieces[0][6])
+            return integrate(pieces, spec)
+
+        monkeypatch.setattr(geometry, "_integrate_pieces", counting)
+        tiny = 2.0 * sys.float_info.min
+        for fn, coef, abs_tol in ((huge, 0.9 * tiny, 1e-12),
+                                  (self.constant, 1.5e308, 0.9 * tiny)):
+            calls.clear()
+            with pytest.raises(ValueError, match="^integral is not finite"):
+                _integrate((fn, 0.0, 1.0, 1, 1, None, coef, ((),)),
+                           QuadratureSpec(abs_tol=abs_tol), ("c", coef))
+            assert calls == [coef]
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -977,8 +1019,8 @@ class TestIntegrandsMatchPointwiseFormulas:
                 Circle(Point(3.0 * f.R * math.cos(a), 3.0 * f.R * math.sin(a)), f.R, 2),
             ]
             for circle in arcs:
-                [(fn, _, _, _, _, bound)] = self.pieces_of(monkeypatch,
-                                                           lambda: circulation(f, circle))
+                [(fn, _, _, _, _, bound, coef, args)] = self.pieces_of(
+                    monkeypatch, lambda: circulation(f, circle))
                 # of the arcs, only exterior turns off the axis, here the
                 # last, are certified (geometry._arc_bound)
                 assert (bound is None) == (circle is not arcs[-1])
@@ -990,12 +1032,12 @@ class TestIntegrandsMatchPointwiseFormulas:
                     c, s = math.cos(sweep * t), math.sin(sweep * t)
                     point = Point(c0.x + r * c, c0.y + r * s)
                     expected.append(self.dot(eval_A(f, point), Vec3(-k * s, k * c, 0.0)))
-                assert fn([0], ts) == expected
+                assert fn(coef, args, [0], ts) == expected
 
             inner = star_loop(rng, 1, 0.3 * f.R, 0.6 * f.R, z_jitter=0.2)
             outer = star_loop(rng, -2, 1.5 * f.R, 4.0 * f.R, z_jitter=0.2)
             for loop in (inner, outer):
-                [(fn, _, _, seed, curves, bound)] = self.pieces_of(
+                [(fn, _, _, seed, curves, bound, coef, args)] = self.pieces_of(
                     monkeypatch, lambda: circulation(f, loop))
                 assert seed == curves == len(loop.vertices)
                 assert (bound is None) == (loop is inner)
@@ -1006,7 +1048,7 @@ class TestIntegrandsMatchPointwiseFormulas:
                     nodes = [(p.x + t * d.x, p.y + t * d.y) for t in ts]
                     dotted = [self.dot(eval_A(f, Point(x, y)), d) for x, y in nodes]
                     if loop is inner:
-                        assert fn([c], ts) == dotted
+                        assert fn(coef, args, [c], ts) == dotted
                         batch += dotted
                         continue
                     # exterior edges integrate gamma*dphi: bit for bit that
@@ -1014,12 +1056,38 @@ class TestIntegrandsMatchPointwiseFormulas:
                     # rounding errors of eval_A's dot product
                     expected = [f.gamma * ((x * d.y - y * d.x) / (x * x + y * y))
                                 for x, y in nodes]
-                    assert fn([c], ts) == expected
+                    assert fn(coef, args, [c], ts) == expected
                     for value, want, (x, y) in zip(expected, dotted, nodes):
                         bound = 8.0 * EPS * abs(f.gamma) * math.hypot(d.x, d.y) / math.hypot(x, y)
                         assert abs(value - want) <= bound
                     batch += expected
-                assert fn(range(curves), ts) == batch
+                assert fn(coef, args, range(curves), ts) == batch
+
+    def test_pieces_are_plain_data(self, monkeypatch):
+        # every integrand is a module-level function with no closure, and
+        # every bound one of the two closed forms, so a piece holds only
+        # data and functions defined once at import
+        rng = random.Random(163)
+        f = random_field(rng)
+        R = f.R
+        a = rng.uniform(0.0, TWO_PI)
+        paths = (Circle(ORIGIN, 0.5 * R), Circle(Point(0.2 * R, 0.1 * R), 0.5 * R, -2),
+                 Circle(ORIGIN, 3.0 * R),
+                 Circle(Point(3.0 * R * math.cos(a), 3.0 * R * math.sin(a)), R),
+                 star_loop(rng, 1, 0.3 * R, 0.6 * R), star_loop(rng, -1, 1.5 * R, 4.0 * R))
+        geometry._last_split_disc = None
+        calls = [*(lambda path=path: circulation(f, path) for path in paths),
+                 lambda: segment_integral(f, Point(0.1 * R, 0.2 * R), Point(0.3 * R, -0.4 * R)),
+                 lambda: segment_integral(f, Point(2.0 * R, 0.0), Point(0.0, 3.0 * R)),
+                 lambda: flux_direct(f, 0.5 * R), lambda: verify_stokes(f, 2.0 * R)]
+        pieces = [piece for call in calls for piece in self.pieces_of(monkeypatch, call)]
+        for fn, *_, bound, coef, args in pieces:
+            assert fn.__closure__ is None
+            assert "<locals>" not in fn.__qualname__
+            assert fn is getattr(geometry, fn.__name__)
+            assert bound in (None, geometry._edge_bound, geometry._arc_bound)
+        # the four turns, the two edge runs and the disc's radial
+        assert len({piece[0] for piece in pieces}) == 7
 
     def test_disc_radial_values_equal_the_tensor_sum_of_eval_b(self, monkeypatch):
         rng = random.Random(61)
@@ -1027,16 +1095,16 @@ class TestIntegrandsMatchPointwiseFormulas:
             f = random_field(rng)
             phi = rng.uniform(0.0, TWO_PI)
             for L in (rng.uniform(0.1, 0.9) * f.R, rng.uniform(1.1, 4.0) * f.R):
-                [(fn, a, b, seed, curves, bound)] = self.pieces_of(
+                [(fn, a, b, seed, curves, bound, coef, args)] = self.pieces_of(
                     monkeypatch, lambda: flux_direct(f, L))
-                assert (a, b, seed, curves, bound) == (0.0, min(L, f.R), 1, 1, None)
+                assert (a, b, seed, curves, bound, coef) == (0.0, min(L, f.R), 1, 1, None, f.B)
                 rhos = [b * rng.uniform(0.01, 0.99) for _ in range(15)]
                 # B_z is one constant over the disc, so its azimuthal
                 # integral is a whole turn times B_z at any azimuth
                 points = [Point(rho * math.cos(phi), rho * math.sin(phi)) for rho in rhos]
                 expected = [rho * (math.tau * eval_B(f, point).z)
                             for rho, point in zip(rhos, points)]
-                assert fn([0], rhos) == expected
+                assert fn(coef, args, [0], rhos) == expected
 
 
 class TestBatchedKernelMatchesReference:

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -118,6 +119,14 @@ class TestClosedForm:
         assert one.distance(two) <= 1e-12
         combined = PhaseFactor(phase_closed_form(q, f.gamma, 1).angle + TWO_PI * q * 0.3)
         assert one.distance(combined) <= 1e-12
+
+    @given(q=st.floats(-1e100, 1e100), gamma=st.floats(-1e100, 1e100),
+           w=st.integers(-10**18, 10**18))
+    def test_turn_count_is_reduced_exactly(self, q, gamma, w):
+        # the float q*gamma*w loses its fraction once w is large:
+        # phase_closed_form(1, 0.3, 2**52 + 1) was 0, not 2*pi*0.05
+        turns = Fraction(q) * Fraction(gamma) * w % 1
+        assert phase_closed_form(q, gamma, w) == PhaseFactor(math.tau * float(turns))
 
     def test_winding_beyond_float_range(self):
         with pytest.raises(ValueError, match="w is beyond floating-point range"):
