@@ -29,8 +29,10 @@ and the closed-form ``phase`` never load the quadrature engine,
 ``loaders`` and ``csv``, no command loads ``pathlib``, and ``json``
 loads only to read JSON or print a JSON object or list.  The value
 types are immutable slotted records (``abflux._record``), not
-dataclasses, so only ``stokes`` and ``chart-audit``, whose report is a
-dataclass, load ``dataclasses`` and the ``inspect`` module it imports.
+dataclasses, and ``stokes`` prints the split disc's values without
+building ``StokesReport``, the one dataclass, which ``abflux.stokes``
+builds on first use.  So no command loads ``dataclasses`` or the
+``inspect`` module it imports.
 """
 
 from __future__ import annotations
@@ -237,11 +239,12 @@ def _cmd_flux(args: argparse.Namespace, field, spec) -> None:
 
 
 def _cmd_stokes(args: argparse.Namespace, field, spec) -> None:
-    from .stokes import verify_stokes
+    # verify_stokes' values, printed as StokesReport.to_dict lays them
+    # out (_report_dict): the report itself would load dataclasses
+    from .stokes import _report_dict, _report_values
 
-    report = verify_stokes(field, args.L, spec).to_dict()
-    data = {key: _round12(v) if isinstance(v, float) else v for key, v in report.items()}
-    _print_json(data, indent=2)
+    values = _report_values(field, args.L, spec)
+    _print_json(_report_dict(map(_round12, values), field, args.L), indent=2)
 
 
 def _cmd_chart_audit(args: argparse.Namespace, field, spec) -> None:

@@ -42,16 +42,6 @@ class PhaseFactor(Record):
             reduced -= math.tau
         object.__setattr__(self, "angle", reduced)
 
-    @classmethod
-    def from_turns(cls, turns: float) -> "PhaseFactor":
-        """Build from a turn count, reducing mod 1 before scaling by 2*pi.
-
-        Reducing first keeps integer turn counts at exactly zero angle,
-        which is what makes "no observable effect" cases exact.
-        """
-        _require_finite("turn count", turns)
-        return cls(math.tau * (turns % 1.0))
-
     def distance(self, other: "PhaseFactor") -> float:
         """Shortest angular distance on the circle."""
         d = abs(self.angle - other.angle)
@@ -146,13 +136,24 @@ def interference(
     from no solenoid at all.  A pure-gauge exterior (B = 0, gamma != 0)
     still shifts the pattern; that is the observable the phase carries.
     q, and the turn count q*gamma, are checked as phase_closed_form checks
-    them: a bool, non-finite or out-of-range value raises ValueError.
+    them: a bool, non-finite or out-of-range value raises ValueError.  So
+    is a geometry whose screen positions x or fringe phase k*d*x/D
+    overflow, naming its inputs.
     """
     dphi = phase_closed_form(q, f.gamma, 1).angle
     k_eff = math.tau * geom.slit_separation / geom.screen_distance
     n = geom.samples
     extent = geom.half_extent
     step = 2.0 * extent / (n - 1)
+    # x runs monotonically from -extent to the last row's x, so k_eff*x
+    # is finite on every row exactly when it is on these two
+    last = -extent + (n - 1) * step
+    if not (math.isfinite(k_eff * extent) and math.isfinite(k_eff * last)):
+        raise ValueError(
+            "screen position x or fringe phase k*d*x/D overflows at slit_separation = "
+            f"{geom.slit_separation!r}, screen_distance = {geom.screen_distance!r}, "
+            f"half_extent = {extent!r}, samples = {n!r}"
+        )
     rows = []
     for i in range(n):
         x = -extent + i * step

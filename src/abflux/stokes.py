@@ -34,39 +34,65 @@ again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidRadius, QuadratureNotConverged
 from .fields import SolenoidField, _require_exterior_range, _require_positive
 from .geometry import _DEFAULT_SPEC, QuadratureSpec, _exterior_rings, _split_disc
 
-@dataclass(frozen=True)
-class StokesReport:
-    """Per-region fluxes and boundary circulations for the split disc.
+#: the report's six values, in field order
+_VALUES = ("phi_1", "phi_2", "phi_total", "circ_outer", "circ_inner", "discrepancy")
 
-    ``discrepancy = circ_outer - phi_total`` equals 2*pi*kappa
-    analytically; it vanishes only for the flux-matching exterior choice.
-    """
+#: StokesReport once _report_type has built it
+_report = None
 
-    phi_1: float        # flux through the interior disc D1
-    phi_2: float        # flux through the annulus D2
-    phi_total: float    # phi_1 + phi_2
-    circ_outer: float   # circulation on the outer boundary rho = L
-    circ_inner: float   # exterior-limit circulation on rho -> R+
-    discrepancy: float  # circ_outer - phi_total
-    field: SolenoidField
-    L: float
 
-    def to_dict(self) -> dict:
-        return {
-            "phi_1": self.phi_1,
-            "phi_2": self.phi_2,
-            "phi_total": self.phi_total,
-            "circ_outer": self.circ_outer,
-            "circ_inner": self.circ_inner,
-            "discrepancy": self.discrepancy,
-            "config": {"field": self.field.to_dict(), "L": self.L},
-        }
+def _report_dict(values, f: SolenoidField, L: float) -> dict:
+    """StokesReport.to_dict of a report with these six values, field and L."""
+    data = dict(zip(_VALUES, values))
+    data["config"] = {"field": f.to_dict(), "L": L}
+    return data
+
+
+def _report_type() -> type:
+    """StokesReport, built on first use: importing this module, as the
+    stokes and chart-audit commands do, loads no dataclasses (and with it
+    no inspect).  dict.setdefault publishes the class in one step, so
+    threads that race here all get the same class."""
+    global _report
+    from dataclasses import dataclass
+
+    @dataclass(frozen=True)
+    class StokesReport:
+        """Per-region fluxes and boundary circulations for the split disc.
+
+        ``discrepancy = circ_outer - phi_total`` equals 2*pi*kappa
+        analytically; it vanishes only for the flux-matching exterior choice.
+        """
+
+        # not "_report_type.<locals>.StokesReport": repr prints this name,
+        # and pickle finds the class under it through __getattr__ below
+        __qualname__ = "StokesReport"
+
+        phi_1: float        # flux through the interior disc D1
+        phi_2: float        # flux through the annulus D2
+        phi_total: float    # phi_1 + phi_2
+        circ_outer: float   # circulation on the outer boundary rho = L
+        circ_inner: float   # exterior-limit circulation on rho -> R+
+        discrepancy: float  # circ_outer - phi_total
+        field: SolenoidField
+        L: float
+
+        def to_dict(self) -> dict:
+            values = (getattr(self, name) for name in _VALUES)
+            return _report_dict(values, self.field, self.L)
+
+    _report = globals().setdefault("StokesReport", StokesReport)
+    return _report
+
+
+def __getattr__(name):
+    if name == "StokesReport":
+        return _report_type()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _require_outer_radius(f: SolenoidField, L: float) -> None:
@@ -77,6 +103,24 @@ def _require_outer_radius(f: SolenoidField, L: float) -> None:
     if not L > f.R:
         raise InvalidRadius(f"outer radius must exceed R = {f.R!r}, got {L!r}")
     _require_exterior_range(f.R, L)
+
+
+def _report_values(f: SolenoidField, L: float, spec: QuadratureSpec | None) -> tuple:
+    """verify_stokes' six values, in StokesReport's field order, without
+    the report: the stokes command prints them as they are."""
+    spec = spec if spec is not None else _DEFAULT_SPEC
+    _require_outer_radius(f, L)
+
+    phi_1, phi_1_area, circ_inner, circ_outer = _split_disc(f, L, spec)
+    scale = max(1.0, abs(phi_1), abs(phi_1_area))
+    if abs(phi_1 - phi_1_area) > 1e-7 * scale:
+        raise QuadratureNotConverged(
+            "interior flux cross-check failed: boundary circulation "
+            f"{phi_1!r} vs area quadrature {phi_1_area!r}"
+        )
+    phi_2 = circ_outer - circ_inner
+    phi_total = phi_1 + phi_2
+    return phi_1, phi_2, phi_total, circ_outer, circ_inner, circ_outer - phi_total
 
 
 def verify_stokes(
@@ -91,28 +135,7 @@ def verify_stokes(
     circulation value.  An interior flux that the kernel finds not
     finite is a ValueError naming B and R.
     """
-    spec = spec if spec is not None else _DEFAULT_SPEC
-    _require_outer_radius(f, L)
-
-    phi_1, phi_1_area, circ_inner, circ_outer = _split_disc(f, L, spec)
-    scale = max(1.0, abs(phi_1), abs(phi_1_area))
-    if abs(phi_1 - phi_1_area) > 1e-7 * scale:
-        raise QuadratureNotConverged(
-            "interior flux cross-check failed: boundary circulation "
-            f"{phi_1!r} vs area quadrature {phi_1_area!r}"
-        )
-    phi_2 = circ_outer - circ_inner
-    phi_total = phi_1 + phi_2
-    return StokesReport(
-        phi_1=phi_1,
-        phi_2=phi_2,
-        phi_total=phi_total,
-        circ_outer=circ_outer,
-        circ_inner=circ_inner,
-        discrepancy=circ_outer - phi_total,
-        field=f,
-        L=L,
-    )
+    return (_report or _report_type())(*_report_values(f, L, spec), f, L)
 
 
 def chart_audit(f: SolenoidField, L: float, spec: QuadratureSpec | None = None) -> float:

@@ -222,6 +222,14 @@ CONTRACT = [
      "ValueError: integral is not finite (inf) at gamma = 1e+307, turns = 3:"),
     # lengths are in wavelengths: the wavenumber is 2*pi, not a flag
     ("interfere --q 1 --wavenumber 3", 2, "", "usage: abflux"),
+    # a screen step 2*half_extent/(samples-1), or a wavenumber 2*pi*d/D,
+    # past the float range is refused naming the geometry
+    ("interfere --q 1 --gamma 0.5 --half-extent 1e308 --samples 3", 2, "",
+     "ValueError: screen position x or fringe phase k*d*x/D overflows at slit_separation "
+     "= 1.0, screen_distance = 1.0, half_extent = 1e+308, samples = 3\n"),
+    ("interfere --q 1 --gamma 0.5 --slit-separation 1e300 --screen-distance 1e-10", 2, "",
+     "ValueError: screen position x or fringe phase k*d*x/D overflows at slit_separation "
+     "= 1e+300, screen_distance = 1e-10, half_extent = 2.5, samples = 201\n"),
     # the config's envelope and its sections' keys are checked when it is
     # loaded, by every field command, even interfere's quadrature section,
     # which it does not read; the output format is the --format flag's

@@ -105,8 +105,9 @@ print(json.dumps([code, loaded]))
 """
 
 
-#: loaded only for StokesReport, the one dataclass; the value types are
-#: records (abflux._record), so no other subcommand imports them
+#: loaded by no subcommand: the value types are records (abflux._record),
+#: and StokesReport, the one dataclass, is built on first use, which the
+#: stokes command, printing the split disc's values alone, never makes
 DATACLASSES = {"dataclasses", "inspect"}
 
 #: loaded only to read a path file, which only the POLYLINE call below
@@ -136,14 +137,14 @@ FOOTPRINTS = [
      {"abflux.quantize", "abflux.stokes", "fractions", *DATACLASSES, *JSON}),
     (("flux", "--B", "1", "--L", "2"), DATACLASSES | LOADERS | JSON),
     (("chart-audit", "--B", "1", "--L", "2"),
-     {"abflux.quantize", "abflux.phase", *LOADERS, *JSON}),
+     {"abflux.quantize", "abflux.phase", *DATACLASSES, *LOADERS, *JSON}),
     # the closed form checks the quadrature flags with no integrator loaded
     (("phase", "--q", "1", "--gamma", "0.5"), {"abflux.geometry", *DATACLASSES, *LOADERS, *JSON}),
     (("phase", "--q", "1", "--gamma", "0.5", "--circle", "r=2"), DATACLASSES | LOADERS | JSON),
     (("interfere", "--q", "1", "--samples", "3"),
      {"abflux.geometry", *DATACLASSES, *LOADERS, *JSON}),
     (("stokes", "--B", "1", "--R", "1", "--L", "2"),
-     {"abflux.quantize", "abflux.phase", *LOADERS}),
+     {"abflux.quantize", "abflux.phase", *DATACLASSES, *LOADERS}),
     (("flux", "--config", CONFIG, "--L", "2"), DATACLASSES | LOADERS),
     (("interfere", "--config", CONFIG, "--q", "1", "--samples", "3"),
      {"abflux.geometry", *DATACLASSES, *LOADERS}),
@@ -205,6 +206,19 @@ def test_circulation_memo_loads_no_threading(argv):
     code, loaded = json.loads(run_python("-S", "-c", FOOTPRINT, *argv))
     assert code == 0
     assert "threading" not in loaded
+
+
+def test_stokes_report_loads_dataclasses_on_first_use():
+    out = run_python(
+        "-S", "-c",
+        "import sys\n"
+        "import abflux.stokes\n"
+        "from abflux import SolenoidField\n"
+        "print('dataclasses' in sys.modules)\n"
+        "abflux.stokes.verify_stokes(SolenoidField(2.0, 1.0, 0.7), 3.0)\n"
+        "print('dataclasses' in sys.modules)\n"
+    )
+    assert out == "False\nTrue\n"
 
 
 def test_library_layers_load_no_loader():

@@ -1,5 +1,10 @@
+import contextlib
+import copy
+import dataclasses
+import io
 import json
 import math
+import pickle
 import random
 import re
 import sys
@@ -7,8 +12,11 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _helpers import DISC_NEAR_MAX, DISC_OVERFLOWS, random_field
+from _helpers import DISC_NEAR_MAX, DISC_OVERFLOWS, random_field, run_python
+import abflux
 from abflux import cli, geometry
 from abflux.errors import InvalidRadius, QuadratureNotConverged
 from abflux.fields import SolenoidField, ab_standard, gauge_shift
@@ -144,6 +152,79 @@ class TestVerifyStokes:
         for value in (report.phi_1, report.phi_2, report.phi_total,
                       report.circ_outer, report.circ_inner, report.discrepancy):
             assert math.isfinite(value)
+
+
+class TestReportContract:
+    """StokesReport is built on first use (stokes._report_type), yet it is
+    the frozen dataclass it always was."""
+
+    @staticmethod
+    def report():
+        return verify_stokes(SolenoidField(B=2.0, R=1.0, gamma=0.7), 3.0)
+
+    def test_frozen_dataclass_with_its_fields_in_order(self):
+        report = self.report()
+        assert dataclasses.is_dataclass(report)
+        assert [f.name for f in dataclasses.fields(report)] == [
+            "phi_1", "phi_2", "phi_total", "circ_outer", "circ_inner",
+            "discrepancy", "field", "L",
+        ]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.phi_1 = 0.0
+        moved = dataclasses.replace(report, discrepancy=1.0)
+        assert type(moved) is StokesReport
+        assert (moved.discrepancy, moved.phi_1) == (1.0, report.phi_1)
+
+    def test_repr_pickle_and_copy(self):
+        report = self.report()
+        assert repr(report).startswith("StokesReport(phi_1=")
+        assert (StokesReport.__qualname__, StokesReport.__module__) == (
+            "StokesReport", "abflux.stokes")
+        for clone in (pickle.loads(pickle.dumps(report)), copy.copy(report),
+                      copy.deepcopy(report)):
+            assert type(clone) is StokesReport
+            assert clone == report and hash(clone) == hash(report)
+
+    def test_one_class_from_package_and_module(self):
+        assert abflux.StokesReport is abflux.stokes.StokesReport is StokesReport
+        assert type(verify_stokes(ab_standard(1.0, 1.0), 2.0)) is StokesReport
+        with pytest.raises(AttributeError, match="no_such_name"):
+            abflux.stokes.no_such_name
+
+    def test_threads_that_build_the_class_at_once_share_it(self):
+        # a fresh interpreter, so that the class is not built yet
+        out = run_python("-c", """\
+import sys, threading
+import abflux.stokes as stokes
+from abflux import SolenoidField
+sys.setswitchinterval(1e-6)
+kinds = []
+def run():
+    kinds.append(type(stokes.verify_stokes(SolenoidField(2.0, 1.0, 0.7), 3.0)))
+threads = [threading.Thread(target=run) for _ in range(16)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+print(len(kinds), any(t.is_alive() for t in threads), set(kinds) == {stokes.StokesReport})
+""")
+        assert out == "16 False True\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(B=st.floats(-10.0, 10.0), R=st.floats(0.1, 10.0), kappa=st.floats(-5.0, 5.0),
+           stretch=st.floats(1.01, 10.0))
+    def test_cli_prints_the_rounded_report(self, B, R, kappa, stretch):
+        # the stokes command prints verify_stokes' values without building
+        # the report; this keeps the two on one computation
+        L = R * stretch
+        # "--B=-1e-05": argparse would take a bare "-1e-05" for an option
+        argv = ["stokes", f"--B={B!r}", f"--R={R!r}", f"--kappa={kappa!r}", f"--L={L!r}"]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(argv) == 0
+        report = verify_stokes(SolenoidField(B, R, 0.5 * B * R * R + kappa), L).to_dict()
+        data = {key: cli._round12(v) if isinstance(v, float) else v
+                for key, v in report.items()}
+        assert out.getvalue() == json.dumps(data, indent=2) + "\n"
 
 
 class TestChartAudit:
