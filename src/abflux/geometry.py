@@ -12,9 +12,11 @@ drift by rounding, so once the error could be within that drift of the
 tolerance, both are summed again exactly and convergence is judged on
 the exact sums.
 The result is the exactly rounded sum (math.fsum) of the panel values,
-so repeated runs are bit-identical.  The 1/rho falloff of the exterior
-potential near the solenoid needs no special casing: the adaptive loop
-concentrates nodes there on its own.
+so repeated runs are bit-identical.  The adaptive loop concentrates
+nodes where the exterior potential peaks near the solenoid; along an
+edge the nodes are placed as offsets from the edge's closest approach
+to the axis, so that their rounding does not grow with the edge's
+length there (_exterior_edges).
 
 A panel can be certified instead of split.  Exterior edges and
 exterior turns whose centre is off the axis carry a closed-form bound on
@@ -34,31 +36,36 @@ arc and _edges for a run of straight edges, as the disc is by _disc.
 Each builds its piece as plain data, a module-level integrand of A.dr/dt
 with its side's coefficient and its curves' coordinates, for _integrate,
 the only caller of _integrate_pieces, to run.
-Each pass calls a piece's integrand once: the seed pass on the nodes of
-all its seed panels (every edge of a polyline at the same 15 nodes of
-[0, 1]), a split on both halves of the panel it bisects.  The 60 seed
-nodes of one turn, four quarter-turn panels of [0, 1], are a module
-constant, and so is the cos/sin table of their angles sweep*t, for
-sweeps of 2*pi and -2*pi.  Every arc is one whole turn from azimuth 0
-(a circle or a split-disc ring), so every seed pass reads its trig from
-that table; splits compute it per node with the function that built the
-table, so the values are the same bit for bit.  A turn centred on the
-axis, as every split-disc ring is, leaves the centre's zero out of its
-node coordinates: adding a zero changes no bit there (_arc says why).
-Both constants are built once at import and never changed.  Inputs are
-validated once per path, not per quadrature node: _require_clearance
+Each pass calls a piece's integrand once, on (lo, hi) panels: the seed
+pass on all its seed panels (every edge of a polyline on [0, 1]), a
+split on both halves of the panel it bisects; the integrand places the
+15 Kronrod nodes of each (_nodes).  The 60 seed nodes of one turn, four
+quarter-turn panels of [0, 1], are a module constant, and so is the
+cos/sin table of their angles sweep*t, for sweeps of 2*pi and -2*pi.
+Every arc is one whole turn from azimuth 0 (a circle or a split-disc
+ring), so every seed pass reads its trig from that table; splits
+compute it per node with the function that built the table, so the
+values are the same bit for bit.  A turn centred on the axis, as every
+split-disc ring is, leaves the centre's zero out of its node
+coordinates: adding a zero changes no bit there (_arc says why).  The
+offsets of the nodes of [0, 1] from its midpoint, which every edge's
+seed pass reads, are a third constant.  All three are built once at
+import and never changed.  Inputs are validated once per path, not per
+quadrature node: _require_clearance
 takes one enclosure of the path's rho range (fields._side), which puts
 it on one side of rho = R and so fixes the formula once per piece,
 B*rho/2 inside, gamma/rho outside, and checks the exterior range
 (fields._require_exterior_range) once.  Along a straight exterior edge
-the potential dotted with the tangent, gamma*dphi/dt, is computed as
-gamma*(x*dy - y*dx)/(x*x + y*y), with no square root.  The integrand is
+p + t*d the potential dotted with the tangent, gamma*dphi/dt, is the
+Lorentzian gamma*h/((t - t0)**2 + h*h) about the foot point t0 =
+-(p.d)/(d.d), at distance h = (p x d)/(d.d): five float operations a
+node once t0 and h are known, and no square root.  The integrand is
 periodic, so an n-turn circle is integrated over one revolution and the
 result scaled by n: rel_tol carries over exactly, while abs_tol applies
 per revolution.  An integral that overflows floating point raises
 ValueError naming the inputs it came from (B or gamma, with turns or
 the disc's radius), once the kernel has found it not finite at its
-piece's coefficient and at half of it (_integrate).
+piece's coefficient and at an eighth of it (_integrate).
 
 A winding number is counted, not integrated, and is exact: a
 polyline's signed crossings of the ray y = 0, x > 0, or a circle's
@@ -106,11 +113,12 @@ from .fields import (
 # all, seeded with one panel [a, b] per curve (seed == curves: edges, the
 # disc) or with an arc's four quarter turns of [0, 1].  coef is the
 # coefficient of the curves' side of rho = R, B inside and gamma
-# outside, and args[c] holds curve c's geometry.  fn(coef, args, cs, ts),
-# a module-level function, maps curve indices and nodes to the integrand
-# values at each node of each listed curve, in order; bound is None or
-# bound(coef, *args[c], lo, hi), a proven bound on the error of curve
-# c's panel [lo, hi], which certifies it.
+# outside, and args[c] holds curve c's geometry.  fn(coef, args, cs,
+# panels), a module-level function, maps curve indices and (lo, hi)
+# panels to the integrand values at the 15 Kronrod nodes of each panel
+# (_nodes), panel after panel of each listed curve, in order; bound is
+# None or bound(coef, *args[c], lo, hi), a proven bound on the error of
+# curve c's panel [lo, hi], which certifies it.
 
 
 # Gauss-Kronrod 7/15 pair: nonnegative Kronrod abscissae with their
@@ -155,6 +163,29 @@ def _nodes(a: float, b: float) -> list[float]:
     return [center, center - d0, center - d1, center - d2, center - d3, center - d4,
             center - d5, center - d6, center + d0, center + d1, center + d2, center + d3,
             center + d4, center + d5, center + d6]
+
+
+def _panel_nodes(panels: Sequence[tuple[float, float]]) -> list[float]:
+    """The 15 Kronrod nodes of each (lo, hi) panel, in order."""
+    ts = []
+    for lo, hi in panels:
+        ts += _nodes(lo, hi)
+    return ts
+
+
+#: the offsets of the 15 Kronrod nodes of [0, 1] from its midpoint, in
+#: _nodes' order: 0, then -x_k/2, then +x_k/2
+_UNIT_OFFSETS = (0.0, *(-0.5 * x for x in _XGK[:7]), *(0.5 * x for x in _XGK[:7]))
+
+
+def _offsets(lo: float, hi: float) -> tuple[float, tuple[float, ...]]:
+    """(m, offsets): the midpoint of [lo, hi] and the offsets of its 15
+    Kronrod nodes from m, in _nodes' order, so that m + offset is the
+    node _nodes(lo, hi) gives.  The seed panel [0, 1] reads
+    _UNIT_OFFSETS."""
+    if lo == 0.0 and hi == 1.0:
+        return 0.5, _UNIT_OFFSETS
+    return 0.5 * (lo + hi), tuple(map((hi - lo).__mul__, _UNIT_OFFSETS))
 
 
 def _trig(sweep: float, ts: Iterable[float]) -> list[tuple[float, float]]:
@@ -234,11 +265,8 @@ def _integrate_pieces(pieces: list[tuple], spec: QuadratureSpec) -> float:
     err is within it of the tolerance, both are summed again exactly.
     """
     (fn, a, b, seed, curves, bound, coef, args), = pieces
-    if seed == curves:
-        panels, nodes = ((a, b),), _nodes(a, b)
-    else:
-        panels, nodes = _TURN_BOUNDS, _TURN_NODES
-    y = fn(coef, args, range(curves), nodes)
+    panels = ((a, b),) if seed == curves else _TURN_BOUNDS
+    y = fn(coef, args, range(curves), panels)
     # (-err, seed, split or certification order, curve, a, b, value,
     # certified): the heap keys (-err, order) are unique, so no comparison
     # reaches the rest
@@ -279,7 +307,7 @@ def _integrate_pieces(pieces: list[tuple], spec: QuadratureSpec) -> float:
                     f"{splits} subdivisions"
                 )
             mid = 0.5 * (lo + hi)
-            y = fn(coef, args, (c,), _nodes(lo, mid) + _nodes(mid, hi))
+            y = fn(coef, args, (c,), ((lo, mid), (mid, hi)))
             v1, e1 = _gk15(y, 0, lo, mid)
             v2, e2 = _gk15(y, 15, mid, hi)
             drift += err + e1 + e2 + spec.rel_tol * (abs(total) + abs(v1) + abs(v2) + abs(v))
@@ -309,30 +337,33 @@ def _not_finite(value: float, *inputs: tuple[str, float]) -> ValueError:
 
 
 def _integrate(piece: tuple, spec: QuadratureSpec, *inputs: tuple[str, float]) -> float:
-    """The kernel's integral of piece; where that is not finite, twice
-    its integral at half its coef and abs_tol, or where that is not
-    finite either, a ValueError naming the caller's (name, value) inputs.
+    """The kernel's integral of piece; where that is not finite, eight
+    times its integral at an eighth of its coef and abs_tol, or where that
+    is not finite either, a ValueError naming the caller's (name, value)
+    inputs.
 
     _gk15 adds node pairs before it weights them and a panel's weights
     sum to 2, so an integral above about half the float range overflows
-    inside the kernel though it is finite.  Every value, estimate, bound,
-    running sum and tolerance of the kernel is linear in coef, and
-    halving a float is exact wherever the half is normal.  So the second
-    pass forms exactly half of each quantity the first would have formed
-    with no limit on the exponent, takes each of its decisions (certify,
-    split, stop) and returns half of its result; twice that is the
-    result, or not finite where it overflows.  Only a subnormal value
-    would round when halved, by at most 2**-1075.  A coef or abs_tol
-    below twice the smallest normal float could round when halved, so
-    with one there is no second pass.
+    inside the kernel though it is finite, and the disc's integrand
+    rho*(2*pi*B) overflows where pi*B does.  Every value, estimate,
+    bound, running sum and tolerance of the kernel is linear in coef,
+    and dividing a float by 8 is exact wherever the result is normal.  So
+    the second pass forms exactly an eighth of each quantity the first
+    would have formed with no limit on the exponent, takes each of its
+    decisions (certify, split, stop) and returns an eighth of its result;
+    eight times that is the result, or not finite where it overflows.
+    The eighth keeps 2*pi*coef/8 finite for every finite coef.  Only a
+    subnormal value would round when divided, by at most 2**-1075.  A
+    coef or abs_tol below eight times the smallest normal float could
+    round when divided, so with one there is no second pass.
     """
     value = _integrate_pieces([piece], spec)
     if math.isfinite(value):
         return value
     coef = piece[6]
-    if min(abs(coef), spec.abs_tol) >= 2.0 * _TINY:
-        half = QuadratureSpec(spec.rel_tol, 0.5 * spec.abs_tol, spec.max_subdivisions)
-        value = 2.0 * _integrate_pieces([(*piece[:6], 0.5 * coef, piece[7])], half)
+    if min(abs(coef), spec.abs_tol) >= 8.0 * _TINY:
+        eighth = QuadratureSpec(spec.rel_tol, 0.125 * spec.abs_tol, spec.max_subdivisions)
+        value = 8.0 * _integrate_pieces([(*piece[:6], 0.125 * coef, piece[7])], eighth)
     if not math.isfinite(value):
         raise _not_finite(value, *inputs)
     return value
@@ -372,38 +403,41 @@ def _arc(coef: float, inside: bool, cx: float, cy: float, radius: float,
 
 
 # The integrands of a turn args[0] = (cx, cy, radius, sweep) (_arc).  The
-# seed pass reads cos and sin from _TURN_TRIG, built by the same _trig at
-# the same nodes; a split computes them.  They append in a loop: on
-# CPython 3.11 a comprehension makes each local it reads a cell, which
-# every call would allocate.
+# seed pass, handed _TURN_BOUNDS itself, reads cos and sin from
+# _TURN_TRIG, built by the same _trig at the same nodes; a split computes
+# them.  They append in a loop: on CPython 3.11 a comprehension makes
+# each local it reads a cell, which every call would allocate.
 def _interior_turn(coef: float, args: tuple, cs: Sequence[int],
-                   ts: Sequence[float]) -> list[float]:
+                   panels: Sequence[tuple[float, float]]) -> list[float]:
     (cx, cy, radius, sweep), = args
     k, nk = radius * sweep, -radius * sweep
     bx, by = -0.5 * coef, 0.5 * coef
     out = []
-    for c, s in _TURN_TRIG[sweep > 0.0] if ts is _TURN_NODES else _trig(sweep, ts):
+    for c, s in (_TURN_TRIG[sweep > 0.0] if panels is _TURN_BOUNDS
+                 else _trig(sweep, _panel_nodes(panels))):
         out.append(bx * (cy + radius * s) * (nk * s) + by * (cx + radius * c) * (k * c))
     return out
 
 
 def _interior_turn_centred(coef: float, args: tuple, cs: Sequence[int],
-                           ts: Sequence[float]) -> list[float]:
+                           panels: Sequence[tuple[float, float]]) -> list[float]:
     (_, _, radius, sweep), = args
     k, nk = radius * sweep, -radius * sweep
     bx, by = -0.5 * coef, 0.5 * coef
     out = []
-    for c, s in _TURN_TRIG[sweep > 0.0] if ts is _TURN_NODES else _trig(sweep, ts):
+    for c, s in (_TURN_TRIG[sweep > 0.0] if panels is _TURN_BOUNDS
+                 else _trig(sweep, _panel_nodes(panels))):
         out.append(bx * (radius * s) * (nk * s) + by * (radius * c) * (k * c))
     return out
 
 
 def _exterior_turn(coef: float, args: tuple, cs: Sequence[int],
-                   ts: Sequence[float]) -> list[float]:
+                   panels: Sequence[tuple[float, float]]) -> list[float]:
     (cx, cy, radius, sweep), = args
     k, nk = radius * sweep, -radius * sweep
     out = []
-    for c, s in _TURN_TRIG[sweep > 0.0] if ts is _TURN_NODES else _trig(sweep, ts):
+    for c, s in (_TURN_TRIG[sweep > 0.0] if panels is _TURN_BOUNDS
+                 else _trig(sweep, _panel_nodes(panels))):
         x, y = cx + radius * c, cy + radius * s
         rho = hypot(x, y)
         scale = coef / (rho * rho)
@@ -412,11 +446,12 @@ def _exterior_turn(coef: float, args: tuple, cs: Sequence[int],
 
 
 def _exterior_turn_centred(coef: float, args: tuple, cs: Sequence[int],
-                           ts: Sequence[float]) -> list[float]:
+                           panels: Sequence[tuple[float, float]]) -> list[float]:
     (_, _, radius, sweep), = args
     k, nk = radius * sweep, -radius * sweep
     out = []
-    for c, s in _TURN_TRIG[sweep > 0.0] if ts is _TURN_NODES else _trig(sweep, ts):
+    for c, s in (_TURN_TRIG[sweep > 0.0] if panels is _TURN_BOUNDS
+                 else _trig(sweep, _panel_nodes(panels))):
         x, y = radius * c, radius * s
         rho = hypot(x, y)
         scale = coef / (rho * rho)
@@ -453,26 +488,39 @@ def _edge_bound(gamma: float, px: float, py: float, dx: float, dy: float,
     16*eps*span/|d|, which keeps the computed term an upper bound.
 
     Rounding.  This term bounds |K15 - Q|, Q the exact rule at the exact
-    nodes on the exact integrand; scale = |px| + |py| + |dx| + |dy|.
-    The _XGK constants lie within 0.41*eps of the exact nodes, so a
-    computed node lies within eps*(s + 1/2) of its exact node t_k, and
-    forming x = px + t*dx, y = py + t*dy moves the point by under
-    eps*scale more: it lies within 2.01*eps*scale of p + t_k*d (s <=
-    1/2, |d| <= scale).  As a function of the point, the integrand has a
-    gradient under 3*|gamma|*|d|/rho**2, and its own eight roundings err
-    by under 3.01*eps*|gamma|*|d|/rho.  With rho >= nu = near -
-    2.01*eps*scale, near the panel's closest approach to the axis, and nu
-    <= scale, each value errs by under 9.04*eps*|gamma|*|d|*scale/nu**2,
-    and the rule, whose exact weights sum to 2, by 2*s times that.  Each
-    term of the K15 sum passes through at most 10 roundings, and the
-    _WGK constants differ from the exact weights by 1.64*eps in all,
-    which adds under 11.65*eps*s*max|f|, with |f| <= |gamma|*|d|/rho <=
+    nodes on the exact integrand; scale = |px| + |py| + |dx| + |dy|.  In
+    the frame of e = d/|d| about the foot point, the exact node t_k is
+    the point |d|*(t_k - t0, h), and the integrand is gamma*g(u, h), g =
+    h/(u*u + h*h), whose gradient has modulus exactly 1/(u*u + h*h): as
+    a function of the point, |gamma|*|d|/rho**2.  _exterior_edges forms
+    the point in one of two ways.  About the foot point: |d| =
+    hypot(dx, dy) errs by under an ulp and e by 2.01*eps, which turns
+    and scales (p.e, p x e) by under 2.01*eps*|p|; their products and
+    sums add 1.01*eps*span jointly, span = |px| + |py|, and the division
+    by |d| 1.51*eps*|p|, so |d|*t0 and |d|*h err by under 4.53*eps*span
+    together.  m - t0, and its sum with the exact s*x_k, each round by
+    eps*(|p| + |d|)/(2*|d|), and the _XGK constants lie within 0.41*eps
+    of the exact nodes, so the point lies within 5.53*eps*scale of the
+    exact one.  At the nodes themselves (an edge with no length, or t0
+    or h out of range): a computed node t = m + s*x_k lies within eps*(s
+    + 1/2) of t_k, and forming x = px + t*dx, y = py + t*dy moves the
+    point by under eps*scale more, within 2.01*eps*scale of the exact
+    one (s <= 1/2, |d| <= scale).  Either form's own roundings err by
+    under 3.01*eps*|gamma|*|d|/rho.  With rho >= nu = near -
+    5.53*eps*scale, near the panel's closest approach to the axis, and
+    nu <= scale, each value errs by under
+    8.54*eps*|gamma|*|d|*scale/nu**2, and the rule, whose exact weights
+    sum to 2, by 2*s times that.  Each term of the K15 sum passes
+    through at most 10 roundings, and the _WGK constants differ from the
+    exact weights by 1.64*eps in all, which adds under
+    11.65*eps*s*max|f|, with |f| <= |gamma|*|d|/rho <=
     |gamma|*|d|*scale/nu**2.  In all, under
-    29.8*eps*s*|gamma|*|d|*scale/nu**2; the term is
+    28.8*eps*s*|gamma|*|d|*scale/nu**2; the term is
     32*eps*s*|gamma|*width*scale/nu**2, width = |dx| + |dy| >= |d|.  The
-    computed near errs by under 12*eps*scale, so it is lowered by
-    16*eps*scale to give nu.  The factor 32 covers the rounding of the
-    term and of the sum of the two.
+    computed near errs by under 8.3*eps*scale, from a and b (each under
+    4*eps*span + eps*|d| in units of length), the square root and the
+    products, so it is lowered by 16*eps*scale to give nu.  The factor
+    32 covers the rounding of the term and of the sum of the two.
 
     No bound is found where nu or g is not positive, or the poles'
     ellipse does not lie past [-1, 1].  All this assumes normal numbers
@@ -606,13 +654,15 @@ def _edges(f: SolenoidField, points: Sequence[Point], spec: QuadratureSpec) -> f
 
     As for arcs, the integrand holds only the formula of the edges' side
     of rho = R.  Inside it is eval_A's linear field dotted with the edge
-    (dx, dy), in eval_A's floating-point operations.  Outside it is
-    gamma*(x*dy - y*dx)/(x*x + y*y), the exterior potential dotted with
-    the edge without its square root and scaling; it agrees with eval_A's
-    dot product to a few rounding errors, not bit for bit.  The cross
-    product is taken at each node, not once per edge from its start
-    point: that form rounds into every node of an edge alike, which the
-    error estimate cannot see near the axis.
+    (dx, dy), in eval_A's floating-point operations.  Outside it is the
+    exterior potential dotted with the edge, gamma*(p x d)/|p + t*d|**2,
+    as a Lorentzian about the edge's foot point (_exterior_edges); it
+    agrees with eval_A's dot product to a few rounding errors, not bit
+    for bit.  The cross product p x d is taken once per edge, and each
+    node is placed as an offset from the foot point, not as t from the
+    edge's start: a node near the closest approach then rounds by eps
+    of its distance from it, which the error estimate sees, not by eps
+    of the edge's length, which it cannot see near the axis.
     """
     xs = [p.x for p in points]
     ys = [p.y for p in points]
@@ -641,8 +691,9 @@ def _edges(f: SolenoidField, points: Sequence[Point], spec: QuadratureSpec) -> f
 
 # The integrands of the edges args[c] = (px, py, dx, dy) (_edges)
 def _interior_edges(coef: float, args: list[tuple], cs: Sequence[int],
-                    ts: Sequence[float]) -> list[float]:
+                    panels: Sequence[tuple[float, float]]) -> list[float]:
     bx, by = -0.5 * coef, 0.5 * coef
+    ts = _panel_nodes(panels)
     out = []
     for c in cs:
         px, py, dx, dy = args[c]
@@ -651,16 +702,49 @@ def _interior_edges(coef: float, args: list[tuple], cs: Sequence[int],
     return out
 
 
+#: the least h*h, and the largest t0*t0 + h*h, of an edge evaluated as a
+#: Lorentzian about its foot point (_exterior_edges)
+_FOOT_LOW, _FOOT_HIGH = 2.0 ** -1000, 2.0 ** 1000
+
+
 def _exterior_edges(coef: float, args: list[tuple], cs: Sequence[int],
-                    ts: Sequence[float]) -> list[float]:
+                    panels: Sequence[tuple[float, float]]) -> list[float]:
+    """gamma*(p x d)/|p + t*d|**2 = coef*h/((t - t0)**2 + h*h) at the
+    nodes of each panel of each edge: with e = d/|d|, the foot point t0 =
+    -(p.e)/|d| and h = (p x e)/|d|, once per edge and pass.  A node lies
+    at u = t - t0 = (m - t0) + s*x_k, m the panel's midpoint and s*x_k
+    its offset from it, exact for the dyadic panels of [0, 1]; its value
+    coef*(h/(u*u + h*h)) takes five float operations.  An edge with no length, or whose h*h or t0*t0 +
+    h*h leaves [_FOOT_LOW, _FOOT_HIGH] (an edge that points at the axis
+    to within 2**-500 of its length, or that is shorter than 2**-500 of
+    its distance), is evaluated at the nodes t = m + s*x_k themselves,
+    as gamma*(x*dy - y*dx)/(x*x + y*y); the test keeps u*u + h*h normal
+    and finite, so no node divides by zero."""
+    grid = [_offsets(lo, hi) for lo, hi in panels]
     out = []
     for c in cs:
         px, py, dx, dy = args[c]
-        for t in ts:
-            x, y = px + t * dx, py + t * dy
-            # divided before gamma scales it, so a large gamma overflows
-            # only where the value itself does
-            out.append(coef * ((x * dy - y * dx) / (x * x + y * y)))
+        length = hypot(dx, dy)
+        if length:
+            ux, uy = dx / length, dy / length
+            t0 = -((px * ux + py * uy) / length)
+            h = (px * uy - py * ux) / length
+            hh = h * h
+            if _FOOT_LOW <= hh and t0 * t0 + hh <= _FOOT_HIGH:
+                for m, offsets in grid:
+                    base = m - t0
+                    for o in offsets:
+                        u = base + o
+                        # divided before gamma scales it, so a large gamma
+                        # overflows only where the value itself does
+                        out.append(coef * (h / (u * u + hh)))
+                continue
+        # no length, or a foot point out of range: at the nodes themselves
+        for m, offsets in grid:
+            for o in offsets:
+                t = m + o
+                x, y = px + t * dx, py + t * dy
+                out.append(coef * ((x * dy - y * dx) / (x * x + y * y)))
     return out
 
 
@@ -672,10 +756,10 @@ def _disc(coef: float, rho: float, spec: QuadratureSpec) -> float:
 
 
 def _disc_radial(coef: float, args: tuple, cs: Sequence[int],
-                 rhos: Sequence[float]) -> list[float]:
+                 panels: Sequence[tuple[float, float]]) -> list[float]:
     """The disc's integrand: rho times a whole turn times B_z = coef."""
     azimuthal = math.tau * coef
-    return [r * azimuthal for r in rhos]
+    return [r * azimuthal for r in _panel_nodes(panels)]
 
 
 class Circle(Record):

@@ -1,10 +1,11 @@
 """Per-panel reference of the line-integral kernel.
 
 This is the kernel as it was before each pass went through one integrand
-call: every panel builds its own 15 nodes and calls its piece's
-integrand once, every polyline edge is its own piece, and every panel
-is pushed onto the heap on its own.  Every arc computes cos and sin at
-each of its nodes, with no table.  The batched kernel in abflux.geometry
+call: every panel calls its piece's integrand once on its own bounds,
+every polyline edge is its own piece, and every panel is pushed onto
+the heap on its own.  Every arc computes cos and sin at each of its
+nodes, with no table, and every exterior edge its foot point on each
+panel.  The batched kernel in abflux.geometry
 must give repr-identical values from the same number of panels.
 
 A piece carries the bound of its panels' errors, or None: an exterior
@@ -24,17 +25,37 @@ from math import cos, hypot, sin
 
 from abflux.errors import QuadratureNotConverged
 from abflux.fields import Point, SolenoidField
-from abflux.geometry import _WG, _WGK, _XGK, QuadratureSpec, _arc_bound, _edge_bound
+from abflux.geometry import (
+    _FOOT_HIGH,
+    _FOOT_LOW,
+    _WG,
+    _WGK,
+    _XGK,
+    QuadratureSpec,
+    _arc_bound,
+    _edge_bound,
+)
+
+
+def offsets(a: float, b: float) -> tuple[float, list[float]]:
+    """The midpoint of [a, b] and its 15 Kronrod nodes' offsets from it,
+    in the order center, center - d0..d6, center + d0..d6"""
+    half = 0.5 * (b - a)
+    d = [half * x for x in _XGK[:7]]
+    return 0.5 * (a + b), [0.0] + [-x for x in d] + d
+
+
+def nodes(a: float, b: float) -> list[float]:
+    """The 15 Kronrod nodes of [a, b], in offsets' order"""
+    center, steps = offsets(a, b)
+    return [center + step for step in steps]
 
 
 def gk15(fn, a: float, b: float) -> tuple[float, float]:
-    """15-point Kronrod estimate on [a, b] and |K15 - G7|, one call of fn."""
-    center = 0.5 * (a + b)
+    """15-point Kronrod estimate on [a, b] and |K15 - G7|, one call of
+    fn(a, b), which returns the integrand at nodes(a, b)."""
     half = 0.5 * (b - a)
-    d0, d1, d2, d3, d4, d5, d6 = [half * x for x in _XGK[:7]]
-    y = fn([center, center - d0, center - d1, center - d2, center - d3, center - d4,
-            center - d5, center - d6, center + d0, center + d1, center + d2, center + d3,
-            center + d4, center + d5, center + d6])
+    y = fn(a, b)
     fc = y[0]
     s1, s3, s5 = y[2] + y[9], y[4] + y[11], y[6] + y[13]
     kronrod = (_WGK[7] * fc + _WGK[0] * (y[1] + y[8]) + _WGK[1] * s1
@@ -108,9 +129,9 @@ def arc_piece(f: SolenoidField, inside: bool, cx: float, cy: float, radius: floa
     if inside:
         bx, by = -0.5 * f.B, 0.5 * f.B
 
-        def interior(ts):
+        def interior(lo, hi):
             out = []
-            for t in ts:
+            for t in nodes(lo, hi):
                 th = sweep * t
                 c, s = cos(th), sin(th)
                 out.append(bx * (cy + radius * s) * (nk * s) + by * (cx + radius * c) * (k * c))
@@ -120,9 +141,9 @@ def arc_piece(f: SolenoidField, inside: bool, cx: float, cy: float, radius: floa
 
     gamma = f.gamma
 
-    def exterior(ts):
+    def exterior(lo, hi):
         out = []
-        for t in ts:
+        for t in nodes(lo, hi):
             th = sweep * t
             c, s = cos(th), sin(th)
             x, y = cx + radius * c, cy + radius * s
@@ -144,14 +165,27 @@ def edge_piece(f: SolenoidField, inside: bool, p: Point, q: Point):
     dx, dy = q.x - px, q.y - py
     if inside:
         bx, by = -0.5 * f.B, 0.5 * f.B
-        return (lambda ts: [bx * (py + t * dy) * dx + by * (px + t * dx) * dy for t in ts],
+        return (lambda lo, hi: [bx * (py + t * dy) * dx + by * (px + t * dx) * dy
+                                for t in nodes(lo, hi)],
                 0.0, 1.0, 1, None)
 
     gamma = f.gamma
 
-    def exterior(ts):
+    def exterior(lo, hi):
+        # the Lorentzian gamma*h/((t - t0)**2 + h*h) about the foot point
+        # t0, at nodes placed as offsets from it, where t0 and h are in
+        # range; else gamma*(p x d)/|p + t*d|**2 at the nodes themselves
+        m, steps = offsets(lo, hi)
+        length = hypot(dx, dy)
+        if length:
+            ux, uy = dx / length, dy / length
+            t0 = -((px * ux + py * uy) / length)
+            h = (px * uy - py * ux) / length
+            if _FOOT_LOW <= h * h and t0 * t0 + h * h <= _FOOT_HIGH:
+                base = m - t0
+                return [gamma * (h / ((u := base + step) * u + h * h)) for step in steps]
         out = []
-        for t in ts:
+        for t in nodes(lo, hi):
             x, y = px + t * dx, py + t * dy
             out.append(gamma * ((x * dy - y * dx) / (x * x + y * y)))
         return out
@@ -163,7 +197,7 @@ def disc_piece(b_z: float, rho_max: float):
     """The disc [0, rho_max] of constant B_z = b_z as a radial piece with
     one seed panel: rho times a whole turn times b_z."""
     azimuthal = math.tau * b_z
-    return (lambda rhos: [rho * azimuthal for rho in rhos]), 0.0, rho_max, 1, None
+    return (lambda lo, hi: [rho * azimuthal for rho in nodes(lo, hi)]), 0.0, rho_max, 1, None
 
 
 #: QUADPACK's dqk15 abscissae and Kronrod weights to 33 digits, for

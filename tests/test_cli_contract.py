@@ -54,7 +54,7 @@ STOKES_JSON = """\
 """
 
 # a split disc whose interior values lie above half the float range:
-# the kernel integrates them at half of B and doubles the result
+# the kernel integrates them at an eighth of B and scales the result by 8
 # (geometry._integrate)
 STOKES_NEAR_MAX = """\
 {
@@ -69,6 +69,26 @@ STOKES_NEAR_MAX = """\
       "B": %s,
       "R": %s,
       "gamma": 1.0
+    },
+    "L": 3.0
+  }
+}
+"""
+
+# a split disc whose pi*B overflows, with no exterior potential
+STOKES_PI_B_OVERFLOWS = """\
+{
+  "phi_1": 7.85398163397e+307,
+  "phi_2": 0.0,
+  "phi_total": 7.85398163397e+307,
+  "circ_outer": 0.0,
+  "circ_inner": 0.0,
+  "discrepancy": -7.85398163397e+307,
+  "config": {
+    "field": {
+      "B": 1e+308,
+      "R": 0.5,
+      "gamma": 0.0
     },
     "L": 3.0
   }
@@ -177,13 +197,13 @@ CONTRACT = [
      "6.283185307179586\n6.283185307179586\n6.283185307179585\n", ""),
     ("circulation --B 2 --R 1 --gamma 0.7 --polyline {tmp}/star.csv", 0, "4.39822971503\n", ""),
     ("circulation --B 2 --R 1 --gamma 1 --polyline {tmp}/beside.csv", 0,
-     "-1.12757025938e-17\n", ""),
+     "-4.33680868994e-18\n", ""),
     ("circulation --B 2 --R 1 --gamma 0.7 --polyline {tmp}/star.csv --rel-tol 1e-12", 0,
      "4.39822971503\n", ""),
     ("circulation --B 2 --R 1 --gamma 1 --polyline {tmp}/beside.csv --rel-tol 1e-12", 0,
-     "-1.12757025938e-17\n", ""),
+     "-4.33680868994e-18\n", ""),
     (("-c", WARM_CIRCULATION, "{tmp}/star.csv"), 0,
-     "4.398229715025706\n2.5132741228718256\n4.398229715025706\n", ""),
+     "4.398229715025707\n2.5132741228718274\n4.398229715025707\n", ""),
     # a domain error exits 1, any other ValueError exits 2; both print
     # nothing on stdout and the error class first on stderr
     ("flux --B 2 --R 1 --L -1", 1, "", "InvalidRadius:"),
@@ -197,9 +217,12 @@ CONTRACT = [
     ("flux --B 1e308 --R 2 --gamma 1 --L 3", 2, "",
      "ValueError: integral is not finite (inf) at B = 1e+308, rho = 2.0:"),
     # a finite integral above half the float range, whose disc integrand
-    # r*(2*pi*B) or Kronrod sum overflows, is integrated at half its
-    # coefficient and doubled (geometry._integrate)
+    # r*(2*pi*B) or Kronrod sum overflows, is integrated at an eighth of
+    # its coefficient and scaled by 8 (geometry._integrate)
     ("flux --B 4e307 --R 0.5 --gamma 1 --L 3", 0, "3.14159265359e+307\n", ""),
+    # pi*B itself overflows: 2*pi*(B/8) does not
+    ("flux --B 1e308 --R 0.5 --gamma 0 --L 3", 0, "7.85398163397e+307\n", ""),
+    ("stokes --B 1e308 --R 0.5 --gamma 0 --L 3", 0, STOKES_PI_B_OVERFLOWS, ""),
     ("stokes --B 4e307 --R 0.5 --gamma 1 --L 3", 0,
      STOKES_NEAR_MAX % ("3.14159265359e+307", "-8.881784197e-16", "3.14159265359e+307",
                         "3.14159265359e+307", "4e+307", "0.5"), ""),

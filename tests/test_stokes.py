@@ -384,7 +384,7 @@ class TestSplitDiscPieces:
     def test_interior_integrand_that_overflows_near_the_rim_is_named(self, monkeypatch):
         # the flux pi*B*R**2 overflows: the area flux, integrated first,
         # names B and R as flux_direct does, once the kernel finds it not
-        # finite after the seed panel of each pass, at B and at B/2;
+        # finite after the seed panel of each pass, at B and at B/8;
         # chart_audit reads no B
         panels = [0]
         gk15 = geometry._gk15
@@ -408,7 +408,7 @@ class TestSplitDiscPieces:
     def test_interior_values_above_half_the_float_range_are_returned(self):
         # the interior ring's values or its disc integrand r*(2*pi*B)
         # overflow inside the kernel, though both fluxes are finite: each
-        # is integrated at B/2 and doubled
+        # is integrated at B/8 and scaled by 8
         spec = QuadratureSpec()
         for B, R in DISC_NEAR_MAX:
             f = SolenoidField(B=B, R=R, gamma=1.0)
