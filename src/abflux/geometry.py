@@ -181,10 +181,7 @@ _UNIT_OFFSETS = (0.0, *(-0.5 * x for x in _XGK[:7]), *(0.5 * x for x in _XGK[:7]
 def _offsets(lo: float, hi: float) -> tuple[float, tuple[float, ...]]:
     """(m, offsets): the midpoint of [lo, hi] and the offsets of its 15
     Kronrod nodes from m, in _nodes' order, so that m + offset is the
-    node _nodes(lo, hi) gives.  The seed panel [0, 1] reads
-    _UNIT_OFFSETS."""
-    if lo == 0.0 and hi == 1.0:
-        return 0.5, _UNIT_OFFSETS
+    node _nodes(lo, hi) gives."""
     return 0.5 * (lo + hi), tuple(map((hi - lo).__mul__, _UNIT_OFFSETS))
 
 
@@ -702,9 +699,10 @@ def _interior_edges(coef: float, args: list[tuple], cs: Sequence[int],
     return out
 
 
-#: the least h*h, and the largest t0*t0 + h*h, of an edge evaluated as a
-#: Lorentzian about its foot point (_exterior_edges)
-_FOOT_LOW, _FOOT_HIGH = 2.0 ** -1000, 2.0 ** 1000
+#: the least h*h (the least normal float), and the largest t0*t0 + h*h,
+#: of an edge evaluated as a Lorentzian about its foot point
+#: (_exterior_edges)
+_FOOT_LOW, _FOOT_HIGH = _TINY, 2.0 ** 1000
 
 
 def _exterior_edges(coef: float, args: list[tuple], cs: Sequence[int],
@@ -714,12 +712,13 @@ def _exterior_edges(coef: float, args: list[tuple], cs: Sequence[int],
     -(p.e)/|d| and h = (p x e)/|d|, once per edge and pass.  A node lies
     at u = t - t0 = (m - t0) + s*x_k, m the panel's midpoint and s*x_k
     its offset from it, exact for the dyadic panels of [0, 1]; its value
-    coef*(h/(u*u + h*h)) takes five float operations.  An edge with no length, or whose h*h or t0*t0 +
-    h*h leaves [_FOOT_LOW, _FOOT_HIGH] (an edge that points at the axis
-    to within 2**-500 of its length, or that is shorter than 2**-500 of
-    its distance), is evaluated at the nodes t = m + s*x_k themselves,
-    as gamma*(x*dy - y*dx)/(x*x + y*y); the test keeps u*u + h*h normal
-    and finite, so no node divides by zero."""
+    coef*(h/(u*u + h*h)) takes five float operations.  An edge with no
+    length, or whose h*h or t0*t0 + h*h leaves [_FOOT_LOW, _FOOT_HIGH]
+    (an edge that passes the axis within 2**-511 of its length, or that
+    is shorter than 2**-500 of its distance), is evaluated at the nodes
+    t = m + s*x_k themselves, as gamma*(x*dy - y*dx)/(x*x + y*y), which
+    keeps the rounding of those nodes near the axis; the test keeps
+    u*u + h*h normal and finite, so no node divides by zero."""
     grid = [_offsets(lo, hi) for lo, hi in panels]
     out = []
     for c in cs:

@@ -169,10 +169,9 @@ class TestQuadratureEngine:
 
     def test_offsets_place_the_kronrod_nodes(self):
         # m + offset is the node _nodes gives, bit for bit, on dyadic
-        # panels of [0, 1]; the seed panel reads the module constant
+        # panels of [0, 1]
         rng = random.Random(29)
         assert geometry._offsets(0.0, 1.0) == (0.5, geometry._UNIT_OFFSETS)
-        assert geometry._offsets(0.0, 1.0)[1] is geometry._UNIT_OFFSETS
         for level in range(60):
             j = rng.randrange(2**level)
             lo, hi = j / 2**level, (j + 1) / 2**level
