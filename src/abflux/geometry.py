@@ -758,7 +758,7 @@ def _disc_radial(coef: float, args: tuple, cs: Sequence[int],
                  panels: Sequence[tuple[float, float]]) -> list[float]:
     """The disc's integrand: rho times a whole turn times B_z = coef."""
     azimuthal = math.tau * coef
-    return [r * azimuthal for r in _panel_nodes(panels)]
+    return [r * azimuthal for lo, hi in panels for r in _nodes(lo, hi)]
 
 
 class Circle(Record):
